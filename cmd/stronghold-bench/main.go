@@ -7,16 +7,16 @@
 // which makes it diffable in review and comparable across commits:
 //
 //	stronghold-bench -rev abc123 -out BENCH_abc123.json
-//	stronghold-bench -workers 8                      # parallel sweep, same bytes
+//	stronghold-bench -workers 8                      # concurrent sweep, same bytes
 //	stronghold-bench -workers 8 -timing -rev abc123  # adds wall-clock section
 //	stronghold-bench -compare -threshold 0.05 BENCH_old.json BENCH_new.json
 //
-// -workers runs the scenarios concurrently AND hands each simulation
-// to the conservative parallel engine; scenario results are
-// byte-identical to the serial sweep (the command verifies this when
-// it has both sweeps in hand). -timing runs the suite twice — serial,
-// then parallel — and appends the measured wall-clocks; it is the only
-// flag that makes the document machine-dependent.
+// -workers runs up to that many scenarios concurrently, one goroutine
+// each; every scenario still simulates on the serial engine, so the
+// results are byte-identical to the serial sweep (the command verifies
+// this when it has both sweeps in hand). -timing runs the suite twice —
+// serially, then concurrently — and appends the measured wall-clocks;
+// it is the only flag that makes the document machine-dependent.
 //
 // -compare exits 2 when any scenario's throughput regressed by more
 // than the threshold fraction, making it usable as a CI gate.
@@ -45,11 +45,10 @@ func main() {
 }
 
 // sweep runs every suite scenario matching only and returns the
-// results. workers <= 1 runs scenarios sequentially on the serial
-// engine; workers > 1 runs them concurrently (capped at workers
-// in-flight), each simulation on the parallel engine at that worker
-// count. Either way the map is assembled in suite order from an
-// indexed slice, so the output is independent of goroutine scheduling.
+// results. workers <= 1 runs scenarios sequentially; workers > 1 runs
+// them concurrently, capped at workers in flight. Either way the map is
+// assembled in suite order from an indexed slice, so the output is
+// independent of goroutine scheduling.
 func sweep(cases []bench.Case, only string, workers int) map[string]bench.Scenario {
 	results := make([]bench.Scenario, len(cases))
 	ran := make([]bool, len(cases))
@@ -74,7 +73,7 @@ func sweep(cases []bench.Case, only string, workers int) map[string]bench.Scenar
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				results[i] = c.Run(workers)
+				results[i] = c.Run(1)
 			}(i, c)
 		}
 		wg.Wait()
@@ -97,8 +96,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	out := fs.String("out", "", "output path (default BENCH_<rev>.json; - for stdout)")
 	only := fs.String("only", "", "run only the named scenario")
 	list := fs.Bool("list", false, "list scenario names and exit")
-	workers := fs.Int("workers", 0, "parallel sweep: concurrent scenarios, each simulated at this sim worker count (<=1 = serial)")
-	timing := fs.Bool("timing", false, "run the suite serially and in parallel, recording both wall-clocks (machine-dependent)")
+	workers := fs.Int("workers", 0, "run up to this many scenarios concurrently (<=1 = serial); results are byte-identical")
+	timing := fs.Bool("timing", false, "run the suite serially and concurrently, recording both wall-clocks (machine-dependent)")
 	compare := fs.Bool("compare", false, "compare two BENCH files: -compare old.json new.json")
 	threshold := fs.Float64("threshold", 0.05, "with -compare: max tolerated fractional throughput drop")
 	if err := fs.Parse(args); err != nil {
@@ -133,11 +132,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallelStart := time.Now()
 		parallel := sweep(cases, *only, w)
 		parallelWall := time.Since(parallelStart)
-		// The two sweeps double as a differential check: the parallel
-		// engine's contract is byte-identical scenario results.
+		// The two sweeps double as a differential check: scenario
+		// results may not depend on how many run at once.
 		for name, s := range serial {
 			if parallel[name] != s {
-				fmt.Fprintf(stderr, "stronghold-bench: scenario %q diverged between serial and parallel sweeps\n", name)
+				fmt.Fprintf(stderr, "stronghold-bench: scenario %q diverged between serial and concurrent sweeps\n", name)
 				return 1
 			}
 		}

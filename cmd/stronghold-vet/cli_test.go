@@ -194,7 +194,7 @@ func TestCLIList(t *testing.T) {
 		t.Errorf("exit = %d, want 0", exit)
 	}
 	lines := strings.Split(strings.TrimSpace(stdout), "\n")
-	if len(lines) != 15 {
-		t.Errorf("want 15 rules, got %d:\n%s", len(lines), stdout)
+	if len(lines) != 12 {
+		t.Errorf("want 12 rules, got %d:\n%s", len(lines), stdout)
 	}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -115,6 +116,22 @@ func TestEnginePure(t *testing.T) {
 	loader := newTestLoader(t)
 	runFixture(t, loader, EnginePure, "enginepure_bad")
 	runFixture(t, loader, EnginePure, "enginepure_clean")
+}
+
+// TestEngineTransitiveScope: a file that reaches engine state only
+// through a wrapper package's types is engine-owning; its sibling with
+// no engine types keeps its concurrency.
+func TestEngineTransitiveScope(t *testing.T) {
+	loader := newTestLoader(t)
+	runFixtureSet(t, loader, EnginePure, "enginetrans_bad", "enginetrans_helper")
+}
+
+// TestEngineCaptures: bound method values and goroutine-spawning
+// wrapper helpers must not launder an engine capture.
+func TestEngineCaptures(t *testing.T) {
+	loader := newTestLoader(t)
+	runFixtureSet(t, loader, EnginePure, "enginecapture_bad", "enginecapture_helper")
+	runFixtureSet(t, loader, EnginePure, "enginecapture_clean", "enginecapture_helper")
 }
 
 func TestDroppedSignal(t *testing.T) {
@@ -270,7 +287,6 @@ func TestDefaultAnalyzers(t *testing.T) {
 	want := []string{
 		"simtime", "enginepure", "droppedsignal", "bufdiscipline", "anystyle",
 		"maporder", "wallclock", "seedflow", "errdrop",
-		"partition", "syncscope", "mergepure",
 		"hotalloc", "boxing", "deferloop",
 	}
 	got := DefaultAnalyzers()
@@ -286,6 +302,59 @@ func TestDefaultAnalyzers(t *testing.T) {
 		}
 		if (a.Run == nil) == (a.RunModule == nil) {
 			t.Errorf("analyzer %q must set exactly one of Run and RunModule", a.Name)
+		}
+	}
+}
+
+func renderDiags(diags []Diagnostic) string {
+	var b strings.Builder
+	for _, d := range diags {
+		b.WriteString("  " + d.String() + "\n")
+	}
+	return b.String()
+}
+
+func wantDiag(t *testing.T, diags []Diagnostic, want string) {
+	t.Helper()
+	for _, d := range diags {
+		if strings.Contains(d.Message, want) {
+			return
+		}
+	}
+	t.Errorf("want a finding containing %q after revert; got:\n%s", want, renderDiags(diags))
+}
+
+// fixtureHelpers names the helper packages each bad fixture needs for
+// cross-package edges.
+var fixtureHelpers = map[string][]string{
+	"wallclock_bad":     {"wallclock_helper"},
+	"seedflow_bad":      {"seedflow_helper"},
+	"enginetrans_bad":   {"enginetrans_helper"},
+	"enginecapture_bad": {"enginecapture_helper"},
+	"hotcross_bad":      {"hotcross_helper"},
+}
+
+// TestBadFixturesFail mirrors the CI mutation guard: every *_bad
+// fixture package must produce at least one diagnostic under the full
+// default rule set.
+func TestBadFixturesFail(t *testing.T) {
+	loader := newTestLoader(t)
+	entries, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatalf("reading fixtures: %v", err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() || !strings.HasSuffix(e.Name(), "_bad") {
+			continue
+		}
+		names := append([]string{e.Name()}, fixtureHelpers[e.Name()]...)
+		var pkgs []*Package
+		for _, name := range names {
+			pkgs = append(pkgs, loadFixture(t, loader, name))
+		}
+		res := NewRunner().RunPackages(pkgs)
+		if len(res.Diags) == 0 {
+			t.Errorf("%s: want at least one diagnostic under the full rule set, got none", e.Name())
 		}
 	}
 }

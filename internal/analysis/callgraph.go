@@ -14,10 +14,9 @@ type Module struct {
 	Fset *token.FileSet
 	Pkgs []*Package // sorted by import path
 
-	graph  *CallGraph
-	facts  *FactStore
-	bounds *BoundarySet
-	hots   *HotSet
+	graph *CallGraph
+	facts *FactStore
+	hots  *HotSet
 }
 
 // NewModule wraps an already-sorted, deduplicated package set.

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -21,115 +20,37 @@ import (
 // method value (`f := eng.Run; go f()`), or a closure passed to a
 // helper that spawns its argument.
 //
-// Since v3 the ban is not absolute: a file annotated with
-// `//vet:boundary <name>` for a boundary declared in a BOUNDARY.md
-// registry is a sanctioned home for concurrency — the contract there
-// is carried by the partition, syncscope and mergepure rules instead.
-// Promoting a file into a boundary is the rule's suggested fix.
-//
 // The functional trainers (real goroutine-parallel computation living
 // beside the simulation code) stay legal: their files neither import
 // sim/hw nor touch engine types, and their concurrency never does.
 var EnginePure = &Analyzer{
 	Name:      "enginepure",
-	Doc:       "forbid goroutines, channels and sync primitives in engine-owning files outside declared boundaries, and engine captures in any goroutine",
+	Doc:       "forbid goroutines, channels and sync primitives in engine-owning files, and engine captures in any goroutine",
 	RunModule: runEnginePure,
 }
 
 func runEnginePure(pass *ModulePass) {
-	bounds := pass.Module.Bounds()
-	bounds.ExportFacts(pass.Module)
 	spawners := spawnerParams(pass.Module)
-
-	// promote, when a registry exists, is the suggested fix for blanket
-	// findings: annotate the file into the alphabetically-first declared
-	// boundary (a starting point the author renames as appropriate).
-	promote := func(f *ast.File) *Fix {
-		names := bounds.Reg.BoundaryNames()
-		if len(names) == 0 {
-			return nil
-		}
-		pos := pass.Fset.Position(f.Package)
-		return &Fix{
-			Message: "promote the file into declared boundary " + names[0],
-			Edits: []Edit{{
-				Filename: pos.Filename,
-				Start:    pos.Offset,
-				End:      pos.Offset,
-				NewText:  boundaryMarker + " " + names[0] + " — promoted by stronghold-vet; confirm against BOUNDARY.md\n",
-			}},
-		}
-	}
-
 	for _, pkg := range pass.Pkgs {
 		for _, f := range pkg.Files {
-			runEnginePureFile(pass, bounds, spawners, pkg, f, promote)
+			runEnginePureFile(pass, spawners, pkg, f)
 		}
 	}
 }
 
-func runEnginePureFile(pass *ModulePass, bounds *BoundarySet, spawners map[*types.Func]map[int]bool, pkg *Package, f *ast.File, promote func(*ast.File) *Fix) {
-	inScope := fileEngineOwning(pkg, f) && !bounds.FileExempt(f)
-	fileB := ""
-	if bounds.FileExempt(f) {
-		fileB = bounds.FileBoundary(f)
-	}
-
-	// Declaration-level annotations carve single functions out of the
-	// blanket bans.
-	type span struct{ from, to token.Pos }
-	var exemptDecls []span
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-		if !ok {
-			continue
-		}
-		if name, ok := bounds.declOf[fn]; ok && bounds.Reg.Declared(name) {
-			exemptDecls = append(exemptDecls, span{fd.Pos(), fd.End()})
-		}
-	}
-	exempt := func(pos token.Pos) bool {
-		for _, s := range exemptDecls {
-			if pos >= s.from && pos < s.to {
-				return true
-			}
-		}
-		return false
-	}
+func runEnginePureFile(pass *ModulePass, spawners map[*types.Func]map[int]bool, pkg *Package, f *ast.File) {
+	inScope := fileEngineOwning(pkg, f)
 	blanket := func(pos token.Pos, format string, args ...any) {
-		if !inScope || exempt(pos) {
-			return
+		if inScope {
+			pass.Reportf(pos, format, args...)
 		}
-		d := Diagnostic{Pos: pass.Fset.Position(pos), Fix: promote(f)}
-		d.Message = fmt.Sprintf(format, args...)
-		pass.Report(d)
-	}
-	// skipOwned: inside a declared-boundary file, values owned by that
-	// same boundary are the partition rule's business, not a capture
-	// hazard here. Engine values from outside the boundary stay banned.
-	skipOwned := func(t types.Type) bool {
-		if fileB == "" {
-			return false
-		}
-		b, _ := bounds.Reg.OwnedBoundary(t)
-		return b == fileB
 	}
 
-	if inScope {
-		for _, imp := range f.Imports {
-			switch strings.Trim(imp.Path.Value, `"`) {
-			case "sync", "sync/atomic":
-				if exempt(imp.Pos()) {
-					continue
-				}
-				blanket(imp.Pos(),
-					"import of %s in an engine-owning file: the simulation is single-goroutine by contract",
-					strings.Trim(imp.Path.Value, `"`))
-			}
+	for _, imp := range f.Imports {
+		switch path := strings.Trim(imp.Path.Value, `"`); path {
+		case "sync", "sync/atomic":
+			blanket(imp.Pos(),
+				"import of %s in an engine-owning file: the simulation is single-goroutine by contract", path)
 		}
 	}
 
@@ -148,16 +69,11 @@ func runEnginePureFile(pass *ModulePass, bounds *BoundarySet, spawners map[*type
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			if !reportEngineCapture(pass, pkg.Info, n, selSels, boundMethods, skipOwned) && inScope && !exempt(n.Pos()) {
-				d := Diagnostic{
-					Pos:     pass.Fset.Position(n.Pos()),
-					Message: "go statement in an engine-owning file: the simulation is single-goroutine by contract",
-					Fix:     promote(f),
-				}
-				pass.Report(d)
+			if !reportEngineCapture(pass, pkg.Info, n, selSels, boundMethods) {
+				blanket(n.Pos(), "go statement in an engine-owning file: the simulation is single-goroutine by contract")
 			}
 		case *ast.CallExpr:
-			reportSpawnerCapture(pass, pkg.Info, n, selSels, boundMethods, skipOwned, spawners)
+			reportSpawnerCapture(pass, pkg.Info, n, selSels, boundMethods, spawners)
 		case *ast.ChanType:
 			blanket(n.Pos(), "channel in an engine-owning file: express dependencies with sim.Signal, not CSP")
 		case *ast.SendStmt:
@@ -231,18 +147,18 @@ func engineBoundMethods(info *types.Info, f *ast.File) map[types.Object]string {
 // reportEngineCapture flags a goroutine that shares an engine-owning
 // value — as a call argument, a method receiver, a closed-over
 // variable, or a bound method value — and reports whether it found
-// one. skipOwned exempts values the enclosing boundary owns.
-func reportEngineCapture(pass *ModulePass, info *types.Info, g *ast.GoStmt, selSels map[*ast.Ident]bool, boundMethods map[types.Object]string, skipOwned func(types.Type) bool) bool {
+// one.
+func reportEngineCapture(pass *ModulePass, info *types.Info, g *ast.GoStmt, selSels map[*ast.Ident]bool, boundMethods map[types.Object]string) bool {
 	call := g.Call
 	for _, arg := range call.Args {
-		if tv, ok := info.Types[arg]; ok && containsEngineType(tv.Type) && !skipOwned(tv.Type) {
+		if tv, ok := info.Types[arg]; ok && containsEngineType(tv.Type) {
 			pass.Reportf(arg.Pos(), "goroutine receives %s: engine-owning values must stay on the simulation goroutine",
 				engineTypeString(tv.Type))
 			return true
 		}
 	}
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if tv, ok := info.Types[sel.X]; ok && containsEngineType(tv.Type) && !skipOwned(tv.Type) {
+		if tv, ok := info.Types[sel.X]; ok && containsEngineType(tv.Type) {
 			pass.Reportf(sel.Pos(), "goroutine runs a method on %s: engine-owning values must stay on the simulation goroutine",
 				engineTypeString(tv.Type))
 			return true
@@ -260,7 +176,7 @@ func reportEngineCapture(pass *ModulePass, info *types.Info, g *ast.GoStmt, selS
 	if !ok {
 		return false
 	}
-	if name, disp, ok := closureEngineCapture(info, lit, selSels, skipOwned); ok {
+	if name, disp, ok := closureEngineCapture(info, lit, selSels); ok {
 		pass.Reportf(name.Pos(), "goroutine closure captures %q (%s): engine-owning values must stay on the simulation goroutine",
 			name.Name, disp)
 		return true
@@ -270,7 +186,7 @@ func reportEngineCapture(pass *ModulePass, info *types.Info, g *ast.GoStmt, selS
 
 // closureEngineCapture finds the first variable a function literal
 // closes over whose type contains an engine type.
-func closureEngineCapture(info *types.Info, lit *ast.FuncLit, selSels map[*ast.Ident]bool, skipOwned func(types.Type) bool) (*ast.Ident, string, bool) {
+func closureEngineCapture(info *types.Info, lit *ast.FuncLit, selSels map[*ast.Ident]bool) (*ast.Ident, string, bool) {
 	var found *ast.Ident
 	var disp string
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
@@ -288,7 +204,7 @@ func closureEngineCapture(info *types.Info, lit *ast.FuncLit, selSels map[*ast.I
 		if obj.Pos() >= lit.Pos() && obj.Pos() <= lit.End() {
 			return true // declared inside the goroutine: not a capture
 		}
-		if containsEngineType(obj.Type()) && !skipOwned(obj.Type()) {
+		if containsEngineType(obj.Type()) {
 			found, disp = id, engineTypeString(obj.Type())
 			return false
 		}
@@ -388,7 +304,7 @@ func paramObjects(node *CallNode) map[types.Object]int {
 
 // reportSpawnerCapture flags a call handing an engine-capturing
 // function value to a parameter that ends up on a goroutine.
-func reportSpawnerCapture(pass *ModulePass, info *types.Info, call *ast.CallExpr, selSels map[*ast.Ident]bool, boundMethods map[types.Object]string, skipOwned func(types.Type) bool, spawners map[*types.Func]map[int]bool) {
+func reportSpawnerCapture(pass *ModulePass, info *types.Info, call *ast.CallExpr, selSels map[*ast.Ident]bool, boundMethods map[types.Object]string, spawners map[*types.Func]map[int]bool) {
 	callee := CalleeFunc(info, call)
 	spawned := spawners[callee]
 	if spawned == nil {
@@ -400,14 +316,14 @@ func reportSpawnerCapture(pass *ModulePass, info *types.Info, call *ast.CallExpr
 		}
 		switch a := arg.(type) {
 		case *ast.FuncLit:
-			if name, disp, ok := closureEngineCapture(info, a, selSels, skipOwned); ok {
+			if name, disp, ok := closureEngineCapture(info, a, selSels); ok {
 				pass.Reportf(name.Pos(),
 					"closure passed to %s runs on a goroutine and captures %q (%s): engine-owning values must stay on the simulation goroutine",
 					FuncDisplay(callee), name.Name, disp)
 			}
 		case *ast.SelectorExpr:
 			if selection, ok := info.Selections[a]; ok && selection.Kind() == types.MethodVal {
-				if tv, ok := info.Types[a.X]; ok && containsEngineType(tv.Type) && !skipOwned(tv.Type) {
+				if tv, ok := info.Types[a.X]; ok && containsEngineType(tv.Type) {
 					pass.Reportf(a.Pos(),
 						"method value on %s passed to %s runs on a goroutine: engine-owning values must stay on the simulation goroutine",
 						engineTypeString(tv.Type), FuncDisplay(callee))

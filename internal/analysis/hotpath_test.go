@@ -94,34 +94,34 @@ func TestHotAllocFix(t *testing.T) {
 }
 
 // TestHotpathRevert is the acceptance gate in test form: neither half
-// of the hot-path contract on internal/sim/parallel can be deleted
-// silently. Stripping the //vet:hotpath markers leaves registered roots
+// of the hot-path contract on internal/sim can be deleted silently.
+// Stripping the //vet:hotpath markers leaves registered roots
 // unannotated; stripping the registry's hotpath lines leaves marked
 // declarations unregistered. Both must fail the gate.
 func TestHotpathRevert(t *testing.T) {
 	loader := newTestLoader(t)
 
-	markerless := revertedHotParallel(t, loader, true, false)
+	markerless := revertedHotSim(t, loader, true, false)
 	wantDiag(t, markerless, "lacks a //vet:hotpath marker")
 
-	unregistered := revertedHotParallel(t, loader, false, true)
+	unregistered := revertedHotSim(t, loader, false, true)
 	wantDiag(t, unregistered, "has no hotpath entry")
 }
 
-// revertedHotParallel copies the non-test files of internal/sim/parallel
-// into a scratch package directory named "parallel" (so registry quals
-// still resolve), optionally stripping //vet:hotpath markers from the
+// revertedHotSim copies the non-test files of internal/sim into a
+// scratch package directory named "sim" (so registry quals still
+// resolve), optionally stripping //vet:hotpath markers from the
 // sources or `hotpath` lines from HOTPATH.md, and returns the loaded
 // package's diagnostics under the full default rule set.
-func revertedHotParallel(t *testing.T, loader *Loader, stripMarkers, stripRegistry bool) []Diagnostic {
+func revertedHotSim(t *testing.T, loader *Loader, stripMarkers, stripRegistry bool) []Diagnostic {
 	t.Helper()
-	src := filepath.Join("..", "sim", "parallel")
+	src := filepath.Join("..", "sim")
 	root, err := os.MkdirTemp("testdata", "hotreverted-")
 	if err != nil {
 		t.Fatalf("MkdirTemp: %v", err)
 	}
 	t.Cleanup(func() { os.RemoveAll(root) })
-	dir := filepath.Join(root, "parallel")
+	dir := filepath.Join(root, "sim")
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatalf("Mkdir: %v", err)
 	}

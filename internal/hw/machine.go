@@ -80,28 +80,6 @@ func NewMachine(eng *sim.Engine, p Platform, pinnedBytes int64) (*Machine, error
 	return m, nil
 }
 
-// AssignPartitions spreads the machine's schedulable components across
-// n partition queues for the conservative parallel engine: the SM
-// array, the two DMA engines, the NVMe queue, the NIC and each CPU
-// worker get a fixed, deterministic partition id. The mapping is pure
-// routing metadata — it decides which queue stages a component's
-// events between barrier rounds, never what executes when — so any
-// assignment yields byte-identical results; this one simply balances
-// the queues.
-func (m *Machine) AssignPartitions(n int) {
-	if n < 1 {
-		n = 1
-	}
-	m.Compute.SetPartition(0 % n)
-	m.H2D.SetPartition(1 % n)
-	m.D2H.SetPartition(2 % n)
-	m.NVMeQ.SetPartition(3 % n)
-	m.NIC.SetPartition(4 % n)
-	for i, w := range m.CPUPool.Workers() {
-		w.SetPartition((5 + i) % n)
-	}
-}
-
 // copyDuration returns the virtual time for a transfer of the given
 // size over PCIe, honoring the pinned-memory bandwidth advantage.
 func (m *Machine) copyDuration(bytes int64, pinned bool) sim.Time {
@@ -203,7 +181,7 @@ func (s *Stream) Launch(flops, utilization float64, deps []*sim.Signal, onDone f
 	launch := sim.Time(s.m.Spec.KernelLaunchNS)
 	sig := sim.NewSignal(s.m.Eng)
 	sim.WaitAll(s.m.Eng, allDeps, func() {
-		s.m.Eng.SchedulePart(s.m.Compute.Partition(), launch, func() {
+		s.m.Eng.Schedule(launch, func() {
 			s.m.Compute.Submit(flops, utilization*s.m.Spec.GPU.PeakFlops, nil, onDone).Wait(sig.Fire)
 		})
 	})

@@ -124,8 +124,8 @@ func (s *Server) wrap(h func(w http.ResponseWriter, r *http.Request) int) http.H
 
 		s.stats.Request(r.URL.Path)
 		s.stats.InflightAdd(1)
+		defer s.stats.InflightAdd(-1)
 		status := h(w, r)
-		s.stats.InflightAdd(-1)
 		s.stats.Response(strconv.Itoa(status))
 	}
 }

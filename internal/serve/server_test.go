@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,15 +22,19 @@ type fakeBackend struct {
 	gate                        chan struct{} // when non-nil, Solve blocks until it closes
 	entered                     chan struct{} // when non-nil, Solve signals entry (buffered)
 	fail                        bool
+	panicFirst                  bool // the first Solve panics (after the gate)
 }
 
 func (f *fakeBackend) Solve(req SolveRequest) (SolveResponse, error) {
-	f.solves.Add(1)
+	n := f.solves.Add(1)
 	if f.entered != nil {
 		f.entered <- struct{}{}
 	}
 	if f.gate != nil {
 		<-f.gate
+	}
+	if f.panicFirst && n == 1 {
+		panic("backend bug")
 	}
 	if f.fail {
 		return SolveResponse{}, fmt.Errorf("backend boom")
@@ -255,6 +260,79 @@ func TestSingleFlight(t *testing.T) {
 	// the fill) hit the cache.
 	if hits+shared != clients-1 {
 		t.Errorf("hits(%v) + shared(%v) != %d", hits, shared, clients-1)
+	}
+}
+
+// TestPanicReleasesFlight: a backend panic answers the leader and the
+// follower that joined its flight with the same 500, releases the
+// flight, and leaves the in-flight gauge at zero — so a later identical
+// request runs fresh instead of blocking forever.
+func TestPanicReleasesFlight(t *testing.T) {
+	const query = `{"model":{"size_billions":10}}`
+	_, hash, err := CanonicalSolve([]byte(query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := &fakeBackend{gate: make(chan struct{}), entered: make(chan struct{}, 2), panicFirst: true}
+	s := New(fb, Options{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	type reply struct {
+		status int
+		cache  string
+		body   []byte
+	}
+	replies := make(chan reply, 2)
+	send := func() {
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(query))
+		if err != nil {
+			t.Error(err)
+			replies <- reply{}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		replies <- reply{resp.StatusCode, resp.Header.Get("X-Cache"), body}
+	}
+	go send()
+	<-fb.entered // the leader is inside the backend
+	go send()
+	for joined := 0; joined == 0; runtime.Gosched() {
+		s.flights.mu.Lock()
+		if c := s.flights.calls[hash]; c != nil {
+			joined = c.dups
+		}
+		s.flights.mu.Unlock()
+	}
+	close(fb.gate) // the leader panics with a follower waiting on it
+
+	a, b := <-replies, <-replies
+	if a.cache != "miss" {
+		a, b = b, a
+	}
+	if a.status != http.StatusInternalServerError || b.status != http.StatusInternalServerError {
+		t.Fatalf("statuses %d (leader) and %d (follower), want 500 for both", a.status, b.status)
+	}
+	if a.cache != "miss" || b.cache != "shared" {
+		t.Errorf("X-Cache %q and %q, want miss and shared", a.cache, b.cache)
+	}
+	if !bytes.Equal(a.body, b.body) || !bytes.Contains(a.body, []byte(`"error"`)) {
+		t.Errorf("leader and follower bodies differ or lack the error payload:\n%s\n%s", a.body, b.body)
+	}
+
+	resp, body := post(t, ts, "/v1/solve", query)
+	if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("request after the panic: status %d, X-Cache %q: %s", resp.StatusCode, resp.Header.Get("X-Cache"), body)
+	}
+	if n := fb.solves.Load(); n != 2 {
+		t.Errorf("backend ran %d times, want 2 (the panic, then a fresh run)", n)
+	}
+	if got := counter(t, s, "stronghold_serve_inflight"); got != 0 {
+		t.Errorf("inflight = %v after drain, want 0", got)
 	}
 }
 

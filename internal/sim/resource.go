@@ -8,7 +8,6 @@ import "fmt"
 type Resource struct {
 	eng       *Engine
 	name      string
-	part      int // partition affinity for completion events
 	busyUntil Time
 	busyTotal Time // accumulated busy time, for utilization reporting
 	tasks     uint64
@@ -65,14 +64,6 @@ func NewResource(eng *Engine, name string) *Resource {
 // Name returns the resource's label.
 func (r *Resource) Name() string { return r.name }
 
-// SetPartition assigns the partition this resource's completion events
-// are staged on under a parallel frontend (default 0). The assignment
-// is pure routing metadata: it never changes what executes when.
-func (r *Resource) SetPartition(id int) { r.part = id }
-
-// Partition returns the resource's partition affinity.
-func (r *Resource) Partition() int { return r.part }
-
 // Submit enqueues a task of the given duration. The task starts when
 // the resource frees up (or immediately if idle) and done — which may be
 // nil — is invoked at completion with the task's start and end times.
@@ -97,7 +88,7 @@ func (r *Resource) Submit(duration Time, done func(start, end Time)) Time {
 		o.ResourceTask(r.name, submit, start, end)
 	}
 	if done != nil {
-		r.eng.AtPart(r.part, end, func() { done(start, end) })
+		r.eng.At(end, func() { done(start, end) })
 	}
 	return end
 }

@@ -18,7 +18,6 @@ import (
 type SharedProcessor struct {
 	eng        *Engine
 	name       string
-	part       int     // partition affinity for completion events
 	capacity   float64 // work units per second (e.g. FLOP/s)
 	active     []*spTask
 	lastUpdate Time
@@ -47,13 +46,6 @@ func NewSharedProcessor(eng *Engine, name string, capacity float64) *SharedProce
 
 // Capacity returns the processor's total rate.
 func (sp *SharedProcessor) Capacity() float64 { return sp.capacity }
-
-// SetPartition assigns the partition this processor's completion
-// events are staged on under a parallel frontend (default 0).
-func (sp *SharedProcessor) SetPartition(id int) { sp.part = id }
-
-// Partition returns the processor's partition affinity.
-func (sp *SharedProcessor) Partition() int { return sp.part }
 
 // ActiveTasks returns the number of currently running tasks.
 func (sp *SharedProcessor) ActiveTasks() int { return len(sp.active) }
@@ -132,7 +124,7 @@ func (sp *SharedProcessor) reschedule() {
 	if next < 0 {
 		return
 	}
-	sp.eng.SchedulePart(sp.part, next, func() {
+	sp.eng.Schedule(next, func() {
 		if sp.gen != gen {
 			return // superseded by a later arrival/completion
 		}

@@ -95,11 +95,6 @@ type SimConfig struct {
 	// faults — the ablation arm that isolates what the adaptive
 	// re-solve contributes. No effect without Faults.
 	DisableAdapt bool
-	// Workers, when above 1, runs the simulation on the conservative
-	// parallel DES frontend (STRONGHOLD methods only; other methods use
-	// closed-form models with no event loop to parallelize). Results are
-	// byte-for-byte identical to the serial engine at any worker count.
-	Workers int
 }
 
 func (c SimConfig) resolve() (modelcfg.Config, hw.Platform, error) {
@@ -171,7 +166,6 @@ func Simulate(c SimConfig) (SimResult, error) {
 		e.CoOpt = c.CoOpt
 		e.TransferJitter = c.TransferJitter
 		e.LayerScale = c.LayerScale
-		e.Workers = c.Workers
 		if c.Faults != "" {
 			plan, err := fault.ParsePlan(c.Faults)
 			if err != nil {
