@@ -13,8 +13,9 @@
 //
 // This package owns every goroutine and wall-clock read in the
 // serving stack — the net/http listener, the shutdown signal wait,
-// the drain timeout — the same cmd-layer split stronghold-bench uses,
-// so internal/serve stays outside the simulation determinism scopes
+// the drain timeout — the same split between simulation code and its
+// wall-clock driver that internal/bench and hostbench/ use, so
+// internal/serve stays outside the simulation determinism scopes
 // (stronghold-vet's wallclock/enginepure rules) and its responses
 // remain pure functions of the request.
 package main

@@ -299,25 +299,3 @@ func interleavedOptPlan(m perf.Model, pressure float64) *plan.Iteration {
 		Layer: -1, Queue: 0, DurNS: gpuEmbedOpt, Deps: []plan.ID{bpEmbed}})
 	return it
 }
-
-// interleavedOptIter is the closed-form cross-check for
-// interleavedOptPlan: every subgroup update overlaps the remaining
-// backward compute, so the iteration is pure compute plus the longer
-// of the embedding's device-side update and the final subgroup's
-// drain (gradient offload, CPU share, parameter upload) after the
-// last backward kernel.
-func interleavedOptIter(m perf.Model, pressure float64) sim.Time {
-	params := m.Cfg.TotalParams() / int64(m.Cfg.ModelParallel)
-	perLayer := params / int64(m.Cfg.Layers)
-	share := interleavedGPUShare
-	xfer := func(bytes int64) sim.Time {
-		return sim.Time(float64(bytes) / m.Plat.PCIe.BandwidthPerDir * 1e9 * pressure)
-	}
-	gradBytes := perLayer * modelcfg.BytesGrad
-	upBytes := int64((1 - share) * float64(perLayer*modelcfg.BytesParam))
-	cpuDur := sim.Time((1 - share) * float64(perLayer*28) / interleavedCPUAdamBW * 1e9 * pressure)
-	gpuEmbedOpt := sim.Time(float64(m.Cfg.EmbeddingParams()*28) / m.Plat.GPU.MemBandwidth * 1e9)
-	compute := computeTotal(m)
-	drain := xfer(gradBytes) + cpuDur + xfer(upBytes)
-	return compute + max(gpuEmbedOpt, drain-m.EmbeddingTime())
-}

@@ -1,24 +1,18 @@
-// Package bench is the simulator's canonical benchmark suite and the
-// BENCH_<rev>.json document model. It owns everything that touches the
-// simulation engines — building models, running scenarios, distilling
-// results — so the stronghold-bench command above it stays free of
-// simulation imports and may legally measure wall-clock time and run
-// scenarios on goroutines (the simulation-scoped determinism rules bar
-// both inside this package).
+// Package bench is the simulator's canonical benchmark suite: nine
+// fixed scenarios (STRONGHOLD at 1.7B and 4B, multi-stream, the NVMe
+// tier, the no-optimization baseline and the plan-driven comparison
+// methods) distilled into per-scenario throughput, TFLOPS, overlap,
+// utilization and transfer-time percentiles.
 //
 // Scenario results are pure functions of the revision: the simulator
 // is deterministic and each scenario builds its own engine, so the
 // suite may be executed in any order, serially or concurrently, and
-// produce the same bytes.
+// produce the same bytes. TestGoldenSuite pins them in
+// testdata/suite.golden; the host-time cost of running them is
+// measured by the sweep-suite workload of hostbench/.
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"sort"
-
 	"stronghold/internal/baselines"
 	"stronghold/internal/core"
 	"stronghold/internal/hw"
@@ -27,41 +21,6 @@ import (
 	"stronghold/internal/perf"
 	"stronghold/internal/trace"
 )
-
-// Schema identifies the BENCH document layout; bump on breaking change.
-const Schema = "stronghold-bench/v1"
-
-// Doc is one benchmark run: the whole BENCH_<rev>.json document.
-type Doc struct {
-	Schema    string              `json:"schema"`
-	Rev       string              `json:"rev"`
-	Scenarios map[string]Scenario `json:"scenarios"`
-	// Timing, when present, records the harness's wall-clock sweep
-	// measurement (stronghold-bench -timing). It is the one
-	// machine-dependent section of the document — scenario results are
-	// byte-reproducible, wall-clocks are not — so the default document
-	// omits it.
-	Timing *Timing `json:"timing,omitempty"`
-}
-
-// Timing is the wall-clock section: the full suite swept serially and
-// with Workers scenarios running concurrently on goroutines (each
-// scenario itself always simulates serially).
-type Timing struct {
-	SerialWallNS   int64 `json:"serial_wall_ns"`
-	ParallelWallNS int64 `json:"parallel_wall_ns"`
-	Workers        int   `json:"workers"`
-	CPUs           int   `json:"cpus"`
-	// SerialAllocs and SerialAllocsPerStep record the heap allocation
-	// count of the serial sweep (runtime.MemStats.Mallocs delta) and its
-	// ratio to executed simulation events — the sweep-level cross-check
-	// of the HOTPATH.md zero-alloc discipline. Like the wall-clocks they
-	// are machine-dependent (GC pacing, map growth), but stable enough
-	// that an unbudgeted per-event allocation creeping into a hot path
-	// shows up as an order-of-magnitude jump.
-	SerialAllocs        uint64  `json:"serial_allocs"`
-	SerialAllocsPerStep float64 `json:"serial_allocs_per_step"`
-}
 
 // Scenario is one benchmark scenario's result set.
 type Scenario struct {
@@ -175,84 +134,4 @@ func Suite() []Case {
 			return baselineScenario(modelcfg.InterleavedOpt, cfg1p7)
 		}},
 	}
-}
-
-// Load reads and schema-checks one BENCH file.
-func Load(path string) (*Doc, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("benchmark file %s does not exist — generate it with: stronghold-bench -rev <rev> -out %s", path, path)
-		}
-		return nil, err
-	}
-	var d Doc
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("%s is not a stronghold-bench document: %w", path, err)
-	}
-	if d.Schema != Schema {
-		return nil, fmt.Errorf("%s: schema mismatch: file says %q, this build expects %q — regenerate it with this stronghold-bench build", path, d.Schema, Schema)
-	}
-	return &d, nil
-}
-
-// Compare diffs two BENCH documents scenario by scenario, writing the
-// report to stdout. A scenario regresses when its throughput dropped by
-// more than threshold (fractional); scenarios present on only one side
-// are reported but do not gate. Exit-style return: 0 clean, 1 load
-// error, 2 regression.
-func Compare(oldPath, newPath string, threshold float64, stdout, stderr io.Writer) int {
-	oldDoc, err := Load(oldPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "stronghold-bench: %v\n", err)
-		return 1
-	}
-	newDoc, err := Load(newPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "stronghold-bench: %v\n", err)
-		return 1
-	}
-	names := make(map[string]bool)
-	for n := range oldDoc.Scenarios {
-		names[n] = true
-	}
-	for n := range newDoc.Scenarios {
-		names[n] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	fmt.Fprintf(stdout, "comparing %s (%s) -> %s (%s), threshold %.1f%%\n",
-		oldPath, oldDoc.Rev, newPath, newDoc.Rev, threshold*100)
-	regressions := 0
-	for _, n := range sorted {
-		o, hasOld := oldDoc.Scenarios[n]
-		nw, hasNew := newDoc.Scenarios[n]
-		switch {
-		case !hasOld:
-			fmt.Fprintf(stdout, "  %-28s new scenario (%.2f samples/s)\n", n, nw.Throughput)
-		case !hasNew:
-			fmt.Fprintf(stdout, "  %-28s removed\n", n)
-		default:
-			delta := 0.0
-			if o.Throughput > 0 {
-				delta = nw.Throughput/o.Throughput - 1
-			}
-			mark := "ok"
-			if delta < -threshold {
-				mark = "REGRESSION"
-				regressions++
-			}
-			fmt.Fprintf(stdout, "  %-28s %9.2f -> %9.2f samples/s (%+.2f%%) %s\n",
-				n, o.Throughput, nw.Throughput, delta*100, mark)
-		}
-	}
-	if regressions > 0 {
-		fmt.Fprintf(stdout, "%d scenario(s) regressed past %.1f%%\n", regressions, threshold*100)
-		return 2
-	}
-	fmt.Fprintln(stdout, "no regressions")
-	return 0
 }

@@ -200,6 +200,24 @@ func (e *Engine) BuildPlan(window int) (*plan.Iteration, error) {
 	if err := e.Model.Cfg.Validate(); err != nil {
 		return nil, err
 	}
+	window, optFrac, err := e.resolveWindow(window)
+	if err != nil {
+		return nil, err
+	}
+	if e.LayerScale != nil && len(e.LayerScale) != e.Model.Cfg.Layers {
+		return nil, fmt.Errorf("core: LayerScale has %d entries for %d layers", len(e.LayerScale), e.Model.Cfg.Layers)
+	}
+	return plan.Build(e.planSpec(window, e.PickStreams(window), optFrac))
+}
+
+// resolveWindow settles the window to plan at (0 = solve analytically)
+// and the co-optimized GPU share of each offloaded layer's optimizer
+// update. With CoOpt on and no faults one SolvedDecision answers both;
+// the share applies only when the plan runs at the solver's own window.
+// Degraded mode pins placement: the adaptive re-solve reasons about
+// window size only, and split-update plans would complicate the mid-run
+// patches for no modeled benefit under faults.
+func (e *Engine) resolveWindow(window int) (int, float64, error) {
 	optFrac := 0.0
 	if e.CoOpt && e.Faults.Empty() {
 		if d, err := e.SolvedDecision(); err == nil {
@@ -214,14 +232,27 @@ func (e *Engine) BuildPlan(window int) (*plan.Iteration, error) {
 	if window == 0 {
 		d, err := e.SolvedWindow()
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 		window = d.M
 	}
-	if e.LayerScale != nil && len(e.LayerScale) != e.Model.Cfg.Layers {
-		return nil, fmt.Errorf("core: LayerScale has %d entries for %d layers", len(e.LayerScale), e.Model.Cfg.Layers)
+	return window, optFrac, nil
+}
+
+// tensorBytes is the size of each of a layer's tensorsPerLayer device
+// buffers: its weights, gradients and checkpointed activations split k
+// ways, scaled by the largest LayerScale entry so that every layer fits
+// the same block. The planner's buffer budget, the round-robin pool and
+// the caching allocator all size from it.
+func (e *Engine) tensorBytes() int64 {
+	cfg := e.Model.Cfg
+	maxScale := 1.0
+	for _, sc := range e.LayerScale {
+		if sc > maxScale {
+			maxScale = sc
+		}
 	}
-	return plan.Build(e.planSpec(window, e.PickStreams(window), optFrac))
+	return int64(float64(cfg.LayerWeightBytes()+cfg.LayerGradBytes()+cfg.ActivationBytesPerLayer())*maxScale)/tensorsPerLayer + 1
 }
 
 // utilFor is the per-worker kernel utilization at the given stream
@@ -246,13 +277,6 @@ func (e *Engine) planSpec(window, streams int, optFrac float64) plan.Spec {
 	util := e.utilFor(streams)
 	perStream := cfg
 	perStream.BatchSize = cfg.BatchSize / streams
-	maxScale := 1.0
-	for _, sc := range e.LayerScale {
-		if sc > maxScale {
-			maxScale = sc
-		}
-	}
-	perTensor := int64(float64(cfg.LayerWeightBytes()+cfg.LayerGradBytes()+cfg.ActivationBytesPerLayer())*maxScale)/tensorsPerLayer + 1
 	s := plan.Spec{
 		Layers:          cfg.Layers,
 		Window:          window,
@@ -260,7 +284,7 @@ func (e *Engine) planSpec(window, streams int, optFrac float64) plan.Spec {
 		NVMe:            e.Feat.UseNVMe,
 		Sync:            !e.Feat.UserLevelMemMgmt, // pageable path serializes with compute
 		SingleOpt:       !e.Feat.ConcurrentOptimizers,
-		BufBytes:        perTensor * tensorsPerLayer,
+		BufBytes:        e.tensorBytes() * tensorsPerLayer,
 		WeightBytes:     cfg.LayerWeightBytes(),
 		CheckpointBytes: cfg.ActivationBytesPerLayer(),
 		StateBytes:      cfg.LayerWeightBytes() + cfg.LayerGradBytes(),
@@ -303,28 +327,10 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 		res.OOM, res.OOMDetail = true, err.Error()
 		return res, nil
 	}
-	window := e.Window
-	optFrac := 0.0
-	if e.CoOpt && e.Faults.Empty() {
-		// Degraded mode pins placement: the adaptive re-solve reasons
-		// about window size only, and split-update plans would complicate
-		// the mid-run patches for no modeled benefit under faults.
-		if d, err := e.SolvedDecision(); err == nil {
-			if window == 0 {
-				window = d.M
-			}
-			if window == d.M {
-				optFrac = d.OptGPUFrac
-			}
-		}
-	}
-	if window == 0 {
-		d, err := e.SolvedWindow()
-		if err != nil {
-			res.OOM, res.OOMDetail = true, err.Error()
-			return res, nil
-		}
-		window = d.M
+	window, optFrac, err := e.resolveWindow(e.Window)
+	if err != nil {
+		res.OOM, res.OOMDetail = true, err.Error()
+		return res, nil
 	}
 	streams := e.PickStreams(window)
 	res.OptGPUFrac = optFrac
@@ -478,6 +484,9 @@ type iterRun struct {
 	// bufWindow sizes the reserved pool (and the plans' slot budget);
 	// it exceeds window only in degraded mode.
 	bufWindow int
+	// tensorBytes is the size of every device buffer a layer takes
+	// (Engine.tensorBytes), from the pool or the caching allocator.
+	tensorBytes int64
 	// optFrac is the co-optimized GPU share of each offloaded layer's
 	// optimizer update (0 = all-CPU, the fixed paper placement).
 	optFrac float64
@@ -525,14 +534,15 @@ func newIterRun(e *Engine, machine *hw.Machine, window, bufWindow, streams int) 
 	perStream := e.Model
 	perStream.Cfg.BatchSize = cfg.BatchSize / streams
 	r := &iterRun{
-		e:         e,
-		machine:   machine,
-		window:    window,
-		bufWindow: bufWindow,
-		lt:        perStream.Layer(),
-		util:      e.utilFor(streams),
-		n:         cfg.Layers,
-		plans:     make(map[int]*plan.Iteration),
+		e:           e,
+		machine:     machine,
+		window:      window,
+		bufWindow:   bufWindow,
+		tensorBytes: e.tensorBytes(),
+		lt:          perStream.Layer(),
+		util:        e.utilFor(streams),
+		n:           cfg.Layers,
+		plans:       make(map[int]*plan.Iteration),
 	}
 	for s := 0; s < streams; s++ {
 		r.streams = append(r.streams, machine.NewStream(fmt.Sprintf("worker%d", s)))
@@ -541,15 +551,8 @@ func newIterRun(e *Engine, machine *hw.Machine, window, bufWindow, streams int) 
 		r.singleOpt = sim.NewResource(machine.Eng, "cpu-opt-single")
 	}
 	// Window buffer management against the real device arena.
-	maxScale := 1.0
-	for _, sc := range e.LayerScale {
-		if sc > maxScale {
-			maxScale = sc
-		}
-	}
-	perTensor := int64(float64(cfg.LayerWeightBytes()+cfg.LayerGradBytes()+cfg.ActivationBytesPerLayer())*maxScale)/tensorsPerLayer + 1
 	if e.Feat.UserLevelMemMgmt {
-		pool, err := mem.NewRoundRobinPool(machine.GPUMem, perTensor, (bufWindow+1)*tensorsPerLayer)
+		pool, err := mem.NewRoundRobinPool(machine.GPUMem, r.tensorBytes, (bufWindow+1)*tensorsPerLayer)
 		if err == nil {
 			r.pool = pool
 			r.layerBuf = make(map[int][]int)
@@ -635,14 +638,13 @@ func (r *iterRun) acquireLayer(layer int) error {
 		// orphan in-use buffers or teardown's accounting breaks.
 		r.layerBuf[layer] = append(r.layerBuf[layer], idxs...)
 	case r.cache != nil:
-		perTensor := (r.e.Model.Cfg.LayerWeightBytes()+r.e.Model.Cfg.LayerGradBytes()+r.e.Model.Cfg.ActivationBytesPerLayer())/tensorsPerLayer + 1
 		var blocks []*mem.Block
 		for t := 0; t < tensorsPerLayer; t++ {
-			b, err := r.cache.Get(perTensor)
+			b, err := r.cache.Get(r.tensorBytes)
 			if err != nil {
 				r.cache.ReleaseAll()
 				r.cacheFlushes++
-				if b, err = r.cache.Get(perTensor); err != nil {
+				if b, err = r.cache.Get(r.tensorBytes); err != nil {
 					continue // live set exceeds arena; count and move on
 				}
 			}

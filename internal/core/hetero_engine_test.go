@@ -63,6 +63,31 @@ func TestHeteroEngineDeterministic(t *testing.T) {
 	}
 }
 
+// TestHeteroCachingAllocatorBlockSize: with the caching allocator a
+// heterogeneous model takes the same LayerScale-sized blocks the
+// planner budgets for, so the first window's layers alone hold at least
+// window·BufBytes of device memory.
+func TestHeteroCachingAllocatorBlockSize(t *testing.T) {
+	cfg := modelcfg.Config1p7B()
+	e := engineFor(cfg)
+	e.Window = 2
+	e.Feat = Features{ConcurrentOptimizers: true, Streams: 1}
+	e.LayerScale = make([]float64, cfg.Layers)
+	for i := range e.LayerScale {
+		e.LayerScale[i] = 1
+	}
+	e.LayerScale[cfg.Layers/2] = 2
+	res, run := e.runSim(2, nil)
+	if res.OOM {
+		t.Fatal(res.OOMDetail)
+	}
+	want := int64(e.Window) * e.planSpec(e.Window, 1, 0).BufBytes
+	if peak := run.machine.GPUMem.Peak(); peak < want {
+		t.Fatalf("caching allocator peak %d bytes, want at least %d (window %d at the planner's buffer size)",
+			peak, want, e.Window)
+	}
+}
+
 // TestJitterRobustness: the window absorbs transfer-time variability —
 // with heavy jitter, a deeper window loses less throughput than a
 // shallow one (the buffering argument behind §III-D's margins).

@@ -56,7 +56,8 @@ func FaultComparison() ([]FaultRow, error) {
 			e.Faults = plan
 			hurt = e.Run(3, nil)
 		} else {
-			clean, hurt = baselines.Degradation(info.M, m, plan)
+			clean = baselines.Run(info.M, m)
+			hurt = baselines.RunWith(info.M, m, baselines.Options{Faults: plan})
 		}
 		if clean.OOM || hurt.OOM {
 			return nil, fmt.Errorf("faultcmp: %s does not fit the 1.7B model", info.M)

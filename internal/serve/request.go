@@ -10,7 +10,7 @@
 // the engine-owning code stays outside this package and the
 // concurrency here — result cache, single-flight, admission control —
 // stays outside the simulator's determinism scope, the same split
-// internal/bench uses for the benchmark harness.
+// internal/bench and the host-time benchmark in hostbench/ use.
 //
 // Every request is decoded, canonicalized (defaults made explicit,
 // method and platform names resolved to their canonical keys, fault
