@@ -581,9 +581,9 @@ func newIterRun(e *Engine, machine *hw.Machine, window, bufWindow, streams int) 
 }
 
 // planFor returns the cached, validated schedule for a window size,
-// planning it on first use. A validation failure (possible only for
-// hand-built plans injected through the test hooks) records schedErr;
-// planner-built plans validate by construction.
+// planning it on first use. Validation runs on every plan, planner-built
+// or injected through the test hooks, and costs time linear in the plan
+// size; a build or validation failure records schedErr.
 func (r *iterRun) planFor(window int) *plan.Iteration {
 	if p, ok := r.plans[window]; ok {
 		return p

@@ -1,9 +1,22 @@
 package modelcfg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
+
+// MaxLayers bounds the depth a ConfigSpec may resolve to. It sits well
+// above every depth the figures, goldens and host benchmarks use (the
+// deepest is about 2,100 layers) and admits the 20,000-layer scale run,
+// which simulates in a few seconds; deeper requests cost time and
+// memory linear in the depth with no result worth having, so Resolve
+// rejects them before any planning or simulation.
+const MaxLayers = 20000
+
+// ErrTooDeep is the error Resolve wraps when a spec resolves to more
+// than MaxLayers layers.
+var ErrTooDeep = errors.New("model too deep")
 
 // ConfigSpec is the request-level model description shared by the
 // public simulation API (stronghold.SimConfig) and the
@@ -48,7 +61,8 @@ func (s ConfigSpec) Canonical() ConfigSpec {
 // Resolve canonicalizes the spec and builds the validated Config, with
 // the paper's 16 attention heads. Negative or non-finite fields are
 // rejected rather than treated as unset — the spec decodes untrusted
-// request JSON.
+// request JSON. A config deeper than MaxLayers, whether set directly
+// or derived from SizeBillions, is rejected with ErrTooDeep.
 func (s ConfigSpec) Resolve() (Config, error) {
 	if s.Layers < 0 || s.Hidden < 0 || s.BatchSize < 0 || s.ModelParallel < 0 ||
 		s.SizeBillions < 0 || math.IsNaN(s.SizeBillions) || math.IsInf(s.SizeBillions, 0) {
@@ -64,6 +78,10 @@ func (s ConfigSpec) Resolve() (Config, error) {
 		cfg = ConfigForSize(s.SizeBillions, s.Hidden, s.ModelParallel)
 	default:
 		return Config{}, fmt.Errorf("modelcfg: config spec needs SizeBillions or Layers")
+	}
+	if cfg.Layers > MaxLayers {
+		return Config{}, fmt.Errorf("modelcfg: %w: %d layers exceeds the %d-layer limit (modelcfg.MaxLayers)",
+			ErrTooDeep, cfg.Layers, MaxLayers)
 	}
 	cfg.BatchSize = s.BatchSize
 	return cfg, cfg.Validate()

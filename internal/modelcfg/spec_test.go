@@ -1,6 +1,9 @@
 package modelcfg
 
 import (
+	"errors"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -56,6 +59,28 @@ func TestConfigSpecResolve(t *testing.T) {
 	}
 	if _, err := (ConfigSpec{Layers: -1, SizeBillions: 2}).Resolve(); err == nil {
 		t.Error("negative layers resolved without error")
+	}
+}
+
+// Resolve bounds the depth on both paths: Layers set directly, and the
+// depth ConfigForSize derives from SizeBillions.
+func TestConfigSpecResolveDepthLimit(t *testing.T) {
+	if _, err := (ConfigSpec{Layers: MaxLayers, Hidden: 256}).Resolve(); err != nil {
+		t.Errorf("spec at the limit rejected: %v", err)
+	}
+	for _, s := range []ConfigSpec{
+		{Layers: MaxLayers + 1},
+		{Layers: 1_000_000, Hidden: 256},
+		{SizeBillions: 100, Hidden: 256}, // about 127,000 layers
+	} {
+		_, err := s.Resolve()
+		if !errors.Is(err, ErrTooDeep) {
+			t.Errorf("Resolve(%+v) = %v, want ErrTooDeep", s, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), strconv.Itoa(MaxLayers)) {
+			t.Errorf("Resolve(%+v): error %q does not name the %d-layer limit", s, err, MaxLayers)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -35,7 +36,7 @@ func Validate(it *Iteration) error {
 	v := &validator{it: it}
 	v.checkStructure()
 	if len(v.errs) == 0 {
-		v.computeReach()
+		v.computeQueuePrev()
 		v.checkBuffers()
 		v.checkResidency()
 		v.checkBudget()
@@ -52,9 +53,15 @@ func Validate(it *Iteration) error {
 type validator struct {
 	it   *Iteration
 	errs []string
-	// reach[i] is the transitive happens-before set of op i (explicit
-	// deps plus same-queue FIFO edges), as a bitset over op IDs.
-	reach []bitset
+	// queuePrev[i] is op i's predecessor on its execution queue (-1
+	// for the first op on a queue and for ops off the queues).
+	queuePrev []ID
+	// seen marks the ops the current happensBefore search has pushed:
+	// seen[i] == stamp. Bumping stamp clears every mark at once, so
+	// queries share one array and one stack.
+	seen  []uint32
+	stamp uint32
+	stack []ID
 }
 
 func (v *validator) failf(op *Op, format string, args ...any) {
@@ -129,45 +136,25 @@ func (v *validator) checkStructure() {
 	}
 }
 
-// bitset over op IDs.
-type bitset []uint64
-
-func (b bitset) set(i ID)      { b[i>>6] |= 1 << (uint(i) & 63) }
-func (b bitset) has(i ID) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-func (b bitset) or(o bitset) {
-	for i := range b {
-		b[i] |= o[i]
-	}
-}
-
-// computeReach builds each op's happens-before closure: explicit
-// dependencies plus the implicit FIFO edge between consecutive ops on
-// the same execution queue (streams launch in issue order).
-func (v *validator) computeReach() {
+// computeQueuePrev records each op's predecessor on its FIFO execution
+// queue (streams launch in issue order), the one implicit edge the
+// happens-before relation adds to the explicit dependencies, and sizes
+// the search scratch space.
+func (v *validator) computeQueuePrev() {
 	it := v.it
-	words := (len(it.Ops) + 63) / 64
-	v.reach = make([]bitset, len(it.Ops))
+	v.queuePrev = make([]ID, len(it.Ops))
+	v.seen = make([]uint32, len(it.Ops))
 	queueTail := make([]ID, it.Queues)
 	for q := range queueTail {
 		queueTail[q] = -1
 	}
 	for i := range it.Ops {
 		op := &it.Ops[i]
-		r := make(bitset, words)
-		add := func(d ID) {
-			r.set(d)
-			r.or(v.reach[d])
-		}
-		for _, d := range op.Deps {
-			add(d)
-		}
+		v.queuePrev[i] = -1
 		if onQueue(op) {
-			if t := queueTail[op.Queue]; t >= 0 {
-				add(t)
-			}
+			v.queuePrev[i] = queueTail[op.Queue]
 			queueTail[op.Queue] = op.ID
 		}
-		v.reach[i] = r
 	}
 }
 
@@ -176,8 +163,49 @@ func onQueue(op *Op) bool {
 	return op.Kind == ComputeFP || op.Kind == ComputeBP || (op.Kind == OptStep && op.GPU)
 }
 
-// happensBefore reports whether a is in b's dependency closure.
-func (v *validator) happensBefore(a, b ID) bool { return v.reach[b].has(a) }
+// happensBefore reports whether a is in b's dependency closure
+// (explicit deps plus same-queue FIFO edges). It searches backward from
+// b and prunes every op with an ID below a: each edge points at a
+// smaller ID, so no path from a to b leaves [a, b] and the pruning is
+// exact. A query visits at most the ops in [a, b] and allocates
+// nothing once the stack has grown.
+func (v *validator) happensBefore(a, b ID) bool {
+	if a >= b {
+		return false
+	}
+	v.stamp++
+	if v.stamp == 0 { // generation counter wrapped: forget every mark
+		clear(v.seen)
+		v.stamp = 1
+	}
+	found := false
+	stack := append(v.stack[:0], b)
+search:
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if q := v.queuePrev[x]; q >= a && v.seen[q] != v.stamp {
+			if q == a {
+				found = true
+				break
+			}
+			v.seen[q] = v.stamp
+			stack = append(stack, q)
+		}
+		for _, d := range v.it.Ops[x].Deps {
+			if d >= a && v.seen[d] != v.stamp {
+				if d == a {
+					found = true
+					break search
+				}
+				v.seen[d] = v.stamp
+				stack = append(stack, d)
+			}
+		}
+	}
+	v.stack = stack
+	return found
+}
 
 // firedBefore reports whether op a has provably completed by the time
 // op b issues. Beyond plain closure membership, a zero-duration
@@ -201,6 +229,21 @@ func (v *validator) firedBefore(a, b ID) bool {
 		}
 	}
 	return true
+}
+
+// fund looks for a slot to fund op b among pending, the ascending IDs
+// of slot-returning ops (releases, spills, chunk offloads) that have
+// not funded anything yet. The lowest-ID one that provably fired before
+// b is the deterministic choice; it funds b and leaves pending, so
+// each scan walks only candidates that are still pending.
+func (v *validator) fund(pending *[]ID, b ID) bool {
+	for k, r := range *pending {
+		if v.firedBefore(r, b) {
+			*pending = slices.Delete(*pending, k, k+1)
+			return true
+		}
+	}
+	return false
 }
 
 // checkBuffers walks the canonical order tracking each layer's
@@ -308,8 +351,7 @@ func (v *validator) checkBudget() {
 			len(it.EntryResident), it.BudgetSlots))
 		return
 	}
-	var releases []ID
-	consumed := make([]bool, len(it.Ops))
+	var releases []ID // not yet funding an acquire, ascending
 	for i := range it.Ops {
 		op := &it.Ops[i]
 		if op.Kind != BufAcquire {
@@ -318,15 +360,7 @@ func (v *validator) checkBudget() {
 			}
 			continue
 		}
-		funded := false
-		for _, r := range releases { // ascending ID: deterministic choice
-			if !consumed[r] && v.firedBefore(r, op.ID) {
-				consumed[r] = true
-				funded = true
-				break
-			}
-		}
-		if funded {
+		if v.fund(&releases, op.ID) {
 			continue
 		}
 		if spares > 0 {
@@ -356,8 +390,7 @@ func (v *validator) checkNVMeRing() {
 	}
 	stagedBy := make(map[int]ID) // layer → restage that opened the current ring epoch
 	spares := it.RingSlots
-	var spills []ID
-	consumed := make([]bool, len(it.Ops))
+	var spills []ID // not yet funding a restage, ascending
 	for i := range it.Ops {
 		op := &it.Ops[i]
 		switch op.Kind {
@@ -378,15 +411,7 @@ func (v *validator) checkNVMeRing() {
 					v.failf(op, "layer %d restaged while already in the ring (epoch opened by op %d)", op.Layer, opener)
 				}
 				stagedBy[op.Layer] = op.ID
-				funded := false
-				for _, s := range spills { // ascending ID: deterministic choice
-					if !consumed[s] && v.firedBefore(s, op.ID) {
-						consumed[s] = true
-						funded = true
-						break
-					}
-				}
-				if !funded {
+				if !v.fund(&spills, op.ID) {
 					if spares > 0 {
 						spares--
 					} else {
@@ -464,8 +489,7 @@ func (v *validator) checkOptSlots() {
 		return
 	}
 	spares := it.OptSlots
-	var returns []ID
-	consumed := make([]bool, len(it.Ops))
+	var returns []ID // not yet funding a take, ascending
 	for i := range it.Ops {
 		op := &it.Ops[i]
 		if op.Frac == 0 {
@@ -475,15 +499,7 @@ func (v *validator) checkOptSlots() {
 		case Offload:
 			returns = append(returns, op.ID)
 		case Prefetch:
-			funded := false
-			for _, r := range returns { // ascending ID: deterministic choice
-				if !consumed[r] && v.firedBefore(r, op.ID) {
-					consumed[r] = true
-					funded = true
-					break
-				}
-			}
-			if funded {
+			if v.fund(&returns, op.ID) {
 				continue
 			}
 			if spares > 0 {

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"stronghold/internal/modelcfg"
 )
 
 // fakeBackend is a deterministic Backend double with per-method call
@@ -499,5 +501,29 @@ func TestCapacityAndWhatIfCached(t *testing.T) {
 	}
 	if n := fb.whatifs.Load(); n != 1 {
 		t.Errorf("whatif backend ran %d times, want 1", n)
+	}
+}
+
+// A /v1/whatif deeper than modelcfg.MaxLayers is a 400 that names the
+// limit, decided at canonicalization: the backend never runs.
+func TestWhatIfRejectsDeepModel(t *testing.T) {
+	fb := &fakeBackend{}
+	s := New(fb, Options{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	deep := `{"model":{"layers":1000000,"hidden":256},"faults":"h2d:slow(at=0s,dur=1s,every=2s,factor=0.5)"}`
+	resp, body := post(t, ts, "/v1/whatif", deep)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+	if limit := fmt.Sprintf("%d-layer limit", modelcfg.MaxLayers); !bytes.Contains(body, []byte(limit)) {
+		t.Errorf("rejection does not name the %q: %s", limit, body)
+	}
+	if n := fb.whatifs.Load(); n != 0 {
+		t.Errorf("whatif backend ran %d times, want 0", n)
+	}
+	if got := counter(t, s, "stronghold_serve_simulations_total"); got != 0 {
+		t.Errorf("simulations = %v, want 0", got)
 	}
 }
