@@ -3,9 +3,9 @@
 // trace-event JSON loadable in chrome://tracing or Perfetto. It also
 // prints per-track busy statistics and the compute/communication
 // overlap fraction. -method selects any plan-driven method from the
-// shared registry — STRONGHOLD through the core engine, the ported
-// baselines (L2L, ZeRO-Offload, ZeRO-Infinity, Interleaved-Opt)
-// through the baseline plan executor.
+// shared registry — STRONGHOLD through the core engine, the baselines
+// (Megatron-LM, L2L, ZeRO-Offload, ZeRO-Infinity, Interleaved-Opt) as
+// explicit-duration plans through core.RunPlan.
 //
 // Usage:
 //
@@ -56,7 +56,7 @@ func main() {
 		fatalf("%v", err)
 	}
 	info := modelcfg.Lookup(mth)
-	if !info.PlanDriven {
+	if !info.PlanDriven() {
 		fatalf("method %s is not plan-driven: it has no schedule IR or event timeline to record", info.Key)
 	}
 
@@ -88,7 +88,7 @@ func main() {
 	}
 	fmt.Printf("model: %.1fB parameters (%d layers, hidden %d, batch %d)\n",
 		cfg.ParamsBillion(), cfg.Layers, cfg.Hidden, cfg.BatchSize)
-	fmt.Printf("method: %s (baseline plan executor)\n", info.Display)
+	fmt.Printf("method: %s (explicit-duration plan)\n", info.Display)
 	fmt.Printf("steady-state iteration: %.3fs, %.1f%% of transfer time hidden under compute\n",
 		sim.Seconds(r.IterTime), r.Overlap*100)
 	reportTrace(tr, *out)

@@ -6,7 +6,7 @@ import (
 )
 
 // DroppedSignal is the lostcancel analogue for asynchronous copy
-// engines. Machine.CopyH2D/CopyD2H/NVMeRead/NVMeWrite/NetSend/CPUTask,
+// engines. Machine.CopyH2D/CopyD2H/NVMeRead/NVMeWrite/NetSend,
 // Stream.Launch and Resource/Pool.SubmitAfter all return a *sim.Signal
 // that is the ONLY handle on the scheduled work's completion. A call
 // whose signal is dropped on the floor still simulates the transfer —

@@ -7,22 +7,37 @@
 // kernel/transfer numbers the STRONGHOLD engine uses, plus per-method
 // software-stack constants calibrated in calib.go — the comparisons
 // differ in *scheduling and stack overheads*, never in kernel speed.
-// Dispatch goes through the modelcfg method registry: every
-// plan-driven method runs as a planner-emitted plan (planner.go,
-// strategies.go) on the shared plan executor over explicit-duration
-// resources (planrun.go), so it produces real traces, overlap
-// fractions and degrades under fault plans; Megatron remains a closed
-// form. The closed-form cross-checks for the plan-driven schedules
-// live with the tests that use them (closedform_test.go).
+// Dispatch goes through the modelcfg method registry: every method
+// runs as a planner-emitted plan (planner.go, strategies.go) with
+// explicit per-op durations, executed by core.RunPlan on the same
+// environment and simulated machine as STRONGHOLD's plans, so it
+// produces real traces, overlap fractions and utilizations, and
+// degrades under fault plans. The closed-form cross-checks for the
+// schedules live with the tests that use them (closedform_test.go).
 package baselines
 
 import (
 	"fmt"
 
+	"stronghold/internal/core"
+	"stronghold/internal/fault"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/perf"
-	"stronghold/internal/sim"
+	"stronghold/internal/trace"
 )
+
+// Options configures a baseline simulation beyond the defaults.
+type Options struct {
+	// Trace, when non-nil, receives the execution spans of the simulated
+	// iteration.
+	Trace *trace.Trace
+	// Faults, when non-nil, degrades the method's resources with the
+	// injected stall/slow/drop windows. A dropped PCIe copy is reissued
+	// with backoff, as in STRONGHOLD's degraded mode; the other
+	// resources have no reissue path, so their drops degrade to stalls.
+	// Baselines never re-solve a window: their schedules are fixed.
+	Faults *fault.Plan
+}
 
 // Run simulates one steady-state training iteration of the given method
 // and model, returning its timing or an OOM outcome. Supported methods
@@ -33,10 +48,9 @@ func Run(method modelcfg.Method, m perf.Model) perf.IterationResult {
 	return RunWith(method, m, Options{})
 }
 
-// RunWith is Run with tracing and fault injection. Plan-driven methods
-// (every baseline except Megatron) run as planner-emitted plans on the
-// shared executor — event-driven, with real traces and overlap;
-// Megatron remains a closed-form schedule, for which Options is inert.
+// RunWith is Run with tracing and fault injection: the method's
+// footprint is checked against the platform, then its plan runs on
+// core.RunPlan.
 func RunWith(method modelcfg.Method, m perf.Model, opts Options) perf.IterationResult {
 	res := perf.IterationResult{Method: method}
 	if err := m.Cfg.Validate(); err != nil {
@@ -57,35 +71,14 @@ func RunWith(method modelcfg.Method, m perf.Model, opts Options) perf.IterationR
 			method, fp.GPU, fp.Host, fp.Disk)
 		return res
 	}
-	res.GPUPeak = fp.GPU
 	pressure := pressurePenalty(float64(fp.GPU) / float64(plat.GPU.MemBytes))
-
-	if !info.PlanDriven {
-		res.IterTime = megatronIter(m)
-		return res
-	}
 	it, err := methodPlan(method, m, pressure)
 	if err != nil {
 		res.OOM, res.OOMDetail = true, err.Error()
 		return res
 	}
-	runPlanned(it, opts, &res)
+	res = core.RunPlan(m, it, opts.Trace, opts.Faults)
+	res.Method = method
+	res.GPUPeak = fp.GPU
 	return res
-}
-
-// computeTotal is the pure-kernel time every method pays: all layers'
-// FP+BP plus the embedding/head work and the GPU-side norm of the loss.
-func computeTotal(m perf.Model) sim.Time {
-	lt := m.Layer()
-	n := sim.Time(m.Cfg.Layers)
-	return n*(lt.FP+lt.BP) + 3*m.EmbeddingTime()
-}
-
-// megatronIter: everything resident; the only non-kernel cost is the
-// on-GPU optimizer sweep.
-func megatronIter(m perf.Model) sim.Time {
-	lt := m.Layer()
-	n := sim.Time(m.Cfg.Layers)
-	gpuOptEmbed := sim.Time(float64(m.Cfg.EmbeddingParams()*28) / m.Plat.GPU.MemBandwidth * 1e9)
-	return computeTotal(m) + n*lt.OptGPU + gpuOptEmbed
 }

@@ -6,10 +6,27 @@ import (
 	"stronghold/internal/sim"
 )
 
-// The closed forms below price each plan-driven baseline's iteration
-// analytically. Production runs the planner-emitted plans; these are
-// the independent oracles the plan-driven schedules are checked
-// against (planrun_test.go, strategies_test.go).
+// The closed forms below price each baseline's iteration analytically.
+// Production runs the planner-emitted plans; these are the independent
+// oracles the schedules are checked against (planner_test.go,
+// strategies_test.go).
+
+// computeTotal is the pure-kernel time every method pays: all layers'
+// FP+BP plus the embedding/head work and the GPU-side norm of the loss.
+func computeTotal(m perf.Model) sim.Time {
+	lt := m.Layer()
+	n := sim.Time(m.Cfg.Layers)
+	return n*(lt.FP+lt.BP) + 3*m.EmbeddingTime()
+}
+
+// megatronIter is the closed form of megatronPlan: everything
+// resident; the only non-kernel cost is the on-GPU optimizer sweep.
+func megatronIter(m perf.Model) sim.Time {
+	lt := m.Layer()
+	n := sim.Time(m.Cfg.Layers)
+	gpuOptEmbed := sim.Time(float64(m.Cfg.EmbeddingParams()*modelcfg.BytesAdamTraffic) / m.Plat.GPU.MemBandwidth * 1e9)
+	return computeTotal(m) + n*lt.OptGPU + gpuOptEmbed
+}
 
 // l2lIter is the closed-form cross-check for l2lPlan: one Transformer
 // block resident at a time, parameters moved before each layer in both
@@ -18,7 +35,7 @@ import (
 // Python movement loop; the optimizer runs on the GPU over the full
 // moment buffers. It prices the gradient copy-back fully serial, so it
 // upper-bounds the plan-driven time, which hides that copy under the
-// next visit's overhead (see planrun_test.go for the two-sided bound).
+// next visit's overhead (see planner_test.go for the two-sided bound).
 func l2lIter(m perf.Model, pressure float64) sim.Time {
 	lt := m.Layer()
 	n := sim.Time(m.Cfg.Layers)
@@ -41,7 +58,7 @@ func zeroOffloadIter(m perf.Model, pressure float64) sim.Time {
 	params := m.Cfg.TotalParams() / int64(m.Cfg.ModelParallel)
 	grads := sim.Time(float64(params*modelcfg.BytesGrad) / m.Plat.PCIe.BandwidthPerDir * 1e9)
 	upload := sim.Time(float64(params*modelcfg.BytesParam) / m.Plat.PCIe.BandwidthPerDir * 1e9)
-	opt := sim.Time(float64(params*28) / zeroOffloadCPUAdamBW * 1e9)
+	opt := sim.Time(float64(params*modelcfg.BytesAdamTraffic) / zeroOffloadCPUAdamBW * 1e9)
 	compute := computeTotal(m)
 	bpTotal := sim.Time(m.Cfg.Layers) * m.Layer().BP
 	exposedGrads := max(0, grads-bpTotal/2)
@@ -61,7 +78,7 @@ func zeroInfinityIter(m perf.Model, pressure float64, nvme bool) sim.Time {
 	perFP := max(lt.FP, c2g) + zeroInfinityRefactorNS
 	perBP := max(lt.BP, c2g+g2c) + zeroInfinityRefactorNS
 	params := m.Cfg.TotalParams() / int64(m.Cfg.ModelParallel)
-	opt := sim.Time(float64(params*28) / zeroOffloadCPUAdamBW * 1e9 / 2)
+	opt := sim.Time(float64(params*modelcfg.BytesAdamTraffic) / zeroOffloadCPUAdamBW * 1e9 / 2)
 	iter := n*(perFP+perBP) + 3*m.EmbeddingTime() + sim.Time(float64(opt)*pressure)
 	if nvme {
 		// States live on NVMe and are demand-paged per layer with the
@@ -89,8 +106,8 @@ func interleavedOptIter(m perf.Model, pressure float64) sim.Time {
 	}
 	gradBytes := perLayer * modelcfg.BytesGrad
 	upBytes := int64((1 - share) * float64(perLayer*modelcfg.BytesParam))
-	cpuDur := sim.Time((1 - share) * float64(perLayer*28) / interleavedCPUAdamBW * 1e9 * pressure)
-	gpuEmbedOpt := sim.Time(float64(m.Cfg.EmbeddingParams()*28) / m.Plat.GPU.MemBandwidth * 1e9)
+	cpuDur := sim.Time((1 - share) * float64(perLayer*modelcfg.BytesAdamTraffic) / interleavedCPUAdamBW * 1e9 * pressure)
+	gpuEmbedOpt := sim.Time(float64(m.Cfg.EmbeddingParams()*modelcfg.BytesAdamTraffic) / m.Plat.GPU.MemBandwidth * 1e9)
 	compute := computeTotal(m)
 	drain := xfer(gradBytes) + cpuDur + xfer(upBytes)
 	return compute + max(gpuEmbedOpt, drain-m.EmbeddingTime())

@@ -20,15 +20,15 @@ func goldenConfig() modelcfg.Config {
 }
 
 // TestGoldenBaselinePlans pins the canonical text rendering of every
-// plan-driven baseline schedule: emission order, op payloads and
-// dependency wiring. Any planner or calibration change shows up as a
+// baseline schedule: emission order, op payloads and dependency
+// wiring. Any planner or calibration change shows up as a
 // fixture diff. Regenerate with
 // `go test ./internal/baselines -run TestGoldenBaselinePlans -update`
 // and review the diff like any schedule change.
 func TestGoldenBaselinePlans(t *testing.T) {
 	m := v100Model(goldenConfig())
 	for _, method := range []modelcfg.Method{
-		modelcfg.L2L, modelcfg.ZeROOffload,
+		modelcfg.Megatron, modelcfg.L2L, modelcfg.ZeROOffload,
 		modelcfg.ZeROInfinity, modelcfg.ZeROInfinityNVMe,
 		modelcfg.InterleavedOpt,
 	} {

@@ -34,12 +34,12 @@ func TestStrategyPlansValidate(t *testing.T) {
 	}
 }
 
-// PlanFor only serves plan-driven baseline methods; the closed-form and
-// non-baseline registry rows are rejected, as is the baseline engine
-// itself when asked to run a core or cluster method.
+// PlanFor only serves baseline methods; the core-engine and cluster
+// registry rows are rejected, as is the baseline engine itself when
+// asked to run a core or cluster method.
 func TestStrategyDispatchRejectsNonBaseline(t *testing.T) {
 	m := v100Model(modelcfg.Config1p7B())
-	for _, meth := range []modelcfg.Method{modelcfg.Megatron, modelcfg.Stronghold, modelcfg.ZeRO2} {
+	for _, meth := range []modelcfg.Method{modelcfg.Stronghold, modelcfg.ZeRO2} {
 		if _, err := PlanFor(meth, m); err == nil {
 			t.Errorf("PlanFor(%s) must fail", meth)
 		}

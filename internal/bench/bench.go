@@ -73,9 +73,9 @@ func strongholdScenario(cfg modelcfg.Config, feat core.Features) Scenario {
 	return s
 }
 
-// baselineScenario runs one of the comparison engines (no collector:
-// the baseline executor has no metrics hooks; plan-driven rows still
-// report real overlap and step counts).
+// baselineScenario runs one of the comparison methods' plans (no
+// metrics collector, so no transfer percentiles; the rows still report
+// real overlap, utilization and step counts).
 func baselineScenario(method modelcfg.Method, cfg modelcfg.Config) Scenario {
 	m := perf.NewModel(cfg, hw.V100Platform())
 	return scenarioFrom(baselines.Run(method, m), m)

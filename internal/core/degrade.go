@@ -107,9 +107,6 @@ func (r *iterRun) enableFaults(inj *fault.Injector, adapt AdaptConfig, tr *trace
 	for _, w := range m.CPUPool.Workers() {
 		w.SetStretch(cpuStretch)
 	}
-	if r.singleOpt != nil {
-		r.singleOpt.SetStretch(cpuStretch)
-	}
 }
 
 // runAdaptive schedules iterations one at a time — each chained on the

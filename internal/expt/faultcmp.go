@@ -26,16 +26,17 @@ type FaultRow struct {
 	CleanSec   float64
 	FaultSec   float64
 	SlowdownPc float64
-	// Degraded-mode counters (STRONGHOLD methods only; the baselines
-	// stretch through fault windows without a reissue path).
+	// Degraded-mode counters: retries count reissued PCIe copies (any
+	// method, under drop windows), re-solves STRONGHOLD's window changes.
 	Retries        uint64
 	WindowResolves uint64
 }
 
 // FaultComparison runs every plan-driven single-node method on the
 // common 1.7B model, clean and under PCIeDegradationPlan — the
-// strategy-layer robustness study: all five schedules degrade through
-// the same injected windows, only STRONGHOLD adapts.
+// strategy-layer robustness study: every schedule degrades through
+// the same injected windows on the same executor, only STRONGHOLD
+// adapts its window.
 func FaultComparison() ([]FaultRow, error) {
 	plan, err := fault.ParsePlan(PCIeDegradationPlan)
 	if err != nil {
@@ -45,7 +46,7 @@ func FaultComparison() ([]FaultRow, error) {
 	cfg := modelcfg.Config1p7B()
 	var rows []FaultRow
 	for _, info := range modelcfg.Methods() {
-		if !info.PlanDriven || info.Distributed || info.NVMe {
+		if !info.PlanDriven() || info.Distributed || info.NVMe {
 			continue
 		}
 		m := perf.NewModel(cfg, p)

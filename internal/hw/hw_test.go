@@ -143,38 +143,6 @@ func TestNetSend(t *testing.T) {
 	}
 }
 
-func TestCPUTaskUsesPool(t *testing.T) {
-	eng, m := newTestMachine(t)
-	s := m.CPUTask(60e9, nil) // one core-second of work
-	eng.Run()
-	got := sim.Seconds(s.FiredAt())
-	if got < 0.99 || got > 1.01 {
-		t.Fatalf("CPU task took %vs, want 1s", got)
-	}
-}
-
-func TestOptimizerUpdateMemoryBound(t *testing.T) {
-	_, m := newTestMachine(t)
-	// 1B params × 28 bytes at 100 GB/s (single worker, whole socket) =
-	// 0.28 s.
-	single := m.OptimizerUpdateNS(1_000_000_000, 1)
-	if got := sim.Seconds(single); got < 0.27 || got > 0.29 {
-		t.Fatalf("single-worker update %vs, want ~0.28s", got)
-	}
-	// With 4 concurrent workers each gets a quarter of the bandwidth.
-	quad := m.OptimizerUpdateNS(1_000_000_000, 4)
-	if quad != 4*single {
-		t.Fatalf("4-way sharing should quadruple per-worker time: %d vs %d", quad, single)
-	}
-	// GPU update is much faster (900 GB/s HBM).
-	if g := m.GPUOptimizerUpdateNS(1_000_000_000); g >= single {
-		t.Fatal("GPU optimizer must beat CPU optimizer")
-	}
-	if m.OptimizerUpdateNS(1000, 0) != m.OptimizerUpdateNS(1000, 1) {
-		t.Fatal("worker floor of 1 not applied")
-	}
-}
-
 func TestStreamSerializesKernels(t *testing.T) {
 	eng, m := newTestMachine(t)
 	s := m.NewStream("w0")

@@ -80,26 +80,16 @@ func NewMachine(eng *sim.Engine, p Platform, pinnedBytes int64) (*Machine, error
 	return m, nil
 }
 
-// copyDuration returns the virtual time for a transfer of the given
-// size over PCIe, honoring the pinned-memory bandwidth advantage.
-func (m *Machine) copyDuration(bytes int64, pinned bool) sim.Time {
-	bw := m.Spec.PCIe.BandwidthPerDir
-	if !pinned {
-		bw *= m.Spec.PCIe.UnpinnedFactor
-	}
-	return m.Spec.PCIe.LatencyNS + sim.Time(float64(bytes)/bw*1e9)
-}
-
 // CopyH2D schedules an asynchronous host→device transfer after deps,
 // returning its completion signal. The AsyncCallNS launch overhead
 // (the paper's t_async) is charged on the engine occupancy.
 func (m *Machine) CopyH2D(bytes int64, pinned bool, deps []*sim.Signal) *sim.Signal {
-	return m.H2D.SubmitAfter(deps, m.Spec.AsyncCallNS+m.copyDuration(bytes, pinned), m.xferDone("pcie.h2d", bytes))
+	return m.H2D.SubmitAfter(deps, m.Spec.AsyncCallNS+m.Spec.PCIe.CopyTime(bytes, pinned), m.xferDone("pcie.h2d", bytes))
 }
 
 // CopyD2H schedules an asynchronous device→host transfer after deps.
 func (m *Machine) CopyD2H(bytes int64, pinned bool, deps []*sim.Signal) *sim.Signal {
-	return m.D2H.SubmitAfter(deps, m.Spec.AsyncCallNS+m.copyDuration(bytes, pinned), m.xferDone("pcie.d2h", bytes))
+	return m.D2H.SubmitAfter(deps, m.Spec.AsyncCallNS+m.Spec.PCIe.CopyTime(bytes, pinned), m.xferDone("pcie.d2h", bytes))
 }
 
 // NVMeRead schedules an asynchronous read of the given size from NVMe
@@ -121,34 +111,6 @@ func (m *Machine) NVMeWrite(bytes int64, deps []*sim.Signal) *sim.Signal {
 func (m *Machine) NetSend(bytes int64, deps []*sim.Signal) *sim.Signal {
 	d := m.Spec.Net.LatencyNS + sim.Time(float64(bytes)/m.Spec.Net.BandwidthPerLink*1e9)
 	return m.NIC.SubmitAfter(deps, d, m.xferDone("nic", bytes))
-}
-
-// CPUTask schedules compute-bound work (flops) on the CPU pool using
-// the given number of cores' worth of throughput for its duration.
-func (m *Machine) CPUTask(flops float64, deps []*sim.Signal) *sim.Signal {
-	d := sim.Time(flops / m.Spec.CPU.FlopsPerCore * 1e9)
-	return m.CPUPool.SubmitAfter(deps, d, nil)
-}
-
-// OptimizerUpdateNS returns the duration of a CPU-side Adam update over
-// paramCount parameters on one worker. CPU Adam is memory-bound: every
-// parameter touches ~28 bytes of DRAM traffic (read param, grad, m, v;
-// write param, m, v), and concurrent workers share the socket's
-// bandwidth, so a single worker sustains only its fair share.
-func (m *Machine) OptimizerUpdateNS(paramCount int64, concurrentWorkers int) sim.Time {
-	if concurrentWorkers < 1 {
-		concurrentWorkers = 1
-	}
-	perWorkerBW := m.Spec.CPU.MemBandwidth / float64(min(concurrentWorkers, m.Spec.CPU.Cores))
-	const bytesPerParam = 28
-	return sim.Time(float64(paramCount*bytesPerParam) / perWorkerBW * 1e9)
-}
-
-// GPUOptimizerUpdateNS returns the duration of an on-GPU Adam update,
-// bound by device-memory bandwidth.
-func (m *Machine) GPUOptimizerUpdateNS(paramCount int64) sim.Time {
-	const bytesPerParam = 28
-	return sim.Time(float64(paramCount*bytesPerParam) / m.Spec.GPU.MemBandwidth * 1e9)
 }
 
 // Stream is a CUDA-like in-order execution queue on the machine's GPU:

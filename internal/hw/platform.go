@@ -5,6 +5,8 @@
 // platform specs below so every experiment shares one calibration.
 package hw
 
+import "stronghold/internal/sim"
+
 // GB is 2^30 bytes.
 const GB = int64(1) << 30
 
@@ -31,6 +33,18 @@ type PCIeSpec struct {
 	// synchronization sustain only ~1.3 GB/s on PCIe 3 — the measured
 	// penalty §III-E3's pinned-buffer scheme removes.
 	UnpinnedFactor float64
+}
+
+// CopyTime returns the virtual time of one transfer of the given size
+// in either direction: the setup latency plus the bytes at the
+// per-direction bandwidth, scaled by UnpinnedFactor for pageable host
+// memory.
+func (p PCIeSpec) CopyTime(bytes int64, pinned bool) sim.Time {
+	bw := p.BandwidthPerDir
+	if !pinned {
+		bw *= p.UnpinnedFactor
+	}
+	return p.LatencyNS + sim.Time(float64(bytes)/bw*1e9)
 }
 
 // CPUSpec describes the host processor and memory.

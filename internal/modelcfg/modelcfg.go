@@ -95,6 +95,11 @@ const (
 	// the paper's "model states" = parameters + gradients + optimizer
 	// states.
 	BytesModelState = BytesParam + BytesGrad + BytesOptState
+	// BytesAdamTraffic is the memory traffic of one Adam update per
+	// parameter: read and write the weight and both moments, read the
+	// gradient. The update is memory-bound, so its duration on either
+	// device is this traffic over the memory bandwidth.
+	BytesAdamTraffic = 2*BytesParam + BytesGrad + 2*BytesOptState
 )
 
 // LayerStateBytes returns one layer's full model-state footprint

@@ -125,7 +125,7 @@ func MethodSummaries() []MethodSummary {
 			Display:     info.Display,
 			Aliases:     info.Aliases,
 			Engine:      engineName(info.Engine),
-			PlanDriven:  info.PlanDriven,
+			PlanDriven:  info.PlanDriven(),
 			SingleGPU:   info.SingleGPU,
 			Distributed: info.Distributed,
 			NVMe:        info.NVMe,

@@ -105,10 +105,10 @@ func TestMethodSummaries(t *testing.T) {
 	if sh.Engine != "core" || !sh.PlanDriven || !sh.Decisions.Window || !sh.Decisions.OptPlacement {
 		t.Errorf("stronghold summary wrong: %+v", sh)
 	}
-	if z := byKey["zero-3"]; z.Engine != "cluster" || !z.Distributed {
+	if z := byKey["zero-3"]; z.Engine != "cluster" || !z.Distributed || z.PlanDriven {
 		t.Errorf("zero-3 summary wrong: %+v", z)
 	}
-	if m := byKey["megatron-lm"]; m.Engine != "baseline" || m.PlanDriven {
+	if m := byKey["megatron-lm"]; m.Engine != "baseline" || !m.PlanDriven {
 		t.Errorf("megatron summary wrong: %+v", m)
 	}
 }

@@ -21,8 +21,8 @@ import (
 type EngineKind int
 
 const (
-	// EngineBaseline runs through internal/baselines on a single GPU
-	// (closed-form or plan-driven comparison schedules).
+	// EngineBaseline runs through internal/baselines on a single GPU:
+	// comparison schedules as explicit-duration plans.
 	EngineBaseline EngineKind = iota
 	// EngineCore runs through core.Engine, the full STRONGHOLD
 	// event-driven simulation.
@@ -48,10 +48,6 @@ type MethodInfo struct {
 	Display string   // paper name (Method.String)
 	Aliases []string // accepted alternate CLI spellings
 	Engine  EngineKind
-	// PlanDriven marks methods whose schedule is built as a plan IR
-	// iteration and run on the shared executor — these produce real
-	// traces and accept fault plans.
-	PlanDriven bool
 	// SingleGPU marks members of the single-GPU comparison set that
 	// "-m all" and the Fig. 6a/7/8 experiments sweep.
 	SingleGPU bool
@@ -66,6 +62,11 @@ type MethodInfo struct {
 	Decisions DecisionVars
 }
 
+// PlanDriven reports whether the method's schedule is built as a plan
+// IR iteration and run on the shared plan executor — every single-node
+// method is; such methods produce real traces and accept fault plans.
+func (m MethodInfo) PlanDriven() bool { return m.Engine != EngineCluster }
+
 // methods is the registry in display order. Order is load-bearing:
 // ParseMethods("all"), MethodList and the figure sweeps iterate it, so
 // it must stay deterministic (never range a map for this).
@@ -78,40 +79,40 @@ var methods = []MethodInfo{
 	},
 	{
 		M: L2L, Key: "l2l", Display: "L2L",
-		Engine: EngineBaseline, PlanDriven: true, SingleGPU: true,
+		Engine: EngineBaseline, SingleGPU: true,
 		Footprint: footprintL2L,
 	},
 	{
 		M: ZeROOffload, Key: "zero-offload", Display: "ZeRO-Offload",
-		Engine: EngineBaseline, PlanDriven: true, SingleGPU: true,
+		Engine: EngineBaseline, SingleGPU: true,
 		Footprint: footprintZeROOffload,
 	},
 	{
 		M: ZeROInfinity, Key: "zero-infinity", Display: "ZeRO-Infinity",
-		Engine: EngineBaseline, PlanDriven: true, SingleGPU: true,
+		Engine: EngineBaseline, SingleGPU: true,
 		Footprint: footprintZeROInfinity(false),
 	},
 	{
 		M: ZeROInfinityNVMe, Key: "zero-infinity-nvme", Display: "ZeRO-Infinity (NVMe)",
-		Engine: EngineBaseline, PlanDriven: true, NVMe: true,
+		Engine: EngineBaseline, NVMe: true,
 		Footprint: footprintZeROInfinity(true),
 	},
 	{
 		M: InterleavedOpt, Key: "interleaved-opt", Display: "Interleaved-Opt",
-		Aliases: []string{"deep-opt-states"},
-		Engine:  EngineBaseline, PlanDriven: true,
+		Aliases:   []string{"deep-opt-states"},
+		Engine:    EngineBaseline,
 		Footprint: footprintInterleavedOpt,
 		Decisions: DecisionVars{OptPlacement: true},
 	},
 	{
 		M: Stronghold, Key: "stronghold", Display: "STRONGHOLD",
-		Engine: EngineCore, PlanDriven: true, SingleGPU: true,
+		Engine: EngineCore, SingleGPU: true,
 		Footprint: footprintStronghold(false),
 		Decisions: DecisionVars{Window: true, OptPlacement: true},
 	},
 	{
 		M: StrongholdNVMe, Key: "stronghold-nvme", Display: "STRONGHOLD (NVMe)",
-		Engine: EngineCore, PlanDriven: true, NVMe: true,
+		Engine: EngineCore, NVMe: true,
 		Footprint: footprintStronghold(true),
 		Decisions: DecisionVars{Window: true, OptPlacement: true},
 	},
@@ -253,7 +254,7 @@ func MethodList() string {
 			engine = "cluster"
 		}
 		var notes []string
-		if info.PlanDriven {
+		if info.PlanDriven() {
 			notes = append(notes, "plan-driven")
 		}
 		if info.SingleGPU {

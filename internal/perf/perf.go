@@ -62,17 +62,14 @@ func (m Model) Layer() LayerTimes {
 	fp := sim.Time(m.Cfg.ForwardFlopsPerLayer() / rate * 1e9)
 	bp := sim.Time(m.Cfg.BackwardFlopsPerLayer(m.Checkpointing) / rate * 1e9)
 	weight := m.Cfg.LayerWeightBytes()
-	transfer := func(bytes int64) sim.Time {
-		return m.Plat.PCIe.LatencyNS + sim.Time(float64(bytes)/m.Plat.PCIe.BandwidthPerDir*1e9)
-	}
-	const optBytesPerParam = 28
+	optBytes := float64(m.Cfg.LayerParamsShard() * modelcfg.BytesAdamTraffic)
 	return LayerTimes{
 		FP:     fp + sim.Time(m.Plat.KernelLaunchNS),
 		BP:     bp + sim.Time(m.Plat.KernelLaunchNS),
-		C2G:    transfer(weight),
-		G2C:    transfer(weight), // gradients are the same size as weights
-		OptGPU: sim.Time(float64(m.Cfg.LayerParamsShard()*optBytesPerParam) / m.Plat.GPU.MemBandwidth * 1e9),
-		OptCPU: sim.Time(float64(m.Cfg.LayerParamsShard()*optBytesPerParam) / m.Plat.CPU.MemBandwidth * 1e9),
+		C2G:    m.Plat.PCIe.CopyTime(weight, true),
+		G2C:    m.Plat.PCIe.CopyTime(weight, true), // gradients are the same size as weights
+		OptGPU: sim.Time(optBytes / m.Plat.GPU.MemBandwidth * 1e9),
+		OptCPU: sim.Time(optBytes / m.Plat.CPU.MemBandwidth * 1e9),
 		Async:  sim.Time(m.Plat.AsyncCallNS),
 	}
 }

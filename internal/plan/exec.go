@@ -4,12 +4,13 @@ import "stronghold/internal/sim"
 
 // Env is the execution environment a plan runs against. The executor
 // owns the walk order and the dependency wiring; the environment owns
-// the physics — how an op turns into simulated work. The STRONGHOLD
-// engine maps ops onto hw.Machine streams, PCIe queues and the CPU
-// optimizer pool; the baseline engines map them onto explicit-duration
-// resources. Issue is called exactly once per op, in canonical (ID)
-// order, which is what makes plan execution deterministic: two walks
-// of the same plan produce identical Submit/Schedule sequences.
+// the physics — how an op turns into simulated work. The core engine's
+// environment maps ops onto hw.Machine streams, PCIe queues and the CPU
+// optimizer pool, or, for explicit-duration plans, onto the machine's
+// resources for each op's DurNS. Issue is called exactly once per op,
+// in canonical (ID) order, which is what makes plan execution
+// deterministic: two walks of the same plan produce identical
+// Submit/Schedule sequences.
 type Env interface {
 	// Issue starts op once every signal in deps has fired and returns
 	// the op's completion signal. deps holds the already-created

@@ -5,9 +5,9 @@
 // lowers a window decision and feature set into a plan; the validator
 // (validate.go) checks the scheduling invariants on the IR before any
 // simulation; the executor (exec.go) walks a plan and issues the
-// simulated work through an environment interface — the STRONGHOLD
-// engine and the baseline engines are different environments walking
-// plans from different planners. diff.go turns two plans for adjacent
+// simulated work through an environment interface — core's, which runs
+// STRONGHOLD's flop- and byte-costed plans and the baselines'
+// explicit-duration plans alike. diff.go turns two plans for adjacent
 // window sizes into the prefetch/offload patch the adaptive scheduler
 // applies at iteration boundaries.
 package plan
@@ -116,7 +116,7 @@ type ExtDep struct {
 
 // Op is one schedule operation. Fields beyond Kind are interpreted per
 // kind: copies and stages carry Bytes, kernels carry Flops and a queue
-// index, explicit-duration environments read DurNS.
+// index, explicit-duration runs read DurNS.
 type Op struct {
 	ID   ID     `json:"id"`
 	Kind Kind   `json:"kind"`
@@ -125,8 +125,8 @@ type Op struct {
 	// model-level ops (embedding, head, resident optimizer sweep).
 	Layer int `json:"layer"`
 	// Queue is the execution-queue index for compute/optimizer ops —
-	// a GPU stream in the STRONGHOLD engine, a serial resource in the
-	// baseline engines. -1 for ops bound to a fixed resource (copies,
+	// a GPU stream in the STRONGHOLD engine, a FIFO resource in an
+	// explicit-duration run. -1 for ops bound to a fixed resource (copies,
 	// staging, buffer bookkeeping).
 	Queue int `json:"queue"`
 	// Bytes is the payload of Prefetch/Offload/NVMeStage ops, and the
@@ -134,8 +134,8 @@ type Op struct {
 	Bytes int64 `json:"bytes,omitempty"`
 	// Flops is the kernel work of compute ops and GPU OptSteps.
 	Flops float64 `json:"flops,omitempty"`
-	// DurNS is an explicit duration for environments that issue ops by
-	// time rather than by work (CPU OptSteps, the baseline engines).
+	// DurNS is an explicit duration for ops issued by time rather than
+	// by work (CPU OptSteps, and every op of a baseline's plan).
 	DurNS sim.Time `json:"dur_ns,omitempty"`
 	// Write selects the NVMeStage direction: true spills to storage,
 	// false restages into the host ring.

@@ -61,8 +61,8 @@ type RunReport struct {
 	SamplesPerSec float64 `json:"samples_per_sec"`
 	TFLOPS        float64 `json:"tflops"`
 	Overlap       float64 `json:"overlap"`
-	// Degraded-mode counters (zero on the clean run and for baselines,
-	// which have no reissue path).
+	// Degraded-mode counters (zero on the clean run; baselines never
+	// re-solve a window, but they reissue dropped copies).
 	Retries        uint64 `json:"retries,omitempty"`
 	DeadlineMisses uint64 `json:"deadline_misses,omitempty"`
 	WindowResolves uint64 `json:"window_resolves,omitempty"`

@@ -167,7 +167,7 @@ func (r WhatIfRequest) Canonicalize() (WhatIfRequest, error) {
 		return r, err
 	}
 	info := modelcfg.Lookup(mustMethod(r.Method))
-	if !info.PlanDriven {
+	if !info.PlanDriven() {
 		return r, fmt.Errorf("whatif requires a plan-driven method, got %q", r.Method)
 	}
 	if strings.TrimSpace(r.Faults) == "" {

@@ -144,7 +144,7 @@ func TestWhatIfCanonical(t *testing.T) {
 	for name, body := range map[string]string{
 		"no plan":         `{"model":{"size_billions":5}}`,
 		"bad plan":        `{"faults":"h2d:warp(speed=9)"}`,
-		"not plan-driven": `{"method":"megatron","faults":"h2d:slow(at=0s,dur=1s,every=2s,factor=0.5)"}`,
+		"not plan-driven": `{"method":"zero-2","faults":"h2d:slow(at=0s,dur=1s,every=2s,factor=0.5)"}`,
 		"negative window": `{"faults":"h2d:slow(at=0s,dur=1s,every=2s,factor=0.5)","window":-1}`,
 	} {
 		if _, _, err := CanonicalWhatIf([]byte(body)); err == nil {

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Resource is a FIFO-serialized device: one task runs at a time, in
 // submission order. Copy engines, NVMe queues and per-core CPU queues
@@ -142,9 +145,26 @@ func NewPool(eng *Engine, name string, n int) *Pool {
 	if n <= 0 {
 		panic(fmt.Sprintf("sim: pool %s needs at least one worker, got %d", name, n))
 	}
+	// Each simulated machine builds a many-core pool per run, so the
+	// workers share one backing array and their names ("cpu[0]",
+	// "cpu[1]", ...) are substrings of one string.
+	var buf []byte
+	ends := make([]int, n)
+	for i := range ends {
+		buf = append(buf, name...)
+		buf = append(buf, '[')
+		buf = strconv.AppendInt(buf, int64(i), 10)
+		buf = append(buf, ']')
+		ends[i] = len(buf)
+	}
+	names := string(buf)
+	slab := make([]Resource, n)
 	p := &Pool{workers: make([]*Resource, n)}
-	for i := range p.workers {
-		p.workers[i] = NewResource(eng, fmt.Sprintf("%s[%d]", name, i))
+	start := 0
+	for i := range slab {
+		slab[i] = Resource{eng: eng, name: names[start:ends[i]]}
+		p.workers[i] = &slab[i]
+		start = ends[i]
 	}
 	return p
 }

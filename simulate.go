@@ -149,7 +149,7 @@ func Simulate(c SimConfig) (SimResult, error) {
 	if info == nil {
 		return SimResult{}, fmt.Errorf("stronghold: unknown method %v", c.Method)
 	}
-	if c.Faults != "" && !info.PlanDriven {
+	if c.Faults != "" && !info.PlanDriven() {
 		return SimResult{}, fmt.Errorf("stronghold: fault injection requires a plan-driven method, got %v", c.Method)
 	}
 	m := perf.NewModel(cfg, plat)

@@ -60,8 +60,9 @@ func TestSimulateFaults(t *testing.T) {
 }
 
 // TestSimulateFaultsValidation pins the API contract: malformed plans
-// and closed-form methods are rejected before any simulation runs,
-// while plan-driven baselines accept fault plans and degrade.
+// and the cluster methods, which do not run on plans, are rejected
+// before any simulation runs, while plan-driven baselines accept fault
+// plans and degrade.
 func TestSimulateFaultsValidation(t *testing.T) {
 	_, err := Simulate(SimConfig{
 		SizeBillions: 1.7, Platform: V100, Method: Stronghold,
@@ -72,11 +73,11 @@ func TestSimulateFaultsValidation(t *testing.T) {
 	}
 
 	_, err = Simulate(SimConfig{
-		SizeBillions: 1.7, Platform: V100, Method: Megatron,
+		SizeBillions: 3, BatchSize: 1, Platform: A10Cluster, Method: ZeRO2,
 		Faults: "h2d:stall(at=0s,dur=1ms,every=1s)",
 	})
 	if err == nil || !strings.Contains(err.Error(), "plan-driven method") {
-		t.Errorf("closed-form method with faults not rejected: %v", err)
+		t.Errorf("cluster method with faults not rejected: %v", err)
 	}
 }
 
