@@ -257,7 +257,7 @@ func (r *iterRun) resize(newM int) {
 		}
 		return
 	}
-	patch.Apply(&schedEnv{r: r, tr: r.faultTr})
+	patch.Apply(r.machine.Eng, &schedEnv{r: r, tr: r.faultTr})
 	r.window = newM
 	if mc := r.e.Metrics; mc != nil {
 		mc.SetWindow(r.machine.Eng.Now(), newM)

@@ -92,11 +92,11 @@ type Engine struct {
 	// Deprecated: has no effect.
 	Workers int
 	// Metrics, when non-nil, collects the run's virtual-time metrics:
-	// it is installed as the sim engine's Observer and the machine's
-	// TransferObserver, and the engine feeds it window/optimizer/fault
-	// events from its own scheduling paths. Same contract as
-	// fault.SetStretch: nil (the default) leaves every schedule and
-	// trace byte-for-byte identical to an engine without the field.
+	// it is installed as the sim engine's Observer, and the engine feeds
+	// it transfer, window, optimizer and fault events from its own
+	// scheduling paths. Same contract as fault.SetStretch: nil (the
+	// default) leaves every schedule and trace byte-for-byte identical
+	// to an engine without the field.
 	Metrics *metrics.Collector
 
 	// planOverride substitutes a hand-built schedule for the planner's
@@ -371,7 +371,6 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 	}
 	if e.Metrics != nil {
 		eng.SetObserver(e.Metrics)
-		machine.Xfer = e.Metrics
 		e.Metrics.SetWindow(0, window)
 	}
 	// In degraded mode the buffer pool is sized for the largest window
@@ -459,9 +458,12 @@ type iterRun struct {
 	machine *hw.Machine
 	window  int
 	streams []*hw.Stream
-	lt      perf.LayerTimes
-	util    float64 // per-worker kernel utilization
-	n       int
+	// order[q] is GPU stream q's issue order, which the plan executor
+	// enforces across iterations.
+	order []plan.Stream
+	lt    perf.LayerTimes
+	util  float64 // per-worker kernel utilization
+	n     int
 
 	// optDone[i] is the signal that layer i's parameters are updated
 	// and ready for the next iteration's prefetch.
@@ -541,6 +543,7 @@ func newIterRun(e *Engine, machine *hw.Machine, window, bufWindow, streams int) 
 	for s := 0; s < streams; s++ {
 		r.streams = append(r.streams, machine.NewStream(fmt.Sprintf("worker%d", s)))
 	}
+	r.order = make([]plan.Stream, streams)
 	// Window buffer management against the real device arena.
 	if e.Feat.UserLevelMemMgmt {
 		pool, err := mem.NewRoundRobinPool(machine.GPUMem, r.tensorBytes, (bufWindow+1)*tensorsPerLayer)
@@ -681,13 +684,12 @@ func (r *iterRun) releaseLayer(layer int) {
 	r.noteOccupancy()
 }
 
-// copyOp issues a Prefetch (H2D) or Offload (D2H) on its PCIe queue
-// once deps fire; under faults a copy that hits a blackout window is
-// reissued (submitWithRetry).
-func (r *iterRun) copyOp(op *plan.Op, deps []*sim.Signal, tr *trace.Trace) *sim.Signal {
+// copyOp issues a Prefetch (H2D) or Offload (D2H) on its PCIe queue;
+// under faults a copy that hits a blackout window is reissued
+// (submitWithRetry).
+func (r *iterRun) copyOp(op *plan.Op, tr *trace.Trace, done func()) {
 	h2d := op.Kind == plan.Prefetch
-	var sig *sim.Signal
-	done := func(start, end sim.Time) {
+	record := func(start, end sim.Time) {
 		if tr != nil {
 			kind := trace.KindD2H
 			track := "pcie-d2h"
@@ -697,45 +699,34 @@ func (r *iterRun) copyOp(op *plan.Op, deps []*sim.Signal, tr *trace.Trace) *sim.
 			tr.Add(trace.Span{Track: track, Name: op.Name, Kind: kind, Layer: op.Layer, Start: start, End: end})
 		}
 		if mc := r.e.Metrics; mc != nil {
-			// Core issues its PCIe copies on the raw queues rather than
-			// through the machine's Copy helpers, so the byte accounting
-			// the machine-level TransferObserver would do happens here.
 			channel := "pcie.d2h"
 			if h2d {
 				channel = "pcie.h2d"
 			}
 			mc.Transfer(channel, op.Bytes, start, end)
 		}
+		done()
 	}
-	eng := r.machine.Eng
 	res := r.machine.D2H
 	if h2d {
 		res = r.machine.H2D
 	}
 	dur := r.copyTime(op)
-	sig = sim.NewSignal(eng)
-	sim.WaitAll(eng, deps, func() {
-		if r.inj == nil {
-			res.Submit(dur, func(start, end sim.Time) {
-				done(start, end)
-				sig.Fire()
-			})
-			return
-		}
-		// Degraded mode: the copy may hit a blackout window and retry
-		// with virtual-time backoff; its observed time feeds the
-		// adaptive re-solve.
-		tg := fault.D2H
-		if h2d {
-			tg = fault.H2D
-		}
-		r.submitWithRetry(res, tg, dur, func(start, end, delayed sim.Time) {
-			r.observeCopy(op.Name, dur, start, end, delayed)
-			done(start, end)
-			sig.Fire()
-		})
+	if r.inj == nil {
+		res.Submit(dur, record)
+		return
+	}
+	// Degraded mode: the copy may hit a blackout window and retry with
+	// virtual-time backoff; its observed time feeds the adaptive
+	// re-solve.
+	tg := fault.D2H
+	if h2d {
+		tg = fault.H2D
+	}
+	r.submitWithRetry(res, tg, dur, func(start, end, delayed sim.Time) {
+		r.observeCopy(op.Name, dur, start, end, delayed)
+		record(start, end)
 	})
-	return sig
 }
 
 // copyTime is a copy op's occupancy of its PCIe queue: the op's DurNS
@@ -787,19 +778,21 @@ func (r *iterRun) iteration(tr *trace.Trace) *sim.Signal {
 	if p == nil {
 		return sim.FiredSignal(eng) // schedErr recorded; nothing to schedule
 	}
-	sigs := plan.Execute(p, &schedEnv{r: r, tr: tr})
+	sigs := plan.Execute(p, eng, &schedEnv{r: r, tr: tr})
 	// Resident head-of-model layers update on the GPU ("gpu adam
 	// resident", the plan's final op); their optDone just re-arms.
 	for i := 0; i < r.window && i < r.n; i++ {
 		r.optDone[i] = sim.FiredSignal(eng)
 	}
-	// Iteration completes when every stream's queue drains and the
-	// resident update lands.
+	// Iteration completes when every stream's last kernel and the
+	// resident update land.
 	endDeps := []*sim.Signal{sigs[len(sigs)-1]}
-	for _, s := range r.streams {
-		endDeps = append(endDeps, s.Barrier())
+	for q := range r.order {
+		endDeps = append(endDeps, r.order[q].Last())
 	}
-	return joinSignals(eng, endDeps)
+	end := sim.NewSignal(eng)
+	sim.WaitAll(eng, endDeps, end.Fire)
+	return end
 }
 
 // schedEnv runs plan ops on the simulated machine: kernels on GPU
@@ -843,104 +836,119 @@ func (ev *schedEnv) Export(op *plan.Op, sig *sim.Signal) {
 	}
 }
 
-func (ev *schedEnv) Issue(op *plan.Op, deps []*sim.Signal) *sim.Signal {
-	r := ev.r
-	eng := r.machine.Eng
+// Stream orders the kernels of each GPU stream; a timed run's FIFO
+// queues order their ops themselves.
+func (ev *schedEnv) Stream(op *plan.Op) *plan.Stream {
+	if ev.r.timed || !isKernel(op) {
+		return nil
+	}
+	return &ev.r.order[op.Queue]
+}
+
+// isKernel reports whether op runs on a compute queue.
+func isKernel(op *plan.Op) bool {
 	switch op.Kind {
 	case plan.ComputeFP, plan.ComputeBP:
-		return r.kernel(op, trace.KindCompute, deps, ev.tr)
+		return true
+	case plan.OptStep:
+		return op.GPU
+	}
+	return false
+}
+
+func (ev *schedEnv) Start(op *plan.Op, done func()) {
+	r := ev.r
+	switch op.Kind {
+	case plan.ComputeFP, plan.ComputeBP:
+		r.kernel(op, trace.KindCompute, ev.tr, done)
 	case plan.OptStep:
 		if op.GPU {
-			return r.kernel(op, trace.KindOptimize, deps, ev.tr)
+			r.kernel(op, trace.KindOptimize, ev.tr, done)
+		} else {
+			r.cpuOpt(op, ev.tr, done)
 		}
-		return r.cpuOpt(op.Name, op.Layer, op.DurNS, deps, ev.tr)
 	case plan.Prefetch, plan.Offload:
-		return r.copyOp(op, deps, ev.tr)
+		r.copyOp(op, ev.tr, done)
 	case plan.NVMeStage:
 		if r.timed {
-			return r.timedOp(r.machine.NVMeQ, op, trace.KindNVMe, deps, ev.tr)
+			r.timedOp(r.machine.NVMeQ, op, trace.KindNVMe, ev.tr, done)
+			return
 		}
+		nvme := r.machine.Spec.NVMe
+		dur := nvme.ReadTime(op.Bytes)
 		if op.Write {
-			return r.machine.NVMeWrite(op.Bytes, deps)
+			dur = nvme.WriteTime(op.Bytes)
 		}
-		return r.machine.NVMeRead(op.Bytes, deps)
-	case plan.BufAcquire:
-		layer := op.Layer
-		sig := sim.NewSignal(eng)
-		sim.WaitAll(eng, deps, func() {
-			if err := r.acquireLayer(layer); err != nil && r.schedErr == nil {
-				r.schedErr = err
+		r.machine.NVMeQ.Submit(dur, func(start, end sim.Time) {
+			if mc := r.e.Metrics; mc != nil {
+				mc.Transfer("nvme", op.Bytes, start, end)
 			}
-			sig.Fire()
+			done()
 		})
-		return sig
+	case plan.BufAcquire:
+		if err := r.acquireLayer(op.Layer); err != nil && r.schedErr == nil {
+			r.schedErr = err
+		}
+		done()
 	case plan.BufRelease:
-		layer := op.Layer
-		sig := sim.NewSignal(eng)
-		sim.WaitAll(eng, deps, func() {
-			r.releaseLayer(layer)
-			sig.Fire()
-		})
-		return sig
-	case plan.Join:
-		return joinSignals(eng, deps)
+		r.releaseLayer(op.Layer)
+		done()
+	default:
+		if r.schedErr == nil {
+			r.schedErr = fmt.Errorf("core: plan op %d has unknown kind %d", op.ID, op.Kind)
+		}
+		done()
 	}
-	if r.schedErr == nil {
-		r.schedErr = fmt.Errorf("core: plan op %d has unknown kind %d", op.ID, op.Kind)
-	}
-	return sim.FiredSignal(eng)
 }
 
 // kernel runs a compute op or GPU optimizer step on its queue — as
 // flops on a GPU stream, or for its DurNS on a timed run's FIFO queue —
 // and records its span.
-func (r *iterRun) kernel(op *plan.Op, kind trace.Kind, deps []*sim.Signal, tr *trace.Trace) *sim.Signal {
+func (r *iterRun) kernel(op *plan.Op, kind trace.Kind, tr *trace.Trace, done func()) {
 	if r.timed {
-		return r.timedOp(r.queues[op.Queue], op, kind, deps, tr)
+		r.timedOp(r.queues[op.Queue], op, kind, tr, done)
+		return
 	}
 	s := r.streams[op.Queue]
-	return s.Launch(op.Flops, r.util, deps, func(start, end sim.Time) {
+	s.Launch(op.Flops, r.util, func(start, end sim.Time) {
 		if tr != nil {
 			tr.Add(trace.Span{Track: s.Name(), Name: op.Name, Kind: kind, Layer: op.Layer, Start: start, End: end})
 		}
+		done()
 	})
 }
 
-// timedOp occupies res for exactly op.DurNS once deps fire, recording a
-// span on the resource's track.
-func (r *iterRun) timedOp(res *sim.Resource, op *plan.Op, kind trace.Kind, deps []*sim.Signal, tr *trace.Trace) *sim.Signal {
-	return res.SubmitAfter(deps, op.DurNS, func(start, end sim.Time) {
+// timedOp occupies res for exactly op.DurNS, recording a span on the
+// resource's track.
+func (r *iterRun) timedOp(res *sim.Resource, op *plan.Op, kind trace.Kind, tr *trace.Trace, done func()) {
+	res.Submit(op.DurNS, func(start, end sim.Time) {
 		if tr != nil {
 			tr.Add(trace.Span{Track: res.Name(), Name: op.Name, Kind: kind, Layer: op.Layer, Start: start, End: end})
 		}
+		done()
 	})
 }
 
 // cpuOpt submits one layer's Adam update to the optimizer pool (or, when
 // §III-E1 is off, to the pool's first worker: one serialized optimizer).
-func (r *iterRun) cpuOpt(name string, layer int, dur sim.Time, deps []*sim.Signal, tr *trace.Trace) *sim.Signal {
-	eng := r.machine.Eng
-	sig := sim.NewSignal(eng)
+func (r *iterRun) cpuOpt(op *plan.Op, tr *trace.Trace, done func()) {
 	record := func(start, end sim.Time) {
 		if tr != nil {
-			tr.Add(trace.Span{Track: "cpu-opt", Name: name, Kind: trace.KindOptimize, Layer: layer, Start: start, End: end})
+			tr.Add(trace.Span{Track: "cpu-opt", Name: op.Name, Kind: trace.KindOptimize, Layer: op.Layer, Start: start, End: end})
 		}
 		if mc := r.e.Metrics; mc != nil {
 			mc.OptDone(end)
 		}
-		sig.Fire()
+		done()
 	}
-	sim.WaitAll(eng, deps, func() {
-		if mc := r.e.Metrics; mc != nil {
-			mc.OptQueued(eng.Now())
-		}
-		if r.e.Feat.ConcurrentOptimizers {
-			r.machine.CPUPool.Submit(dur, record)
-		} else {
-			r.machine.CPUPool.Workers()[0].Submit(dur, record)
-		}
-	})
-	return sig
+	if mc := r.e.Metrics; mc != nil {
+		mc.OptQueued(r.machine.Eng.Now())
+	}
+	if r.e.Feat.ConcurrentOptimizers {
+		r.machine.CPUPool.Submit(op.DurNS, record)
+	} else {
+		r.machine.CPUPool.Workers()[0].Submit(op.DurNS, record)
+	}
 }
 
 // gpuOptFlops converts the HBM-bound resident-layer update into
@@ -955,14 +963,4 @@ func (e *Engine) gpuEmbedOptFlops(util float64) float64 {
 	bytes := float64(e.Model.Cfg.EmbeddingParams() / int64(e.Model.Cfg.ModelParallel) * modelcfg.BytesAdamTraffic)
 	sec := bytes / e.Model.Plat.GPU.MemBandwidth
 	return sec * util * e.Model.Plat.GPU.PeakFlops
-}
-
-// joinSignals returns a signal firing when all inputs fire.
-func joinSignals(eng *sim.Engine, sigs []*sim.Signal) *sim.Signal {
-	if len(sigs) == 1 {
-		return sigs[0]
-	}
-	out := sim.NewSignal(eng)
-	sim.WaitAll(eng, sigs, out.Fire)
-	return out
 }

@@ -57,7 +57,7 @@ func RunPlan(m perf.Model, it *plan.Iteration, tr *trace.Trace, faults *fault.Pl
 	if tr == nil {
 		tr = trace.New() // overlap is computed from the trace either way
 	}
-	plan.Execute(it, &schedEnv{r: r, tr: tr})
+	plan.Execute(it, eng, &schedEnv{r: r, tr: tr})
 	eng.Run()
 	if r.schedErr != nil {
 		res.OOM, res.OOMDetail = true, r.schedErr.Error()

@@ -69,6 +69,19 @@ type NVMeSpec struct {
 	LatencyNS int64
 }
 
+// ReadTime returns the virtual time of one read of the given size from
+// storage into host memory: the access latency plus the bytes at the
+// read bandwidth.
+func (n NVMeSpec) ReadTime(bytes int64) sim.Time {
+	return n.LatencyNS + sim.Time(float64(bytes)/n.ReadBW*1e9)
+}
+
+// WriteTime returns the virtual time of one write of the given size
+// from host memory to storage.
+func (n NVMeSpec) WriteTime(bytes int64) sim.Time {
+	return n.LatencyNS + sim.Time(float64(bytes)/n.WriteBW*1e9)
+}
+
 // NetworkSpec describes the cluster fabric.
 type NetworkSpec struct {
 	BandwidthPerLink float64 // bytes/s per node NIC

@@ -93,17 +93,6 @@ func (m Model) EmbeddingTime() sim.Time {
 	return sim.Time(m.Cfg.EmbeddingFlops() / rate * 1e9)
 }
 
-// NVMeRead and NVMeWrite return the staging times of one layer's
-// weights against the secondary-storage tier.
-func (m Model) NVMeRead() sim.Time {
-	return m.Plat.NVMe.LatencyNS + sim.Time(float64(m.Cfg.LayerWeightBytes())/m.Plat.NVMe.ReadBW*1e9)
-}
-
-// NVMeWrite returns one layer's weight+state write time to NVMe.
-func (m Model) NVMeWrite() sim.Time {
-	return m.Plat.NVMe.LatencyNS + sim.Time(float64(m.Cfg.LayerWeightBytes())/m.Plat.NVMe.WriteBW*1e9)
-}
-
 // IterationResult is what every training engine returns for one
 // simulated training iteration.
 type IterationResult struct {

@@ -92,10 +92,12 @@ func TestGPUOptimizerFasterThanCPU(t *testing.T) {
 func TestNVMeSlowerThanPCIe(t *testing.T) {
 	m := model1p7()
 	lt := m.Layer()
-	if m.NVMeRead() <= lt.C2G {
+	bytes := m.Cfg.LayerWeightBytes()
+	read, write := m.Plat.NVMe.ReadTime(bytes), m.Plat.NVMe.WriteTime(bytes)
+	if read <= lt.C2G {
 		t.Fatal("NVMe read must be slower than PCIe prefetch")
 	}
-	if m.NVMeWrite() <= m.NVMeRead() {
+	if write <= read {
 		t.Fatal("NVMe write must be slower than read")
 	}
 }

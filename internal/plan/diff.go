@@ -1,6 +1,10 @@
 package plan
 
-import "fmt"
+import (
+	"fmt"
+
+	"stronghold/internal/sim"
+)
 
 // Patch is the schedule delta between two plans for the same model at
 // different window sizes — what the adaptive scheduler applies at an
@@ -88,9 +92,9 @@ func Diff(a, b *Iteration) (*Patch, error) {
 	return p, nil
 }
 
-// Apply walks the patch ops through env, exactly like Execute walks an
-// iteration plan.
-func (p *Patch) Apply(env Env) { executeOps(p.Ops, env) }
+// Apply walks the patch ops through env on eng, exactly like Execute
+// walks an iteration plan.
+func (p *Patch) Apply(eng *sim.Engine, env Env) { executeOps(p.Ops, eng, env) }
 
 func residentSet(layers []int) map[int]bool {
 	s := make(map[int]bool, len(layers))

@@ -6,73 +6,195 @@ import (
 	"stronghold/internal/sim"
 )
 
-// recordEnv is a minimal Env that records the executor's walk: issue
-// order, dependency wiring and exports.
+// recordEnv is a minimal Env that records the executor's walk. Every op
+// runs for max(DurNS, 1) of virtual time: CPU optimizer steps on a
+// two-worker pool, everything else on its own timer. Kernels (ops with
+// a queue) are ordered on one Stream per queue.
 type recordEnv struct {
-	eng      *sim.Engine
-	issued   []ID
-	depCount map[ID]int
-	exported map[ExtDep]*sim.Signal
+	eng     *sim.Engine
+	pool    *sim.Pool
+	streams []Stream
+	// facts answers Resolve; a missing entry means the fact holds.
+	facts    map[ExtDep]*sim.Signal
+	walked   []ID // ops in the order the executor visited them
+	spans    map[ID][2]sim.Time
 	resolved []ExtDep
+	exported map[ExtDep]*sim.Signal
+	t        *testing.T
 }
 
-func newRecordEnv() *recordEnv {
+func newRecordEnv(t *testing.T, queues int) *recordEnv {
+	eng := sim.NewEngine()
 	return &recordEnv{
-		eng:      sim.NewEngine(),
-		depCount: map[ID]int{},
+		eng:      eng,
+		pool:     sim.NewPool(eng, "cpu", 2),
+		streams:  make([]Stream, queues),
+		facts:    map[ExtDep]*sim.Signal{},
+		spans:    map[ID][2]sim.Time{},
 		exported: map[ExtDep]*sim.Signal{},
+		t:        t,
 	}
 }
 
-func (e *recordEnv) Issue(op *Op, deps []*sim.Signal) *sim.Signal {
-	e.issued = append(e.issued, op.ID)
-	e.depCount[op.ID] = len(deps)
-	return sim.FiredSignal(e.eng)
+func (e *recordEnv) Start(op *Op, done func()) {
+	if _, dup := e.spans[op.ID]; dup {
+		e.t.Errorf("op %d started twice", op.ID)
+	}
+	record := func(start, end sim.Time) {
+		e.spans[op.ID] = [2]sim.Time{start, end}
+		done()
+	}
+	dur := max(op.DurNS, 1)
+	if op.Kind == OptStep && !op.GPU {
+		e.pool.Submit(dur, record)
+		return
+	}
+	start := e.eng.Now()
+	e.eng.Schedule(dur, func() { record(start, e.eng.Now()) })
 }
 
 func (e *recordEnv) Resolve(d ExtDep) *sim.Signal {
 	e.resolved = append(e.resolved, d)
-	return nil // already holds
+	return e.facts[d]
 }
 
 func (e *recordEnv) Export(op *Op, sig *sim.Signal) {
 	e.exported[ExtDep{Kind: op.Export, Layer: op.Layer}] = sig
 }
 
+func (e *recordEnv) Stream(op *Op) *Stream {
+	e.walked = append(e.walked, op.ID)
+	if op.Queue < 0 {
+		return nil
+	}
+	return &e.streams[op.Queue]
+}
+
+// factAt returns a fact signal that fires at virtual time at.
+func (e *recordEnv) factAt(at sim.Time) *sim.Signal {
+	s := sim.NewSignal(e.eng)
+	e.eng.Schedule(at, s.Fire)
+	return s
+}
+
 func TestExecuteWalksCanonicalOrder(t *testing.T) {
-	it := mustBuild(t, baseSpec())
-	env := newRecordEnv()
-	sigs := Execute(it, env)
+	spec := baseSpec()
+	spec.Queues = 2
+	it := mustBuild(t, spec)
+	env := newRecordEnv(t, it.Queues)
+	sigs := Execute(it, env.eng, env)
+	env.eng.Run()
 	if len(sigs) != len(it.Ops) {
 		t.Fatalf("got %d signals for %d ops", len(sigs), len(it.Ops))
 	}
-	if len(env.issued) != len(it.Ops) {
-		t.Fatalf("issued %d of %d ops", len(env.issued), len(it.Ops))
+	if len(env.walked) != len(it.Ops) {
+		t.Fatalf("walked %d of %d ops", len(env.walked), len(it.Ops))
 	}
-	for i, id := range env.issued {
+	for i, id := range env.walked {
 		if id != ID(i) {
-			t.Fatalf("op %d issued at position %d: not canonical order", id, i)
+			t.Fatalf("op %d walked at position %d: not canonical order", id, i)
 		}
 	}
+	lastOnQueue := map[int]ID{}
+	var wantExt int
 	for i := range it.Ops {
 		op := &it.Ops[i]
-		// Resolve returned nil for every Ext, so deps passed to Issue
-		// are exactly the in-plan edges (all signals non-nil here).
-		if got := env.depCount[op.ID]; got != len(op.Deps) {
-			t.Errorf("op %d got %d dep signals, want %d", op.ID, got, len(op.Deps))
+		wantExt += len(op.Ext)
+		if !sigs[i].Fired() {
+			t.Fatalf("op %d never completed", op.ID)
 		}
-		if op.Export != 0 {
-			if _, ok := env.exported[ExtDep{Kind: op.Export, Layer: op.Layer}]; !ok {
-				t.Errorf("op %d: export %s:L%d not published", op.ID, op.Export, op.Layer)
+		span, started := env.spans[op.ID]
+		if op.Kind == Join {
+			if started {
+				t.Errorf("join %d reached the environment", op.ID)
 			}
+			continue
+		}
+		if !started {
+			t.Fatalf("op %d never started", op.ID)
+		}
+		for _, d := range op.Deps {
+			if span[0] < sigs[d].FiredAt() {
+				t.Errorf("op %d started at %d before dep %d completed at %d", op.ID, span[0], d, sigs[d].FiredAt())
+			}
+		}
+		if op.Queue >= 0 {
+			if prev, ok := lastOnQueue[op.Queue]; ok && span[0] < sigs[prev].FiredAt() {
+				t.Errorf("op %d started at %d before its stream predecessor %d completed at %d",
+					op.ID, span[0], prev, sigs[prev].FiredAt())
+			}
+			lastOnQueue[op.Queue] = op.ID
+		}
+		if op.Export != 0 && env.exported[ExtDep{Kind: op.Export, Layer: op.Layer}] != sigs[i] {
+			t.Errorf("op %d: export %s:L%d not published with its signal", op.ID, op.Export, op.Layer)
+		}
+	}
+	for q, last := range lastOnQueue {
+		if env.streams[q].Last() != sigs[last] {
+			t.Errorf("stream %d does not end at its last kernel %d", q, last)
 		}
 	}
 	// Every external dependency in the plan reached Resolve.
-	var wantExt int
-	for i := range it.Ops {
-		wantExt += len(it.Ops[i].Ext)
-	}
 	if len(env.resolved) != wantExt {
 		t.Errorf("resolved %d external deps, plan carries %d", len(env.resolved), wantExt)
+	}
+}
+
+// TestExecuteGatesOnEveryDependency checks that an op starts only once
+// its in-plan deps, its Ext facts and its stream predecessor have all
+// fired, whichever resolves last.
+func TestExecuteGatesOnEveryDependency(t *testing.T) {
+	env := newRecordEnv(t, 2)
+	optDone := ExtDep{Kind: ExtOptDone, Layer: 0}
+	staged := ExtDep{Kind: ExtNVMeStaged, Layer: 0}
+	env.facts[optDone] = env.factAt(7)
+	env.facts[staged] = env.factAt(30)
+	it := &Iteration{Queues: 2, Ops: []Op{
+		{ID: 0, Kind: ComputeFP, Queue: 0, DurNS: 10},
+		{ID: 1, Kind: ComputeFP, Queue: 0, DurNS: 10}, // stream predecessor only
+		{ID: 2, Kind: Prefetch, Queue: -1, DurNS: 3, Ext: []ExtDep{optDone}},
+		{ID: 3, Kind: OptStep, Queue: -1, DurNS: 10, Deps: []ID{2}, Ext: []ExtDep{staged}},
+		{ID: 4, Kind: Join, Queue: -1, Deps: []ID{0}},
+		{ID: 5, Kind: Join, Queue: -1, Deps: []ID{1, 3}},
+		{ID: 6, Kind: ComputeBP, Queue: 1, DurNS: 1, Deps: []ID{5}},
+	}}
+	sigs := Execute(it, env.eng, env)
+	env.eng.Run()
+	for id, want := range map[ID][2]sim.Time{
+		0: {0, 10},
+		1: {10, 20}, // waits for op 0 on stream 0
+		2: {7, 10},  // waits for the ExtOptDone fact
+		3: {30, 40}, // dep 2 done at 10, ExtNVMeStaged at 30
+		6: {40, 41}, // the two-input join fires at 40; stream 1 is idle
+	} {
+		if got := env.spans[id]; got != want {
+			t.Errorf("op %d ran %v, want %v", id, got, want)
+		}
+	}
+	if sigs[4] != sigs[0] {
+		t.Error("a join with one dependency must alias that dependency's signal")
+	}
+	if !sigs[5].Fired() || sigs[5].FiredAt() != 40 {
+		t.Errorf("two-input join fired at %d, want 40", sigs[5].FiredAt())
+	}
+}
+
+// TestExecutePicksPoolWorkerOnResolve checks that an op dispatched to a
+// worker pool picks its worker when its dependencies resolve, not when
+// it is issued.
+func TestExecutePicksPoolWorkerOnResolve(t *testing.T) {
+	env := newRecordEnv(t, 0)
+	env.pool.Submit(10, nil) // worker 0 busy until 10
+	env.pool.Submit(20, nil) // worker 1 busy until 20
+	// At t=2 a 50ns task lands on worker 0 (free first), keeping it
+	// busy until 60: an issue-time pick would have chosen worker 0.
+	env.eng.Schedule(2, func() { env.pool.Submit(50, nil) })
+	dep := ExtDep{Kind: ExtOptDone, Layer: 0}
+	env.facts[dep] = env.factAt(5)
+	it := &Iteration{Ops: []Op{{ID: 0, Kind: OptStep, Queue: -1, DurNS: 10, Ext: []ExtDep{dep}}}}
+	Execute(it, env.eng, env)
+	env.eng.Run()
+	if got, want := env.spans[0], [2]sim.Time{20, 30}; got != want {
+		t.Fatalf("optimizer step ran %v, want %v on the worker free first at resolve time", got, want)
 	}
 }

@@ -4,10 +4,11 @@
 // edges, layer tags and deterministic op IDs. The planner (build.go)
 // lowers a window decision and feature set into a plan; the validator
 // (validate.go) checks the scheduling invariants on the IR before any
-// simulation; the executor (exec.go) walks a plan and issues the
-// simulated work through an environment interface — core's, which runs
-// STRONGHOLD's flop- and byte-costed plans and the baselines'
-// explicit-duration plans alike. diff.go turns two plans for adjacent
+// simulation; the executor (exec.go) walks a plan, owns every
+// dependency wait, and starts each op's simulated work through an
+// environment interface once its dependencies have fired — core's
+// environment, which runs STRONGHOLD's flop- and byte-costed plans and
+// the baselines' explicit-duration plans alike. diff.go turns two plans for adjacent
 // window sizes into the prefetch/offload patch the adaptive scheduler
 // applies at iteration boundaries.
 package plan

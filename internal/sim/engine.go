@@ -137,29 +137,9 @@ func (e *Engine) Run() Time {
 	return e.now
 }
 
-// RunUntil executes events with timestamps <= deadline, advancing the
-// clock to exactly deadline, and reports whether the queue drained.
-//
-//vet:hotpath
-func (e *Engine) RunUntil(deadline Time) bool {
-	for len(e.pending) > 0 && e.pending[0].at <= deadline {
-		ev := e.pending.pop()
-		e.now = ev.at
-		e.steps++
-		ev.fn()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return len(e.pending) == 0
-}
-
 // Steps returns the number of events executed so far (a determinism and
 // progress diagnostic).
 func (e *Engine) Steps() uint64 { return e.steps }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.pending) }
 
 // Seconds converts a virtual duration to float seconds.
 func Seconds(d Time) float64 { return float64(d) / float64(time.Second) }

@@ -96,24 +96,6 @@ func (r *Resource) Submit(duration Time, done func(start, end Time)) Time {
 	return end
 }
 
-// SubmitAfter enqueues a task that additionally waits for all deps to
-// fire before claiming the resource. FIFO order among SubmitAfter calls
-// is not guaranteed — ordering is by dependency resolution, which is how
-// CUDA streams with cross-stream events behave. It returns a Signal
-// fired at task completion.
-func (r *Resource) SubmitAfter(deps []*Signal, duration Time, done func(start, end Time)) *Signal {
-	sig := NewSignal(r.eng)
-	WaitAll(r.eng, deps, func() {
-		r.Submit(duration, func(start, end Time) {
-			if done != nil {
-				done(start, end)
-			}
-			sig.Fire()
-		})
-	})
-	return sig
-}
-
 // BusyUntil returns the time at which all currently queued work
 // completes.
 func (r *Resource) BusyUntil() Time { return r.busyUntil }
@@ -180,22 +162,6 @@ func (p *Pool) Workers() []*Resource { return p.workers }
 // worker's completion time.
 func (p *Pool) Submit(duration Time, done func(start, end Time)) Time {
 	return p.pick().Submit(duration, done)
-}
-
-// SubmitAfter dispatches a task that first waits on deps; the worker is
-// chosen when the dependencies resolve.
-func (p *Pool) SubmitAfter(deps []*Signal, duration Time, done func(start, end Time)) *Signal {
-	eng := p.workers[0].eng
-	sig := NewSignal(eng)
-	WaitAll(eng, deps, func() {
-		p.pick().Submit(duration, func(start, end Time) {
-			if done != nil {
-				done(start, end)
-			}
-			sig.Fire()
-		})
-	})
-	return sig
 }
 
 func (p *Pool) pick() *Resource {

@@ -30,7 +30,6 @@ type spTask struct {
 	remaining float64
 	maxRate   float64
 	rate      float64
-	sig       *Signal
 	started   Time
 	onDone    func(start, end Time)
 }
@@ -50,11 +49,11 @@ func (sp *SharedProcessor) Capacity() float64 { return sp.capacity }
 // ActiveTasks returns the number of currently running tasks.
 func (sp *SharedProcessor) ActiveTasks() int { return len(sp.active) }
 
-// Submit starts a task of the given amount of work once deps fire. The
-// task's consumption is capped at maxRate work/s (values above the
-// processor capacity are clamped). Returns a Signal fired at task
-// completion.
-func (sp *SharedProcessor) Submit(work, maxRate float64, deps []*Signal, onDone func(start, end Time)) *Signal {
+// Submit starts a task of the given amount of work now. The task's
+// consumption is capped at maxRate work/s (values above the processor
+// capacity are clamped). onDone, which may be nil, is invoked at
+// completion with the task's start and end times.
+func (sp *SharedProcessor) Submit(work, maxRate float64, onDone func(start, end Time)) {
 	if work < 0 {
 		panic(fmt.Sprintf("sim: shared processor %s got negative work", sp.name))
 	}
@@ -62,15 +61,10 @@ func (sp *SharedProcessor) Submit(work, maxRate float64, deps []*Signal, onDone 
 		panic(fmt.Sprintf("sim: shared processor %s got non-positive maxRate", sp.name))
 	}
 	maxRate = math.Min(maxRate, sp.capacity)
-	sig := NewSignal(sp.eng)
-	WaitAll(sp.eng, deps, func() {
-		sp.advance()
-		t := &spTask{remaining: work, maxRate: maxRate, sig: sig, started: sp.eng.Now(), onDone: onDone}
-		sp.active = append(sp.active, t)
-		sp.tasks++
-		sp.reschedule()
-	})
-	return sig
+	sp.advance()
+	sp.active = append(sp.active, &spTask{remaining: work, maxRate: maxRate, started: sp.eng.Now(), onDone: onDone})
+	sp.tasks++
+	sp.reschedule()
 }
 
 // advance drains elapsed virtual time into remaining-work accounting.
@@ -110,12 +104,6 @@ func (sp *SharedProcessor) reschedule() {
 		if t.onDone != nil {
 			t.onDone(t.started, now)
 		}
-		t.sig.Fire()
-	}
-	if len(finished) > 0 {
-		// Completions may have released waiters that submitted new
-		// work synchronously; allocation below covers the final set.
-		_ = finished
 	}
 	sp.waterFill()
 	sp.gen++
