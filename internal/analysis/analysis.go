@@ -350,7 +350,6 @@ func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		SimTime,
 		EnginePure,
-		DroppedSignal,
 		BufDiscipline,
 		AnyStyle,
 		MapOrder,

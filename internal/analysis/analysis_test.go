@@ -134,22 +134,6 @@ func TestEngineCaptures(t *testing.T) {
 	runFixtureSet(t, loader, EnginePure, "enginecapture_clean", "enginecapture_helper")
 }
 
-func TestDroppedSignal(t *testing.T) {
-	loader := newTestLoader(t)
-	runFixture(t, loader, DroppedSignal, "droppedsignal_bad")
-	runFixture(t, loader, DroppedSignal, "droppedsignal_clean")
-}
-
-// TestDroppedSignalRetryPattern covers the degraded-mode retry idiom:
-// a reissued transfer must chain its completion into the stable relay
-// signal consumers hold; dropping the reissue deletes the dependency
-// edge exactly when a fault fires.
-func TestDroppedSignalRetryPattern(t *testing.T) {
-	loader := newTestLoader(t)
-	runFixture(t, loader, DroppedSignal, "retry_bad")
-	runFixture(t, loader, DroppedSignal, "retry_clean")
-}
-
 func TestBufDiscipline(t *testing.T) {
 	loader := newTestLoader(t)
 	runFixture(t, loader, BufDiscipline, "bufdiscipline_bad")
@@ -222,7 +206,7 @@ func TestMapOrderChain(t *testing.T) {
 // and on the preceding line. Only the unannotated violation survives.
 func TestSuppression(t *testing.T) {
 	loader := newTestLoader(t)
-	runFixture(t, loader, DroppedSignal, "suppress")
+	runFixture(t, loader, SimTime, "suppress")
 }
 
 // TestUnusedIgnores: a marker that suppresses a real finding is used; a
@@ -285,7 +269,7 @@ func TestRealTreeIsClean(t *testing.T) {
 // TestDefaultAnalyzers pins the published rule set.
 func TestDefaultAnalyzers(t *testing.T) {
 	want := []string{
-		"simtime", "enginepure", "droppedsignal", "bufdiscipline", "anystyle",
+		"simtime", "enginepure", "bufdiscipline", "anystyle",
 		"maporder", "wallclock", "seedflow", "errdrop",
 		"hotalloc", "boxing", "deferloop",
 	}

@@ -197,8 +197,8 @@ var sinkMethods = map[string]map[string]map[string]bool{
 	},
 	simPkgSuffix: {
 		"Engine":   {"Schedule": true, "At": true},
-		"Resource": {"Submit": true, "SubmitAfter": true},
-		"Pool":     {"Submit": true, "SubmitAfter": true},
+		"Resource": {"Submit": true},
+		"Pool":     {"Submit": true},
 		"Signal":   {"Fire": true, "Wait": true},
 	},
 	memPkgSuffix: {

@@ -6,12 +6,13 @@ package enginepure_clean
 
 import "stronghold/internal/sim"
 
-// Chain expresses a dependency with signals, the sanctioned mechanism.
+// Chain expresses a dependency with a completion callback, the
+// sanctioned mechanism.
 func Chain(eng *sim.Engine, r *sim.Resource) sim.Time {
-	first := r.SubmitAfter(nil, 10, nil)
-	second := r.SubmitAfter([]*sim.Signal{first}, 5, nil)
 	var end sim.Time
-	second.Wait(func() { end = eng.Now() })
+	r.Submit(10, func(_, _ sim.Time) {
+		r.Submit(5, func(_, e sim.Time) { end = e })
+	})
 	eng.Run()
 	return end
 }
