@@ -87,9 +87,9 @@ type chanState struct {
 }
 
 // Collector accumulates deterministic virtual-time metrics. It
-// implements sim.Observer and hw.TransferObserver structurally (their
-// Time parameters are int64 aliases), plus the explicit hooks the core
-// engine calls on its scheduling paths. The zero collector from New is
+// implements sim.Observer structurally (its Time parameters are int64
+// aliases), plus the explicit hooks the core engine calls on its
+// scheduling paths. The zero collector from New is
 // ready to use; a nil *Collector must never be installed — the
 // convention everywhere is "nil collector field = metrics off".
 type Collector struct {
@@ -230,8 +230,8 @@ func (c *Collector) ProcTask(proc string, start, end int64, active int) {
 	c.add(FamProcBusyNS, label, float64(end-start))
 }
 
-// Transfer implements hw.TransferObserver and doubles as the core
-// engine's byte-accounting hook for its own PCIe copies.
+// Transfer is the core engine's byte-accounting hook: it records one
+// completed PCIe or NVMe copy of the given size on its channel.
 //
 //vet:hotpath
 func (c *Collector) Transfer(channel string, bytes, start, end int64) {

@@ -3,9 +3,9 @@
 // the discrete-event clock, plus time-series "timelines" (per-resource
 // busy fraction, queue depth, transfer bandwidth, working-window
 // occupancy m(t), optimizer-pool backlog). A Collector implements the
-// sim.Observer and hw.TransferObserver hook interfaces — structurally,
-// without importing either package, since sim.Time is an int64 alias —
-// so the package has no dependency on the simulation it measures.
+// sim.Observer hook interface — structurally, without importing sim,
+// since sim.Time is an int64 alias — so the package has no dependency
+// on the simulation it measures.
 //
 // Everything here is single-goroutine by the same contract as the
 // engine itself, and every export (Prometheus text exposition, JSON,
