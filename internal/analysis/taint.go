@@ -196,21 +196,17 @@ var sinkMethods = map[string]map[string]map[string]bool{
 		"Trace": {"Add": true},
 	},
 	simPkgSuffix: {
-		"Engine":   {"Schedule": true, "At": true},
-		"Resource": {"Submit": true},
-		"Pool":     {"Submit": true},
-		"Signal":   {"Fire": true, "Wait": true},
+		"Engine":          {"Schedule": true, "At": true},
+		"Resource":        {"Submit": true},
+		"Pool":            {"Submit": true},
+		"SharedProcessor": {"Submit": true},
+		"Signal":          {"Fire": true, "Set": true, "Wake": true, "Wait": true},
 	},
 	memPkgSuffix: {
 		"Arena":            {"Alloc": true, "MustAlloc": true, "Release": true},
 		"CachingAllocator": {"Get": true, "Put": true, "ReleaseAll": true},
 		"RoundRobinPool":   {"Acquire": true, "Release": true, "Grow": true, "Destroy": true},
 	},
-}
-
-// sinkPkgFuncs are package-level sink functions (pkg suffix → name).
-var sinkPkgFuncs = map[string]map[string]bool{
-	simPkgSuffix: {"WaitAll": true},
 }
 
 // resultStructs are the result types whose field writes are sinks
@@ -235,15 +231,6 @@ func scanSinkOps(info *types.Info, root ast.Node, report siteFn) {
 							short := suffix[strings.LastIndex(suffix, "/")+1:]
 							report(n.Pos(), fmt.Sprintf("order-sensitive sink %s.%s.%s", short, obj.Name(), meth))
 						}
-					}
-				}
-			}
-			if sel, ok := unparen(n.Fun).(*ast.SelectorExpr); ok {
-				pkgPath, name := pkgFuncUseInfo(info, sel)
-				for suffix, names := range sinkPkgFuncs {
-					if strings.HasSuffix(pkgPath, suffix) && names[name] {
-						short := suffix[strings.LastIndex(suffix, "/")+1:]
-						report(n.Pos(), fmt.Sprintf("order-sensitive sink %s.%s", short, name))
 					}
 				}
 			}

@@ -26,7 +26,7 @@ func Hand(r *sim.Resource) {
 	go drive(r) // want "goroutine receives sim.Resource"
 }
 
-func drive(r *sim.Resource) { r.Submit(1, nil) }
+func drive(r *sim.Resource) { r.Submit(1, nil, 0) }
 
 // Spin starts a goroutine with no engine contact — still illegal in an
 // engine-owning file.

@@ -155,10 +155,13 @@ func (r *iterRun) observeCopy(name string, nominal, start, end, delayed sim.Time
 	}
 }
 
-// submitWithRetry issues a transfer on res unless its fault target is
-// inside a blackout window; then it backs off exponentially in virtual
-// time and reissues. After MaxRetries the transfer is forced through.
-func (r *iterRun) submitWithRetry(res *sim.Resource, tg fault.Target, dur sim.Time, done func(start, end, delayed sim.Time)) {
+// submitWithRetry issues op's transfer on res unless its fault target
+// is inside a blackout window; then it backs off exponentially in
+// virtual time and reissues. After MaxRetries the transfer is forced
+// through. Its completion reports the observed time before the op's
+// usual span and metrics.
+func (ev *schedEnv) submitWithRetry(res *sim.Resource, tg fault.Target, dur sim.Time, id plan.ID) {
+	r := ev.r
 	eng := r.machine.Eng
 	var attempt func(try int, delayed sim.Time)
 	attempt = func(try int, delayed sim.Time) {
@@ -180,9 +183,22 @@ func (r *iterRun) submitWithRetry(res *sim.Resource, tg fault.Target, dur sim.Ti
 			eng.Schedule(backoff, func() { attempt(try+1, delayed+backoff) })
 			return
 		}
-		res.Submit(dur, func(start, end sim.Time) { done(start, end, delayed) })
+		res.Submit(dur, &observedCopy{ev: ev, nominal: dur, delayed: delayed}, int32(id))
 	}
 	attempt(0, 0)
+}
+
+// observedCopy completes a degraded-mode copy: it feeds the transfer's
+// observed time to the adaptive re-solve, then completes the op as
+// usual.
+type observedCopy struct {
+	ev               *schedEnv
+	nominal, delayed sim.Time
+}
+
+func (o *observedCopy) Complete(tag int32, start, end sim.Time) {
+	o.ev.r.observeCopy(o.ev.run.Op(plan.ID(tag)).Name, o.nominal, start, end, o.delayed)
+	o.ev.Complete(tag, start, end)
 }
 
 // adaptWindow runs at each iteration boundary in degraded mode: if the

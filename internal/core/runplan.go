@@ -57,7 +57,8 @@ func RunPlan(m perf.Model, it *plan.Iteration, tr *trace.Trace, faults *fault.Pl
 	if tr == nil {
 		tr = trace.New() // overlap is computed from the trace either way
 	}
-	plan.Execute(it, eng, &schedEnv{r: r, tr: tr})
+	env := &schedEnv{r: r, tr: tr}
+	plan.Execute(plan.Compile(it.Ops, env), eng, env)
 	eng.Run()
 	if r.schedErr != nil {
 		res.OOM, res.OOMDetail = true, r.schedErr.Error()

@@ -84,10 +84,10 @@ func copyTime(m *Machine, bytes int64, pinned bool) sim.Time {
 
 func TestCopyDurationPinnedFaster(t *testing.T) {
 	_, m := newTestMachine(t)
-	tPinned := m.H2D.Submit(copyTime(m, 1*GB, true), nil)
+	tPinned := m.H2D.Submit(copyTime(m, 1*GB, true), nil, 0)
 
 	_, m2 := newTestMachine(t)
-	if m2.H2D.Submit(copyTime(m2, 1*GB, false), nil) <= tPinned {
+	if m2.H2D.Submit(copyTime(m2, 1*GB, false), nil, 0) <= tPinned {
 		t.Fatal("unpinned transfers must be slower")
 	}
 	// 1 GB at 12.8 GB/s ≈ 83.9 ms.
@@ -101,8 +101,8 @@ func TestCopyEnginesIndependent(t *testing.T) {
 	// H2D and D2H are separate DMA engines, so opposite-direction
 	// copies fully overlap.
 	_, m := newTestMachine(t)
-	a := m.H2D.Submit(copyTime(m, 1*GB, true), nil)
-	b := m.D2H.Submit(copyTime(m, 1*GB, true), nil)
+	a := m.H2D.Submit(copyTime(m, 1*GB, true), nil, 0)
+	b := m.D2H.Submit(copyTime(m, 1*GB, true), nil, 0)
 	if a != b {
 		t.Fatalf("opposite-direction copies should overlap: %d vs %d", a, b)
 	}
@@ -110,8 +110,8 @@ func TestCopyEnginesIndependent(t *testing.T) {
 
 func TestSameDirectionCopiesSerialize(t *testing.T) {
 	_, m := newTestMachine(t)
-	a := m.H2D.Submit(copyTime(m, 1*GB, true), nil)
-	b := m.H2D.Submit(copyTime(m, 1*GB, true), nil)
+	a := m.H2D.Submit(copyTime(m, 1*GB, true), nil, 0)
+	b := m.H2D.Submit(copyTime(m, 1*GB, true), nil, 0)
 	if b <= a {
 		t.Fatal("same-direction copies must serialize on the DMA engine")
 	}
@@ -119,20 +119,25 @@ func TestSameDirectionCopiesSerialize(t *testing.T) {
 
 func TestNVMeSlowerThanPCIe(t *testing.T) {
 	_, m := newTestMachine(t)
-	pcie := m.H2D.Submit(copyTime(m, 1*GB, true), nil)
-	nvme := m.NVMeQ.Submit(m.Spec.NVMe.ReadTime(1*GB), nil)
+	pcie := m.H2D.Submit(copyTime(m, 1*GB, true), nil, 0)
+	nvme := m.NVMeQ.Submit(m.Spec.NVMe.ReadTime(1*GB), nil, 0)
 	if nvme <= pcie {
 		t.Fatal("NVMe reads must be slower than PCIe copies (7 vs 12.8 GB/s)")
 	}
-	wr := m.NVMeQ.Submit(m.Spec.NVMe.WriteTime(1*GB), nil)
+	wr := m.NVMeQ.Submit(m.Spec.NVMe.WriteTime(1*GB), nil, 0)
 	if wr-nvme <= nvme {
 		t.Fatal("NVMe writes must be slower than reads")
 	}
 }
 
-// spanOf returns a completion callback recording a kernel's span.
-func spanOf(span *[2]sim.Time) func(start, end sim.Time) {
-	return func(start, end sim.Time) { *span = [2]sim.Time{start, end} }
+// doneFunc adapts a plain callback to sim.Completer for tests.
+type doneFunc func(start, end sim.Time)
+
+func (f doneFunc) Complete(_ int32, start, end sim.Time) { f(start, end) }
+
+// spanOf returns a completer recording a kernel's span.
+func spanOf(span *[2]sim.Time) sim.Completer {
+	return doneFunc(func(start, end sim.Time) { *span = [2]sim.Time{start, end} })
 }
 
 func TestStreamSerializesKernels(t *testing.T) {
@@ -142,10 +147,10 @@ func TestStreamSerializesKernels(t *testing.T) {
 	eng, m := newTestMachine(t)
 	s := m.NewStream("w0")
 	var first, second [2]sim.Time
-	s.Launch(15.7e12, 1.0, func(start, end sim.Time) { // 1s at full rate
+	s.Launch(15.7e12, 1.0, doneFunc(func(start, end sim.Time) { // 1s at full rate
 		first = [2]sim.Time{start, end}
-		s.Launch(15.7e12, 1.0, spanOf(&second))
-	})
+		s.Launch(15.7e12, 1.0, spanOf(&second), 0)
+	}), 0)
 	eng.Run()
 	if first[1] == 0 || second[1] == 0 {
 		t.Fatalf("kernels did not complete: %v %v", first, second)
@@ -163,7 +168,7 @@ func TestStreamLaunchDeps(t *testing.T) {
 	s := m.NewStream("w0")
 	dep := sim.NewSignal(eng)
 	var k [2]sim.Time
-	dep.Wait(func() { s.Launch(15.7e9, 1.0, spanOf(&k)) }) // 1ms kernel
+	dep.Wait(func() { s.Launch(15.7e9, 1.0, spanOf(&k), 0) }) // 1ms kernel
 	eng.Schedule(sim.Milliseconds(5), dep.Fire)
 	eng.Run()
 	if k[0] != sim.Milliseconds(5)+m.Spec.KernelLaunchNS {
@@ -180,8 +185,8 @@ func TestTwoStreamsShareGPU(t *testing.T) {
 	// finish in ~1s — the Fig. 11 multi-stream speedup mechanism.
 	eng, m := newTestMachine(t)
 	var a, b [2]sim.Time
-	m.NewStream("w0").Launch(15.7e12/2, 0.5, spanOf(&a))
-	m.NewStream("w1").Launch(15.7e12/2, 0.5, spanOf(&b))
+	m.NewStream("w0").Launch(15.7e12/2, 0.5, spanOf(&a), 0)
+	m.NewStream("w1").Launch(15.7e12/2, 0.5, spanOf(&b), 0)
 	eng.Run()
 	ta, tb := sim.Seconds(a[1]), sim.Seconds(b[1])
 	if ta == 0 || tb == 0 || ta > 1.1 || tb > 1.1 {
@@ -199,7 +204,7 @@ func TestStreamBadUtilizationPanics(t *testing.T) {
 					t.Fatal("expected panic")
 				}
 			}()
-			s.Launch(1, u, nil)
+			s.Launch(1, u, nil, 0)
 		}()
 	}
 }
@@ -209,8 +214,8 @@ func TestComputeAndCopyOverlap(t *testing.T) {
 	// parallel, so total time is max, not sum.
 	eng, m := newTestMachine(t)
 	var k [2]sim.Time
-	m.NewStream("w0").Launch(15.7e12, 1.0, spanOf(&k)) // ~1s compute
-	c := m.H2D.Submit(copyTime(m, 12*GB, true), nil)   // ~1s copy
+	m.NewStream("w0").Launch(15.7e12, 1.0, spanOf(&k), 0) // ~1s compute
+	c := m.H2D.Submit(copyTime(m, 12*GB, true), nil, 0)   // ~1s copy
 	eng.Run()
 	end := max(k[1], c)
 	if k[1] == 0 || sim.Seconds(end) > 1.2 {

@@ -65,11 +65,25 @@ func NewMachine(eng *sim.Engine, p Platform, pinnedBytes int64) (*Machine, error
 type Stream struct {
 	m    *Machine
 	name string
+	// pending holds launched kernels waiting out the launch latency.
+	// Every launch waits the same constant latency, so their events
+	// fire in launch order and start, cached in fire, pops the head.
+	pending sim.Ring[launch]
+	fire    func()
+}
+
+// launch is one kernel in flight through the launch latency.
+type launch struct {
+	flops, rate float64
+	c           sim.Completer
+	tag         int32
 }
 
 // NewStream creates a kernel queue.
 func (m *Machine) NewStream(name string) *Stream {
-	return &Stream{m: m, name: name}
+	s := &Stream{m: m, name: name}
+	s.fire = s.start
+	return s
 }
 
 // Name returns the stream's label.
@@ -78,12 +92,22 @@ func (s *Stream) Name() string { return s.name }
 // Launch starts a kernel of the given work (FLOPs) after the launch
 // latency, its consumption capped at utilization·peak — the fraction
 // of the SM array a kernel from this worker's batch shape can occupy.
-// onDone, if non-nil, is invoked at completion with the kernel's span.
-func (s *Stream) Launch(flops, utilization float64, onDone func(start, end sim.Time)) {
+// At completion c, if non-nil, receives Complete(tag, start, end) with
+// the kernel's span on the SM array.
+//
+//vet:hotpath
+func (s *Stream) Launch(flops, utilization float64, c sim.Completer, tag int32) {
 	if utilization <= 0 || utilization > 1 {
 		panic(fmt.Sprintf("hw: stream %s got utilization %v outside (0,1]", s.name, utilization))
 	}
-	s.m.Eng.Schedule(sim.Time(s.m.Spec.KernelLaunchNS), func() {
-		s.m.Compute.Submit(flops, utilization*s.m.Spec.GPU.PeakFlops, onDone)
-	})
+	s.pending.Push(launch{flops: flops, rate: utilization * s.m.Spec.GPU.PeakFlops, c: c, tag: tag})
+	s.m.Eng.Schedule(sim.Time(s.m.Spec.KernelLaunchNS), s.fire)
+}
+
+// start hands the oldest launched kernel to the SM array.
+//
+//vet:hotpath
+func (s *Stream) start() {
+	l := s.pending.Pop()
+	s.m.Compute.Submit(l.flops, l.rate, l.c, l.tag)
 }

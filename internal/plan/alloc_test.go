@@ -1,0 +1,71 @@
+package plan
+
+import (
+	"testing"
+
+	"stronghold/internal/sim"
+)
+
+// fifoEnv runs every op on one of two FIFO resources and completes it
+// through itself, tagged by op ID: the allocation-free way an
+// environment reports completions.
+type fifoEnv struct {
+	eng  *sim.Engine
+	res  [2]*sim.Resource
+	run  *Run
+	none Stream
+}
+
+func (e *fifoEnv) Start(op *Op, run *Run) {
+	if op.Kind == BufAcquire || op.Kind == BufRelease {
+		run.Done(op.ID)
+		return
+	}
+	e.res[op.ID&1].Submit(max(op.DurNS, 1), e, int32(op.ID))
+}
+
+func (e *fifoEnv) Complete(tag int32, _, _ sim.Time) { e.run.Done(ID(tag)) }
+func (e *fifoEnv) Resolve(ExtDep) *sim.Signal        { return nil }
+func (e *fifoEnv) Export(*Op, *sim.Signal)           {}
+func (e *fifoEnv) Stream(*Op) *Stream                { return nil }
+
+// rewind readies x for another walk of its plan, keeping its arrays.
+func (x *Run) rewind() {
+	clear(x.left)
+	x.issued, x.endLeft, x.end = 0, x.c.endDeps, nil
+}
+
+// TestZeroAllocHotPaths is the dynamic half of the HOTPATH.md contract:
+// on a warmed compiled plan whose dependencies all stay inside the
+// plan, issuing, starting, releasing and completing every op allocates
+// nothing. The static half is stronghold-vet's hotalloc rule over the
+// same functions.
+func TestZeroAllocHotPaths(t *testing.T) {
+	it := mustBuild(t, baseSpec())
+	ops := append([]Op(nil), it.Ops...)
+	for i := range ops {
+		ops[i].Ext, ops[i].Export = nil, 0 // keep every dependency in-plan
+	}
+	eng := sim.NewEngine()
+	env := &fifoEnv{eng: eng, res: [2]*sim.Resource{sim.NewResource(eng, "a"), sim.NewResource(eng, "b")}}
+	x := execute(Compile(ops, env), eng, env)
+	env.run = x
+	eng.Run() // warms the engine heap and the resources' rings
+	walk := func() {
+		x.rewind()
+		for i := range ops {
+			x.issue(int32(i))
+		}
+		eng.Run()
+	}
+	walk()
+	allocs := testing.AllocsPerRun(100, walk)
+	if allocs != 0 {
+		t.Fatalf("executing a warmed in-plan schedule allocates %.1f times per walk, want 0", allocs)
+	}
+	for i, left := range x.left {
+		if left != done {
+			t.Fatalf("op %d never completed", i)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 
 	"stronghold/internal/sim"
 )
@@ -115,32 +116,88 @@ func Build(s Spec) (*Iteration, error) {
 		// GPU while the next layer's chunk is in flight.
 		it.OptSlots = 2
 	}
+	resident := make([]int, 0, 2*min(m, n))
 	for i := 0; i < m && i < n; i++ {
-		it.EntryResident = append(it.EntryResident, i)
-		it.ExitResident = append(it.ExitResident, i)
+		resident = append(resident, i)
 	}
+	it.EntryResident = resident[:len(resident):len(resident)]
+	it.ExitResident = append(resident[len(resident):], resident...)
 
-	emit := func(op Op) ID {
+	// The op list and every op's Deps, Ext and Name are carved from
+	// exactly presized arenas (opCount, depCount, extCount), so a plan
+	// of any depth costs a handful of allocations. Deps and Ext are
+	// three-index slices: appending to one reallocates instead of
+	// overwriting its neighbour's.
+	nOps := s.opCount()
+	it.Ops = make([]Op, 0, nOps)
+	depArena := make([]ID, 0, s.depCount())
+	extArena := make([]ExtDep, 0, s.extCount())
+	ext := func(deps ...ExtDep) []ExtDep {
+		at := len(extArena)
+		extArena = append(extArena, deps...)
+		return extArena[at:len(extArena):len(extArena)]
+	}
+	names := make([]byte, 0, 16*nOps)
+	nameEnd := make([]int, 0, nOps)
+	emit := func(op Op, prefix, suffix string, deps ...ID) ID {
 		op.ID = ID(len(it.Ops))
+		if len(deps) > 0 {
+			at := len(depArena)
+			depArena = append(depArena, deps...)
+			op.Deps = depArena[at:len(depArena):len(depArena)]
+		}
+		names = append(names, prefix...)
+		if op.Layer >= 0 {
+			names = append(names, 'L')
+			names = strconv.AppendInt(names, int64(op.Layer), 10)
+		}
+		names = append(names, suffix...)
+		nameEnd = append(nameEnd, len(names))
 		it.Ops = append(it.Ops, op)
 		return op.ID
 	}
-	deps := func(ids ...ID) []ID { return append([]ID(nil), ids...) }
+	var scratch [4]ID // conditional dependency lists, copied by emit
 
 	// ---- Forward pass ----------------------------------------------
 	// The window holds layers 0..m-1 at entry; FP prefetches ahead of
 	// the compute front and offloads every layer except the last m.
 	embedOp := make([]ID, k)
 	for q := 0; q < k; q++ {
-		embedOp[q] = emit(Op{Kind: ComputeFP, Name: "fp embed", Layer: -1, Queue: q, Flops: s.EmbedFlops})
+		embedOp[q] = emit(Op{Kind: ComputeFP, Layer: -1, Queue: q, Flops: s.EmbedFlops}, "fp embed", "")
 	}
 
-	prefetchOp := make([]ID, n)   // -1 when the layer starts resident
-	fpKernelOp := make([][]ID, n) // per-queue forward kernels
-	fpOffloadOp := make([]ID, n)
-	fpReleaseOp := make([]ID, n)
-	for i := range prefetchOp {
-		prefetchOp[i], fpOffloadOp[i], fpReleaseOp[i] = -1, -1, -1
+	// Per-layer op IDs, -1 where the layer has none. fpKernelOp and
+	// bpKernelOp hold layer i's per-queue kernels at [i*k, (i+1)*k).
+	ids := make([]ID, 7*n+2*n*k)
+	prefetchOp := ids[0*n : 1*n] // -1 when the layer starts resident
+	fpOffloadOp := ids[1*n : 2*n]
+	fpReleaseOp := ids[2*n : 3*n]
+	bpPrefetchOp := ids[3*n : 4*n]
+	bpOffloadOp := ids[4*n : 5*n]
+	bpReleaseOp := ids[5*n : 6*n]
+	optOp := ids[6*n : 7*n]
+	fpKernelOp := ids[7*n : 7*n+n*k]
+	bpKernelOp := ids[7*n+n*k:]
+	for i := range ids[:7*n] {
+		ids[i] = -1
+	}
+	var gradSyncOp, momWBOp []ID
+	if s.GradSyncFlops > 0 {
+		gradSyncOp = make([]ID, n)
+	}
+	if s.OptGPUFrac > 0 {
+		momWBOp = make([]ID, n) // fractional placement: moment write-backs
+		for i := range momWBOp {
+			momWBOp[i] = -1
+		}
+	}
+	// bpDoneOp is what layer i's gradient offload waits on: its
+	// kernels, or the trailing all-reduce.
+	bpDoneOp := func(i int) []ID {
+		if gradSyncOp != nil {
+			return gradSyncOp[i : i+1]
+		}
+		return bpKernelOp[i*k : (i+1)*k]
 	}
 
 	for i := 0; i < n; i++ {
@@ -149,65 +206,57 @@ func Build(s Spec) (*Iteration, error) {
 		// recycles the buffer freed by layer j-m-1's post-forward
 		// offload; the first prefetch takes the spare slot.
 		if j := i + m; j < n {
-			acq := Op{Kind: BufAcquire, Name: fmt.Sprintf("acquire L%d", j), Layer: j, Queue: -1,
-				Bytes: s.BufBytes, Ext: []ExtDep{{Kind: ExtOptDone, Layer: j}}}
+			acq := Op{Kind: BufAcquire, Layer: j, Queue: -1, Bytes: s.BufBytes}
 			if s.NVMe {
-				acq.Ext = append(acq.Ext, ExtDep{Kind: ExtNVMeStaged, Layer: j})
+				acq.Ext = ext(ExtDep{Kind: ExtOptDone, Layer: j}, ExtDep{Kind: ExtNVMeStaged, Layer: j})
+			} else {
+				acq.Ext = ext(ExtDep{Kind: ExtOptDone, Layer: j})
 			}
+			d := scratch[:0]
 			if j > m {
-				acq.Deps = deps(fpReleaseOp[j-m-1])
+				d = append(d, fpReleaseOp[j-m-1])
 			}
-			acqID := emit(acq)
-			prefetchOp[j] = emit(Op{Kind: Prefetch, Name: fmt.Sprintf("prefetch L%d", j), Layer: j, Queue: -1,
-				Bytes: s.scaleBytes(j, s.WeightBytes), Deps: deps(acqID)})
+			acqID := emit(acq, "acquire ", "", d...)
+			prefetchOp[j] = emit(Op{Kind: Prefetch, Layer: j, Queue: -1,
+				Bytes: s.scaleBytes(j, s.WeightBytes)}, "prefetch ", "", acqID)
 		}
 		for q := 0; q < k; q++ {
-			op := Op{Kind: ComputeFP, Name: fmt.Sprintf("fp L%d", i), Layer: i, Queue: q,
-				Flops: s.FwdFlops * s.scale(i)}
+			op := Op{Kind: ComputeFP, Layer: i, Queue: q, Flops: s.FwdFlops * s.scale(i)}
+			d := scratch[:0]
 			if prefetchOp[i] >= 0 {
-				op.Deps = deps(prefetchOp[i])
+				d = append(d, prefetchOp[i])
 			} else {
-				op.Ext = []ExtDep{{Kind: ExtResident, Layer: i}}
+				op.Ext = ext(ExtDep{Kind: ExtResident, Layer: i})
 			}
 			if i == 0 {
-				op.Deps = append(op.Deps, embedOp[q])
+				d = append(d, embedOp[q])
 			}
 			if s.Sync && i > 0 && fpOffloadOp[i-1] >= 0 {
-				op.Deps = append(op.Deps, fpOffloadOp[i-1]) // allocator sync
+				d = append(d, fpOffloadOp[i-1]) // allocator sync
 			}
-			fpKernelOp[i] = append(fpKernelOp[i], emit(op))
+			fpKernelOp[i*k+q] = emit(op, "fp ", "", d...)
 		}
 		if i < n-m {
 			// post_forward(i): the computed layer's parameters and its
 			// activation checkpoint move back to the CPU (Fig. 3b ③);
 			// its buffers recycle once the copy lands.
-			fpOffloadOp[i] = emit(Op{Kind: Offload, Name: fmt.Sprintf("fp offload L%d", i), Layer: i, Queue: -1,
-				Bytes: s.scaleBytes(i, s.WeightBytes+s.CheckpointBytes), Deps: deps(fpKernelOp[i]...)})
-			fpReleaseOp[i] = emit(Op{Kind: BufRelease, Name: fmt.Sprintf("release L%d", i), Layer: i, Queue: -1,
-				Bytes: s.BufBytes, Deps: deps(fpOffloadOp[i])})
+			fpOffloadOp[i] = emit(Op{Kind: Offload, Layer: i, Queue: -1,
+				Bytes: s.scaleBytes(i, s.WeightBytes+s.CheckpointBytes)}, "fp offload ", "", fpKernelOp[i*k:(i+1)*k]...)
+			fpReleaseOp[i] = emit(Op{Kind: BufRelease, Layer: i, Queue: -1, Bytes: s.BufBytes},
+				"release ", "", fpOffloadOp[i])
 		}
 	}
 
 	headOp := make([]ID, k)
 	for q := 0; q < k; q++ {
-		headOp[q] = emit(Op{Kind: ComputeFP, Name: "fp head+loss", Layer: -1, Queue: q,
-			Flops: s.EmbedFlops, Deps: deps(fpKernelOp[n-1]...)})
+		headOp[q] = emit(Op{Kind: ComputeFP, Layer: -1, Queue: q, Flops: s.EmbedFlops},
+			"fp head+loss", "", fpKernelOp[(n-1)*k:n*k]...)
 	}
 
 	// ---- Backward pass ---------------------------------------------
 	// BP starts with layers n-m..n-1 resident, prefetches below the
 	// window front and offloads every layer except the first m —
 	// restoring the forward-entry invariant.
-	bpPrefetchOp := make([]ID, n)
-	bpDoneOp := make([][]ID, n) // kernels or the trailing all-reduce
-	bpOffloadOp := make([]ID, n)
-	bpReleaseOp := make([]ID, n)
-	optOp := make([]ID, n)
-	momWBOp := make([]ID, n) // fractional placement: moment write-backs
-	for i := range bpPrefetchOp {
-		bpPrefetchOp[i], bpOffloadOp[i], bpReleaseOp[i], optOp[i], momWBOp[i] = -1, -1, -1, -1, -1
-	}
-
 	for i := n - 1; i >= 0; i-- {
 		// pre_backward(i): restore the layer just outside the window in
 		// the BP direction (Fig. 3c ①) — weights plus the checkpoint
@@ -215,45 +264,42 @@ func Build(s Spec) (*Iteration, error) {
 		// layer j+m+1's BP release; the first BP prefetch takes the
 		// spare slot freed by the final FP offload.
 		if j := i - m; j >= 0 {
-			acq := Op{Kind: BufAcquire, Name: fmt.Sprintf("acquire L%d", j), Layer: j, Queue: -1,
-				Bytes: s.BufBytes, Deps: deps(fpReleaseOp[j])}
+			acq := Op{Kind: BufAcquire, Layer: j, Queue: -1, Bytes: s.BufBytes}
 			if s.NVMe {
-				acq.Ext = []ExtDep{{Kind: ExtNVMeStaged, Layer: j}}
+				acq.Ext = ext(ExtDep{Kind: ExtNVMeStaged, Layer: j})
 			}
+			d := append(scratch[:0], fpReleaseOp[j])
 			if j+m+1 <= n-1 {
-				acq.Deps = append(acq.Deps, bpReleaseOp[j+m+1])
+				d = append(d, bpReleaseOp[j+m+1])
 			}
-			acqID := emit(acq)
-			bpPrefetchOp[j] = emit(Op{Kind: Prefetch, Name: fmt.Sprintf("bp prefetch L%d", j), Layer: j, Queue: -1,
-				Bytes: s.scaleBytes(j, s.WeightBytes+s.CheckpointBytes), Deps: deps(acqID)})
+			acqID := emit(acq, "acquire ", "", d...)
+			bpPrefetchOp[j] = emit(Op{Kind: Prefetch, Layer: j, Queue: -1,
+				Bytes: s.scaleBytes(j, s.WeightBytes+s.CheckpointBytes)}, "bp prefetch ", "", acqID)
 		}
-		var kernels []ID
 		for q := 0; q < k; q++ {
-			op := Op{Kind: ComputeBP, Name: fmt.Sprintf("bp L%d", i), Layer: i, Queue: q,
-				Flops: s.BwdFlops * s.scale(i)}
+			op := Op{Kind: ComputeBP, Layer: i, Queue: q, Flops: s.BwdFlops * s.scale(i)}
+			d := scratch[:0]
 			if bpPrefetchOp[i] >= 0 {
-				op.Deps = deps(bpPrefetchOp[i])
+				d = append(d, bpPrefetchOp[i])
 			}
 			if i == n-1 {
-				op.Deps = append(op.Deps, headOp[q])
+				d = append(d, headOp[q])
 			}
 			if s.Sync && i < n-1 && bpOffloadOp[i+1] >= 0 {
-				op.Deps = append(op.Deps, bpOffloadOp[i+1])
+				d = append(d, bpOffloadOp[i+1])
 			}
 			if s.SingleOpt && i+1 < n && optOp[i+1] >= 0 {
 				// Without concurrent optimizers each layer's update runs
 				// synchronously between BP steps (§III-E1 off).
-				op.Deps = append(op.Deps, optOp[i+1])
+				d = append(d, optOp[i+1])
 			}
-			kernels = append(kernels, emit(op))
+			bpKernelOp[i*k+q] = emit(op, "bp ", "", d...)
 		}
-		bpDoneOp[i] = kernels
-		if s.GradSyncFlops > 0 {
+		if gradSyncOp != nil {
 			// Multi-queue gradient all-reduce over HBM before the
 			// layer's gradient offload (§IV-A).
-			sync := emit(Op{Kind: ComputeBP, Name: fmt.Sprintf("grad allreduce L%d", i), Layer: i, Queue: 0,
-				Flops: s.GradSyncFlops, Deps: deps(kernels...)})
-			bpDoneOp[i] = []ID{sync}
+			gradSyncOp[i] = emit(Op{Kind: ComputeBP, Layer: i, Queue: 0, Flops: s.GradSyncFlops},
+				"grad allreduce ", "", bpKernelOp[i*k:(i+1)*k]...)
 		}
 
 		if i >= m {
@@ -263,8 +309,8 @@ func Build(s Spec) (*Iteration, error) {
 			// chain: the executor registers completion callbacks in op
 			// order, and this order reproduces the engine's exact
 			// issue sequence.
-			bpOffloadOp[i] = emit(Op{Kind: Offload, Name: fmt.Sprintf("bp offload L%d", i), Layer: i, Queue: -1,
-				Bytes: s.scaleBytes(i, s.StateBytes), Deps: deps(bpDoneOp[i]...)})
+			bpOffloadOp[i] = emit(Op{Kind: Offload, Layer: i, Queue: -1,
+				Bytes: s.scaleBytes(i, s.StateBytes)}, "bp offload ", "", bpDoneOp(i)...)
 			if g := s.OptGPUFrac; g > 0 {
 				// Split update (co-optimized placement): the 1−g share runs
 				// on the CPU pool, the g share round-trips its moment chunk
@@ -272,38 +318,116 @@ func Build(s Spec) (*Iteration, error) {
 				// buffer recycles from the layer updated two steps earlier
 				// (OptSlots = 2), and both halves join before publishing
 				// ExtOptDone.
-				cpuOp := emit(Op{Kind: OptStep, Name: fmt.Sprintf("adam L%d cpu", i), Layer: i, Queue: -1, Frac: 1 - g,
-					DurNS: sim.Time(float64(s.OptDurNS) * s.scale(i) * (1 - g)), Deps: deps(bpOffloadOp[i])})
+				cpuOp := emit(Op{Kind: OptStep, Layer: i, Queue: -1, Frac: 1 - g,
+					DurNS: sim.Time(float64(s.OptDurNS) * s.scale(i) * (1 - g))}, "adam ", " cpu", bpOffloadOp[i])
 				momBytes := int64(g * float64(s.scaleBytes(i, s.MomentBytes)))
-				fetchDeps := deps(bpOffloadOp[i])
+				d := append(scratch[:0], bpOffloadOp[i])
 				if i+2 < n && momWBOp[i+2] >= 0 {
-					fetchDeps = append(fetchDeps, momWBOp[i+2])
+					d = append(d, momWBOp[i+2])
 				}
-				fetch := emit(Op{Kind: Prefetch, Name: fmt.Sprintf("mom fetch L%d", i), Layer: i, Queue: -1,
-					Frac: g, Bytes: momBytes, Deps: fetchDeps})
-				gpuOp := emit(Op{Kind: OptStep, Name: fmt.Sprintf("adam L%d gpu", i), Layer: i, Queue: 0, GPU: true,
-					Frac: g, Flops: g * s.GPUOptFlops * s.scale(i), Deps: deps(fetch)})
-				momWBOp[i] = emit(Op{Kind: Offload, Name: fmt.Sprintf("mom writeback L%d", i), Layer: i, Queue: -1,
-					Frac: g, Bytes: momBytes, Deps: deps(gpuOp)})
-				optOp[i] = emit(Op{Kind: Join, Name: fmt.Sprintf("opt join L%d", i), Layer: i, Queue: -1,
-					Deps: deps(cpuOp, momWBOp[i]), Export: ExtOptDone})
+				fetch := emit(Op{Kind: Prefetch, Layer: i, Queue: -1, Frac: g, Bytes: momBytes}, "mom fetch ", "", d...)
+				gpuOp := emit(Op{Kind: OptStep, Layer: i, Queue: 0, GPU: true,
+					Frac: g, Flops: g * s.GPUOptFlops * s.scale(i)}, "adam ", " gpu", fetch)
+				momWBOp[i] = emit(Op{Kind: Offload, Layer: i, Queue: -1, Frac: g, Bytes: momBytes},
+					"mom writeback ", "", gpuOp)
+				optOp[i] = emit(Op{Kind: Join, Layer: i, Queue: -1, Export: ExtOptDone},
+					"opt join ", "", cpuOp, momWBOp[i])
 			} else {
-				optOp[i] = emit(Op{Kind: OptStep, Name: fmt.Sprintf("adam L%d", i), Layer: i, Queue: -1,
-					DurNS: sim.Time(float64(s.OptDurNS) * s.scale(i)), Deps: deps(bpOffloadOp[i]), Export: ExtOptDone})
+				optOp[i] = emit(Op{Kind: OptStep, Layer: i, Queue: -1,
+					DurNS: sim.Time(float64(s.OptDurNS) * s.scale(i)), Export: ExtOptDone}, "adam ", "", bpOffloadOp[i])
 			}
 			if s.NVMe {
-				wr := emit(Op{Kind: NVMeStage, Name: fmt.Sprintf("nvme spill L%d", i), Layer: i, Queue: -1,
-					Write: true, Bytes: s.WeightBytes, Deps: deps(optOp[i])})
-				emit(Op{Kind: NVMeStage, Name: fmt.Sprintf("nvme restage L%d", i), Layer: i, Queue: -1,
-					Bytes: s.WeightBytes, Deps: deps(wr), Export: ExtNVMeStaged})
+				wr := emit(Op{Kind: NVMeStage, Layer: i, Queue: -1, Write: true, Bytes: s.WeightBytes},
+					"nvme spill ", "", optOp[i])
+				emit(Op{Kind: NVMeStage, Layer: i, Queue: -1, Bytes: s.WeightBytes, Export: ExtNVMeStaged},
+					"nvme restage ", "", wr)
 			}
-			bpReleaseOp[i] = emit(Op{Kind: BufRelease, Name: fmt.Sprintf("release L%d", i), Layer: i, Queue: -1,
-				Bytes: s.BufBytes, Deps: deps(bpOffloadOp[i])})
+			bpReleaseOp[i] = emit(Op{Kind: BufRelease, Layer: i, Queue: -1, Bytes: s.BufBytes},
+				"release ", "", bpOffloadOp[i])
 		}
 	}
 
 	// GPU-side updates: resident window layers plus embedding/head.
-	emit(Op{Kind: OptStep, Name: "gpu adam resident", Layer: -1, Queue: 0, GPU: true,
-		Flops: s.ResidentOptFlops, Deps: deps(bpDoneOp[0]...)})
+	emit(Op{Kind: OptStep, Layer: -1, Queue: 0, GPU: true, Flops: s.ResidentOptFlops},
+		"gpu adam resident", "", bpDoneOp(0)...)
+
+	// One string backs every op name, as sim.NewPool names its workers.
+	all := string(names)
+	start := 0
+	for i, end := range nameEnd {
+		it.Ops[i].Name = all[start:end]
+		start = end
+	}
 	return it, nil
+}
+
+// opCount is the exact number of ops Build emits for s: per queue the
+// embedding, head and every layer's forward and backward kernels, the
+// final resident update, an all-reduce per layer when enabled, and for
+// each of the n−m windowed layers its two acquire/prefetch pairs, two
+// offloads, two releases, its optimizer step (five ops when split
+// across CPU and GPU) and, with NVMe, a spill and a restage.
+func (s Spec) opCount() int {
+	n, k := s.Layers, s.Queues
+	w := max(0, n-s.Window)
+	perWindowed := 9
+	if s.OptGPUFrac > 0 {
+		perWindowed += 4
+	}
+	if s.NVMe {
+		perWindowed += 2
+	}
+	count := 2*k + 2*n*k + 1 + w*perWindowed
+	if s.GradSyncFlops > 0 {
+		count += n
+	}
+	return count
+}
+
+// depCount is the exact number of in-plan dependency edges Build emits
+// for s, summed over every op's Deps; it sizes the Deps arena.
+func (s Spec) depCount() int {
+	n, k := s.Layers, s.Queues
+	w := max(0, n-s.Window)
+	sync, single, gs, nvme := b2i(s.Sync), b2i(s.SingleOpt), b2i(s.GradSyncFlops > 0), b2i(s.NVMe)
+	done := k // what a layer's gradient offload waits on
+	if gs == 1 {
+		done = 1
+	}
+	// Forward: acquires recycle from the second windowed layer on, one
+	// edge per prefetch, kernels gated by prefetch (windowed layers),
+	// the embedding (layer 0) and under Sync the previous offload;
+	// offloads join the layer's kernels; releases follow offloads;
+	// heads join the last layer's kernels.
+	fwd := max(0, w-1) + w + k*(w+1+sync*min(w, n-1)) + w*k + w + k*k
+	// Backward: acquires follow the forward release and, past the
+	// first, the previous BP release; kernels gated by the BP prefetch,
+	// the head (last layer), Sync offloads and SingleOpt steps; the
+	// all-reduce joins the kernels; offloads, optimizer chains, NVMe
+	// staging and releases; the final resident update.
+	bwd := w + max(0, w-1) + w + k*(w+1+sync*w+single*w) + gs*n*k + w*done
+	if s.OptGPUFrac > 0 {
+		bwd += 6*w + max(0, w-2)
+	} else {
+		bwd += w
+	}
+	bwd += 2*w*nvme + w + done
+	return fwd + bwd
+}
+
+// extCount is the exact number of cross-iteration dependencies Build
+// emits for s: each forward acquire's update fact (and staging fact
+// with NVMe), the residency fact of every entry-resident layer's
+// forward kernels, and with NVMe each backward acquire's staging fact.
+func (s Spec) extCount() int {
+	w := max(0, s.Layers-s.Window)
+	nvme := b2i(s.NVMe)
+	return w*(1+nvme) + min(s.Window, s.Layers)*s.Queues + w*nvme
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -2,8 +2,10 @@ package plan
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"stronghold/internal/sim"
@@ -146,6 +148,62 @@ func TestGoldenPlans(t *testing.T) {
 		if got != string(want) {
 			t.Errorf("%s: plan drifted from its golden fixture (run with -update and review)\nwant:\n%s\ngot:\n%s",
 				name, want, got)
+		}
+	}
+}
+
+// Build presizes its arenas from closed forms of the spec; they must
+// match the emitted plan exactly over the feature matrix, so no arena
+// ever regrows.
+func TestBuildPresized(t *testing.T) {
+	specs := executeSpecs()
+	for _, geo := range [][2]int{{1, 1}, {2, 1}, {3, 1}, {6, 6}, {6, 9}, {17, 5}, {40, 3}} {
+		for _, name := range []string{"default", "sync", "multistream", "nvme-coopt-multi-hetero"} {
+			s := specs[name]
+			s.Layers, s.Window = geo[0], geo[1]
+			if s.LayerScale != nil {
+				s.LayerScale = make([]float64, s.Layers)
+				for i := range s.LayerScale {
+					s.LayerScale[i] = 1 + float64(i%3)/2
+				}
+			}
+			specs[fmt.Sprintf("%s-%dx%d", name, geo[0], geo[1])] = s
+		}
+	}
+	for name, s := range specs {
+		it, err := Build(s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var deps, exts int
+		for i := range it.Ops {
+			deps += len(it.Ops[i].Deps)
+			exts += len(it.Ops[i].Ext)
+		}
+		if got, want := len(it.Ops), s.opCount(); got != want || cap(it.Ops) != want {
+			t.Errorf("%s: %d ops (cap %d), closed form says %d", name, got, cap(it.Ops), want)
+		}
+		if want := s.depCount(); deps != want {
+			t.Errorf("%s: %d dependency edges, closed form says %d", name, deps, want)
+		}
+		if want := s.extCount(); exts != want {
+			t.Errorf("%s: %d external dependencies, closed form says %d", name, exts, want)
+		}
+	}
+}
+
+// Deps and Ext are carved from shared arenas; appending to one op's
+// list must not overwrite its neighbour's.
+func TestBuildArenaSlicesAreIsolated(t *testing.T) {
+	it := mustBuild(t, baseSpec())
+	for i := 0; i+1 < len(it.Ops); i++ {
+		a, b := &it.Ops[i], &it.Ops[i+1]
+		nextDeps := append([]ID(nil), b.Deps...)
+		nextExt := append([]ExtDep(nil), b.Ext...)
+		_ = append(a.Deps, -7)
+		_ = append(a.Ext, ExtDep{Kind: ExtResident, Layer: -7})
+		if !slices.Equal(b.Deps, nextDeps) || !slices.Equal(b.Ext, nextExt) {
+			t.Fatalf("appending to op %d's lists overwrote op %d's", a.ID, b.ID)
 		}
 	}
 }

@@ -92,9 +92,9 @@ func Diff(a, b *Iteration) (*Patch, error) {
 	return p, nil
 }
 
-// Apply walks the patch ops through env on eng, exactly like Execute
-// walks an iteration plan.
-func (p *Patch) Apply(eng *sim.Engine, env Env) { executeOps(p.Ops, eng, env) }
+// Apply compiles the patch ops against env and walks them on eng,
+// exactly like Execute walks an iteration plan.
+func (p *Patch) Apply(eng *sim.Engine, env Env) { Execute(Compile(p.Ops, env), eng, env) }
 
 func residentSet(layers []int) map[int]bool {
 	s := make(map[int]bool, len(layers))

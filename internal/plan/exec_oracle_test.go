@@ -1,0 +1,577 @@
+package plan
+
+import (
+	"fmt"
+	"testing"
+
+	"stronghold/internal/hw"
+	"stronghold/internal/sim"
+)
+
+// This file keeps the executor's slow, obviously correct oracle: the
+// walk that gives every op its own *sim.Signal and joins its
+// dependencies with waitAll, as the executor did before plans were
+// compiled. The differential tests run it and the compiled executor
+// against one physics model and require the same completions, at the
+// same times, in the same order, and the same engine step count.
+
+// oracleEnv is the environment the oracle walks against: Start gets a
+// done callback instead of a Run.
+type oracleEnv interface {
+	Start(op *Op, done func())
+	Resolve(d ExtDep) *sim.Signal
+	Export(op *Op, sig *sim.Signal)
+	Stream(op *Op) *Stream
+}
+
+// executeOracle walks ops in canonical order, wiring every op's
+// dependencies on eng and handing it to env once they have fired. It
+// returns the per-op completion signals, indexed by op ID.
+func executeOracle(ops []Op, eng *sim.Engine, env oracleEnv) []*sim.Signal {
+	sigs := make([]*sim.Signal, len(ops))
+	for i := range ops {
+		op := &ops[i]
+		deps := make([]*sim.Signal, 0, len(op.Deps)+len(op.Ext)+1)
+		for _, d := range op.Deps {
+			deps = append(deps, sigs[d])
+		}
+		for _, x := range op.Ext {
+			if s := env.Resolve(x); s != nil {
+				deps = append(deps, s)
+			}
+		}
+		stream := env.Stream(op)
+		if stream != nil && stream.last != nil {
+			deps = append(deps, stream.last)
+		}
+		var sig *sim.Signal
+		if op.Kind == Join && len(deps) == 1 {
+			// Alias the lone dependency: a fresh signal would wake the
+			// join's waiters at the join's place in the dependency's
+			// waiter list rather than their own, reordering equal-time
+			// events.
+			sig = deps[0]
+		} else {
+			sig = sim.NewSignal(eng)
+			waitAll(eng, deps, func() {
+				if op.Kind == Join {
+					sig.Fire()
+				} else {
+					env.Start(op, sig.Fire)
+				}
+			})
+		}
+		if stream != nil {
+			stream.last = sig
+		}
+		sigs[i] = sig
+		if op.Export != 0 {
+			env.Export(op, sig)
+		}
+	}
+	return sigs
+}
+
+// waitAll runs fn once every signal in deps has fired. A nil or empty
+// dependency list fires immediately. Nil entries are skipped.
+func waitAll(eng *sim.Engine, deps []*sim.Signal, fn func()) {
+	remaining := 0
+	for _, d := range deps {
+		if d != nil && !d.Fired() {
+			remaining++
+		}
+	}
+	if remaining == 0 {
+		fn()
+		return
+	}
+	for _, d := range deps {
+		if d == nil || d.Fired() {
+			continue
+		}
+		d.Wait(func() {
+			remaining--
+			if remaining == 0 {
+				fn()
+			}
+		})
+	}
+}
+
+func TestOracleWaitAll(t *testing.T) {
+	e := sim.NewEngine()
+	a, b := sim.NewSignal(e), sim.NewSignal(e)
+	var at sim.Time = -1
+	waitAll(e, []*sim.Signal{a, b, nil, sim.FiredSignal(e)}, func() { at = e.Now() })
+	e.Schedule(5, a.Fire)
+	e.Schedule(9, b.Fire)
+	e.Run()
+	if at != 9 {
+		t.Fatalf("waitAll fired at %d, want 9", at)
+	}
+	// Empty dependency list fires immediately.
+	ran := false
+	waitAll(e, nil, func() { ran = true })
+	if !ran {
+		t.Fatal("waitAll(nil) must run immediately")
+	}
+}
+
+// completion is one entry of a world's log: an op of Execute call
+// `call` ran [start, end]. Op -1 marks the call's iteration end.
+type completion struct {
+	call       int
+	op         ID
+	start, end sim.Time
+}
+
+// world is the physics both executors run against: PCIe copy engines,
+// an NVMe queue and a two-worker CPU pool (FIFO resources), and one
+// launch-latency stream per queue over a shared SM array — or, timed,
+// one FIFO resource per queue with every op taking its DurNS. Ext facts
+// start out firing at seeded, often equal, times.
+type world struct {
+	eng     *sim.Engine
+	m       *hw.Machine
+	launch  []*hw.Stream
+	fifo    []*sim.Resource
+	timed   bool
+	streams []Stream
+	facts   map[ExtDep]*sim.Signal
+	log     []completion
+	// exported lists every exported signal in Export order.
+	exported []*sim.Signal
+	compiled map[*Iteration]*Compiled
+}
+
+func newWorld(t testing.TB, layers, queues int, timed bool, seed uint64) *world {
+	eng := sim.NewEngine()
+	plat := hw.V100Platform()
+	plat.CPU.Cores = 2
+	m, err := hw.NewMachine(eng, plat, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &world{eng: eng, m: m, timed: timed, streams: make([]Stream, queues),
+		facts: map[ExtDep]*sim.Signal{}, compiled: map[*Iteration]*Compiled{}}
+	for q := 0; q < queues; q++ {
+		w.launch = append(w.launch, m.NewStream(fmt.Sprintf("w%d", q)))
+		w.fifo = append(w.fifo, sim.NewResource(eng, fmt.Sprintf("q%d", q)))
+	}
+	// Seeded facts: each holds already, or fires at 0, 500 or 1000 ns.
+	state := seed*0x9e3779b97f4a7c15 + 1
+	for l := 0; l < layers; l++ {
+		for _, k := range []ExtKind{ExtOptDone, ExtNVMeStaged, ExtResident} {
+			state ^= state << 13
+			state ^= state >> 7
+			state ^= state << 17
+			if pick := state % 4; pick > 0 {
+				s := sim.NewSignal(eng)
+				eng.Schedule(sim.Time(pick-1)*500, s.Fire)
+				w.facts[ExtDep{Kind: k, Layer: l}] = s
+			}
+		}
+	}
+	return w
+}
+
+// start submits op's work, completing through c with the op's ID.
+func (w *world) start(op *Op, c sim.Completer) {
+	tag := int32(op.ID)
+	switch op.Kind {
+	case BufAcquire, BufRelease:
+		c.Complete(tag, w.eng.Now(), w.eng.Now())
+	case ComputeFP, ComputeBP:
+		w.kernel(op, c)
+	case OptStep:
+		if op.GPU {
+			w.kernel(op, c)
+		} else {
+			w.m.CPUPool.Submit(max(op.DurNS, 1), c, tag)
+		}
+	case Prefetch, Offload:
+		res := w.m.D2H
+		if op.Kind == Prefetch {
+			res = w.m.H2D
+		}
+		res.Submit(w.dur(op, op.Bytes>>14*100+100), c, tag)
+	case NVMeStage:
+		w.m.NVMeQ.Submit(w.dur(op, op.Bytes>>12+1), c, tag)
+	default:
+		panic(fmt.Sprintf("world: op %d of kind %v started", op.ID, op.Kind))
+	}
+}
+
+func (w *world) kernel(op *Op, c sim.Completer) {
+	if w.timed {
+		w.fifo[op.Queue].Submit(op.DurNS, c, int32(op.ID))
+		return
+	}
+	w.launch[op.Queue].Launch(op.Flops, 0.5, c, int32(op.ID))
+}
+
+// dur is op's occupancy: its DurNS when timed, else the byte-derived
+// fallback (quantized, so equal-size transfers tie).
+func (w *world) dur(op *Op, fallback sim.Time) sim.Time {
+	if w.timed {
+		return op.DurNS
+	}
+	return fallback
+}
+
+func (w *world) stream(op *Op) *Stream {
+	if w.timed {
+		return nil
+	}
+	switch {
+	case op.Kind == ComputeFP, op.Kind == ComputeBP, op.Kind == OptStep && op.GPU:
+		return &w.streams[op.Queue]
+	}
+	return nil
+}
+
+func (w *world) export(op *Op, sig *sim.Signal) {
+	w.facts[ExtDep{Kind: op.Export, Layer: op.Layer}] = sig
+	w.exported = append(w.exported, sig)
+}
+
+// call is one compiled Execute call's environment and completer.
+type call struct {
+	w   *world
+	id  int
+	run *Run
+}
+
+func (c *call) Start(op *Op, run *Run) {
+	c.run = run
+	c.w.start(op, c)
+}
+
+func (c *call) Complete(tag int32, start, end sim.Time) {
+	c.w.log = append(c.w.log, completion{call: c.id, op: ID(tag), start: start, end: end})
+	c.run.Done(ID(tag))
+}
+
+func (c *call) Resolve(d ExtDep) *sim.Signal   { return c.w.facts[d] }
+func (c *call) Export(op *Op, sig *sim.Signal) { c.w.export(op, sig) }
+func (c *call) Stream(op *Op) *Stream          { return c.w.stream(op) }
+
+// oracleCall is one oracle walk's environment.
+type oracleCall struct {
+	w  *world
+	id int
+}
+
+func (c *oracleCall) Start(op *Op, done func()) {
+	c.w.start(op, &oracleDone{c: c, done: done})
+}
+
+func (c *oracleCall) Resolve(d ExtDep) *sim.Signal   { return c.w.facts[d] }
+func (c *oracleCall) Export(op *Op, sig *sim.Signal) { c.w.export(op, sig) }
+func (c *oracleCall) Stream(op *Op) *Stream          { return c.w.stream(op) }
+
+// oracleDone logs an op's completion, then fires its signal.
+type oracleDone struct {
+	c    *oracleCall
+	done func()
+}
+
+func (o *oracleDone) Complete(tag int32, start, end sim.Time) {
+	o.c.w.log = append(o.c.w.log, completion{call: o.c.id, op: ID(tag), start: start, end: end})
+	o.done()
+}
+
+// executor runs iterations and patches in a world: the compiled
+// executor or the oracle.
+type executor interface {
+	iterate(w *world, id int, it *Iteration) *sim.Signal
+	patch(w *world, id int, p *Patch)
+}
+
+type compiledExec struct{}
+
+func (compiledExec) iterate(w *world, id int, it *Iteration) *sim.Signal {
+	env := &call{w: w, id: id}
+	c := w.compiled[it]
+	if c == nil {
+		c = Compile(it.Ops, env)
+		w.compiled[it] = c
+	}
+	return Execute(c, w.eng, env)
+}
+
+func (compiledExec) patch(w *world, id int, p *Patch) { p.Apply(w.eng, &call{w: w, id: id}) }
+
+type oracleExec struct{}
+
+// iterate walks the plan and joins its final op with every stream's
+// last op into the iteration end.
+func (oracleExec) iterate(w *world, id int, it *Iteration) *sim.Signal {
+	sigs := executeOracle(it.Ops, w.eng, &oracleCall{w: w, id: id})
+	var deps []*sim.Signal
+	if len(sigs) > 0 {
+		deps = append(deps, sigs[len(sigs)-1])
+	}
+	for q := range w.streams {
+		deps = append(deps, w.streams[q].last)
+	}
+	end := sim.NewSignal(w.eng)
+	waitAll(w.eng, deps, end.Fire)
+	return end
+}
+
+func (oracleExec) patch(w *world, id int, p *Patch) {
+	executeOracle(p.Ops, w.eng, &oracleCall{w: w, id: id})
+}
+
+// scenario is one differential run: plans[windows[k]] is iteration k's
+// plan. Upfront walks every iteration before the engine runs (the
+// clean engine path); otherwise each iteration is walked when the
+// previous one ends, after the patch between their windows (the
+// adaptive path).
+type scenario struct {
+	layers, queues int
+	timed          bool
+	seed           uint64
+	upfront        bool
+	plans          map[int]*Iteration
+	windows        []int
+}
+
+// outcome is everything the two executors must agree on.
+type outcome struct {
+	log      []completion
+	exported []sim.Time
+	steps    uint64
+}
+
+func (sc scenario) run(t testing.TB, ex executor) outcome {
+	w := newWorld(t, sc.layers, sc.queues, sc.timed, sc.seed)
+	calls := 0
+	next := func() int { calls++; return calls - 1 }
+	iterate := func(k int) *sim.Signal {
+		id := next()
+		end := ex.iterate(w, id, sc.plans[sc.windows[k]])
+		end.Wait(func() { w.log = append(w.log, completion{call: id, op: -1, start: w.eng.Now()}) })
+		return end
+	}
+	if sc.upfront {
+		for k := range sc.windows {
+			iterate(k)
+		}
+	} else {
+		var schedule func(k int)
+		schedule = func(k int) {
+			if k >= len(sc.windows) {
+				return
+			}
+			if from, to := sc.windows[max(k-1, 0)], sc.windows[k]; from != to {
+				p, err := Diff(sc.plans[from], sc.plans[to])
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex.patch(w, next(), p)
+			}
+			iterate(k).Wait(func() { schedule(k + 1) })
+		}
+		schedule(0)
+	}
+	w.eng.Run()
+	out := outcome{log: w.log, steps: w.eng.Steps()}
+	for _, s := range w.exported {
+		at := sim.Time(-1)
+		if s.Fired() {
+			at = s.FiredAt()
+		}
+		out.exported = append(out.exported, at)
+	}
+	return out
+}
+
+// checkAgainstOracle runs sc under both executors and compares.
+func checkAgainstOracle(t testing.TB, sc scenario) {
+	t.Helper()
+	want := sc.run(t, oracleExec{})
+	got := sc.run(t, compiledExec{})
+	if len(want.log) == 0 {
+		t.Fatal("oracle run completed nothing")
+	}
+	for i := 0; i < min(len(got.log), len(want.log)); i++ {
+		if got.log[i] != want.log[i] {
+			t.Fatalf("completion %d: compiled executor logged %+v, oracle %+v", i, got.log[i], want.log[i])
+		}
+	}
+	if len(got.log) != len(want.log) {
+		t.Fatalf("compiled executor logged %d completions, oracle %d", len(got.log), len(want.log))
+	}
+	if fmt.Sprint(got.exported) != fmt.Sprint(want.exported) {
+		t.Fatalf("exported facts fired at %v, oracle %v", got.exported, want.exported)
+	}
+	if got.steps != want.steps {
+		t.Fatalf("engine ran %d steps, oracle %d", got.steps, want.steps)
+	}
+}
+
+// executeSpecs is Build's feature matrix for the differential tests.
+func executeSpecs() map[string]Spec {
+	specs := fixtureSpecs()
+	multi := baseSpec()
+	multi.Queues = 3
+	specs["multi-queue"] = multi
+	syncOnly := baseSpec()
+	syncOnly.Sync = true
+	specs["sync-only"] = syncOnly
+	single := baseSpec()
+	single.SingleOpt = true
+	specs["single-opt"] = single
+	all := specs["coopt"]
+	all.NVMe, all.Queues, all.GradSyncFlops = true, 2, 1e8
+	all.LayerScale = specs["hetero"].LayerScale
+	specs["nvme-coopt-multi-hetero"] = all
+	deep := baseSpec()
+	deep.Layers, deep.Window = 17, 5
+	specs["deep"] = deep
+	return specs
+}
+
+// plansAround builds s's plan at its window and at the neighbouring
+// windows the chained scenarios patch between.
+func plansAround(t testing.TB, s Spec) map[int]*Iteration {
+	plans := map[int]*Iteration{}
+	for _, m := range []int{s.Window - 1, s.Window, s.Window + 1} {
+		if m < 1 || m > s.Layers {
+			continue
+		}
+		sm := s
+		sm.Window = m
+		it, err := Build(sm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Validate(it); err != nil {
+			t.Fatal(err)
+		}
+		plans[m] = it
+	}
+	return plans
+}
+
+// windowWalk grows then shrinks around m, within the built plans.
+func windowWalk(plans map[int]*Iteration, m int) []int {
+	ws := []int{m}
+	for _, next := range []int{m + 1, m, m - 1, m} {
+		if plans[next] != nil {
+			ws = append(ws, next)
+		}
+	}
+	return ws
+}
+
+func TestExecuteMatchesOracle(t *testing.T) {
+	for name, s := range executeSpecs() {
+		plans := plansAround(t, s)
+		for _, seed := range []uint64{1, 2} {
+			t.Run(fmt.Sprintf("%s/seed%d/upfront", name, seed), func(t *testing.T) {
+				checkAgainstOracle(t, scenario{layers: s.Layers, queues: s.Queues, seed: seed, upfront: true,
+					plans: plans, windows: []int{s.Window, s.Window, s.Window}})
+			})
+			t.Run(fmt.Sprintf("%s/seed%d/patched", name, seed), func(t *testing.T) {
+				checkAgainstOracle(t, scenario{layers: s.Layers, queues: s.Queues, seed: seed,
+					plans: plans, windows: windowWalk(plans, s.Window)})
+			})
+		}
+	}
+}
+
+// handPlans are explicit-duration plans exercising what Build never
+// emits: duplicate edges, ops that complete inside the walk, wide
+// fan-out with equal durations, and facts exported for the next call.
+func handPlans() map[string]*Iteration {
+	fanout := &Iteration{Layers: 2, Queues: 2, Ops: []Op{
+		{ID: 0, Kind: ComputeFP, Layer: 0, Queue: 0, DurNS: 10, Ext: []ExtDep{{Kind: ExtOptDone, Layer: 0}}},
+		{ID: 1, Kind: ComputeFP, Layer: 1, Queue: 1, DurNS: 10, Ext: []ExtDep{{Kind: ExtOptDone, Layer: 1}}},
+		{ID: 2, Kind: BufAcquire, Layer: 0, Queue: -1, Ext: []ExtDep{{Kind: ExtNVMeStaged, Layer: 0}}},
+		{ID: 3, Kind: Prefetch, Layer: 0, Queue: -1, DurNS: 10, Deps: []ID{2}},
+		{ID: 4, Kind: ComputeFP, Layer: 0, Queue: 0, DurNS: 5, Deps: []ID{3, 0}},
+		{ID: 5, Kind: Join, Layer: 0, Queue: -1, Deps: []ID{1, 4}},
+		{ID: 6, Kind: OptStep, Layer: 0, Queue: -1, DurNS: 10, Deps: []ID{5}, Export: ExtOptDone},
+		{ID: 7, Kind: Offload, Layer: 1, Queue: -1, DurNS: 10, Deps: []ID{1}, Export: ExtNVMeStaged},
+		{ID: 8, Kind: BufRelease, Layer: 0, Queue: -1, Deps: []ID{3}},
+		{ID: 9, Kind: ComputeBP, Layer: 1, Queue: 1, DurNS: 10, Deps: []ID{6}},
+		{ID: 10, Kind: NVMeStage, Layer: 1, Queue: -1, DurNS: 10, Deps: []ID{7}},
+		{ID: 11, Kind: OptStep, Layer: -1, Queue: 0, GPU: true, DurNS: 10, Flops: 1e9, Deps: []ID{9, 10}},
+	}}
+	ties := &Iteration{Layers: 2, Queues: 2, Ops: []Op{
+		{ID: 0, Kind: BufAcquire, Layer: 0, Queue: -1, Ext: []ExtDep{{Kind: ExtNVMeStaged, Layer: 0}}},
+		{ID: 1, Kind: BufAcquire, Layer: 1, Queue: -1, Deps: []ID{0}},
+		{ID: 2, Kind: Prefetch, Layer: 0, Queue: -1, DurNS: 5, Deps: []ID{0, 1}},
+		{ID: 3, Kind: Prefetch, Layer: 1, Queue: -1, DurNS: 5, Deps: []ID{1, 1}},
+		{ID: 4, Kind: Offload, Layer: 0, Queue: -1, DurNS: 5, Deps: []ID{1}},
+		{ID: 5, Kind: ComputeFP, Layer: 0, Queue: 0, DurNS: 5, Deps: []ID{2, 3}},
+		{ID: 6, Kind: ComputeFP, Layer: 1, Queue: 1, DurNS: 5, Deps: []ID{2, 3}},
+		{ID: 7, Kind: Join, Layer: 0, Queue: -1, Deps: []ID{5, 6}, Export: ExtNVMeStaged},
+		{ID: 8, Kind: OptStep, Layer: 1, Queue: -1, DurNS: 5, Deps: []ID{4}, Ext: []ExtDep{{Kind: ExtOptDone, Layer: 1}}},
+		{ID: 9, Kind: OptStep, Layer: 0, Queue: -1, DurNS: 5, Deps: []ID{4}},
+		{ID: 10, Kind: ComputeBP, Layer: 0, Queue: 0, DurNS: 5, Deps: []ID{7, 8, 5}},
+		{ID: 11, Kind: ComputeBP, Layer: 1, Queue: 1, DurNS: 5, Deps: []ID{9}},
+		{ID: 12, Kind: BufRelease, Layer: 0, Queue: -1, Deps: []ID{10, 11}},
+		{ID: 13, Kind: BufRelease, Layer: 1, Queue: -1, Deps: []ID{12}},
+	}}
+	return map[string]*Iteration{"fanout": fanout, "ties": ties}
+}
+
+func TestExecuteMatchesOracleOnHandPlans(t *testing.T) {
+	for name, it := range handPlans() {
+		for _, timed := range []bool{true, false} {
+			for _, seed := range []uint64{1, 2, 3} {
+				t.Run(fmt.Sprintf("%s/timed=%v/seed%d", name, timed, seed), func(t *testing.T) {
+					plans := map[int]*Iteration{0: it}
+					checkAgainstOracle(t, scenario{layers: it.Layers, queues: it.Queues, timed: timed, seed: seed,
+						upfront: true, plans: plans, windows: []int{0, 0, 0}})
+					checkAgainstOracle(t, scenario{layers: it.Layers, queues: it.Queues, timed: timed, seed: seed,
+						plans: plans, windows: []int{0, 0, 0}})
+				})
+			}
+		}
+	}
+}
+
+// FuzzExecute runs random planner specs through both executors, walked
+// up front and chained with grow/shrink patches.
+func FuzzExecute(f *testing.F) {
+	f.Add(uint8(5), uint8(1), uint8(0), uint8(0), uint8(0), uint8(1))
+	f.Add(uint8(7), uint8(3), uint8(3), uint8(8), uint8(0), uint8(2))
+	f.Add(uint8(9), uint8(2), uint8(1), uint8(7), uint8(64), uint8(3))
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), uint8(0), uint8(4))
+	f.Fuzz(func(t *testing.T, layers, window, queues, features, optFrac, seed uint8) {
+		s := baseSpec()
+		s.Layers = 1 + int(layers)%24
+		s.Window = 1 + int(window)%s.Layers
+		s.Queues = 1 + int(queues)%4
+		s.NVMe = features&1 != 0
+		s.Sync = features&2 != 0
+		s.SingleOpt = features&4 != 0
+		if features&8 != 0 {
+			s.GradSyncFlops = 1e8
+		}
+		if features&16 != 0 {
+			s.LayerScale = make([]float64, s.Layers)
+			for i := range s.LayerScale {
+				s.LayerScale[i] = 0.5 + float64((i*7+int(seed))%4)/2
+			}
+		}
+		if optFrac != 0 {
+			s.OptGPUFrac = float64(optFrac) / 256
+			s.MomentBytes = 1 << 20
+			s.GPUOptFlops = 4e8
+		}
+		if _, err := Build(s); err != nil {
+			return // the planner rejects the combination
+		}
+		plans := plansAround(t, s)
+		checkAgainstOracle(t, scenario{layers: s.Layers, queues: s.Queues, seed: uint64(seed), upfront: true,
+			plans: plans, windows: []int{s.Window, s.Window}})
+		checkAgainstOracle(t, scenario{layers: s.Layers, queues: s.Queues, seed: uint64(seed),
+			plans: plans, windows: windowWalk(plans, s.Window)})
+	})
+}

@@ -108,9 +108,18 @@ func (v *validator) checkStructure() {
 			}
 		case Join:
 			// A join carries no work of its own; layer -1 (model-level)
-			// is legal, as is a layer tag for per-layer joins.
+			// is legal, as is a layer tag for per-layer joins. It merges
+			// in-plan branches: with one dependency it would only rename
+			// that op, and cross-iteration facts gate the ops that need
+			// them, not a join.
 			if op.Layer >= it.Layers {
 				v.failf(op, "layer %d outside [-1,%d)", op.Layer, it.Layers)
+			}
+			if len(op.Deps) < 2 {
+				v.failf(op, "join has %d dependencies, needs at least 2", len(op.Deps))
+			}
+			if len(op.Ext) > 0 {
+				v.failf(op, "join carries %d external dependencies; only in-plan ones may join", len(op.Ext))
 			}
 		default:
 			v.failf(op, "invalid kind %d", op.Kind)

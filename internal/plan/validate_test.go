@@ -162,6 +162,34 @@ func TestValidateRejectsMutations(t *testing.T) {
 	}
 }
 
+// A join merges in-plan branches: the validator rejects one with fewer
+// than two dependencies (it would only rename its lone dependency) or
+// with cross-iteration facts (those gate the ops that need them).
+func TestValidateRejectsBadJoins(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		deps    func(last ID) []ID
+		ext     []ExtDep
+		wantMsg string
+	}{
+		{"no dependencies", func(ID) []ID { return nil }, nil, "join has 0 dependencies, needs at least 2"},
+		{"one dependency", func(last ID) []ID { return []ID{last} }, nil, "join has 1 dependencies, needs at least 2"},
+		{"external dependency", func(last ID) []ID { return []ID{last - 1, last} },
+			[]ExtDep{{Kind: ExtOptDone, Layer: 0}}, "join carries 1 external dependencies"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			it := mustBuild(t, baseSpec())
+			last := ID(len(it.Ops) - 1)
+			it.Ops = append(it.Ops, Op{ID: last + 1, Kind: Join, Name: "bad join", Layer: -1, Queue: -1,
+				Deps: tc.deps(last), Ext: tc.ext})
+			err := Validate(it)
+			if err == nil || !strings.Contains(err.Error(), tc.wantMsg) {
+				t.Fatalf("diagnostic %v does not mention %q", err, tc.wantMsg)
+			}
+		})
+	}
+}
+
 // A broken plan reports every violation at once, not just the first.
 func TestValidateAggregatesViolations(t *testing.T) {
 	it := mustBuild(t, baseSpec())

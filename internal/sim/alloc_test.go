@@ -7,6 +7,11 @@ import "testing"
 // loop with its own construction.
 func nop() {}
 
+// nopCompleter discards completions.
+type nopCompleter struct{}
+
+func (nopCompleter) Complete(int32, Time, Time) {}
+
 // TestZeroAllocHotPaths is the dynamic half of the HOTPATH.md contract:
 // on the steady state (heap capacity warmed), scheduling and running an
 // event allocates nothing. The static half is stronghold-vet's hotalloc
@@ -27,6 +32,25 @@ func TestZeroAllocHotPaths(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("schedule+run hot path allocates %.1f times per event batch, want 0", allocs)
+	}
+
+	// Submission and completion by tag: resources, pools and the shared
+	// processor reuse their rings, recycled tasks and scratch lists.
+	r := NewResource(e, "copy")
+	p := NewPool(e, "cpu", 2)
+	sp := NewSharedProcessor(e, "gpu", 1e9)
+	var c nopCompleter
+	submit := func() {
+		for i := int32(0); i < 4; i++ {
+			r.Submit(10, c, i)
+			p.Submit(7, c, i)
+			sp.Submit(1e3*float64(i+1), 4e8, c, i)
+		}
+		e.Run()
+	}
+	submit() // warm rings, task free list and scratch capacity
+	if allocs := testing.AllocsPerRun(100, submit); allocs != 0 {
+		t.Fatalf("submit+complete hot path allocates %.1f times per batch, want 0", allocs)
 	}
 }
 

@@ -92,6 +92,7 @@ type Engine struct {
 	seq     uint64
 	pending eventHeap
 	steps   uint64
+	cur     uint64   // seq of the event now running (0 outside Run)
 	obs     Observer // instrumentation tap; nil = observation off
 }
 
@@ -132,6 +133,7 @@ func (e *Engine) Run() Time {
 		ev := e.pending.pop()
 		e.now = ev.at
 		e.steps++
+		e.cur = ev.seq
 		ev.fn()
 	}
 	return e.now

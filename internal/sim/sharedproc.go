@@ -21,9 +21,23 @@ type SharedProcessor struct {
 	capacity   float64 // work units per second (e.g. FLOP/s)
 	active     []*spTask
 	lastUpdate Time
-	gen        uint64  // invalidates stale completion events
 	usedInt    float64 // ∫ rate dt, for utilization accounting
 	tasks      uint64
+
+	// timer is the engine seq of the one live completion event (0 when
+	// none is scheduled). Every arrival or completion schedules a fresh
+	// event and supersedes the old one, which still fires — and counts
+	// in Engine.Steps — but finds its seq stale and returns. The check
+	// names the exact event, not its timestamp: a capped task's
+	// completion time often survives an arrival unchanged.
+	timer   uint64
+	onTimer func() // cached method value of tick
+
+	// free recycles finished tasks; finished and uncapped are scratch
+	// for reschedule and waterFill.
+	free     []*spTask
+	finished []*spTask
+	uncapped []*spTask
 }
 
 type spTask struct {
@@ -31,7 +45,8 @@ type spTask struct {
 	maxRate   float64
 	rate      float64
 	started   Time
-	onDone    func(start, end Time)
+	c         Completer
+	tag       int32
 }
 
 // NewSharedProcessor builds a processor with the given capacity in work
@@ -40,7 +55,9 @@ func NewSharedProcessor(eng *Engine, name string, capacity float64) *SharedProce
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: shared processor %s needs positive capacity", name))
 	}
-	return &SharedProcessor{eng: eng, name: name, capacity: capacity}
+	sp := &SharedProcessor{eng: eng, name: name, capacity: capacity}
+	sp.onTimer = sp.tick
+	return sp
 }
 
 // Capacity returns the processor's total rate.
@@ -51,9 +68,11 @@ func (sp *SharedProcessor) ActiveTasks() int { return len(sp.active) }
 
 // Submit starts a task of the given amount of work now. The task's
 // consumption is capped at maxRate work/s (values above the processor
-// capacity are clamped). onDone, which may be nil, is invoked at
-// completion with the task's start and end times.
-func (sp *SharedProcessor) Submit(work, maxRate float64, onDone func(start, end Time)) {
+// capacity are clamped). At completion c — which may be nil — receives
+// Complete(tag, start, end).
+//
+//vet:hotpath
+func (sp *SharedProcessor) Submit(work, maxRate float64, c Completer, tag int32) {
 	if work < 0 {
 		panic(fmt.Sprintf("sim: shared processor %s got negative work", sp.name))
 	}
@@ -62,8 +81,27 @@ func (sp *SharedProcessor) Submit(work, maxRate float64, onDone func(start, end 
 	}
 	maxRate = math.Min(maxRate, sp.capacity)
 	sp.advance()
-	sp.active = append(sp.active, &spTask{remaining: work, maxRate: maxRate, started: sp.eng.Now(), onDone: onDone})
+	var t *spTask
+	if n := len(sp.free); n > 0 {
+		t = sp.free[n-1]
+		sp.free = sp.free[:n-1]
+	} else {
+		t = new(spTask)
+	}
+	*t = spTask{remaining: work, maxRate: maxRate, started: sp.eng.Now(), c: c, tag: tag}
+	sp.active = append(sp.active, t)
 	sp.tasks++
+	sp.reschedule()
+}
+
+// tick is the completion event: a superseded one only counts as a step.
+//
+//vet:hotpath
+func (sp *SharedProcessor) tick() {
+	if sp.eng.cur != sp.timer {
+		return // superseded by a later arrival/completion
+	}
+	sp.advance()
 	sp.reschedule()
 }
 
@@ -87,7 +125,10 @@ func (sp *SharedProcessor) reschedule() {
 	// epsilon to absorb float rounding).
 	const eps = 1e-9
 	kept := sp.active[:0]
-	var finished []*spTask
+	// A completer may submit again synchronously, re-entering here, so
+	// the scratch list is detached while this call walks it.
+	finished := sp.finished[:0]
+	sp.finished = nil
 	for _, t := range sp.active {
 		if t.remaining <= t.maxRate*eps {
 			finished = append(finished, t)
@@ -101,31 +142,31 @@ func (sp *SharedProcessor) reschedule() {
 		if o := sp.eng.obs; o != nil {
 			o.ProcTask(sp.name, t.started, now, len(sp.active))
 		}
-		if t.onDone != nil {
-			t.onDone(t.started, now)
+		c, tag, started := t.c, t.tag, t.started
+		t.c = nil
+		sp.free = append(sp.free, t)
+		if c != nil {
+			c.Complete(tag, started, now)
 		}
 	}
+	clear(finished)
+	sp.finished = finished[:0]
 	sp.waterFill()
-	sp.gen++
-	gen := sp.gen
+	sp.timer = 0
 	next := sp.nextCompletion()
 	if next < 0 {
 		return
 	}
-	sp.eng.Schedule(next, func() {
-		if sp.gen != gen {
-			return // superseded by a later arrival/completion
-		}
-		sp.advance()
-		sp.reschedule()
-	})
+	sp.eng.Schedule(next, sp.onTimer)
+	sp.timer = sp.eng.seq
 }
 
 // waterFill distributes capacity across active tasks subject to their
 // caps.
 func (sp *SharedProcessor) waterFill() {
 	remaining := sp.capacity
-	uncapped := append([]*spTask(nil), sp.active...)
+	sp.uncapped = append(sp.uncapped[:0], sp.active...)
+	uncapped := sp.uncapped
 	for _, t := range sp.active {
 		t.rate = 0
 	}

@@ -2,7 +2,9 @@ package sim
 
 // Signal is a one-shot completion event, the simulated analogue of a
 // CUDA event: work records a signal when it finishes, and other work
-// waits on it before starting.
+// waits on it before starting. The plan executor keeps signals only
+// where a dependency crosses an Execute call; inside one plan it orders
+// ops by index.
 type Signal struct {
 	eng     *Engine
 	fired   bool
@@ -24,11 +26,27 @@ func FiredSignal(eng *Engine) *Signal {
 // Fire marks the signal complete at the current virtual time and wakes
 // all waiters. Firing twice panics: completion is a one-shot fact.
 func (s *Signal) Fire() {
+	s.Set()
+	s.Wake()
+}
+
+// Set marks the signal complete at the current virtual time without
+// waking its waiters yet. From then on Fired reports true and Wait runs
+// its function at once, exactly as while Fire is waking waiters; Wake
+// must follow. Splitting the two lets a caller run work of its own
+// ahead of every waiter, as if it were the signal's first waiter.
+// Setting twice panics.
+func (s *Signal) Set() {
 	if s.fired {
 		panic("sim: signal fired twice")
 	}
 	s.fired = true
 	s.at = s.eng.Now()
+}
+
+// Wake runs the waiters of a set signal in registration order and
+// releases them.
+func (s *Signal) Wake() {
 	for _, w := range s.waiters {
 		w()
 	}
@@ -49,30 +67,4 @@ func (s *Signal) Wait(fn func()) {
 		return
 	}
 	s.waiters = append(s.waiters, fn)
-}
-
-// WaitAll runs fn once every signal in deps has fired. A nil or empty
-// dependency list fires immediately. Nil entries are skipped.
-func WaitAll(eng *Engine, deps []*Signal, fn func()) {
-	remaining := 0
-	for _, d := range deps {
-		if d != nil && !d.fired {
-			remaining++
-		}
-	}
-	if remaining == 0 {
-		fn()
-		return
-	}
-	for _, d := range deps {
-		if d == nil || d.fired {
-			continue
-		}
-		d.Wait(func() {
-			remaining--
-			if remaining == 0 {
-				fn()
-			}
-		})
-	}
 }
