@@ -4,13 +4,16 @@
 // edges, layer tags and deterministic op IDs. The planner (build.go)
 // lowers a window decision and feature set into a plan; the validator
 // (validate.go) checks the scheduling invariants on the IR before any
-// simulation; the executor (exec.go) walks a plan, owns every
-// dependency wait, and starts each op's simulated work through an
-// environment interface once its dependencies have fired — core's
-// environment, which runs STRONGHOLD's flop- and byte-costed plans and
-// the baselines' explicit-duration plans alike. diff.go turns two plans for adjacent
-// window sizes into the prefetch/offload patch the adaptive scheduler
-// applies at iteration boundaries.
+// simulation; the executor (exec.go) compiles a plan once into a CSR
+// successor table, then walks it with dense per-op dependency counts,
+// starting each op's simulated work through an environment interface
+// once its dependencies have completed and releasing successors by op
+// index when the environment reports it done. Signals remain only
+// where a dependency crosses one Execute call into another. The
+// environment is core's, which runs STRONGHOLD's flop- and byte-costed
+// plans and the baselines' explicit-duration plans alike. diff.go
+// turns two plans for adjacent window sizes into the prefetch/offload
+// patch the adaptive scheduler applies at iteration boundaries.
 package plan
 
 import "stronghold/internal/sim"
@@ -39,10 +42,11 @@ const (
 	// BufRelease returns a layer's device window buffers after its
 	// offload completes, recycling them for a later acquire.
 	BufRelease
-	// Join is a zero-duration synchronization point: it fires when all
-	// its dependencies have, letting one op (typically an Export) wait
-	// on several branches — e.g. the CPU and GPU halves of a split
-	// optimizer update both publishing one ExtOptDone.
+	// Join is a zero-duration synchronization point: it completes when
+	// all its dependencies have, letting one op (typically an Export)
+	// wait on several branches — e.g. the CPU and GPU halves of a split
+	// optimizer update both publishing one ExtOptDone. A join merges at
+	// least two in-plan dependencies and carries no Ext.
 	Join
 )
 
