@@ -11,54 +11,27 @@ import (
 	"stronghold/internal/trace"
 )
 
-// AdaptConfig tunes the degraded-mode scheduler that runs when a fault
-// plan is configured. The zero value selects the defaults below; it has
-// no effect without faults (the clean path never consults it).
-type AdaptConfig struct {
-	// DeadlineFactor: a transfer whose observed time (service + retry
+// Degraded-mode tuning, used only when a fault plan is configured.
+const (
+	// deadlineFactor: a transfer whose observed time (service + retry
 	// backoff) exceeds this multiple of its model-predicted time counts
-	// as a deadline miss. Default 1.5.
-	DeadlineFactor float64
-	// RetryBackoff is the base virtual-time backoff after a transfer
-	// hits a blackout window; attempt k waits RetryBackoff·2^k.
-	// Default 100µs.
-	RetryBackoff sim.Time
-	// MaxRetries bounds the reissue attempts per transfer; past it the
+	// as a deadline miss.
+	deadlineFactor = 1.5
+	// retryBackoff is the base virtual-time backoff after a transfer
+	// hits a blackout window; attempt k waits retryBackoff·2^k.
+	retryBackoff sim.Time = 100_000 // 100µs
+	// maxRetries bounds the reissue attempts per transfer; past it the
 	// transfer is forced through (modeling a blocking driver-level
-	// retry). Default 10.
-	MaxRetries int
-	// GrowThreshold: when the observed/nominal transfer-time ratio over
+	// retry).
+	maxRetries = 10
+	// growThreshold: when the observed/nominal transfer-time ratio over
 	// an iteration reaches it, the window is re-solved against the
-	// degraded transfer times. Default 1.25.
-	GrowThreshold float64
-	// ShrinkThreshold: when the ratio falls back to it and the window
+	// degraded transfer times.
+	growThreshold = 1.25
+	// shrinkThreshold: when the ratio falls back to it and the window
 	// is above its clean solution, the window re-solves back down.
-	// Default 1.1.
-	ShrinkThreshold float64
-	// DisableResolve freezes the window at its initial size: faults
-	// still stall/slow/drop transfers and retries still happen, but m
-	// never changes — the ablation arm of the robustness study.
-	DisableResolve bool
-}
-
-func (a AdaptConfig) withDefaults() AdaptConfig {
-	if a.DeadlineFactor <= 0 {
-		a.DeadlineFactor = 1.5
-	}
-	if a.RetryBackoff <= 0 {
-		a.RetryBackoff = sim.Microseconds(100)
-	}
-	if a.MaxRetries <= 0 {
-		a.MaxRetries = 10
-	}
-	if a.GrowThreshold <= 1 {
-		a.GrowThreshold = 1.25
-	}
-	if a.ShrinkThreshold <= 1 {
-		a.ShrinkThreshold = 1.1
-	}
-	return a
-}
+	shrinkThreshold = 1.1
+)
 
 // faultTrack is the Chrome-trace track fault and recovery events land
 // on.
@@ -86,14 +59,12 @@ func (e *Engine) maxFeasibleWindow(window, streams int) int {
 // disabled) the adaptive window re-solve. tr, when non-nil, receives
 // fault/recovery events from the whole run, not just the traced final
 // iteration.
-func (r *iterRun) enableFaults(inj *fault.Injector, adapt AdaptConfig, tr *trace.Trace, baseProfile Profile, maxWindow int) {
+func (r *iterRun) enableFaults(inj *fault.Injector, tr *trace.Trace, baseProfile Profile, maxWindow int) {
 	r.inj = inj
-	r.adapt = adapt
 	r.faultTr = tr
 	r.baseProfile = baseProfile
 	r.baseWindow = r.window
 	r.maxWindow = maxWindow
-	r.residentReady = make(map[int]*sim.Signal)
 
 	m := r.machine
 	m.H2D.SetStretch(inj.Stretch(fault.H2D))
@@ -143,7 +114,7 @@ func (r *iterRun) observeCopy(name string, nominal, start, end, delayed sim.Time
 	actual := (end - start) + delayed
 	r.obsNominal += nominal
 	r.obsActual += actual
-	if float64(actual) > r.adapt.DeadlineFactor*float64(nominal) {
+	if float64(actual) > deadlineFactor*float64(nominal) {
 		r.deadlineMisses++
 		if mc := r.e.Metrics; mc != nil {
 			mc.CountDeadlineMiss()
@@ -157,7 +128,7 @@ func (r *iterRun) observeCopy(name string, nominal, start, end, delayed sim.Time
 
 // submitWithRetry issues op's transfer on res unless its fault target
 // is inside a blackout window; then it backs off exponentially in
-// virtual time and reissues. After MaxRetries the transfer is forced
+// virtual time and reissues. After maxRetries the transfer is forced
 // through. Its completion reports the observed time before the op's
 // usual span and metrics.
 func (ev *schedEnv) submitWithRetry(res *sim.Resource, tg fault.Target, dur sim.Time, id plan.ID) {
@@ -166,7 +137,7 @@ func (ev *schedEnv) submitWithRetry(res *sim.Resource, tg fault.Target, dur sim.
 	var attempt func(try int, delayed sim.Time)
 	attempt = func(try int, delayed sim.Time) {
 		now := eng.Now()
-		if _, dropped := r.inj.DropUntil(tg, now); dropped && try < r.adapt.MaxRetries {
+		if _, dropped := r.inj.DropUntil(tg, now); dropped && try < maxRetries {
 			r.retries++
 			if mc := r.e.Metrics; mc != nil {
 				mc.CountRetry()
@@ -175,7 +146,7 @@ func (ev *schedEnv) submitWithRetry(res *sim.Resource, tg fault.Target, dur sim.
 			if shift > 16 {
 				shift = 16
 			}
-			backoff := r.adapt.RetryBackoff << uint(shift)
+			backoff := retryBackoff << uint(shift)
 			if r.faultTr != nil {
 				r.faultTr.Add(trace.Span{Track: faultTrack, Name: fmt.Sprintf("%s retry %d", tg, try+1),
 					Kind: trace.KindFault, Layer: -1, Start: now, End: now + backoff})
@@ -202,8 +173,8 @@ func (o *observedCopy) Complete(tag int32, start, end sim.Time) {
 }
 
 // adaptWindow runs at each iteration boundary in degraded mode: if the
-// previous iteration's transfers drifted past GrowThreshold (or
-// recovered below ShrinkThreshold while the window is inflated), the
+// previous iteration's transfers drifted past growThreshold (or
+// recovered below shrinkThreshold while the window is inflated), the
 // warm-up profile is rescaled by the observed ratio and the solver
 // re-run — Eq. 1–3 against measured, not assumed, transfer times. The
 // window then moves to the new solution, clamped to [clean solution,
@@ -211,15 +182,15 @@ func (o *observedCopy) Complete(tag int32, start, end sim.Time) {
 func (r *iterRun) adaptWindow() {
 	obsNominal, obsActual := r.obsNominal, r.obsActual
 	r.obsNominal, r.obsActual = 0, 0
-	if r.adapt.DisableResolve || obsNominal == 0 {
+	if r.e.DisableResolve || obsNominal == 0 {
 		return
 	}
 	ratio := float64(obsActual) / float64(obsNominal)
 	if ratio < 1 {
 		ratio = 1
 	}
-	needGrow := ratio >= r.adapt.GrowThreshold
-	mayShrink := r.window > r.baseWindow && ratio <= r.adapt.ShrinkThreshold
+	needGrow := ratio >= growThreshold
+	mayShrink := r.window > r.baseWindow && ratio <= shrinkThreshold
 	if !needGrow && !mayShrink {
 		return
 	}
@@ -273,7 +244,7 @@ func (r *iterRun) resize(newM int) {
 		}
 		return
 	}
-	patch.Apply(r.machine.Eng, &schedEnv{r: r, tr: r.faultTr})
+	patch.Apply(r.machine.Eng, &r.st, &schedEnv{r: r, tr: r.faultTr})
 	r.window = newM
 	if mc := r.e.Metrics; mc != nil {
 		mc.SetWindow(r.machine.Eng.Now(), newM)

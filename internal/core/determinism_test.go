@@ -94,7 +94,7 @@ func runTracedFaulted(t *testing.T, feat Features, plan string, freeze bool) (pe
 	e := NewEngine(perf.NewModel(modelcfg.Config1p7B(), hw.V100Platform()))
 	e.Feat = feat
 	e.Faults = p
-	e.Adapt.DisableResolve = freeze
+	e.DisableResolve = freeze
 	tr := trace.New()
 	res := e.Run(3, tr)
 	if res.OOM {

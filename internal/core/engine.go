@@ -78,13 +78,16 @@ type Engine struct {
 	TransferJitter float64
 	// Faults, when non-nil and non-empty, injects the plan's
 	// deterministic degradations and switches the engine into degraded
-	// mode: retrying transfers, deadline tracking, and (see Adapt) the
-	// mid-run window re-solve. A nil or empty plan leaves the
-	// simulation byte-for-byte identical to an engine without the
-	// field.
+	// mode: retrying transfers, deadline tracking, and (see
+	// DisableResolve) the mid-run window re-solve. A nil or empty plan
+	// leaves the simulation byte-for-byte identical to an engine without
+	// the field.
 	Faults *fault.Plan
-	// Adapt tunes degraded-mode behavior; zero value = defaults.
-	Adapt AdaptConfig
+	// DisableResolve freezes the window at its initial size under
+	// faults: they still stall, slow and drop transfers and retries
+	// still happen, but m never changes — the ablation arm of the
+	// robustness study. It has no effect without faults.
+	DisableResolve bool
 	// Workers is ignored: the simulator has one serial engine. The
 	// field remains only because the host-time benchmark (hostbench/)
 	// compiles against it; the benchmark's next revision drops it.
@@ -360,11 +363,7 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 		}
 	}
 	eng := sim.NewEngine()
-	machine, err := hw.NewMachine(eng, plat, min(fp.Host, plat.CPU.UsableMemBytes-1))
-	if err != nil {
-		res.OOM, res.OOMDetail = true, err.Error()
-		return res, nil
-	}
+	machine := hw.NewMachine(eng, plat)
 	if e.TransferJitter > 0 {
 		machine.H2D.SetJitter(1, e.TransferJitter)
 		machine.D2H.SetJitter(2, e.TransferJitter)
@@ -377,7 +376,7 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 	// the adaptive re-solve may grow into; on the clean path this is
 	// exactly the solved window, preserving the pool's byte accounting.
 	bufWindow := window
-	if faulted && !e.Adapt.DisableResolve {
+	if faulted && !e.DisableResolve {
 		bufWindow = e.maxFeasibleWindow(window, streams)
 	}
 	run := newIterRun(e, machine, window, bufWindow, streams)
@@ -396,7 +395,7 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 	res.PlanOps = uint64(len(run.plans[window].Ops))
 	var ends []*sim.Signal
 	if faulted {
-		run.enableFaults(inj, e.Adapt.withDefaults(), tr,
+		run.enableFaults(inj, tr,
 			UniformProfile(e.Model, e.availableWindowBytes(), e.optWorkers()), bufWindow)
 		ends = run.runAdaptive(iters, tr)
 	} else {
@@ -458,20 +457,13 @@ type iterRun struct {
 	machine *hw.Machine
 	window  int
 	streams []*hw.Stream
-	// order[q] is GPU stream q's issue order, which the plan executor
-	// enforces across iterations.
-	order []plan.Stream
-	lt    perf.LayerTimes
-	util  float64 // per-worker kernel utilization
-	n     int
-
-	// optDone[i] is the signal that layer i's parameters are updated
-	// and ready for the next iteration's prefetch; nil when they are.
-	optDone []*sim.Signal
-	// nvmeStaged[i]: layer i's weights present in the host staging ring
-	// (nil: already present).
-	nvmeStaged []*sim.Signal
-	iter       int
+	lt      perf.LayerTimes
+	util    float64 // per-worker kernel utilization
+	n       int
+	// st carries the executor's queue order and cross-iteration facts
+	// from one iteration or patch to the next.
+	st   plan.State
+	iter int
 	// timed marks an explicit-duration run (RunPlan): every op occupies
 	// its resource for exactly its DurNS, and compute runs on queues
 	// (one FIFO per plan queue) instead of GPU streams.
@@ -509,17 +501,13 @@ type iterRun struct {
 	cacheFlushes uint64
 
 	// Degraded mode (all nil/zero on the clean path; see degrade.go).
-	inj         *fault.Injector
-	adapt       AdaptConfig
-	faultTr     *trace.Trace // whole-run fault/recovery event sink
-	baseProfile Profile      // clean warm-up profile the re-solve rescales
-	baseWindow  int          // clean solver decision (shrink floor)
-	maxWindow   int          // memory-feasible ceiling (grow limit)
-	// residentReady[i] gates layer i's first use after a mid-run grow:
-	// its prefetch may still be in flight at the iteration boundary.
-	residentReady  map[int]*sim.Signal
-	obsNominal     sim.Time // model-predicted transfer time, this iteration
-	obsActual      sim.Time // observed transfer time incl. retry backoff
+	inj            *fault.Injector
+	faultTr        *trace.Trace // whole-run fault/recovery event sink
+	baseProfile    Profile      // clean warm-up profile the re-solve rescales
+	baseWindow     int          // clean solver decision (shrink floor)
+	maxWindow      int          // memory-feasible ceiling (grow limit)
+	obsNominal     sim.Time     // model-predicted transfer time, this iteration
+	obsActual      sim.Time     // observed transfer time incl. retry backoff
 	retries        uint64
 	deadlineMisses uint64
 	resolves       uint64
@@ -547,7 +535,6 @@ func newIterRun(e *Engine, machine *hw.Machine, window, bufWindow, streams int) 
 	for s := 0; s < streams; s++ {
 		r.streams = append(r.streams, machine.NewStream(fmt.Sprintf("worker%d", s)))
 	}
-	r.order = make([]plan.Stream, streams)
 	// Window buffer management against the real device arena.
 	if e.Feat.UserLevelMemMgmt {
 		pool, err := mem.NewRoundRobinPool(machine.GPUMem, r.tensorBytes, (bufWindow+1)*tensorsPerLayer)
@@ -562,8 +549,6 @@ func newIterRun(e *Engine, machine *hw.Machine, window, bufWindow, streams int) 
 		r.cache = mem.NewCachingAllocator(machine.GPUMem)
 		r.layerCache = make(map[int][]*mem.Block)
 	}
-	r.optDone = make([]*sim.Signal, r.n)
-	r.nvmeStaged = make([]*sim.Signal, r.n)
 	// The first window's layers are resident before training starts
 	// (§III-E1), holding their buffers.
 	for i := 0; i < window && i < r.n; i++ {
@@ -604,7 +589,7 @@ func (r *iterRun) planFor(window int) *plan.Iteration {
 		}
 	}
 	r.plans[window] = p
-	r.progs[window] = plan.Compile(p.Ops, &schedEnv{r: r})
+	r.progs[window] = plan.Compile(p.Ops)
 	return p
 }
 
@@ -762,13 +747,7 @@ func (r *iterRun) iteration(tr *trace.Trace) *sim.Signal {
 	if r.planFor(r.window) == nil {
 		return sim.FiredSignal(eng) // schedErr recorded; nothing to schedule
 	}
-	end := plan.Execute(r.progs[r.window], eng, &schedEnv{r: r, tr: tr})
-	// Resident head-of-model layers update on the GPU ("gpu adam
-	// resident", the plan's final op); their update fact just re-arms.
-	for i := 0; i < r.window && i < r.n; i++ {
-		r.optDone[i] = nil
-	}
-	return end
+	return plan.Execute(r.progs[r.window], eng, &r.st, &schedEnv{r: r, tr: tr})
 }
 
 // schedEnv runs plan ops on the simulated machine: kernels on GPU
@@ -781,57 +760,6 @@ type schedEnv struct {
 	r   *iterRun
 	tr  *trace.Trace
 	run *plan.Run
-}
-
-func (ev *schedEnv) Resolve(d plan.ExtDep) *sim.Signal {
-	switch d.Kind {
-	case plan.ExtOptDone:
-		return ev.r.optDone[d.Layer]
-	case plan.ExtNVMeStaged:
-		return ev.r.nvmeStaged[d.Layer]
-	case plan.ExtResident:
-		// Non-nil only after a mid-run window grow whose prefetch may
-		// still be in flight; steady-state residency needs no gate.
-		return ev.r.residentReady[d.Layer]
-	}
-	return nil
-}
-
-func (ev *schedEnv) Export(op *plan.Op, sig *sim.Signal) {
-	r := ev.r
-	switch op.Export {
-	case plan.ExtOptDone:
-		r.optDone[op.Layer] = sig
-		if op.Kind == plan.Offload {
-			// Window shrink: the eviction offload replaces the layer's
-			// update signal and ends its grow-gated residency.
-			delete(r.residentReady, op.Layer)
-		}
-	case plan.ExtNVMeStaged:
-		r.nvmeStaged[op.Layer] = sig
-	case plan.ExtResident:
-		r.residentReady[op.Layer] = sig
-	}
-}
-
-// Stream orders the kernels of each GPU stream; a timed run's FIFO
-// queues order their ops themselves.
-func (ev *schedEnv) Stream(op *plan.Op) *plan.Stream {
-	if ev.r.timed || !isKernel(op) {
-		return nil
-	}
-	return &ev.r.order[op.Queue]
-}
-
-// isKernel reports whether op runs on a compute queue.
-func isKernel(op *plan.Op) bool {
-	switch op.Kind {
-	case plan.ComputeFP, plan.ComputeBP:
-		return true
-	case plan.OptStep:
-		return op.GPU
-	}
-	return false
 }
 
 func (ev *schedEnv) Start(op *plan.Op, run *plan.Run) {

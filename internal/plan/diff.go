@@ -92,9 +92,9 @@ func Diff(a, b *Iteration) (*Patch, error) {
 	return p, nil
 }
 
-// Apply compiles the patch ops against env and walks them on eng,
+// Apply compiles the patch ops and walks them on eng against st,
 // exactly like Execute walks an iteration plan.
-func (p *Patch) Apply(eng *sim.Engine, env Env) { Execute(Compile(p.Ops, env), eng, env) }
+func (p *Patch) Apply(eng *sim.Engine, st *State, env Env) { Execute(Compile(p.Ops), eng, st, env) }
 
 func residentSet(layers []int) map[int]bool {
 	s := make(map[int]bool, len(layers))

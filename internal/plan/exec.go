@@ -3,7 +3,8 @@ package plan
 import "stronghold/internal/sim"
 
 // Env is the execution environment a plan runs against. The executor
-// owns the walk order and every dependency wait; the environment owns
+// owns the walk order and every dependency wait, including queue order
+// and the facts that cross Execute calls (State); the environment owns
 // the physics — how an op turns into simulated work. The core engine's
 // environment maps ops onto hw.Machine streams, PCIe queues and the CPU
 // optimizer pool, or, for explicit-duration plans, onto the machine's
@@ -15,86 +16,94 @@ type Env interface {
 	// the sim.Completer it submitted the work with, tagged by op.ID.
 	// Join ops never reach Start.
 	Start(op *Op, run *Run)
-	// Resolve maps a cross-iteration dependency to the signal that
-	// publishes it. Returning nil means the fact already holds.
-	Resolve(d ExtDep) *sim.Signal
-	// Export publishes op's completion signal as the op.Export fact
-	// for op.Layer, for the next iteration (or patch) to Resolve.
-	Export(op *Op, sig *sim.Signal)
-	// Stream returns the in-order stream op is issued on, or nil when
-	// op is ordered by its dependencies alone. Compile asks it once per
-	// op; the answer must depend on op alone.
-	Stream(op *Op) *Stream
 }
 
-// Stream is an in-order issue queue, the executor's half of a CUDA
-// stream: an op issued on it starts only after the stream's previous op
-// has completed. Its state outlives one Execute call — an iteration's
-// first kernel waits on the previous iteration's last — so the
-// environment owns it. The zero value is an idle stream.
-type Stream struct {
-	// last is the completion signal of the stream's last op issued by
-	// an earlier Execute call (nil when none has been).
-	last *sim.Signal
+// State is what outlives one Execute call: the signal that ends each
+// queue's last op, and the signal that publishes each (fact kind,
+// layer). A run's iterations and patches share one State: an
+// iteration's first kernel on a queue waits on the previous call's last
+// one, as a CUDA stream orders its kernels, and an Ext dependency waits
+// on the fact's latest Export, as a prefetch waits on a CUDA event. The
+// zero value is a fresh run: every queue is idle and every fact already
+// holds. A fired signal gates nothing, exactly as a nil one does.
+type State struct {
+	// tails[q] completes with queue q's last op issued so far; nil when
+	// none has been.
+	tails []*sim.Signal
+	// facts[l*extKinds+k-1] publishes fact kind k about layer l; nil
+	// while the fact holds from the start of the run.
+	facts []*sim.Signal
+}
+
+// extKinds is the number of ExtKind values a State keeps per layer.
+const extKinds = int(ExtResident)
+
+// fact returns the slot that publishes fact k about layer l.
+func (st *State) fact(k ExtKind, l int) **sim.Signal {
+	return &st.facts[l*extKinds+int(k)-1]
+}
+
+// size grows st to hold c's queues and fact layers. Execute calls it
+// before the walk, so the walk itself never grows the tables.
+func (st *State) size(c *Compiled) {
+	if n := int(c.queues) - len(st.tails); n > 0 {
+		st.tails = append(st.tails, make([]*sim.Signal, n)...)
+	}
+	if n := int(c.layers)*extKinds - len(st.facts); n > 0 {
+		st.facts = append(st.facts, make([]*sim.Signal, n)...)
+	}
 }
 
 // Compiled is a plan lowered for execution, built once per plan and
 // reused by every Execute call. Dependencies inside the plan become a
 // CSR successor table — op i's successors are succ[succAt[i]:succAt[i+1]],
 // in ascending ID, an op listed once per edge (each Deps entry, and its
-// stream predecessor) — so the executor counts and releases them by
+// queue predecessor) — so the executor counts and releases them by
 // index. Only what another Execute call can wait on keeps a
 // *sim.Signal: the ops that export a fact and the last op of each
-// stream.
+// queue.
 type Compiled struct {
 	ops    []Op
 	succAt []int32
 	succ   []int32
 	info   []opInfo
-	// streams are the environment's streams the plan issues on, in
-	// order of first use; each op's stream is info[i].slot.
-	streams []*Stream
+	// queues and layers size a State for the plan: one past the highest
+	// queue an op occupies and the highest layer a fact names.
+	queues  int32
+	layers  int32
 	bounds  int32 // number of ops carrying a boundary signal
 	endDeps int32 // Σ info[i].endWaits
 }
 
 // opInfo is the compiled per-op wiring.
 type opInfo struct {
-	slot  int32 // stream slot, -1 off the streams
-	prev  int32 // in-plan predecessor on the op's stream, -1 for none
+	prev  int32 // in-plan predecessor on the op's queue, -1 for none
 	bound int32 // index of the op's boundary signal, -1 for none
 	// endWaits is how many times the iteration end waits on the op:
-	// once as the plan's final op, once as a stream's last op.
+	// once as the plan's final op, once as a queue's last op.
 	endWaits int32
-	tail     bool // last op on its stream
+	tail     bool // last op on its queue: becomes the State's tail
 }
 
 // Compile lowers ops — an iteration's or a patch's, in canonical
-// order — against env's streams. A dependency that does not point at
-// an earlier op is ignored; Validate rejects such plans.
-func Compile(ops []Op, env Env) *Compiled {
+// order. Every op onQueue selects runs after the previous such op on
+// op.Queue, the FIFO order Validate proves the plan against. A
+// dependency that does not point at an earlier op is ignored; Validate
+// rejects such plans.
+func Compile(ops []Op) *Compiled {
 	n := len(ops)
 	c := &Compiled{ops: ops, succAt: make([]int32, n+1), info: make([]opInfo, n)}
-	var last []int32 // last op seen per stream slot
+	var last []int32 // last op seen per queue, -1 for none
 	for i := range ops {
 		op := &ops[i]
 		in := &c.info[i]
-		in.slot, in.prev, in.bound = -1, -1, -1
-		if s := env.Stream(op); s != nil {
-			slot := -1
-			for k, known := range c.streams {
-				if known == s {
-					slot = k
-					break
-				}
-			}
-			if slot < 0 {
-				slot = len(c.streams)
-				c.streams = append(c.streams, s)
+		in.prev, in.bound = -1, -1
+		if onQueue(op) {
+			for len(last) <= op.Queue {
 				last = append(last, -1)
 			}
-			in.slot, in.prev = int32(slot), last[slot]
-			last[slot] = int32(i)
+			in.prev = last[op.Queue]
+			last[op.Queue] = int32(i)
 			if in.prev >= 0 {
 				c.succAt[in.prev]++
 			}
@@ -104,10 +113,19 @@ func Compile(ops []Op, env Env) *Compiled {
 				c.succAt[d]++
 			}
 		}
+		for _, x := range op.Ext {
+			c.layers = max(c.layers, int32(x.Layer)+1)
+		}
+		if op.Export != 0 {
+			c.layers = max(c.layers, int32(op.Layer)+1)
+		}
 	}
+	c.queues = int32(len(last))
 	for _, t := range last {
-		c.info[t].tail = true
-		c.info[t].endWaits++
+		if t >= 0 {
+			c.info[t].tail = true
+			c.info[t].endWaits++
+		}
 	}
 	if n > 0 {
 		c.info[n-1].endWaits++
@@ -144,16 +162,19 @@ func Compile(ops []Op, env Env) *Compiled {
 // counting every op's outstanding dependencies and handing it to env
 // once they have completed. Issue order is ID order, which is what
 // makes plan execution deterministic: two walks of the same plan
-// register the same waits in the same order. It returns the iteration
-// end: a signal that fires once the plan's final op and the last op of
-// every stream it issues on have completed.
-func Execute(c *Compiled, eng *sim.Engine, env Env) *sim.Signal {
-	return execute(c, eng, env).end
+// register the same waits in the same order. st carries queue tails
+// and facts from earlier calls in, and this call's out. It returns the
+// iteration end: a signal that fires once the plan's final op and the
+// last op of every queue it issues on have completed.
+func Execute(c *Compiled, eng *sim.Engine, st *State, env Env) *sim.Signal {
+	return execute(c, eng, st, env).end
 }
 
-func execute(c *Compiled, eng *sim.Engine, env Env) *Run {
+func execute(c *Compiled, eng *sim.Engine, st *State, env Env) *Run {
+	st.size(c)
 	x := &Run{
 		c:       c,
+		st:      st,
 		env:     env,
 		eng:     eng,
 		left:    make([]int32, len(c.ops)),
@@ -182,13 +203,14 @@ func execute(c *Compiled, eng *sim.Engine, env Env) *Run {
 //     (once per edge), then counts toward the iteration end, then
 //     wakes its boundary signal's waiters — which registered in walk
 //     order, each op's Ext facts first and then the previous call's
-//     stream tail.
+//     queue tail.
 //
 // An Ext fact that an earlier op of the same plan exports is waited on
 // like a cross-call one, after that op's in-plan successors; planners
 // order such ops with Deps instead.
 type Run struct {
 	c   *Compiled
+	st  *State
 	env Env
 	eng *sim.Engine
 	// left[i] counts op i's outstanding dependencies; done marks a
@@ -212,7 +234,7 @@ func (x *Run) Op(id ID) *Op { return &x.c.ops[id] }
 //
 //vet:hotpath
 func (x *Run) issue(i int32) {
-	c := x.c
+	c, st := x.c, x.st
 	op := &c.ops[i]
 	in := &c.info[i]
 	var n int32
@@ -222,7 +244,7 @@ func (x *Run) issue(i int32) {
 		}
 	}
 	for _, e := range op.Ext {
-		if s := x.env.Resolve(e); s != nil && !s.Fired() {
+		if s := *st.fact(e.Kind, e.Layer); s != nil && !s.Fired() {
 			n++
 			s.Wait(x.waiter(i))
 		}
@@ -231,8 +253,8 @@ func (x *Run) issue(i int32) {
 		if x.left[in.prev] != done {
 			n++
 		}
-	} else if in.slot >= 0 {
-		if t := c.streams[in.slot].last; t != nil && !t.Fired() {
+	} else if onQueue(op) {
+		if t := st.tails[op.Queue]; t != nil && !t.Fired() {
 			n++
 			t.Wait(x.waiter(i))
 		}
@@ -248,10 +270,10 @@ func (x *Run) issue(i int32) {
 		x.start(i)
 	}
 	if in.tail {
-		c.streams[in.slot].last = b
+		st.tails[op.Queue] = b
 	}
 	if op.Export != 0 {
-		x.env.Export(op, b)
+		*st.fact(op.Export, op.Layer) = b
 	}
 }
 

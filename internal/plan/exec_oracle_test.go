@@ -16,12 +16,17 @@ import (
 // same times, in the same order, and the same engine step count.
 
 // oracleEnv is the environment the oracle walks against: Start gets a
-// done callback instead of a Run.
+// done callback instead of a Run, and the environment keeps the facts
+// and queue tails that outlive a walk.
 type oracleEnv interface {
 	Start(op *Op, done func())
+	// Resolve returns the signal publishing d; nil means d holds.
 	Resolve(d ExtDep) *sim.Signal
+	// Export publishes sig as op's op.Export fact about op.Layer.
 	Export(op *Op, sig *sim.Signal)
-	Stream(op *Op) *Stream
+	// Tail returns the slot holding the completion signal of the last
+	// op issued on op's queue, or nil when op is on no queue.
+	Tail(op *Op) **sim.Signal
 }
 
 // executeOracle walks ops in canonical order, wiring every op's
@@ -40,9 +45,9 @@ func executeOracle(ops []Op, eng *sim.Engine, env oracleEnv) []*sim.Signal {
 				deps = append(deps, s)
 			}
 		}
-		stream := env.Stream(op)
-		if stream != nil && stream.last != nil {
-			deps = append(deps, stream.last)
+		tail := env.Tail(op)
+		if tail != nil && *tail != nil {
+			deps = append(deps, *tail)
 		}
 		var sig *sim.Signal
 		if op.Kind == Join && len(deps) == 1 {
@@ -61,8 +66,8 @@ func executeOracle(ops []Op, eng *sim.Engine, env oracleEnv) []*sim.Signal {
 				}
 			})
 		}
-		if stream != nil {
-			stream.last = sig
+		if tail != nil {
+			*tail = sig
 		}
 		sigs[i] = sig
 		if op.Export != 0 {
@@ -129,16 +134,19 @@ type completion struct {
 // an NVMe queue and a two-worker CPU pool (FIFO resources), and one
 // launch-latency stream per queue over a shared SM array — or, timed,
 // one FIFO resource per queue with every op taking its DurNS. Ext facts
-// start out firing at seeded, often equal, times.
+// start out firing at seeded, often equal, times. The oracle keeps
+// facts and queue tails in the world's own tables; the compiled executor in
+// its State, seeded with the same facts.
 type world struct {
-	eng     *sim.Engine
-	m       *hw.Machine
-	launch  []*hw.Stream
-	fifo    []*sim.Resource
-	timed   bool
-	streams []Stream
-	facts   map[ExtDep]*sim.Signal
-	log     []completion
+	eng    *sim.Engine
+	m      *hw.Machine
+	launch []*hw.Stream
+	fifo   []*sim.Resource
+	timed  bool
+	tails  []*sim.Signal
+	facts  map[ExtDep]*sim.Signal
+	st     State
+	log    []completion
 	// exported lists every exported signal in Export order.
 	exported []*sim.Signal
 	compiled map[*Iteration]*Compiled
@@ -148,11 +156,8 @@ func newWorld(t testing.TB, layers, queues int, timed bool, seed uint64) *world 
 	eng := sim.NewEngine()
 	plat := hw.V100Platform()
 	plat.CPU.Cores = 2
-	m, err := hw.NewMachine(eng, plat, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &world{eng: eng, m: m, timed: timed, streams: make([]Stream, queues),
+	m := hw.NewMachine(eng, plat)
+	w := &world{eng: eng, m: m, timed: timed, tails: make([]*sim.Signal, queues),
 		facts: map[ExtDep]*sim.Signal{}, compiled: map[*Iteration]*Compiled{}}
 	for q := 0; q < queues; q++ {
 		w.launch = append(w.launch, m.NewStream(fmt.Sprintf("w%d", q)))
@@ -169,6 +174,7 @@ func newWorld(t testing.TB, layers, queues int, timed bool, seed uint64) *world 
 				s := sim.NewSignal(eng)
 				eng.Schedule(sim.Time(pick-1)*500, s.Fire)
 				w.facts[ExtDep{Kind: k, Layer: l}] = s
+				w.st.publish(ExtDep{Kind: k, Layer: l}, s)
 			}
 		}
 	}
@@ -219,20 +225,29 @@ func (w *world) dur(op *Op, fallback sim.Time) sim.Time {
 	return fallback
 }
 
-func (w *world) stream(op *Op) *Stream {
-	if w.timed {
+// tail orders every op on an execution queue, timed or not, as the
+// compiled executor does.
+func (w *world) tail(op *Op) **sim.Signal {
+	if !onQueue(op) {
 		return nil
 	}
-	switch {
-	case op.Kind == ComputeFP, op.Kind == ComputeBP, op.Kind == OptStep && op.GPU:
-		return &w.streams[op.Queue]
-	}
-	return nil
+	return &w.tails[op.Queue]
 }
 
 func (w *world) export(op *Op, sig *sim.Signal) {
 	w.facts[ExtDep{Kind: op.Export, Layer: op.Layer}] = sig
 	w.exported = append(w.exported, sig)
+}
+
+// logExports logs the signals a compiled walk of ops exported, in
+// Export order, from the State. Every plan here exports each (kind, layer) at
+// most once, so the State still holds each of them.
+func (w *world) logExports(ops []Op) {
+	for i := range ops {
+		if op := &ops[i]; op.Export != 0 {
+			w.exported = append(w.exported, *w.st.fact(op.Export, op.Layer))
+		}
+	}
 }
 
 // call is one compiled Execute call's environment and completer.
@@ -252,10 +267,6 @@ func (c *call) Complete(tag int32, start, end sim.Time) {
 	c.run.Done(ID(tag))
 }
 
-func (c *call) Resolve(d ExtDep) *sim.Signal   { return c.w.facts[d] }
-func (c *call) Export(op *Op, sig *sim.Signal) { c.w.export(op, sig) }
-func (c *call) Stream(op *Op) *Stream          { return c.w.stream(op) }
-
 // oracleCall is one oracle walk's environment.
 type oracleCall struct {
 	w  *world
@@ -268,7 +279,7 @@ func (c *oracleCall) Start(op *Op, done func()) {
 
 func (c *oracleCall) Resolve(d ExtDep) *sim.Signal   { return c.w.facts[d] }
 func (c *oracleCall) Export(op *Op, sig *sim.Signal) { c.w.export(op, sig) }
-func (c *oracleCall) Stream(op *Op) *Stream          { return c.w.stream(op) }
+func (c *oracleCall) Tail(op *Op) **sim.Signal       { return c.w.tail(op) }
 
 // oracleDone logs an op's completion, then fires its signal.
 type oracleDone struct {
@@ -291,20 +302,24 @@ type executor interface {
 type compiledExec struct{}
 
 func (compiledExec) iterate(w *world, id int, it *Iteration) *sim.Signal {
-	env := &call{w: w, id: id}
 	c := w.compiled[it]
 	if c == nil {
-		c = Compile(it.Ops, env)
+		c = Compile(it.Ops)
 		w.compiled[it] = c
 	}
-	return Execute(c, w.eng, env)
+	end := Execute(c, w.eng, &w.st, &call{w: w, id: id})
+	w.logExports(it.Ops)
+	return end
 }
 
-func (compiledExec) patch(w *world, id int, p *Patch) { p.Apply(w.eng, &call{w: w, id: id}) }
+func (compiledExec) patch(w *world, id int, p *Patch) {
+	p.Apply(w.eng, &w.st, &call{w: w, id: id})
+	w.logExports(p.Ops)
+}
 
 type oracleExec struct{}
 
-// iterate walks the plan and joins its final op with every stream's
+// iterate walks the plan and joins its final op with every queue's
 // last op into the iteration end.
 func (oracleExec) iterate(w *world, id int, it *Iteration) *sim.Signal {
 	sigs := executeOracle(it.Ops, w.eng, &oracleCall{w: w, id: id})
@@ -312,9 +327,7 @@ func (oracleExec) iterate(w *world, id int, it *Iteration) *sim.Signal {
 	if len(sigs) > 0 {
 		deps = append(deps, sigs[len(sigs)-1])
 	}
-	for q := range w.streams {
-		deps = append(deps, w.streams[q].last)
-	}
+	deps = append(deps, w.tails...)
 	end := sim.NewSignal(w.eng)
 	waitAll(w.eng, deps, end.Fire)
 	return end
@@ -485,7 +498,8 @@ func TestExecuteMatchesOracle(t *testing.T) {
 
 // handPlans are explicit-duration plans exercising what Build never
 // emits: duplicate edges, ops that complete inside the walk, wide
-// fan-out with equal durations, and facts exported for the next call.
+// fan-out with equal durations, facts exported for the next call, and
+// a kernel whose only wait is its queue predecessor.
 func handPlans() map[string]*Iteration {
 	fanout := &Iteration{Layers: 2, Queues: 2, Ops: []Op{
 		{ID: 0, Kind: ComputeFP, Layer: 0, Queue: 0, DurNS: 10, Ext: []ExtDep{{Kind: ExtOptDone, Layer: 0}}},
@@ -517,7 +531,16 @@ func handPlans() map[string]*Iteration {
 		{ID: 12, Kind: BufRelease, Layer: 0, Queue: -1, Deps: []ID{10, 11}},
 		{ID: 13, Kind: BufRelease, Layer: 1, Queue: -1, Deps: []ID{12}},
 	}}
-	return map[string]*Iteration{"fanout": fanout, "ties": ties}
+	// fp L0 waits on a slow prefetch; bp L0 has no dependency but
+	// must still run after it on queue 0.
+	queueOrder := &Iteration{Layers: 1, Queues: 1, Ops: []Op{
+		{ID: 0, Kind: BufAcquire, Layer: 0, Queue: -1},
+		{ID: 1, Kind: Prefetch, Layer: 0, Queue: -1, DurNS: 1000, Deps: []ID{0}},
+		{ID: 2, Kind: ComputeFP, Layer: 0, Queue: 0, DurNS: 10, Deps: []ID{1}},
+		{ID: 3, Kind: ComputeBP, Layer: 0, Queue: 0, DurNS: 10},
+		{ID: 4, Kind: BufRelease, Layer: 0, Queue: -1, Deps: []ID{3}},
+	}}
+	return map[string]*Iteration{"fanout": fanout, "ties": ties, "queue-order": queueOrder}
 }
 
 func TestExecuteMatchesOracleOnHandPlans(t *testing.T) {

@@ -8,38 +8,33 @@ import (
 
 // recordEnv is a minimal Env that records the executor's walk. Every op
 // runs for max(DurNS, 1) of virtual time: CPU optimizer steps on a
-// two-worker pool, everything else on its own timer. Kernels (ops with
-// a queue) are ordered on one Stream per queue.
+// two-worker pool, everything else on its own timer.
 type recordEnv struct {
-	eng     *sim.Engine
-	pool    *sim.Pool
-	streams []Stream
-	run     *Run
-	// facts answers Resolve; a missing entry means the fact holds.
-	facts    map[ExtDep]*sim.Signal
-	walked   []ID // ops in the order Compile visited them
-	spans    map[ID][2]sim.Time
-	resolved []ExtDep
-	exported map[ExtDep]*sim.Signal
-	t        *testing.T
+	eng  *sim.Engine
+	pool *sim.Pool
+	run  *Run
+	st   State
+	// walked lists the ops started during the walk, before the engine
+	// runs, in the order Start saw them.
+	walked []ID
+	spans  map[ID][2]sim.Time
+	t      *testing.T
 }
 
-func newRecordEnv(t *testing.T, queues int) *recordEnv {
+func newRecordEnv(t *testing.T) *recordEnv {
 	eng := sim.NewEngine()
 	return &recordEnv{
-		eng:      eng,
-		pool:     sim.NewPool(eng, "cpu", 2),
-		streams:  make([]Stream, queues),
-		facts:    map[ExtDep]*sim.Signal{},
-		spans:    map[ID][2]sim.Time{},
-		exported: map[ExtDep]*sim.Signal{},
-		t:        t,
+		eng:   eng,
+		pool:  sim.NewPool(eng, "cpu", 2),
+		spans: map[ID][2]sim.Time{},
+		t:     t,
 	}
 }
 
-// execute compiles it against e and walks it, returning the run.
+// execute compiles it and walks it against e's State, returning the
+// run.
 func (e *recordEnv) execute(it *Iteration) *Run {
-	return execute(Compile(it.Ops, e), e.eng, e)
+	return execute(Compile(it.Ops), e.eng, &e.st, e)
 }
 
 func (e *recordEnv) Start(op *Op, run *Run) {
@@ -47,6 +42,9 @@ func (e *recordEnv) Start(op *Op, run *Run) {
 		e.t.Errorf("op %d started twice", op.ID)
 	}
 	e.run = run
+	if e.eng.Steps() == 0 {
+		e.walked = append(e.walked, op.ID)
+	}
 	dur := max(op.DurNS, 1)
 	if op.Kind == OptStep && !op.GPU {
 		e.pool.Submit(dur, e, int32(op.ID))
@@ -61,53 +59,42 @@ func (e *recordEnv) Complete(tag int32, start, end sim.Time) {
 	e.run.Done(ID(tag))
 }
 
-func (e *recordEnv) Resolve(d ExtDep) *sim.Signal {
-	e.resolved = append(e.resolved, d)
-	return e.facts[d]
-}
-
-func (e *recordEnv) Export(op *Op, sig *sim.Signal) {
-	e.exported[ExtDep{Kind: op.Export, Layer: op.Layer}] = sig
-}
-
-func (e *recordEnv) Stream(op *Op) *Stream {
-	e.walked = append(e.walked, op.ID)
-	if op.Queue < 0 {
-		return nil
-	}
-	return &e.streams[op.Queue]
-}
-
-// factAt returns a fact signal that fires at virtual time at.
-func (e *recordEnv) factAt(at sim.Time) *sim.Signal {
+// factAt publishes d as a fact that fires at virtual time at.
+func (e *recordEnv) factAt(d ExtDep, at sim.Time) {
 	s := sim.NewSignal(e.eng)
 	e.eng.Schedule(at, s.Fire)
-	return s
+	e.st.publish(d, s)
+}
+
+// publish sets the signal of fact d, growing st to hold it.
+func (st *State) publish(d ExtDep, s *sim.Signal) {
+	st.size(&Compiled{layers: int32(d.Layer) + 1})
+	*st.fact(d.Kind, d.Layer) = s
 }
 
 func TestExecuteWalksCanonicalOrder(t *testing.T) {
 	spec := baseSpec()
 	spec.Queues = 2
 	it := mustBuild(t, spec)
-	env := newRecordEnv(t, it.Queues)
+	env := newRecordEnv(t)
 	run := env.execute(it)
 	env.eng.Run()
-	if len(env.walked) != len(it.Ops) {
-		t.Fatalf("compiled %d of %d ops", len(env.walked), len(it.Ops))
+	// The walk starts the ops ready at issue, in issue order: canonical
+	// order means ascending ID.
+	if len(env.walked) == 0 {
+		t.Fatal("the walk started no op")
 	}
-	for i, id := range env.walked {
-		if id != ID(i) {
-			t.Fatalf("op %d compiled at position %d: not canonical order", id, i)
+	for k := 1; k < len(env.walked); k++ {
+		if env.walked[k] <= env.walked[k-1] {
+			t.Fatalf("walk started op %d after op %d: not canonical order", env.walked[k], env.walked[k-1])
 		}
 	}
 	if !run.end.Fired() {
 		t.Fatal("iteration end never fired")
 	}
 	lastOnQueue := map[int]ID{}
-	var wantExt int
 	for i := range it.Ops {
 		op := &it.Ops[i]
-		wantExt += len(op.Ext)
 		if run.left[i] != done {
 			t.Fatalf("op %d never completed", op.ID)
 		}
@@ -126,46 +113,42 @@ func TestExecuteWalksCanonicalOrder(t *testing.T) {
 				t.Errorf("op %d started at %d before dep %d completed at %d", op.ID, span[0], d, dep[1])
 			}
 		}
-		if op.Queue >= 0 {
+		if onQueue(op) {
 			if prev, ok := lastOnQueue[op.Queue]; ok && span[0] < env.spans[prev][1] {
-				t.Errorf("op %d started at %d before its stream predecessor %d completed at %d",
+				t.Errorf("op %d started at %d before its queue predecessor %d completed at %d",
 					op.ID, span[0], prev, env.spans[prev][1])
 			}
 			lastOnQueue[op.Queue] = op.ID
 		}
 		if op.Export != 0 {
-			sig := env.exported[ExtDep{Kind: op.Export, Layer: op.Layer}]
+			sig := *env.st.fact(op.Export, op.Layer)
 			if sig == nil || !sig.Fired() || sig.FiredAt() != span[1] {
 				t.Errorf("op %d: export %s:L%d not published at its completion", op.ID, op.Export, op.Layer)
 			}
 		}
 	}
 	for q, last := range lastOnQueue {
-		if s := env.streams[q].last; s == nil || s.FiredAt() != env.spans[last][1] {
-			t.Errorf("stream %d does not end at its last kernel %d", q, last)
+		if s := env.st.tails[q]; s == nil || s.FiredAt() != env.spans[last][1] {
+			t.Errorf("queue %d does not end at its last kernel %d", q, last)
 		}
 		if run.end.FiredAt() < env.spans[last][1] {
-			t.Errorf("iteration end at %d before stream %d's last kernel %d", run.end.FiredAt(), q, last)
+			t.Errorf("iteration end at %d before queue %d's last kernel %d", run.end.FiredAt(), q, last)
 		}
-	}
-	// Every external dependency in the plan reached Resolve.
-	if len(env.resolved) != wantExt {
-		t.Errorf("resolved %d external deps, plan carries %d", len(env.resolved), wantExt)
 	}
 }
 
 // TestExecuteGatesOnEveryDependency checks that an op starts only once
-// its in-plan deps, its Ext facts and its stream predecessor have all
+// its in-plan deps, its Ext facts and its queue predecessor have all
 // completed, whichever resolves last.
 func TestExecuteGatesOnEveryDependency(t *testing.T) {
-	env := newRecordEnv(t, 2)
+	env := newRecordEnv(t)
 	optDone := ExtDep{Kind: ExtOptDone, Layer: 0}
 	staged := ExtDep{Kind: ExtNVMeStaged, Layer: 0}
-	env.facts[optDone] = env.factAt(7)
-	env.facts[staged] = env.factAt(30)
+	env.factAt(optDone, 7)
+	env.factAt(staged, 30)
 	it := &Iteration{Queues: 2, Ops: []Op{
 		{ID: 0, Kind: ComputeFP, Queue: 0, DurNS: 10},
-		{ID: 1, Kind: ComputeFP, Queue: 0, DurNS: 10}, // stream predecessor only
+		{ID: 1, Kind: ComputeFP, Queue: 0, DurNS: 10}, // queue predecessor only
 		{ID: 2, Kind: Prefetch, Queue: -1, DurNS: 3, Ext: []ExtDep{optDone}},
 		{ID: 3, Kind: OptStep, Queue: -1, DurNS: 10, Deps: []ID{2}, Ext: []ExtDep{staged}},
 		{ID: 4, Kind: Join, Queue: -1, Deps: []ID{0, 2}},
@@ -177,10 +160,10 @@ func TestExecuteGatesOnEveryDependency(t *testing.T) {
 	env.eng.Run()
 	for id, want := range map[ID][2]sim.Time{
 		0: {0, 10},
-		1: {10, 20}, // waits for op 0 on stream 0
+		1: {10, 20}, // waits for op 0 on queue 0
 		2: {7, 10},  // waits for the ExtOptDone fact
 		3: {30, 40}, // dep 2 done at 10, ExtNVMeStaged at 30
-		6: {40, 41}, // the join of ops 1 and 3 fires at 40; stream 1 is idle
+		6: {40, 41}, // the join of ops 1 and 3 fires at 40; queue 1 is idle
 		7: {10, 11}, // the join of ops 0 and 2 fires at 10
 	} {
 		if got := env.spans[id]; got != want {
@@ -193,14 +176,14 @@ func TestExecuteGatesOnEveryDependency(t *testing.T) {
 // worker pool picks its worker when its dependencies resolve, not when
 // it is issued.
 func TestExecutePicksPoolWorkerOnResolve(t *testing.T) {
-	env := newRecordEnv(t, 0)
+	env := newRecordEnv(t)
 	env.pool.Submit(10, nil, 0) // worker 0 busy until 10
 	env.pool.Submit(20, nil, 0) // worker 1 busy until 20
 	// At t=2 a 50ns task lands on worker 0 (free first), keeping it
 	// busy until 60: an issue-time pick would have chosen worker 0.
 	env.eng.Schedule(2, func() { env.pool.Submit(50, nil, 0) })
 	dep := ExtDep{Kind: ExtOptDone, Layer: 0}
-	env.facts[dep] = env.factAt(5)
+	env.factAt(dep, 5)
 	it := &Iteration{Ops: []Op{{ID: 0, Kind: OptStep, Queue: -1, DurNS: 10, Ext: []ExtDep{dep}}}}
 	env.execute(it)
 	env.eng.Run()
@@ -213,7 +196,7 @@ func TestExecutePicksPoolWorkerOnResolve(t *testing.T) {
 // inside Start, before the walk reaches their successors: the walk
 // counts them as done instead of waiting on them.
 func TestExecuteCompletesSynchronousOpsDuringWalk(t *testing.T) {
-	env := newRecordEnv(t, 1)
+	env := newRecordEnv(t)
 	it := &Iteration{Queues: 1, Ops: []Op{
 		{ID: 0, Kind: Join, Queue: -1},
 		{ID: 1, Kind: Join, Queue: -1, Deps: []ID{0, 0}},
@@ -233,7 +216,7 @@ func TestExecuteCompletesSynchronousOpsDuringWalk(t *testing.T) {
 }
 
 func TestExecuteDoneTwicePanics(t *testing.T) {
-	env := newRecordEnv(t, 0)
+	env := newRecordEnv(t)
 	it := &Iteration{Ops: []Op{{ID: 0, Kind: Offload, Queue: -1, DurNS: 1}}}
 	run := env.execute(it)
 	env.eng.Run()

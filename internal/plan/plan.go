@@ -8,10 +8,13 @@
 // successor table, then walks it with dense per-op dependency counts,
 // starting each op's simulated work through an environment interface
 // once its dependencies have completed and releasing successors by op
-// index when the environment reports it done. Signals remain only
-// where a dependency crosses one Execute call into another. The
-// environment is core's, which runs STRONGHOLD's flop- and byte-costed
-// plans and the baselines' explicit-duration plans alike. diff.go
+// index when the environment reports it done. The executor alone knows
+// the schedule's ordering rules: in-plan Deps, the FIFO order of each
+// execution queue, and the cross-iteration facts, which it keeps in a
+// State shared by a run's Execute calls. Signals remain only where a
+// dependency crosses one Execute call into another. The environment
+// is core's, which runs STRONGHOLD's flop- and byte-costed plans and
+// the baselines' explicit-duration plans alike. diff.go
 // turns two plans for adjacent window sizes into the prefetch/offload
 // patch the adaptive scheduler applies at iteration boundaries.
 package plan

@@ -172,7 +172,7 @@ func Simulate(c SimConfig) (SimResult, error) {
 				return SimResult{}, fmt.Errorf("stronghold: fault plan: %w", err)
 			}
 			e.Faults = plan
-			e.Adapt.DisableResolve = c.DisableAdapt
+			e.DisableResolve = c.DisableAdapt
 		}
 		tr = trace.New()
 		r = e.Run(3, tr)
