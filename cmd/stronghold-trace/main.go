@@ -14,10 +14,10 @@
 //
 // With -plan the command prints the validated schedule IR for one
 // iteration instead of simulating: deterministic text by default, JSON
-// with -plan-json, or a line diff against the plan for another window
-// size with -plan-diff (how a mid-run adaptive re-solve changes the
-// schedule; STRONGHOLD methods only — the baseline schedules have no
-// window to vary).
+// with -plan-json, or with -plan-diff the patch a mid-run adaptive
+// re-solve applies to move the schedule to another window size
+// (STRONGHOLD methods only — the baseline schedules have no window to
+// vary).
 package main
 
 import (
@@ -44,7 +44,7 @@ func main() {
 	out := flag.String("o", "trace.json", "output path for Chrome trace JSON")
 	planMode := flag.Bool("plan", false, "print the iteration's schedule plan instead of simulating")
 	planJSON := flag.Bool("plan-json", false, "with -plan: emit indented JSON instead of text")
-	planDiff := flag.Int("plan-diff", 0, "with -plan: diff against the plan for this window size (STRONGHOLD methods only)")
+	planDiff := flag.Int("plan-diff", 0, "with -plan: print the patch to the plan for this window size (STRONGHOLD methods only)")
 	flag.Parse()
 
 	if *method == "list" {
@@ -151,8 +151,8 @@ func reportTrace(tr *trace.Trace, out string) {
 }
 
 // printPlan renders the engine's validated plan for the configured
-// window: as text, as JSON, or as a diff against the plan for window
-// other.
+// window: as text, as JSON, or as the patch that moves it to the plan
+// for window other.
 func printPlan(e *core.Engine, window, other int, asJSON bool) {
 	it, err := e.BuildPlan(window)
 	if err != nil {
@@ -163,12 +163,11 @@ func printPlan(e *core.Engine, window, other int, asJSON bool) {
 		if err != nil {
 			fatalf("plan (m=%d): %v", other, err)
 		}
-		d := plan.DiffText(it, to)
-		if d == "" {
-			fmt.Printf("plans for m=%d and m=%d are identical\n", it.Window, to.Window)
-			return
+		p, err := plan.Diff(it, to)
+		if err != nil {
+			fatalf("plan diff: %v", err)
 		}
-		fmt.Printf("plan diff m=%d -> m=%d:\n%s", it.Window, to.Window, d)
+		fmt.Print(plan.PatchText(p))
 		return
 	}
 	renderPlan(it, asJSON)

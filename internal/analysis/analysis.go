@@ -1,12 +1,12 @@
 // Package analysis is a small, stdlib-only static-analysis framework
 // purpose-built for this repository. It exists to turn the simulator's
 // prose contracts — the virtual clock, the single-goroutine event
-// engine, the signal-chained asynchronous copies, the user-level buffer
+// engine, the allocation-free plan executor, the user-level buffer
 // discipline — into machine-checked invariants. The general-purpose
-// linters cannot know that a dropped *sim.Signal silently deletes a
-// dependency edge from an offloading schedule, or that wall-clock time
-// inside a simulation package forfeits the paper's <3% run-to-run
-// variance claim; the analyzers registered here do.
+// linters cannot know that a goroutine holding the engine reorders an
+// offloading schedule's events, or that wall-clock time inside a
+// simulation package forfeits the paper's <3% run-to-run variance
+// claim; the analyzers registered here do.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis at
 // a fraction of its surface: an Analyzer bundles a name, a doc string

@@ -8,7 +8,7 @@ import (
 )
 
 // EnginePure enforces the single-goroutine event-engine contract. The
-// whole simulation — engine, resources, signals, machines, streams —
+// whole simulation — engine, resources, machines, streams —
 // runs on the calling goroutine; that is the property that makes event
 // order, and therefore every reported figure, deterministic. Any
 // engine-owning file — one that imports the sim or hw package, or
@@ -75,7 +75,7 @@ func runEnginePureFile(pass *ModulePass, spawners map[*types.Func]map[int]bool, 
 		case *ast.CallExpr:
 			reportSpawnerCapture(pass, pkg.Info, n, selSels, boundMethods, spawners)
 		case *ast.ChanType:
-			blanket(n.Pos(), "channel in an engine-owning file: express dependencies with sim.Signal, not CSP")
+			blanket(n.Pos(), "channel in an engine-owning file: express dependencies as plan edges, not CSP")
 		case *ast.SendStmt:
 			blanket(n.Pos(), "channel send in an engine-owning file")
 		case *ast.UnaryExpr:

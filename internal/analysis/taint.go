@@ -200,7 +200,6 @@ var sinkMethods = map[string]map[string]map[string]bool{
 		"Resource":        {"Submit": true},
 		"Pool":            {"Submit": true},
 		"SharedProcessor": {"Submit": true},
-		"Signal":          {"Fire": true, "Set": true, "Wake": true, "Wait": true},
 	},
 	memPkgSuffix: {
 		"Arena":            {"Alloc": true, "MustAlloc": true, "Release": true},

@@ -23,14 +23,22 @@ func ViaSpawner(eng *sim.Engine) {
 	})
 }
 
+// queue owns a resource: a method value bound to it carries the
+// resource along.
+type queue struct {
+	res *sim.Resource
+}
+
+func (q *queue) Drain() { q.res.Submit(0, nil, 0) }
+
 // ViaRelay reaches the spawner one hop away with a method value.
-func ViaRelay(s *sim.Signal) {
-	enginecapture_helper.Relay(s.Fire) // want "method value on sim.Signal passed to enginecapture_helper.Relay runs on a goroutine"
+func ViaRelay(q *queue) {
+	enginecapture_helper.Relay(q.Drain) // want "method value on sim.Resource passed to enginecapture_helper.Relay runs on a goroutine"
 }
 
 // ViaBoundIdent passes a bound method value by name, at the spawned
 // parameter index only.
-func ViaBoundIdent(s *sim.Signal) string {
-	g := s.Fire
-	return enginecapture_helper.Tagged("label", g) // want "\"g\", a method value bound to sim.Signal, passed to enginecapture_helper.Tagged runs on a goroutine"
+func ViaBoundIdent(q *queue) string {
+	g := q.Drain
+	return enginecapture_helper.Tagged("label", g) // want "\"g\", a method value bound to sim.Resource, passed to enginecapture_helper.Tagged runs on a goroutine"
 }

@@ -15,7 +15,7 @@ var mu sync.Mutex
 
 // Tick drives the wrapped engine behind a channel and a goroutine.
 func Tick(w *enginetrans_helper.Wrap) int64 {
-	done := make(chan struct{}) // want "channel in an engine-owning file: express dependencies with sim.Signal, not CSP"
+	done := make(chan struct{}) // want "channel in an engine-owning file: express dependencies as plan edges, not CSP"
 	go func() {                 // want "go statement in an engine-owning file: the simulation is single-goroutine by contract"
 		mu.Lock()
 		mu.Unlock()

@@ -81,13 +81,13 @@ func (r *iterRun) enableFaults(inj *fault.Injector, tr *trace.Trace, baseProfile
 }
 
 // runAdaptive schedules iterations one at a time — each chained on the
-// previous iteration's completion so the window can be re-solved at
-// every boundary from that iteration's observed transfer times. The
-// cross-iteration optimizer-tail overlap is preserved: the end signal
-// does not wait for CPU updates, whose signals the next iteration's
-// prefetches consume as usual.
-func (r *iterRun) runAdaptive(iters int, tr *trace.Trace) []*sim.Signal {
-	ends := make([]*sim.Signal, iters)
+// previous iteration's end so the window can be re-solved at every
+// boundary from that iteration's observed transfer times. The
+// cross-iteration optimizer-tail overlap is preserved: an iteration's
+// end does not wait for CPU updates, whose facts the next iteration's
+// prefetches wait on as usual.
+func (r *iterRun) runAdaptive(iters int, tr *trace.Trace) []*plan.Run {
+	ends := make([]*plan.Run, iters)
 	var schedule func(it int)
 	schedule = func(it int) {
 		if it >= iters {
@@ -101,7 +101,7 @@ func (r *iterRun) runAdaptive(iters int, tr *trace.Trace) []*sim.Signal {
 			itTr = tr
 		}
 		ends[it] = r.iteration(itTr)
-		ends[it].Wait(func() { schedule(it + 1) })
+		ends[it].OnEnd(func() { schedule(it + 1) })
 	}
 	schedule(0)
 	return ends
@@ -231,7 +231,7 @@ func (r *iterRun) adaptWindow() {
 // issue, like any prefetch); shrinking offloads the evicted layers —
 // whose parameters were just updated on-GPU — back to the host,
 // releasing their buffers and routing the next forward prefetch
-// through the offload's completion signal.
+// through the offload's completion.
 func (r *iterRun) resize(newM int) {
 	from, to := r.planFor(r.window), r.planFor(newM)
 	if from == nil || to == nil {

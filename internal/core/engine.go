@@ -46,19 +46,18 @@ func DefaultFeatures() Features {
 // discussion: distinct device buffers per Transformer block.
 const tensorsPerLayer = 8
 
-// defaultOptWorkers is the optimizer actor pool size when the caller
-// does not override it ("by default, STRONGHOLD uses all available CPU
-// cores, but the user can change this" — we default to a third of the
-// cores, leaving the rest for data loading and the framework, matching
-// the deployment guidance).
+// defaultOptWorkers is the optimizer actor pool size with concurrent
+// optimizers on ("by default, STRONGHOLD uses all available CPU cores,
+// but the user can change this" — we use a third of the cores, leaving
+// the rest for data loading and the framework, matching the deployment
+// guidance).
 const defaultOptWorkers = 16
 
 // Engine simulates STRONGHOLD training of one model on one GPU server.
 type Engine struct {
-	Model      perf.Model
-	Window     int // 0 = solve analytically during warm-up
-	Feat       Features
-	OptWorkers int // 0 = defaultOptWorkers
+	Model  perf.Model
+	Window int // 0 = solve analytically during warm-up
+	Feat   Features
 	// CoOpt lets the warm-up solver co-optimize optimizer placement
 	// with the window size over the method's declared decision
 	// variables: when the roofline says a split update is strictly
@@ -180,9 +179,6 @@ func (e *Engine) SolvedDecision() (Decision, error) {
 func (e *Engine) optWorkers() int {
 	if !e.Feat.ConcurrentOptimizers {
 		return 1
-	}
-	if e.OptWorkers > 0 {
-		return e.OptWorkers
 	}
 	return defaultOptWorkers
 }
@@ -393,17 +389,17 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 		return res, run
 	}
 	res.PlanOps = uint64(len(run.plans[window].Ops))
-	var ends []*sim.Signal
+	var ends []*plan.Run
 	if faulted {
 		run.enableFaults(inj, tr,
 			UniformProfile(e.Model, e.availableWindowBytes(), e.optWorkers()), bufWindow)
 		ends = run.runAdaptive(iters, tr)
 	} else {
 		// Schedule every iteration up front: cross-iteration dependencies
-		// are expressed through signals, so the CPU-optimizer tail of one
-		// iteration overlaps the next iteration's forward pass exactly as
-		// in the real runtime.
-		ends = make([]*sim.Signal, iters)
+		// are waits on the earlier call's ops, so the CPU-optimizer tail
+		// of one iteration overlaps the next iteration's forward pass
+		// exactly as in the real runtime.
+		ends = make([]*plan.Run, iters)
 		for it := 0; it < iters; it++ {
 			var itTrace *trace.Trace
 			if it == iters-1 && tr != nil {
@@ -420,9 +416,9 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 	}
 	var lastStart sim.Time
 	if iters > 1 {
-		lastStart = ends[iters-2].FiredAt()
+		lastStart = ends[iters-2].EndAt()
 	}
-	res.IterTime = ends[iters-1].FiredAt() - lastStart
+	res.IterTime = ends[iters-1].EndAt() - lastStart
 	res.AllocOps = machine.GPUMem.AllocOps()
 	res.CacheFlushes = run.cacheFlushes
 	if run.cache != nil {
@@ -462,8 +458,7 @@ type iterRun struct {
 	n       int
 	// st carries the executor's queue order and cross-iteration facts
 	// from one iteration or patch to the next.
-	st   plan.State
-	iter int
+	st plan.State
 	// timed marks an explicit-duration run (RunPlan): every op occupies
 	// its resource for exactly its DurNS, and compute runs on queues
 	// (one FIFO per plan queue) instead of GPU streams.
@@ -736,18 +731,18 @@ func perWorkerCap(spec hw.CPUSpec) float64 {
 }
 
 // iteration schedules one full training iteration by walking its plan
-// through the simulation environment, and returns the signal marking
-// its completion (every stream's last kernel and the plan's final op,
-// the resident update, done). The plan's canonical op order is the
-// exact issue order the hand-wired scheduler used, so traces stay
+// through the simulation environment, and returns the executor's run,
+// which ends with every stream's last kernel and the plan's final op
+// (the resident update). The plan's canonical op order is the exact
+// issue order the hand-wired scheduler used, so traces stay
 // byte-identical across the planner/executor split.
-func (r *iterRun) iteration(tr *trace.Trace) *sim.Signal {
-	r.iter++
-	eng := r.machine.Eng
+func (r *iterRun) iteration(tr *trace.Trace) *plan.Run {
+	eng, env := r.machine.Eng, &schedEnv{r: r, tr: tr}
 	if r.planFor(r.window) == nil {
-		return sim.FiredSignal(eng) // schedErr recorded; nothing to schedule
+		// schedErr recorded: an empty plan ends at once.
+		return plan.Execute(plan.Compile(nil), eng, &r.st, env)
 	}
-	return plan.Execute(r.progs[r.window], eng, &r.st, &schedEnv{r: r, tr: tr})
+	return plan.Execute(r.progs[r.window], eng, &r.st, env)
 }
 
 // schedEnv runs plan ops on the simulated machine: kernels on GPU

@@ -83,7 +83,9 @@ func FuzzSolver(f *testing.F) {
 		plat.NVMe.WriteBW = warp(plat.NVMe.WriteBW)
 
 		e := NewEngine(perf.NewModel(cfg, plat))
-		e.OptWorkers = bound(workers, 0, 64)
+		// Both optimizer pool sizes production runs: one worker or
+		// defaultOptWorkers.
+		e.Feat.ConcurrentOptimizers = workers&1 == 0
 		res, run := e.runSim(2, nil)
 		if res.OOM {
 			if res.OOMDetail == "" {

@@ -131,14 +131,13 @@ func TestStreamSerializesKernels(t *testing.T) {
 }
 
 func TestStreamLaunchDeps(t *testing.T) {
-	// A kernel launched when its dependency fires, as the plan executor
-	// launches it, starts one launch latency after the dependency.
+	// A kernel launched when its dependency completes, as the plan
+	// executor launches it, starts one launch latency after the
+	// dependency.
 	eng, m := newTestMachine(t)
 	s := m.NewStream("w0")
-	dep := sim.NewSignal(eng)
 	var k [2]sim.Time
-	dep.Wait(func() { s.Launch(15.7e9, 1.0, spanOf(&k), 0) }) // 1ms kernel
-	eng.Schedule(sim.Milliseconds(5), dep.Fire)
+	eng.Schedule(sim.Milliseconds(5), func() { s.Launch(15.7e9, 1.0, spanOf(&k), 0) }) // 1ms kernel
 	eng.Run()
 	if k[0] != sim.Milliseconds(5)+m.Spec.KernelLaunchNS {
 		t.Fatalf("kernel started at %d, want %d (dependency + launch latency)",

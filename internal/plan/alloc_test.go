@@ -25,31 +25,30 @@ func (e *fifoEnv) Start(op *Op, run *Run) {
 
 func (e *fifoEnv) Complete(tag int32, _, _ sim.Time) { e.run.Done(ID(tag)) }
 
-// rewind readies x for another walk of its plan, keeping its arrays.
+// rewind readies x for another walk of its plan, keeping its arrays,
+// and its State for a fresh run.
 func (x *Run) rewind() {
 	clear(x.left)
-	x.issued, x.endLeft, x.end = 0, x.c.endDeps, nil
+	clear(x.st.tails)
+	clear(x.st.facts)
+	x.issued, x.endLeft = 0, x.c.endDeps
 }
 
 // TestZeroAllocHotPaths is the dynamic half of the HOTPATH.md contract:
-// on a warmed compiled plan whose dependencies all stay inside the
-// plan, issuing, starting, releasing and completing every op allocates
-// nothing. The static half is stronghold-vet's hotalloc rule over the
-// same functions.
+// on a warmed compiled plan that waits on no fact, issuing, starting,
+// releasing and completing every op — queue tails and exports included
+// — allocates nothing. The static half is stronghold-vet's hotalloc
+// rule over the same functions.
 func TestZeroAllocHotPaths(t *testing.T) {
 	it := mustBuild(t, baseSpec())
 	ops := append([]Op(nil), it.Ops...)
 	for i := range ops {
-		// Keep every dependency in-plan: no facts, and no queue, whose
-		// last op would end the call with a budgeted boundary signal.
-		ops[i].Ext, ops[i].Export = nil, 0
-		if onQueue(&ops[i]) {
-			ops[i].Kind, ops[i].GPU = OptStep, false
-		}
+		// A pending Ext fact is a budgeted cross-call wait.
+		ops[i].Ext = nil
 	}
 	eng := sim.NewEngine()
 	env := &fifoEnv{eng: eng, res: [2]*sim.Resource{sim.NewResource(eng, "a"), sim.NewResource(eng, "b")}}
-	x := execute(Compile(ops), eng, &State{}, env)
+	x := Execute(Compile(ops), eng, &State{}, env)
 	env.run = x
 	eng.Run() // warms the engine heap and the resources' rings
 	walk := func() {

@@ -123,17 +123,30 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 }
 
 // The golden fixtures pin the canonical text rendering of the feature
-// matrix: any change to the planner's emission order, op payloads or
-// dependency wiring shows up as a fixture diff. Regenerate with
+// matrix, and of a grow and a shrink patch: any change to the
+// planner's emission order, op payloads or dependency wiring shows up
+// as a fixture diff. Regenerate with
 // `go test ./internal/plan -run TestGoldenPlans -update` and review the
 // diff like any schedule change.
 func TestGoldenPlans(t *testing.T) {
+	golden := map[string]string{}
 	for name, s := range fixtureSpecs() {
 		it, err := Build(s)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got := Text(it)
+		golden[name] = Text(it)
+	}
+	// The patches the adaptive re-solve applies to the default plan:
+	// one grow and one shrink between windows 2 and 3.
+	for name, w := range map[string][2]int{"patch-grow": {2, 3}, "patch-shrink": {3, 2}} {
+		p, err := Diff(planForWindow(t, w[0]), planForWindow(t, w[1]))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		golden[name] = PatchText(p)
+	}
+	for name, got := range golden {
 		path := filepath.Join("testdata", name+".golden")
 		if *update {
 			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {

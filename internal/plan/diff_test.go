@@ -88,9 +88,6 @@ func TestDiffSameWindowIsEmpty(t *testing.T) {
 	if len(p.Ops) != 0 || len(p.Grow) != 0 || len(p.Shrink) != 0 {
 		t.Fatalf("diff of equal windows is not empty: %+v", p)
 	}
-	if d := DiffText(a, b); d != "" {
-		t.Fatalf("DiffText of identical plans: %q", d)
-	}
 }
 
 func TestDiffRejectsDifferentModels(t *testing.T) {
@@ -101,16 +98,5 @@ func TestDiffRejectsDifferentModels(t *testing.T) {
 	b := mustBuild(t, s)
 	if _, err := Diff(a, b); err == nil {
 		t.Fatal("diff across models must fail")
-	}
-}
-
-func TestDiffTextMarksChanges(t *testing.T) {
-	a, b := planForWindow(t, 2), planForWindow(t, 3)
-	d := DiffText(a, b)
-	if d == "" {
-		t.Fatal("different windows render identically")
-	}
-	if !strings.Contains(d, "- plan layers=6 window=2") || !strings.Contains(d, "+ plan layers=6 window=3") {
-		t.Errorf("diff missing header change:\n%s", d)
 	}
 }

@@ -18,28 +18,38 @@ type Env interface {
 	Start(op *Op, run *Run)
 }
 
-// State is what outlives one Execute call: the signal that ends each
-// queue's last op, and the signal that publishes each (fact kind,
-// layer). A run's iterations and patches share one State: an
-// iteration's first kernel on a queue waits on the previous call's last
-// one, as a CUDA stream orders its kernels, and an Ext dependency waits
-// on the fact's latest Export, as a prefetch waits on a CUDA event. The
-// zero value is a fresh run: every queue is idle and every fact already
-// holds. A fired signal gates nothing, exactly as a nil one does.
+// State is what outlives one Execute call: the last op issued on
+// each queue, and the op that last published each (fact kind, layer).
+// A run's iterations and patches share one State: an iteration's first
+// kernel on a queue waits on the previous call's last one, as a CUDA
+// stream orders its kernels, and an Ext dependency waits on the fact's
+// latest Export, as a prefetch waits on a CUDA event. The zero value is
+// a fresh run: every queue is idle and every fact already holds. A
+// completed op gates nothing, exactly as the zero ref does.
 type State struct {
-	// tails[q] completes with queue q's last op issued so far; nil when
-	// none has been.
-	tails []*sim.Signal
-	// facts[l*extKinds+k-1] publishes fact kind k about layer l; nil
-	// while the fact holds from the start of the run.
-	facts []*sim.Signal
+	// tails[q] is queue q's last op issued so far.
+	tails []ref
+	// facts[l*extKinds+k-1] is the op that publishes fact kind k about
+	// layer l; the zero ref while the fact holds from the start of the
+	// run.
+	facts []ref
 }
+
+// ref names one op of one Execute call: the op another call waits on,
+// or an op waiting. The zero ref names no op.
+type ref struct {
+	run *Run
+	op  int32
+}
+
+// pending reports whether r names an op that has not completed.
+func (r ref) pending() bool { return r.run != nil && r.run.left[r.op] != done }
 
 // extKinds is the number of ExtKind values a State keeps per layer.
 const extKinds = int(ExtResident)
 
 // fact returns the slot that publishes fact k about layer l.
-func (st *State) fact(k ExtKind, l int) **sim.Signal {
+func (st *State) fact(k ExtKind, l int) *ref {
 	return &st.facts[l*extKinds+int(k)-1]
 }
 
@@ -47,10 +57,10 @@ func (st *State) fact(k ExtKind, l int) **sim.Signal {
 // before the walk, so the walk itself never grows the tables.
 func (st *State) size(c *Compiled) {
 	if n := int(c.queues) - len(st.tails); n > 0 {
-		st.tails = append(st.tails, make([]*sim.Signal, n)...)
+		st.tails = append(st.tails, make([]ref, n)...)
 	}
 	if n := int(c.layers)*extKinds - len(st.facts); n > 0 {
-		st.facts = append(st.facts, make([]*sim.Signal, n)...)
+		st.facts = append(st.facts, make([]ref, n)...)
 	}
 }
 
@@ -59,9 +69,8 @@ func (st *State) size(c *Compiled) {
 // CSR successor table — op i's successors are succ[succAt[i]:succAt[i+1]],
 // in ascending ID, an op listed once per edge (each Deps entry, and its
 // queue predecessor) — so the executor counts and releases them by
-// index. Only what another Execute call can wait on keeps a
-// *sim.Signal: the ops that export a fact and the last op of each
-// queue.
+// index. Only what another Execute call can wait on keeps a waiter
+// list: the ops that export a fact and the last op of each queue.
 type Compiled struct {
 	ops    []Op
 	succAt []int32
@@ -71,14 +80,14 @@ type Compiled struct {
 	// queue an op occupies and the highest layer a fact names.
 	queues  int32
 	layers  int32
-	bounds  int32 // number of ops carrying a boundary signal
+	bounds  int32 // number of ops carrying a waiter list
 	endDeps int32 // Σ info[i].endWaits
 }
 
 // opInfo is the compiled per-op wiring.
 type opInfo struct {
 	prev  int32 // in-plan predecessor on the op's queue, -1 for none
-	bound int32 // index of the op's boundary signal, -1 for none
+	bound int32 // index of the op's waiter list, -1 for none
 	// endWaits is how many times the iteration end waits on the op:
 	// once as the plan's final op, once as a queue's last op.
 	endWaits int32
@@ -163,14 +172,10 @@ func Compile(ops []Op) *Compiled {
 // once they have completed. Issue order is ID order, which is what
 // makes plan execution deterministic: two walks of the same plan
 // register the same waits in the same order. st carries queue tails
-// and facts from earlier calls in, and this call's out. It returns the
-// iteration end: a signal that fires once the plan's final op and the
-// last op of every queue it issues on have completed.
-func Execute(c *Compiled, eng *sim.Engine, st *State, env Env) *sim.Signal {
-	return execute(c, eng, st, env).end
-}
-
-func execute(c *Compiled, eng *sim.Engine, st *State, env Env) *Run {
+// and facts from earlier calls in, and this call's out. The returned
+// Run ends once the plan's final op and the last op of every queue it
+// issues on have completed.
+func Execute(c *Compiled, eng *sim.Engine, st *State, env Env) *Run {
 	st.size(c)
 	x := &Run{
 		c:       c,
@@ -178,32 +183,31 @@ func execute(c *Compiled, eng *sim.Engine, st *State, env Env) *Run {
 		env:     env,
 		eng:     eng,
 		left:    make([]int32, len(c.ops)),
-		bound:   make([]*sim.Signal, c.bounds),
+		waiters: make([][]ref, c.bounds),
 		endLeft: c.endDeps,
+		endAt:   eng.Now(),
 	}
 	for i := range c.ops {
 		x.issue(int32(i))
-	}
-	x.end = sim.NewSignal(eng)
-	if x.endLeft == 0 {
-		x.end.Fire()
 	}
 	return x
 }
 
 // Run is one Execute call's state: dense per-op dependency counts over
-// the shared compiled plan. The environment reports completions to it.
+// the shared compiled plan. The environment reports completions to it,
+// and later calls wait on its ops by reference.
 //
 // Ordering rules, which keep runs identical to a walk that gives every
 // op its own signal:
 //   - an op starts only once the walk has reached it; a completion
 //     during the walk releases only ops already issued, and a later op
 //     counts only the dependencies not yet complete when it is issued;
-//   - a completion releases its in-plan successors in ascending ID
-//     (once per edge), then counts toward the iteration end, then
-//     wakes its boundary signal's waiters — which registered in walk
-//     order, each op's Ext facts first and then the previous call's
-//     queue tail.
+//   - an op reads as complete from the moment Done is called for it;
+//     Done then releases its in-plan successors in ascending ID (once
+//     per edge), then counts toward the iteration end, then releases
+//     the ops waiting on it from outside the plan, in the order they
+//     registered: walk order, each op's Ext facts first and then the
+//     previous call's queue tail.
 //
 // An Ext fact that an earlier op of the same plan exports is waited on
 // like a cross-call one, after that op's in-plan successors; planners
@@ -215,12 +219,15 @@ type Run struct {
 	eng *sim.Engine
 	// left[i] counts op i's outstanding dependencies; done marks a
 	// completed op.
-	left  []int32
-	bound []*sim.Signal
+	left []int32
+	// waiters[info[i].bound] lists the ops waiting on op i from outside
+	// the plan, in registration order.
+	waiters [][]ref
 	// issued is how far the walk has got: ops below it are issued.
 	issued  int32
 	endLeft int32
-	end     *sim.Signal
+	endAt   sim.Time
+	onEnd   []func()
 }
 
 // done marks a completed op in Run.left.
@@ -228,6 +235,18 @@ const done = -1
 
 // Op returns the op with the given ID.
 func (x *Run) Op(id ID) *Op { return &x.c.ops[id] }
+
+// EndAt returns the time the iteration ended; valid once it has.
+func (x *Run) EndAt() sim.Time { return x.endAt }
+
+// OnEnd runs fn when the iteration ends, at once if it already has.
+func (x *Run) OnEnd(fn func()) {
+	if x.endLeft == 0 {
+		fn()
+		return
+	}
+	x.onEnd = append(x.onEnd, fn)
+}
 
 // issue counts op i's outstanding dependencies, waits on the
 // cross-call ones, and starts the op if none is outstanding.
@@ -244,9 +263,9 @@ func (x *Run) issue(i int32) {
 		}
 	}
 	for _, e := range op.Ext {
-		if s := *st.fact(e.Kind, e.Layer); s != nil && !s.Fired() {
+		if p := *st.fact(e.Kind, e.Layer); p.pending() {
 			n++
-			s.Wait(x.waiter(i))
+			p.run.wait(p.op, ref{x, i})
 		}
 	}
 	if in.prev >= 0 {
@@ -254,32 +273,28 @@ func (x *Run) issue(i int32) {
 			n++
 		}
 	} else if onQueue(op) {
-		if t := st.tails[op.Queue]; t != nil && !t.Fired() {
+		if p := st.tails[op.Queue]; p.pending() {
 			n++
-			t.Wait(x.waiter(i))
+			p.run.wait(p.op, ref{x, i})
 		}
 	}
 	x.left[i] = n
 	x.issued = i + 1
-	var b *sim.Signal
-	if in.bound >= 0 {
-		b = sim.NewSignal(x.eng)
-		x.bound[in.bound] = b
-	}
 	if n == 0 {
 		x.start(i)
 	}
 	if in.tail {
-		st.tails[op.Queue] = b
+		st.tails[op.Queue] = ref{x, i}
 	}
 	if op.Export != 0 {
-		*st.fact(op.Export, op.Layer) = b
+		*st.fact(op.Export, op.Layer) = ref{x, i}
 	}
 }
 
-// waiter returns the callback a cross-call signal runs to release op i.
-func (x *Run) waiter(i int32) func() {
-	return func() { x.release(i) }
+// wait registers w to be released when op i completes.
+func (x *Run) wait(i int32, w ref) {
+	b := x.c.info[i].bound
+	x.waiters[b] = append(x.waiters[b], w)
 }
 
 // start hands op i to the environment; a join completes at once.
@@ -306,8 +321,8 @@ func (x *Run) release(i int32) {
 
 // Done reports op id complete at the current virtual time: it releases
 // the op's in-plan successors, counts toward the iteration end, and
-// wakes whatever waits on the op from outside the call. Completing an
-// op twice panics.
+// releases whatever waits on the op from outside the plan. Completing
+// an op twice panics.
 //
 //vet:hotpath
 func (x *Run) Done(id ID) {
@@ -318,12 +333,6 @@ func (x *Run) Done(id ID) {
 	x.left[i] = done
 	c := x.c
 	in := &c.info[i]
-	var b *sim.Signal
-	if in.bound >= 0 {
-		// Set first: anything that asks meanwhile sees the op complete.
-		b = x.bound[in.bound]
-		b.Set()
-	}
 	for _, j := range c.succ[c.succAt[i]:c.succAt[i+1]] {
 		if j < x.issued {
 			x.release(j)
@@ -331,11 +340,19 @@ func (x *Run) Done(id ID) {
 	}
 	if in.endWaits > 0 {
 		x.endLeft -= in.endWaits
-		if x.endLeft == 0 && x.end != nil {
-			x.end.Fire()
+		if x.endLeft == 0 {
+			x.endAt = x.eng.Now()
+			for _, fn := range x.onEnd {
+				fn()
+			}
+			x.onEnd = nil
 		}
 	}
-	if b != nil {
-		b.Wake()
+	if in.bound >= 0 {
+		ws := x.waiters[in.bound]
+		x.waiters[in.bound] = nil
+		for _, w := range ws {
+			w.run.release(w.op)
+		}
 	}
 }

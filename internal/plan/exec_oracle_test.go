@@ -9,11 +9,45 @@ import (
 )
 
 // This file keeps the executor's slow, obviously correct oracle: the
-// walk that gives every op its own *sim.Signal and joins its
-// dependencies with waitAll, as the executor did before plans were
-// compiled. The differential tests run it and the compiled executor
-// against one physics model and require the same completions, at the
-// same times, in the same order, and the same engine step count.
+// walk that gives every op its own *signal and joins its dependencies
+// with waitAll, as the executor did before plans were compiled. The
+// differential tests run it and the compiled executor against one
+// physics model and require the same completions, at the same times,
+// in the same order, and the same engine step count.
+
+// signal is the oracle's one-shot completion event, the simulated
+// analogue of a CUDA event: work records a signal when it finishes,
+// and other work waits on it before starting.
+type signal struct {
+	eng     *sim.Engine
+	fired   bool
+	at      sim.Time
+	waiters []func()
+}
+
+func newSignal(eng *sim.Engine) *signal { return &signal{eng: eng} }
+
+// fire marks s complete at the current virtual time, then runs its
+// waiters in registration order. Firing twice panics.
+func (s *signal) fire() {
+	if s.fired {
+		panic("oracle: signal fired twice")
+	}
+	s.fired, s.at = true, s.eng.Now()
+	for _, w := range s.waiters {
+		w()
+	}
+	s.waiters = nil
+}
+
+// wait runs fn once s fires, at once if it has.
+func (s *signal) wait(fn func()) {
+	if s.fired {
+		fn()
+		return
+	}
+	s.waiters = append(s.waiters, fn)
+}
 
 // oracleEnv is the environment the oracle walks against: Start gets a
 // done callback instead of a Run, and the environment keeps the facts
@@ -21,22 +55,22 @@ import (
 type oracleEnv interface {
 	Start(op *Op, done func())
 	// Resolve returns the signal publishing d; nil means d holds.
-	Resolve(d ExtDep) *sim.Signal
+	Resolve(d ExtDep) *signal
 	// Export publishes sig as op's op.Export fact about op.Layer.
-	Export(op *Op, sig *sim.Signal)
+	Export(op *Op, sig *signal)
 	// Tail returns the slot holding the completion signal of the last
 	// op issued on op's queue, or nil when op is on no queue.
-	Tail(op *Op) **sim.Signal
+	Tail(op *Op) **signal
 }
 
 // executeOracle walks ops in canonical order, wiring every op's
 // dependencies on eng and handing it to env once they have fired. It
 // returns the per-op completion signals, indexed by op ID.
-func executeOracle(ops []Op, eng *sim.Engine, env oracleEnv) []*sim.Signal {
-	sigs := make([]*sim.Signal, len(ops))
+func executeOracle(ops []Op, eng *sim.Engine, env oracleEnv) []*signal {
+	sigs := make([]*signal, len(ops))
 	for i := range ops {
 		op := &ops[i]
-		deps := make([]*sim.Signal, 0, len(op.Deps)+len(op.Ext)+1)
+		deps := make([]*signal, 0, len(op.Deps)+len(op.Ext)+1)
 		for _, d := range op.Deps {
 			deps = append(deps, sigs[d])
 		}
@@ -49,7 +83,7 @@ func executeOracle(ops []Op, eng *sim.Engine, env oracleEnv) []*sim.Signal {
 		if tail != nil && *tail != nil {
 			deps = append(deps, *tail)
 		}
-		var sig *sim.Signal
+		var sig *signal
 		if op.Kind == Join && len(deps) == 1 {
 			// Alias the lone dependency: a fresh signal would wake the
 			// join's waiters at the join's place in the dependency's
@@ -57,12 +91,12 @@ func executeOracle(ops []Op, eng *sim.Engine, env oracleEnv) []*sim.Signal {
 			// events.
 			sig = deps[0]
 		} else {
-			sig = sim.NewSignal(eng)
+			sig = newSignal(eng)
 			waitAll(eng, deps, func() {
 				if op.Kind == Join {
-					sig.Fire()
+					sig.fire()
 				} else {
-					env.Start(op, sig.Fire)
+					env.Start(op, sig.fire)
 				}
 			})
 		}
@@ -79,10 +113,10 @@ func executeOracle(ops []Op, eng *sim.Engine, env oracleEnv) []*sim.Signal {
 
 // waitAll runs fn once every signal in deps has fired. A nil or empty
 // dependency list fires immediately. Nil entries are skipped.
-func waitAll(eng *sim.Engine, deps []*sim.Signal, fn func()) {
+func waitAll(eng *sim.Engine, deps []*signal, fn func()) {
 	remaining := 0
 	for _, d := range deps {
-		if d != nil && !d.Fired() {
+		if d != nil && !d.fired {
 			remaining++
 		}
 	}
@@ -91,10 +125,10 @@ func waitAll(eng *sim.Engine, deps []*sim.Signal, fn func()) {
 		return
 	}
 	for _, d := range deps {
-		if d == nil || d.Fired() {
+		if d == nil || d.fired {
 			continue
 		}
-		d.Wait(func() {
+		d.wait(func() {
 			remaining--
 			if remaining == 0 {
 				fn()
@@ -105,11 +139,12 @@ func waitAll(eng *sim.Engine, deps []*sim.Signal, fn func()) {
 
 func TestOracleWaitAll(t *testing.T) {
 	e := sim.NewEngine()
-	a, b := sim.NewSignal(e), sim.NewSignal(e)
+	a, b, fired := newSignal(e), newSignal(e), newSignal(e)
+	fired.fire()
 	var at sim.Time = -1
-	waitAll(e, []*sim.Signal{a, b, nil, sim.FiredSignal(e)}, func() { at = e.Now() })
-	e.Schedule(5, a.Fire)
-	e.Schedule(9, b.Fire)
+	waitAll(e, []*signal{a, b, nil, fired}, func() { at = e.Now() })
+	e.Schedule(5, a.fire)
+	e.Schedule(9, b.fire)
 	e.Run()
 	if at != 9 {
 		t.Fatalf("waitAll fired at %d, want 9", at)
@@ -134,36 +169,44 @@ type completion struct {
 // an NVMe queue and a two-worker CPU pool (FIFO resources), and one
 // launch-latency stream per queue over a shared SM array — or, timed,
 // one FIFO resource per queue with every op taking its DurNS. Ext facts
-// start out firing at seeded, often equal, times. The oracle keeps
-// facts and queue tails in the world's own tables; the compiled executor in
-// its State, seeded with the same facts.
+// start out published at seeded, often equal, times (seededFacts). The
+// oracle keeps facts and queue tails in the world's own tables; the
+// compiled executor in its State.
 type world struct {
 	eng    *sim.Engine
 	m      *hw.Machine
 	launch []*hw.Stream
 	fifo   []*sim.Resource
 	timed  bool
-	tails  []*sim.Signal
-	facts  map[ExtDep]*sim.Signal
+	tails  []*signal
+	facts  map[ExtDep]*signal
 	st     State
 	log    []completion
-	// exported lists every exported signal in Export order.
-	exported []*sim.Signal
+	// exported[k] is when the k-th exported fact was published, in
+	// Export order; -1 until it is.
+	exported []sim.Time
 	compiled map[*Iteration]*Compiled
 }
 
-func newWorld(t testing.TB, layers, queues int, timed bool, seed uint64) *world {
+func newWorld(queues int, timed bool) *world {
 	eng := sim.NewEngine()
 	plat := hw.V100Platform()
 	plat.CPU.Cores = 2
 	m := hw.NewMachine(eng, plat)
-	w := &world{eng: eng, m: m, timed: timed, tails: make([]*sim.Signal, queues),
-		facts: map[ExtDep]*sim.Signal{}, compiled: map[*Iteration]*Compiled{}}
+	w := &world{eng: eng, m: m, timed: timed, tails: make([]*signal, queues),
+		facts: map[ExtDep]*signal{}, compiled: map[*Iteration]*Compiled{}}
 	for q := 0; q < queues; q++ {
 		w.launch = append(w.launch, m.NewStream(fmt.Sprintf("w%d", q)))
 		w.fifo = append(w.fifo, sim.NewResource(eng, fmt.Sprintf("q%d", q)))
 	}
-	// Seeded facts: each holds already, or fires at 0, 500 or 1000 ns.
+	return w
+}
+
+// seededFacts are the facts a run starts from, as ops that publish
+// them: each (kind, layer) holds already, or is published at 0, 500 or
+// 1000 ns.
+func seededFacts(layers int, seed uint64) []Op {
+	var ops []Op
 	state := seed*0x9e3779b97f4a7c15 + 1
 	for l := 0; l < layers; l++ {
 		for _, k := range []ExtKind{ExtOptDone, ExtNVMeStaged, ExtResident} {
@@ -171,14 +214,11 @@ func newWorld(t testing.TB, layers, queues int, timed bool, seed uint64) *world 
 			state ^= state >> 7
 			state ^= state << 17
 			if pick := state % 4; pick > 0 {
-				s := sim.NewSignal(eng)
-				eng.Schedule(sim.Time(pick-1)*500, s.Fire)
-				w.facts[ExtDep{Kind: k, Layer: l}] = s
-				w.st.publish(ExtDep{Kind: k, Layer: l}, s)
+				ops = append(ops, factOp(len(ops), ExtDep{Kind: k, Layer: l}, sim.Time(pick-1)*500))
 			}
 		}
 	}
-	return w
+	return ops
 }
 
 // start submits op's work, completing through c with the op's ID.
@@ -227,27 +267,50 @@ func (w *world) dur(op *Op, fallback sim.Time) sim.Time {
 
 // tail orders every op on an execution queue, timed or not, as the
 // compiled executor does.
-func (w *world) tail(op *Op) **sim.Signal {
+func (w *world) tail(op *Op) **signal {
 	if !onQueue(op) {
 		return nil
 	}
 	return &w.tails[op.Queue]
 }
 
-func (w *world) export(op *Op, sig *sim.Signal) {
+// export publishes sig as op's fact and logs when it fires.
+func (w *world) export(op *Op, sig *signal) {
 	w.facts[ExtDep{Kind: op.Export, Layer: op.Layer}] = sig
-	w.exported = append(w.exported, sig)
+	k := len(w.exported)
+	w.exported = append(w.exported, -1)
+	sig.wait(func() { w.exported[k] = sig.at })
 }
 
-// logExports logs the signals a compiled walk of ops exported, in
-// Export order, from the State. Every plan here exports each (kind, layer) at
-// most once, so the State still holds each of them.
-func (w *world) logExports(ops []Op) {
+// watchExports logs when each fact a compiled walk of ops exported is
+// published, in Export order: a call of one op per fact waits on it in
+// the State, and starts the moment the exporting op completes. Every
+// plan here exports each (kind, layer) at most once, so the State
+// still names each exporting op.
+func (w *world) watchExports(ops []Op) {
+	var watch []Op
 	for i := range ops {
 		if op := &ops[i]; op.Export != 0 {
-			w.exported = append(w.exported, *w.st.fact(op.Export, op.Layer))
+			d := ExtDep{Kind: op.Export, Layer: op.Layer}
+			watch = append(watch, Op{ID: ID(len(watch)), Kind: BufAcquire, Layer: op.Layer, Queue: -1, Ext: []ExtDep{d}})
 		}
 	}
+	wt := &watcher{w: w, base: len(w.exported)}
+	for range watch {
+		w.exported = append(w.exported, -1)
+	}
+	Execute(Compile(watch), w.eng, &w.st, wt)
+}
+
+// watcher logs the time each watch op starts and completes it.
+type watcher struct {
+	w    *world
+	base int
+}
+
+func (c *watcher) Start(op *Op, run *Run) {
+	c.w.exported[c.base+int(op.ID)] = c.w.eng.Now()
+	run.Done(op.ID)
 }
 
 // call is one compiled Execute call's environment and completer.
@@ -277,9 +340,9 @@ func (c *oracleCall) Start(op *Op, done func()) {
 	c.w.start(op, &oracleDone{c: c, done: done})
 }
 
-func (c *oracleCall) Resolve(d ExtDep) *sim.Signal   { return c.w.facts[d] }
-func (c *oracleCall) Export(op *Op, sig *sim.Signal) { c.w.export(op, sig) }
-func (c *oracleCall) Tail(op *Op) **sim.Signal       { return c.w.tail(op) }
+func (c *oracleCall) Resolve(d ExtDep) *signal   { return c.w.facts[d] }
+func (c *oracleCall) Export(op *Op, sig *signal) { c.w.export(op, sig) }
+func (c *oracleCall) Tail(op *Op) **signal       { return c.w.tail(op) }
 
 // oracleDone logs an op's completion, then fires its signal.
 type oracleDone struct {
@@ -293,44 +356,61 @@ func (o *oracleDone) Complete(tag int32, start, end sim.Time) {
 }
 
 // executor runs iterations and patches in a world: the compiled
-// executor or the oracle.
+// executor or the oracle. iterate returns the function that runs its
+// argument at the iteration's end.
 type executor interface {
-	iterate(w *world, id int, it *Iteration) *sim.Signal
+	seed(w *world, facts []Op)
+	iterate(w *world, id int, it *Iteration) (onEnd func(func()))
 	patch(w *world, id int, p *Patch)
 }
 
 type compiledExec struct{}
 
-func (compiledExec) iterate(w *world, id int, it *Iteration) *sim.Signal {
+// seed publishes the facts from a call of their own.
+func (compiledExec) seed(w *world, facts []Op) {
+	Execute(Compile(facts), w.eng, &w.st, timerEnv{w.eng})
+}
+
+func (compiledExec) iterate(w *world, id int, it *Iteration) func(func()) {
 	c := w.compiled[it]
 	if c == nil {
 		c = Compile(it.Ops)
 		w.compiled[it] = c
 	}
-	end := Execute(c, w.eng, &w.st, &call{w: w, id: id})
-	w.logExports(it.Ops)
-	return end
+	run := Execute(c, w.eng, &w.st, &call{w: w, id: id})
+	w.watchExports(it.Ops)
+	return run.OnEnd
 }
 
 func (compiledExec) patch(w *world, id int, p *Patch) {
 	p.Apply(w.eng, &w.st, &call{w: w, id: id})
-	w.logExports(p.Ops)
+	w.watchExports(p.Ops)
 }
 
 type oracleExec struct{}
 
+// seed publishes each fact from a timer-fired signal.
+func (oracleExec) seed(w *world, facts []Op) {
+	for i := range facts {
+		op := &facts[i]
+		s := newSignal(w.eng)
+		w.eng.Schedule(op.DurNS, s.fire)
+		w.facts[ExtDep{Kind: op.Export, Layer: op.Layer}] = s
+	}
+}
+
 // iterate walks the plan and joins its final op with every queue's
 // last op into the iteration end.
-func (oracleExec) iterate(w *world, id int, it *Iteration) *sim.Signal {
+func (oracleExec) iterate(w *world, id int, it *Iteration) func(func()) {
 	sigs := executeOracle(it.Ops, w.eng, &oracleCall{w: w, id: id})
-	var deps []*sim.Signal
+	var deps []*signal
 	if len(sigs) > 0 {
 		deps = append(deps, sigs[len(sigs)-1])
 	}
 	deps = append(deps, w.tails...)
-	end := sim.NewSignal(w.eng)
-	waitAll(w.eng, deps, end.Fire)
-	return end
+	end := newSignal(w.eng)
+	waitAll(w.eng, deps, end.fire)
+	return end.wait
 }
 
 func (oracleExec) patch(w *world, id int, p *Patch) {
@@ -359,14 +439,15 @@ type outcome struct {
 }
 
 func (sc scenario) run(t testing.TB, ex executor) outcome {
-	w := newWorld(t, sc.layers, sc.queues, sc.timed, sc.seed)
+	w := newWorld(sc.queues, sc.timed)
+	ex.seed(w, seededFacts(sc.layers, sc.seed))
 	calls := 0
 	next := func() int { calls++; return calls - 1 }
-	iterate := func(k int) *sim.Signal {
+	iterate := func(k int) func(func()) {
 		id := next()
-		end := ex.iterate(w, id, sc.plans[sc.windows[k]])
-		end.Wait(func() { w.log = append(w.log, completion{call: id, op: -1, start: w.eng.Now()}) })
-		return end
+		onEnd := ex.iterate(w, id, sc.plans[sc.windows[k]])
+		onEnd(func() { w.log = append(w.log, completion{call: id, op: -1, start: w.eng.Now()}) })
+		return onEnd
 	}
 	if sc.upfront {
 		for k := range sc.windows {
@@ -385,20 +466,12 @@ func (sc scenario) run(t testing.TB, ex executor) outcome {
 				}
 				ex.patch(w, next(), p)
 			}
-			iterate(k).Wait(func() { schedule(k + 1) })
+			iterate(k)(func() { schedule(k + 1) })
 		}
 		schedule(0)
 	}
 	w.eng.Run()
-	out := outcome{log: w.log, steps: w.eng.Steps()}
-	for _, s := range w.exported {
-		at := sim.Time(-1)
-		if s.Fired() {
-			at = s.FiredAt()
-		}
-		out.exported = append(out.exported, at)
-	}
-	return out
+	return outcome{log: w.log, exported: w.exported, steps: w.eng.Steps()}
 }
 
 // checkAgainstOracle runs sc under both executors and compares.

@@ -34,7 +34,7 @@ func newRecordEnv(t *testing.T) *recordEnv {
 // execute compiles it and walks it against e's State, returning the
 // run.
 func (e *recordEnv) execute(it *Iteration) *Run {
-	return execute(Compile(it.Ops), e.eng, &e.st, e)
+	return Execute(Compile(it.Ops), e.eng, &e.st, e)
 }
 
 func (e *recordEnv) Start(op *Op, run *Run) {
@@ -59,17 +59,23 @@ func (e *recordEnv) Complete(tag int32, start, end sim.Time) {
 	e.run.Done(ID(tag))
 }
 
-// factAt publishes d as a fact that fires at virtual time at.
+// factAt publishes d at virtual time at, from a call of its own.
 func (e *recordEnv) factAt(d ExtDep, at sim.Time) {
-	s := sim.NewSignal(e.eng)
-	e.eng.Schedule(at, s.Fire)
-	e.st.publish(d, s)
+	Execute(Compile([]Op{factOp(0, d, at)}), e.eng, &e.st, timerEnv{e.eng})
 }
 
-// publish sets the signal of fact d, growing st to hold it.
-func (st *State) publish(d ExtDep, s *sim.Signal) {
-	st.size(&Compiled{layers: int32(d.Layer) + 1})
-	*st.fact(d.Kind, d.Layer) = s
+// factOp is an op that publishes fact d at delay after it starts, when
+// run by a timerEnv: what an earlier call's exporting op leaves behind.
+func factOp(id int, d ExtDep, delay sim.Time) Op {
+	return Op{ID: ID(id), Kind: Offload, Layer: d.Layer, Queue: -1, DurNS: delay, Export: d.Kind}
+}
+
+// timerEnv completes every op DurNS after it starts, on an engine
+// timer: one event per op.
+type timerEnv struct{ eng *sim.Engine }
+
+func (e timerEnv) Start(op *Op, run *Run) {
+	e.eng.Schedule(op.DurNS, func() { run.Done(op.ID) })
 }
 
 func TestExecuteWalksCanonicalOrder(t *testing.T) {
@@ -89,8 +95,8 @@ func TestExecuteWalksCanonicalOrder(t *testing.T) {
 			t.Fatalf("walk started op %d after op %d: not canonical order", env.walked[k], env.walked[k-1])
 		}
 	}
-	if !run.end.Fired() {
-		t.Fatal("iteration end never fired")
+	if run.endLeft != 0 {
+		t.Fatal("iteration never ended")
 	}
 	lastOnQueue := map[int]ID{}
 	for i := range it.Ops {
@@ -120,19 +126,16 @@ func TestExecuteWalksCanonicalOrder(t *testing.T) {
 			}
 			lastOnQueue[op.Queue] = op.ID
 		}
-		if op.Export != 0 {
-			sig := *env.st.fact(op.Export, op.Layer)
-			if sig == nil || !sig.Fired() || sig.FiredAt() != span[1] {
-				t.Errorf("op %d: export %s:L%d not published at its completion", op.ID, op.Export, op.Layer)
-			}
+		if op.Export != 0 && *env.st.fact(op.Export, op.Layer) != (ref{run, int32(i)}) {
+			t.Errorf("op %d: export %s:L%d not published", op.ID, op.Export, op.Layer)
 		}
 	}
 	for q, last := range lastOnQueue {
-		if s := env.st.tails[q]; s == nil || s.FiredAt() != env.spans[last][1] {
+		if env.st.tails[q] != (ref{run, int32(last)}) {
 			t.Errorf("queue %d does not end at its last kernel %d", q, last)
 		}
-		if run.end.FiredAt() < env.spans[last][1] {
-			t.Errorf("iteration end at %d before queue %d's last kernel %d", run.end.FiredAt(), q, last)
+		if run.EndAt() < env.spans[last][1] {
+			t.Errorf("iteration end at %d before queue %d's last kernel %d", run.EndAt(), q, last)
 		}
 	}
 }
@@ -210,8 +213,8 @@ func TestExecuteCompletesSynchronousOpsDuringWalk(t *testing.T) {
 	if got, want := env.spans[2], [2]sim.Time{0, 5}; got != want {
 		t.Fatalf("kernel ran %v, want %v", got, want)
 	}
-	if !run.end.Fired() || run.end.FiredAt() != 5 {
-		t.Fatalf("iteration end fired at %d, want 5", run.end.FiredAt())
+	if run.endLeft != 0 || run.EndAt() != 5 {
+		t.Fatalf("iteration ended at %d, want 5", run.EndAt())
 	}
 }
 

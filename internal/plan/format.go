@@ -9,7 +9,7 @@ import (
 // Text renders the plan in a deterministic line-oriented format: a
 // header, the resident sets, then one line per op in canonical order.
 // Two builds of the same Spec produce identical text, which is what
-// the golden fixtures and the CLI diff mode compare.
+// the golden fixtures compare.
 func Text(it *Iteration) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan layers=%d window=%d queues=%d budget=%d slots", it.Layers, it.Window, it.Queues, it.BudgetSlots)
@@ -103,96 +103,4 @@ func opLine(op *Op) string {
 // JSON renders the plan as indented JSON with a stable field order.
 func JSON(it *Iteration) ([]byte, error) {
 	return json.MarshalIndent(it, "", "  ")
-}
-
-// DiffText returns a unified-style line diff between two plan texts
-// ("-" lines only in a, "+" lines only in b, two spaces for common
-// lines, with unchanged runs elided). An empty string means the plans
-// render identically.
-func DiffText(a, b *Iteration) string {
-	al := strings.Split(strings.TrimSuffix(Text(a), "\n"), "\n")
-	bl := strings.Split(strings.TrimSuffix(Text(b), "\n"), "\n")
-	ops := diffLines(al, bl)
-	changed := false
-	for _, o := range ops {
-		if o.tag != ' ' {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		return ""
-	}
-	var out strings.Builder
-	const ctx = 2
-	// keep[i] marks common lines within ctx of a change.
-	keep := make([]bool, len(ops))
-	for i, o := range ops {
-		if o.tag == ' ' {
-			continue
-		}
-		for j := max(0, i-ctx); j < min(len(ops), i+ctx+1); j++ {
-			keep[j] = true
-		}
-	}
-	elided := false
-	for i, o := range ops {
-		if o.tag == ' ' && !keep[i] {
-			if !elided {
-				out.WriteString("  ...\n")
-				elided = true
-			}
-			continue
-		}
-		elided = false
-		fmt.Fprintf(&out, "%c %s\n", o.tag, o.line)
-	}
-	return out.String()
-}
-
-type diffOp struct {
-	tag  byte // ' ' common, '-' removed, '+' added
-	line string
-}
-
-// diffLines computes a minimal edit script via the classic LCS table.
-// Plans are a few thousand lines at most, so quadratic is fine.
-func diffLines(a, b []string) []diffOp {
-	n, m := len(a), len(b)
-	lcs := make([][]int32, n+1)
-	for i := range lcs {
-		lcs[i] = make([]int32, m+1)
-	}
-	for i := n - 1; i >= 0; i-- {
-		for j := m - 1; j >= 0; j-- {
-			if a[i] == b[j] {
-				lcs[i][j] = lcs[i+1][j+1] + 1
-			} else {
-				lcs[i][j] = max(lcs[i+1][j], lcs[i][j+1])
-			}
-		}
-	}
-	var ops []diffOp
-	i, j := 0, 0
-	for i < n && j < m {
-		switch {
-		case a[i] == b[j]:
-			ops = append(ops, diffOp{' ', a[i]})
-			i++
-			j++
-		case lcs[i+1][j] >= lcs[i][j+1]:
-			ops = append(ops, diffOp{'-', a[i]})
-			i++
-		default:
-			ops = append(ops, diffOp{'+', b[j]})
-			j++
-		}
-	}
-	for ; i < n; i++ {
-		ops = append(ops, diffOp{'-', a[i]})
-	}
-	for ; j < m; j++ {
-		ops = append(ops, diffOp{'+', b[j]})
-	}
-	return ops
 }

@@ -11,8 +11,9 @@
 // index when the environment reports it done. The executor alone knows
 // the schedule's ordering rules: in-plan Deps, the FIFO order of each
 // execution queue, and the cross-iteration facts, which it keeps in a
-// State shared by a run's Execute calls. Signals remain only where a
-// dependency crosses one Execute call into another. The environment
+// State shared by a run's Execute calls. A dependency that crosses one
+// Execute call into another names its producer as that call's Run and
+// the op's index in it. The environment
 // is core's, which runs STRONGHOLD's flop- and byte-costed plans and
 // the baselines' explicit-duration plans alike. diff.go
 // turns two plans for adjacent window sizes into the prefetch/offload

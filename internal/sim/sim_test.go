@@ -75,47 +75,13 @@ func TestTimeConversions(t *testing.T) {
 	}
 }
 
-func TestSignalFireAndWait(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e)
-	var woke bool
-	s.Wait(func() { woke = true })
-	if woke || s.Fired() {
-		t.Fatal("signal must not fire early")
-	}
-	e.Schedule(10, s.Fire)
-	e.Run()
-	if !woke || !s.Fired() || s.FiredAt() != 10 {
-		t.Fatalf("woke=%v fired=%v at=%d", woke, s.Fired(), s.FiredAt())
-	}
-	// Waiting on a fired signal runs immediately.
-	ran := false
-	s.Wait(func() { ran = true })
-	if !ran {
-		t.Fatal("wait on fired signal must run immediately")
-	}
-}
-
-func TestSignalDoubleFirePanics(t *testing.T) {
-	e := NewEngine()
-	s := FiredSignal(e)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s.Fire()
-}
-
 func TestResourceSubmitAfter(t *testing.T) {
-	// Work submitted from a dependency's waiter, as the plan executor
-	// submits it, starts when the dependency fires.
+	// Work submitted once its dependency completes, as the plan
+	// executor submits it, starts then.
 	e := NewEngine()
 	r := NewResource(e, "x")
-	dep := NewSignal(e)
 	var start, end Time = -1, -1
-	dep.Wait(func() { r.Submit(10, doneFunc(func(s, d Time) { start, end = s, d }), 0) })
-	e.Schedule(7, dep.Fire)
+	e.Schedule(7, func() { r.Submit(10, doneFunc(func(s, d Time) { start, end = s, d }), 0) })
 	e.Run()
 	if start != 7 || end != 17 {
 		t.Fatalf("start=%d end=%d, want 7 and 17", start, end)
@@ -224,11 +190,10 @@ func TestSharedProcessorSingleTask(t *testing.T) {
 }
 
 func TestSharedProcessorDependencies(t *testing.T) {
-	// A task submitted once its dependencies have all fired runs from
-	// then at its full rate.
+	// A task submitted once its dependencies have all completed runs
+	// from then at its full rate.
 	e := NewEngine()
 	sp := NewSharedProcessor(e, "gpu", 100)
-	a, b := NewSignal(e), NewSignal(e)
 	var end Time = -1
 	left := 2
 	ready := func() {
@@ -236,10 +201,8 @@ func TestSharedProcessorDependencies(t *testing.T) {
 			sp.Submit(100, 100, endAt(&end), 0)
 		}
 	}
-	a.Wait(ready)
-	b.Wait(ready)
-	e.Schedule(FromSeconds(0.5), a.Fire)
-	e.Schedule(FromSeconds(1), b.Fire)
+	e.Schedule(FromSeconds(0.5), ready)
+	e.Schedule(FromSeconds(1), ready)
 	e.Run()
 	if got := Seconds(end); got < 1.99 || got > 2.01 {
 		t.Fatalf("dependent task finished at %v, want 2s", got)
@@ -482,27 +445,6 @@ func TestRingFIFOAcrossGrowth(t *testing.T) {
 		}
 	}()
 	q.Pop()
-}
-
-func TestSignalSetThenWake(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e)
-	var order []string
-	s.Wait(func() { order = append(order, "waiter") })
-	e.Schedule(4, func() {
-		s.Set()
-		// Between Set and Wake the signal reads as fired, and a new
-		// waiter runs at once, ahead of the queued one.
-		if !s.Fired() || s.FiredAt() != 4 {
-			t.Error("set signal must read as fired")
-		}
-		s.Wait(func() { order = append(order, "late") })
-		s.Wake()
-	})
-	e.Run()
-	if len(order) != 2 || order[0] != "late" || order[1] != "waiter" {
-		t.Fatalf("order %v, want [late waiter]", order)
-	}
 }
 
 // Every arrival supersedes the shared processor's pending completion
