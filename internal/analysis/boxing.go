@@ -10,9 +10,9 @@ import (
 // Boxing bans scalar→interface conversions inside registered hot
 // paths. Converting an int64, a string or a small struct to an
 // interface value heap-allocates the boxed copy on every call — the
-// per-event cost the int64-parameter design of the internal/metrics
-// observer hooks exists to avoid. The rule walks the same forward
-// closure as hotalloc and flags the implicit and explicit conversion
+// per-event cost the simulator's completion paths avoid by passing a
+// Completer and an int32 tag. The rule walks the same forward closure
+// as hotalloc and flags the implicit and explicit conversion
 // points: call arguments (including variadic ...any), explicit
 // interface conversions, assignments to interface-typed variables,
 // interface-typed returns, and interface-typed composite-literal

@@ -89,3 +89,26 @@ func TestGoldenBaselineRuns(t *testing.T) {
 		t.Errorf("baseline runs drifted from %s (run with -update and review the diff)", path)
 	}
 }
+
+// TestResultsIgnoreTrace requires every baseline's result, Overlap
+// included, to be the same with and without a trace attached, clean
+// and under each fault plan of the golden matrix.
+func TestResultsIgnoreTrace(t *testing.T) {
+	m := baselines.V100Model(baselines.GoldenConfig())
+	for _, info := range modelcfg.Methods() {
+		if info.Engine != modelcfg.EngineBaseline {
+			continue
+		}
+		for _, spec := range []string{"", expt.PCIeDegradationPlan, goldenDropPlan} {
+			plan, err := fault.ParsePlan(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bare := baselines.RunWith(info.M, m, baselines.Options{Faults: plan})
+			traced := baselines.RunWith(info.M, m, baselines.Options{Trace: trace.New(), Faults: plan})
+			if bare != traced {
+				t.Errorf("%s under %q: result depends on the trace:\n  nil   %+v\n  trace %+v", info.Key, spec, bare, traced)
+			}
+		}
+	}
+}

@@ -19,7 +19,6 @@ import (
 	"stronghold/internal/metrics"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/perf"
-	"stronghold/internal/trace"
 )
 
 // Scenario is one benchmark scenario's result set.
@@ -61,8 +60,7 @@ func strongholdScenario(cfg modelcfg.Config, feat core.Features) Scenario {
 	e.Feat = feat
 	mc := metrics.New()
 	e.Metrics = mc
-	tr := trace.New()
-	res := e.Run(iters, tr)
+	res := e.Run(iters, nil)
 	s := scenarioFrom(res, m)
 	if p50, ok := mc.Quantile(metrics.FamTransferNS, "pcie.h2d", 0.5); ok {
 		s.H2DP50NS = p50

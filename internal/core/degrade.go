@@ -86,7 +86,7 @@ func (r *iterRun) enableFaults(inj *fault.Injector, tr *trace.Trace, baseProfile
 // cross-iteration optimizer-tail overlap is preserved: an iteration's
 // end does not wait for CPU updates, whose facts the next iteration's
 // prefetches wait on as usual.
-func (r *iterRun) runAdaptive(iters int, tr *trace.Trace) []*plan.Run {
+func (r *iterRun) runAdaptive(iters int) []*plan.Run {
 	ends := make([]*plan.Run, iters)
 	var schedule func(it int)
 	schedule = func(it int) {
@@ -96,11 +96,7 @@ func (r *iterRun) runAdaptive(iters int, tr *trace.Trace) []*plan.Run {
 		if it > 0 {
 			r.adaptWindow()
 		}
-		var itTr *trace.Trace
-		if it == iters-1 {
-			itTr = tr
-		}
-		ends[it] = r.iteration(itTr)
+		ends[it] = r.iteration()
 		ends[it].OnEnd(func() { schedule(it + 1) })
 	}
 	schedule(0)
@@ -116,9 +112,6 @@ func (r *iterRun) observeCopy(name string, nominal, start, end, delayed sim.Time
 	r.obsActual += actual
 	if float64(actual) > deadlineFactor*float64(nominal) {
 		r.deadlineMisses++
-		if mc := r.e.Metrics; mc != nil {
-			mc.CountDeadlineMiss()
-		}
 		if r.faultTr != nil {
 			r.faultTr.Add(trace.Span{Track: faultTrack, Name: "deadline miss " + name,
 				Kind: trace.KindFault, Layer: -1, Start: start, End: end})
@@ -129,8 +122,8 @@ func (r *iterRun) observeCopy(name string, nominal, start, end, delayed sim.Time
 // submitWithRetry issues op's transfer on res unless its fault target
 // is inside a blackout window; then it backs off exponentially in
 // virtual time and reissues. After maxRetries the transfer is forced
-// through. Its completion reports the observed time before the op's
-// usual span and metrics.
+// through. Its completion reports the observed time before completing
+// the op as usual.
 func (ev *schedEnv) submitWithRetry(res *sim.Resource, tg fault.Target, dur sim.Time, id plan.ID) {
 	r := ev.r
 	eng := r.machine.Eng
@@ -139,9 +132,6 @@ func (ev *schedEnv) submitWithRetry(res *sim.Resource, tg fault.Target, dur sim.
 		now := eng.Now()
 		if _, dropped := r.inj.DropUntil(tg, now); dropped && try < maxRetries {
 			r.retries++
-			if mc := r.e.Metrics; mc != nil {
-				mc.CountRetry()
-			}
 			shift := try
 			if shift > 16 {
 				shift = 16
@@ -154,6 +144,7 @@ func (ev *schedEnv) submitWithRetry(res *sim.Resource, tg fault.Target, dur sim.
 			eng.Schedule(backoff, func() { attempt(try+1, delayed+backoff) })
 			return
 		}
+		ev.run.Submitted(id, 0)
 		res.Submit(dur, &observedCopy{ev: ev, nominal: dur, delayed: delayed}, int32(id))
 	}
 	attempt(0, 0)
@@ -214,9 +205,6 @@ func (r *iterRun) adaptWindow() {
 		return
 	}
 	r.resolves++
-	if mc := r.e.Metrics; mc != nil {
-		mc.CountResolve()
-	}
 	if r.faultTr != nil {
 		now := r.machine.Eng.Now()
 		r.faultTr.Add(trace.Span{Track: faultTrack, Name: fmt.Sprintf("re-solve m %d→%d (ratio %.2f)", r.window, target, ratio),
@@ -244,11 +232,9 @@ func (r *iterRun) resize(newM int) {
 		}
 		return
 	}
-	patch.Apply(r.machine.Eng, &r.st, &schedEnv{r: r, tr: r.faultTr})
+	eng := r.machine.Eng
+	r.patches = append(r.patches, patchRun{run: patch.Apply(eng, &r.st, &schedEnv{r: r}), at: eng.Now(), window: newM})
 	r.window = newM
-	if mc := r.e.Metrics; mc != nil {
-		mc.SetWindow(r.machine.Eng.Now(), newM)
-	}
 }
 
 // emitFaultWindows appends the injected fault schedule itself to the

@@ -93,12 +93,11 @@ type Engine struct {
 	//
 	// Deprecated: has no effect.
 	Workers int
-	// Metrics, when non-nil, collects the run's virtual-time metrics:
-	// it is installed as the sim engine's Observer, and the engine feeds
-	// it transfer, window, optimizer and fault events from its own
-	// scheduling paths. Same contract as fault.SetStretch: nil (the
-	// default) leaves every schedule and trace byte-for-byte identical
-	// to an engine without the field.
+	// Metrics, when non-nil, receives the run's virtual-time metrics,
+	// derived after the simulation from the executor's per-op record
+	// (record.go). It never changes the schedule: results and traces
+	// are byte-for-byte those of an engine without the field, except
+	// MetricSamples.
 	Metrics *metrics.Collector
 
 	// planOverride substitutes a hand-built schedule for the planner's
@@ -309,9 +308,10 @@ func (e *Engine) planSpec(window, streams int, optFrac float64) plan.Spec {
 }
 
 // Run simulates iters training iterations and returns the steady-state
-// result (the duration of the final iteration). When tr is non-nil the
-// final iteration's spans are recorded into it (plus, in degraded mode,
-// fault and recovery events from the whole run).
+// result (the duration of the final iteration). When tr is non-nil it
+// receives the spans of the final iteration and of any window-resize
+// patch (plus, in degraded mode, fault and recovery events from the
+// whole run); the result is the same either way.
 func (e *Engine) Run(iters int, tr *trace.Trace) perf.IterationResult {
 	res, _ := e.runSim(iters, tr)
 	return res
@@ -364,10 +364,6 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 		machine.H2D.SetJitter(1, e.TransferJitter)
 		machine.D2H.SetJitter(2, e.TransferJitter)
 	}
-	if e.Metrics != nil {
-		eng.SetObserver(e.Metrics)
-		e.Metrics.SetWindow(0, window)
-	}
 	// In degraded mode the buffer pool is sized for the largest window
 	// the adaptive re-solve may grow into; on the clean path this is
 	// exactly the solved window, preserving the pool's byte accounting.
@@ -377,6 +373,7 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 	}
 	run := newIterRun(e, machine, window, bufWindow, streams)
 	run.optFrac = optFrac
+	run.st.Detail = e.Metrics != nil
 	// Plan the initial window and validate it before simulating: a
 	// schedule that could violate the buffer invariants is rejected here
 	// as a diagnostic, not discovered mid-simulation.
@@ -393,27 +390,20 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 	if faulted {
 		run.enableFaults(inj, tr,
 			UniformProfile(e.Model, e.availableWindowBytes(), e.optWorkers()), bufWindow)
-		ends = run.runAdaptive(iters, tr)
+		ends = run.runAdaptive(iters)
 	} else {
 		// Schedule every iteration up front: cross-iteration dependencies
 		// are waits on the earlier call's ops, so the CPU-optimizer tail
 		// of one iteration overlaps the next iteration's forward pass
 		// exactly as in the real runtime.
 		ends = make([]*plan.Run, iters)
-		for it := 0; it < iters; it++ {
-			var itTrace *trace.Trace
-			if it == iters-1 && tr != nil {
-				itTrace = tr
-			}
-			ends[it] = run.iteration(itTrace)
+		for it := range ends {
+			ends[it] = run.iteration()
 		}
 	}
 	eng.Run()
 	res.Steps = eng.Steps()
 	res.Util = utilization(machine, machine.Compute.Utilization())
-	if e.Metrics != nil {
-		res.MetricSamples = e.Metrics.Points()
-	}
 	var lastStart sim.Time
 	if iters > 1 {
 		lastStart = ends[iters-2].EndAt()
@@ -435,13 +425,21 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 		res.OOM = true
 		res.OOMDetail = run.schedErr.Error()
 	}
-	if faulted && tr != nil {
-		emitFaultWindows(tr, inj, eng.Now())
+	// A trace and Overlap cover the final iteration and every resize
+	// patch; the collector covers every run.
+	traced := []*plan.Run{ends[iters-1]}
+	for _, p := range run.patches {
+		traced = append(traced, p.run)
 	}
+	res.Overlap = overlap(traced)
 	if tr != nil {
-		res.Overlap = tr.OverlapFraction(
-			[]trace.Kind{trace.KindCompute},
-			[]trace.Kind{trace.KindH2D, trace.KindD2H, trace.KindNVMe})
+		run.addSpans(tr, traced)
+		if faulted {
+			emitFaultWindows(tr, inj, eng.Now())
+		}
+	}
+	if e.Metrics != nil {
+		res.MetricSamples = run.collect(e.Metrics, append(traced, ends[:iters-1]...), window)
 	}
 	run.teardown()
 	return res, run
@@ -457,8 +455,10 @@ type iterRun struct {
 	util    float64 // per-worker kernel utilization
 	n       int
 	// st carries the executor's queue order and cross-iteration facts
-	// from one iteration or patch to the next.
+	// from one iteration or patch to the next, and numbers their events.
 	st plan.State
+	// patches lists the window resizes applied, in order.
+	patches []patchRun
 	// timed marks an explicit-duration run (RunPlan): every op occupies
 	// its resource for exactly its DurNS, and compute runs on queues
 	// (one FIFO per plan queue) instead of GPU streams.
@@ -628,25 +628,7 @@ func (r *iterRun) acquireLayer(layer int) error {
 		}
 		r.layerCache[layer] = append(r.layerCache[layer], blocks...)
 	}
-	r.noteOccupancy()
 	return nil
-}
-
-// noteOccupancy samples the working-window occupancy timeline: how many
-// layers currently hold device buffers.
-func (r *iterRun) noteOccupancy() {
-	mc := r.e.Metrics
-	if mc == nil {
-		return
-	}
-	held := 0
-	switch {
-	case r.pool != nil:
-		held = len(r.layerBuf)
-	case r.cache != nil:
-		held = len(r.layerCache)
-	}
-	mc.WindowOccupancy(r.machine.Eng.Now(), held)
 }
 
 // releaseLayer returns a layer's buffers as it leaves the window.
@@ -663,7 +645,6 @@ func (r *iterRun) releaseLayer(layer int) {
 		}
 		delete(r.layerCache, layer)
 	}
-	r.noteOccupancy()
 }
 
 // copyOp issues a Prefetch (H2D) or Offload (D2H) on its PCIe queue;
@@ -680,6 +661,7 @@ func (ev *schedEnv) copyOp(op *plan.Op) {
 	}
 	dur := r.copyTime(op)
 	if r.inj == nil {
+		ev.run.Submitted(op.ID, 0)
 		res.Submit(dur, ev, int32(op.ID))
 		return
 	}
@@ -733,11 +715,9 @@ func perWorkerCap(spec hw.CPUSpec) float64 {
 // iteration schedules one full training iteration by walking its plan
 // through the simulation environment, and returns the executor's run,
 // which ends with every stream's last kernel and the plan's final op
-// (the resident update). The plan's canonical op order is the exact
-// issue order the hand-wired scheduler used, so traces stay
-// byte-identical across the planner/executor split.
-func (r *iterRun) iteration(tr *trace.Trace) *plan.Run {
-	eng, env := r.machine.Eng, &schedEnv{r: r, tr: tr}
+// (the resident update).
+func (r *iterRun) iteration() *plan.Run {
+	eng, env := r.machine.Eng, &schedEnv{r: r}
 	if r.planFor(r.window) == nil {
 		// schedErr recorded: an empty plan ends at once.
 		return plan.Execute(plan.Compile(nil), eng, &r.st, env)
@@ -749,11 +729,11 @@ func (r *iterRun) iteration(tr *trace.Trace) *plan.Run {
 // streams, copies on the PCIe queues (with degraded-mode retries),
 // optimizer steps on the CPU pool, staging on the NVMe queue, and
 // buffer ops against the §III-E3 pool. One env per Execute call
-// carries that call's trace sink and executor state; it is also the
-// sim.Completer every op's work reports back to, tagged by op ID.
+// carries that call's executor run, to which it reports every submit
+// and completion; it is also the sim.Completer every op's work reports
+// back to, tagged by op ID.
 type schedEnv struct {
 	r   *iterRun
-	tr  *trace.Trace
 	run *plan.Run
 }
 
@@ -781,20 +761,21 @@ func (ev *schedEnv) Start(op *plan.Op, run *plan.Run) {
 				dur = nvme.WriteTime(op.Bytes)
 			}
 		}
+		run.Submitted(op.ID, 0)
 		r.machine.NVMeQ.Submit(dur, ev, tag)
 	case plan.BufAcquire:
 		if err := r.acquireLayer(op.Layer); err != nil && r.schedErr == nil {
 			r.schedErr = err
 		}
-		run.Done(op.ID)
+		run.Done(op.ID, r.machine.Eng.Now())
 	case plan.BufRelease:
 		r.releaseLayer(op.Layer)
-		run.Done(op.ID)
+		run.Done(op.ID, r.machine.Eng.Now())
 	default:
 		if r.schedErr == nil {
 			r.schedErr = fmt.Errorf("core: plan op %d has unknown kind %d", op.ID, op.Kind)
 		}
-		run.Done(op.ID)
+		run.Done(op.ID, r.machine.Eng.Now())
 	}
 }
 
@@ -805,6 +786,7 @@ func (ev *schedEnv) Start(op *plan.Op, run *plan.Run) {
 func (ev *schedEnv) kernel(op *plan.Op) {
 	r := ev.r
 	if r.timed {
+		ev.run.Submitted(op.ID, 0)
 		r.queues[op.Queue].Submit(op.DurNS, ev, int32(op.ID))
 		return
 	}
@@ -816,71 +798,21 @@ func (ev *schedEnv) kernel(op *plan.Op) {
 //
 //vet:hotpath
 func (ev *schedEnv) cpuOpt(op *plan.Op) {
-	r := ev.r
-	if mc := r.e.Metrics; mc != nil {
-		mc.OptQueued(r.machine.Eng.Now())
+	pool := ev.r.machine.CPUPool
+	w := 0
+	if ev.r.e.Feat.ConcurrentOptimizers {
+		w = pool.Pick()
 	}
-	if r.e.Feat.ConcurrentOptimizers {
-		r.machine.CPUPool.Submit(op.DurNS, ev, int32(op.ID))
-	} else {
-		r.machine.CPUPool.Workers()[0].Submit(op.DurNS, ev, int32(op.ID))
-	}
+	ev.run.Submitted(op.ID, w)
+	pool.Workers()[w].Submit(op.DurNS, ev, int32(op.ID))
 }
 
-// Complete is every op's completion: it records the op's span and
-// metrics by kind, then reports the op done to the executor.
+// Complete is every op's completion: it reports the op, with its start,
+// done to the executor, whose record keeps the span.
 //
 //vet:hotpath
-func (ev *schedEnv) Complete(tag int32, start, end sim.Time) {
-	r := ev.r
-	op := ev.run.Op(plan.ID(tag))
-	mc := r.e.Metrics
-	switch op.Kind {
-	case plan.ComputeFP, plan.ComputeBP:
-		ev.span(ev.queueTrack(op), op, trace.KindCompute, start, end)
-	case plan.OptStep:
-		if op.GPU {
-			ev.span(ev.queueTrack(op), op, trace.KindOptimize, start, end)
-			break
-		}
-		ev.span("cpu-opt", op, trace.KindOptimize, start, end)
-		if mc != nil {
-			mc.OptDone(end)
-		}
-	case plan.Prefetch:
-		ev.span("pcie-h2d", op, trace.KindH2D, start, end)
-		if mc != nil {
-			mc.Transfer("pcie.h2d", op.Bytes, start, end)
-		}
-	case plan.Offload:
-		ev.span("pcie-d2h", op, trace.KindD2H, start, end)
-		if mc != nil {
-			mc.Transfer("pcie.d2h", op.Bytes, start, end)
-		}
-	case plan.NVMeStage:
-		if r.timed {
-			ev.span(r.machine.NVMeQ.Name(), op, trace.KindNVMe, start, end)
-		} else if mc != nil {
-			mc.Transfer("nvme", op.Bytes, start, end)
-		}
-	}
-	ev.run.Done(op.ID)
-}
-
-// queueTrack names the trace track of a kernel's queue: its GPU stream,
-// or a timed run's FIFO queue.
-func (ev *schedEnv) queueTrack(op *plan.Op) string {
-	if ev.r.timed {
-		return ev.r.queues[op.Queue].Name()
-	}
-	return ev.r.streams[op.Queue].Name()
-}
-
-// span records op's span on the call's trace, when it has one.
-func (ev *schedEnv) span(track string, op *plan.Op, kind trace.Kind, start, end sim.Time) {
-	if ev.tr != nil {
-		ev.tr.Add(trace.Span{Track: track, Name: op.Name, Kind: kind, Layer: op.Layer, Start: start, End: end})
-	}
+func (ev *schedEnv) Complete(tag int32, start, _ sim.Time) {
+	ev.run.Done(plan.ID(tag), start)
 }
 
 // gpuOptFlops converts the HBM-bound resident-layer update into

@@ -21,7 +21,8 @@ import (
 // on a fresh plan.State; copies take the
 // PCIe queues, and under faults a dropped copy is reissued with backoff
 // exactly as in STRONGHOLD's degraded mode. The result's IterTime is
-// the plan's makespan. tr, when non-nil, receives the spans.
+// the plan's makespan. tr, when non-nil, receives the spans, retries
+// and deadline misses included; the result is the same either way.
 func RunPlan(m perf.Model, it *plan.Iteration, tr *trace.Trace, faults *fault.Plan) perf.IterationResult {
 	var res perf.IterationResult
 	if err := plan.Validate(it); err != nil {
@@ -50,12 +51,9 @@ func RunPlan(m perf.Model, it *plan.Iteration, tr *trace.Trace, faults *fault.Pl
 		r.queues = append(r.queues, sim.NewResource(eng, name))
 	}
 	if inj != nil {
-		r.enableFaults(inj, nil, Profile{}, 0)
+		r.enableFaults(inj, tr, Profile{}, 0)
 	}
-	if tr == nil {
-		tr = trace.New() // overlap is computed from the trace either way
-	}
-	plan.Execute(plan.Compile(it.Ops), eng, &r.st, &schedEnv{r: r, tr: tr})
+	x := plan.Execute(plan.Compile(it.Ops), eng, &r.st, &schedEnv{r: r})
 	eng.Run()
 	if r.schedErr != nil {
 		res.OOM, res.OOMDetail = true, r.schedErr.Error()
@@ -70,9 +68,10 @@ func RunPlan(m perf.Model, it *plan.Iteration, tr *trace.Trace, faults *fault.Pl
 		compute = r.queues[0].Utilization()
 	}
 	res.Util = utilization(machine, compute)
-	res.Overlap = tr.OverlapFraction(
-		[]trace.Kind{trace.KindCompute},
-		[]trace.Kind{trace.KindH2D, trace.KindD2H, trace.KindNVMe})
+	res.Overlap = overlap([]*plan.Run{x})
+	if tr != nil {
+		r.addSpans(tr, []*plan.Run{x})
+	}
 	return res
 }
 

@@ -64,32 +64,11 @@ type seriesKey struct {
 	label  string
 }
 
-// resState tracks per-resource derived state for queue-depth and busy
-// timelines, plus the rendered label and series names cached at first
-// sight of the resource — the observer hooks run once per simulated
-// task, and rebuilding `resource="gpu0"` there would allocate a string
-// per event (the hotalloc discipline pins this; see HOTPATH.md).
-type resState struct {
-	pendingEnds []int64 // ends of submitted-but-unfinished tasks, FIFO
-	busyNS      int64
-
-	label        string     // CanonicalLabel("resource", name)
-	qdepthSeries string     // SeriesQDepth + ":" + name
-	busySeries   string     // SeriesBusy + ":" + name
-	taskHist     *Histogram // the FamResourceTaskNS series, shared with hists
-}
-
-// chanState is resState's analogue for transfer channels.
-type chanState struct {
-	label    string     // CanonicalLabel("channel", name)
-	bwSeries string     // SeriesBandwidth + ":" + name
-	hist     *Histogram // the FamTransferNS series, shared with hists
-}
-
-// Collector accumulates deterministic virtual-time metrics. It
-// implements sim.Observer structurally (its Time parameters are int64
-// aliases), plus the explicit hooks the core engine calls on its
-// scheduling paths. The zero collector from New is
+// Collector holds one run's deterministic virtual-time metrics:
+// counters, gauges and histograms keyed by family and label, and
+// timelines keyed by series name. The simulation fills it after a run,
+// from the plan executor's per-op record (core.Engine.Metrics); nothing
+// writes to it per simulated event. The zero collector from New is
 // ready to use; a nil *Collector must never be installed — the
 // convention everywhere is "nil collector field = metrics off".
 type Collector struct {
@@ -97,11 +76,6 @@ type Collector struct {
 	gauges    map[seriesKey]float64
 	hists     map[seriesKey]*Histogram
 	timelines map[string]*Timeline
-	resources map[string]*resState
-	channels  map[string]*chanState
-	procs     map[string]string // proc name → cached CanonicalLabel
-	backlog   int64
-	points    uint64
 }
 
 // New returns an empty collector.
@@ -111,193 +85,51 @@ func New() *Collector {
 		gauges:    make(map[seriesKey]float64),
 		hists:     make(map[seriesKey]*Histogram),
 		timelines: make(map[string]*Timeline),
-		resources: make(map[string]*resState),
-		channels:  make(map[string]*chanState),
-		procs:     make(map[string]string),
 	}
 }
 
-func (c *Collector) add(family, label string, d float64) {
+// Add adds d to a counter series; label is a CanonicalLabel, or "" for
+// an unlabeled family. Adding 0 still creates the series.
+func (c *Collector) Add(family, label string, d float64) {
 	c.counters[seriesKey{family, label}] += d
 }
 
-func (c *Collector) set(family, label string, v float64) {
+// Set sets a gauge series.
+func (c *Collector) Set(family, label string, v float64) {
 	c.gauges[seriesKey{family, label}] = v
 }
 
-// resource returns (creating and caching on first sight) the
-// per-resource state: the rendered label, the derived series names and
-// the task-duration histogram. All once-per-resource construction lives
-// here so the per-event hooks stay allocation-free; the budgets in
-// HOTPATH.md cover exactly this function.
-func (c *Collector) resource(name string) *resState {
-	rs := c.resources[name]
-	if rs == nil {
-		rs = &resState{
-			label:        CanonicalLabel("resource", name),
-			qdepthSeries: SeriesQDepth + ":" + name,
-			busySeries:   SeriesBusy + ":" + name,
-			taskHist:     &Histogram{},
-		}
-		c.hists[seriesKey{FamResourceTaskNS, rs.label}] = rs.taskHist
-		c.resources[name] = rs
+// Histogram returns a histogram series, creating it empty.
+func (c *Collector) Histogram(family, label string) *Histogram {
+	k := seriesKey{family, label}
+	h := c.hists[k]
+	if h == nil {
+		h = &Histogram{}
+		c.hists[k] = h
 	}
-	return rs
+	return h
 }
 
-// channel is resource's analogue for transfer channels.
-func (c *Collector) channel(name string) *chanState {
-	cs := c.channels[name]
-	if cs == nil {
-		cs = &chanState{
-			label:    CanonicalLabel("channel", name),
-			bwSeries: SeriesBandwidth + ":" + name,
-			hist:     &Histogram{},
-		}
-		c.hists[seriesKey{FamTransferNS, cs.label}] = cs.hist
-		c.channels[name] = cs
-	}
-	return cs
-}
-
-// procLabel returns the cached rendered label for a shared processor.
-func (c *Collector) procLabel(name string) string {
-	label, ok := c.procs[name]
-	if !ok {
-		label = CanonicalLabel("proc", name)
-		c.procs[name] = label
-	}
-	return label
-}
-
-func (c *Collector) timeline(series string) *Timeline {
-	tl := c.timelines[series]
+// Series returns the named timeline, creating it empty. An empty
+// timeline still exports, so create one only to append to it.
+func (c *Collector) Series(name string) *Timeline {
+	tl := c.timelines[name]
 	if tl == nil {
 		tl = &Timeline{}
-		c.timelines[series] = tl
+		c.timelines[name] = tl
 	}
 	return tl
 }
 
-func (c *Collector) sample(series string, t int64, v float64) {
-	c.timeline(series).Append(t, v)
-	c.points++
-}
-
-// ResourceTask implements sim.Observer: one FIFO-resource task with its
-// resolved span, reported at submission time.
-//
-//vet:hotpath
-func (c *Collector) ResourceTask(resource string, submit, start, end int64) {
-	rs := c.resource(resource)
-	c.add(FamResourceTasks, rs.label, 1)
-	c.add(FamResourceBusyNS, rs.label, float64(end-start))
-	c.add(FamResourceQueueWait, rs.label, float64(start-submit))
-	rs.taskHist.Observe(end - start)
-
-	// Queue depth at submit: previously submitted tasks still pending,
-	// plus this one. Ends are FIFO-monotone per resource, so draining
-	// the prefix <= submit is exact. The drained prefix is compacted in
-	// place so the buffer's backing array is reused forever.
-	drained := 0
-	for _, e := range rs.pendingEnds {
-		if e <= submit {
-			drained++
-		} else {
-			break
-		}
-	}
-	if drained > 0 {
-		n := copy(rs.pendingEnds, rs.pendingEnds[drained:])
-		rs.pendingEnds = rs.pendingEnds[:n]
-	}
-	rs.pendingEnds = append(rs.pendingEnds, end)
-	c.sample(rs.qdepthSeries, submit, float64(len(rs.pendingEnds)))
-
-	rs.busyNS += end - start
-	if end > 0 {
-		c.sample(rs.busySeries, end, float64(rs.busyNS)/float64(end))
-	}
-}
-
-// ProcTask implements sim.Observer: one shared-processor task span at
-// completion.
-//
-//vet:hotpath
-func (c *Collector) ProcTask(proc string, start, end int64, active int) {
-	label := c.procLabel(proc)
-	c.add(FamProcTasks, label, 1)
-	c.add(FamProcBusyNS, label, float64(end-start))
-}
-
-// Transfer is the core engine's byte-accounting hook: it records one
-// completed PCIe or NVMe copy of the given size on its channel.
-//
-//vet:hotpath
-func (c *Collector) Transfer(channel string, bytes, start, end int64) {
-	cs := c.channel(channel)
-	c.add(FamTransferBytes, cs.label, float64(bytes))
-	cs.hist.Observe(end - start)
-	if end > start {
-		gbps := float64(bytes) / float64(end-start) // bytes/ns == GB/s
-		c.sample(cs.bwSeries, start, gbps)
-	}
-}
-
-// SetWindow records the working-window size m at virtual time t — the
-// m(t) series the adaptive re-solve moves.
-//
-//vet:hotpath
-func (c *Collector) SetWindow(t int64, m int) {
-	c.set(FamWindowLayers, "", float64(m))
-	c.sample(SeriesWindow, t, float64(m))
-}
-
-// WindowOccupancy records how many layers hold window buffers.
-//
-//vet:hotpath
-func (c *Collector) WindowOccupancy(t int64, layers int) {
-	c.set(FamWindowOccupancy, "", float64(layers))
-	c.sample(SeriesOccupancy, t, float64(layers))
-}
-
-// OptQueued records an optimizer update entering the pool.
-//
-//vet:hotpath
-func (c *Collector) OptQueued(t int64) {
-	c.backlog++
-	c.add(FamOptTasks, "", 1)
-	c.set(FamOptBacklog, "", float64(c.backlog))
-	c.sample(SeriesBacklog, t, float64(c.backlog))
-}
-
-// OptDone records an optimizer update completing.
-//
-//vet:hotpath
-func (c *Collector) OptDone(t int64) {
-	c.backlog--
-	c.set(FamOptBacklog, "", float64(c.backlog))
-	c.sample(SeriesBacklog, t, float64(c.backlog))
-}
-
-// CountRetry counts one degraded-mode transfer reissue.
-//
-//vet:hotpath
-func (c *Collector) CountRetry() { c.add(FamRetries, "", 1) }
-
-// CountDeadlineMiss counts one transfer past its deadline factor.
-//
-//vet:hotpath
-func (c *Collector) CountDeadlineMiss() { c.add(FamDeadlineMisses, "", 1) }
-
-// CountResolve counts one adaptive window re-solve.
-//
-//vet:hotpath
-func (c *Collector) CountResolve() { c.add(FamWindowResolves, "", 1) }
-
 // Points returns the total number of timeline samples recorded — the
 // determinism fingerprint surfaced as perf.IterationResult.
-func (c *Collector) Points() uint64 { return c.points }
+func (c *Collector) Points() uint64 {
+	var n uint64
+	for _, tl := range c.timelines {
+		n += uint64(tl.Len())
+	}
+	return n
+}
 
 // Quantile returns the q-quantile bucket bound of the named histogram
 // series (false when the series does not exist). label is the raw

@@ -2,10 +2,10 @@
 // deterministic counters, gauges and log-scale histograms stamped with
 // the discrete-event clock, plus time-series "timelines" (per-resource
 // busy fraction, queue depth, transfer bandwidth, working-window
-// occupancy m(t), optimizer-pool backlog). A Collector implements the
-// sim.Observer hook interface — structurally, without importing sim,
-// since sim.Time is an int64 alias — so the package has no dependency
-// on the simulation it measures.
+// occupancy m(t), optimizer-pool backlog). The simulation derives them
+// after a run from the plan executor's per-op record and writes them
+// into a Collector; the package has no dependency on the simulation it
+// measures.
 //
 // Everything here is single-goroutine by the same contract as the
 // engine itself, and every export (Prometheus text exposition, JSON,

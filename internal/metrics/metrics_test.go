@@ -7,53 +7,52 @@ import (
 	"testing"
 )
 
-// collectSynthetic drives every collector hook once, in a fixed order,
+// collectSynthetic fills one series of every kind, in a fixed order,
 // and returns the collector — the shared fixture for export tests.
 func collectSynthetic() *Collector {
 	c := New()
-	c.ResourceTask("pcie.h2d", 0, 10, 110)
-	c.ResourceTask("pcie.h2d", 50, 110, 210) // queued behind the first
-	c.ResourceTask("nvme", 0, 0, 1000)
-	c.ProcTask("sm", 0, 500, 1)
-	c.Transfer("pcie.h2d", 4096, 10, 110)
-	c.Transfer("pcie.h2d", 4096, 110, 210)
-	c.Transfer("nvme", 1<<20, 0, 1000)
-	c.SetWindow(0, 12)
-	c.WindowOccupancy(5, 12)
-	c.OptQueued(100)
-	c.OptQueued(150)
-	c.OptDone(400)
-	c.CountRetry()
-	c.CountDeadlineMiss()
-	c.CountResolve()
+	h2d := CanonicalLabel("resource", "pcie.h2d")
+	c.Add(FamResourceTasks, h2d, 2)
+	c.Add(FamResourceBusyNS, h2d, 200)
+	c.Add(FamResourceQueueWait, h2d, 60)
+	c.Add(FamResourceTasks, CanonicalLabel("resource", "nvme"), 1)
+	c.Add(FamProcTasks, CanonicalLabel("proc", "sm"), 1)
+	c.Histogram(FamResourceTaskNS, h2d).Observe(100)
+	c.Histogram(FamResourceTaskNS, h2d).Observe(100)
+	c.Histogram(FamTransferNS, CanonicalLabel("channel", "pcie.h2d")).Observe(100)
+	c.Histogram(FamTransferNS, CanonicalLabel("channel", "nvme")).Observe(1000)
+	c.Series(SeriesQDepth+":pcie.h2d").Append(0, 1)
+	c.Series(SeriesQDepth+":pcie.h2d").Append(50, 2)
+	c.Set(FamWindowLayers, "", 12)
+	c.Series(SeriesWindow).Append(0, 12)
+	c.Series(SeriesBacklog).Append(100, 1)
+	c.Add(FamRetries, "", 1)
 	return c
 }
 
 func TestCollectorCountersAndTimelines(t *testing.T) {
 	c := collectSynthetic()
-	if c.Points() == 0 {
-		t.Fatal("no timeline points recorded")
+	if c.Points() != 4 {
+		t.Fatalf("Points = %d, want the 4 samples appended", c.Points())
 	}
 	qd := c.Timeline(SeriesQDepth + ":pcie.h2d")
 	if qd == nil || qd.Len() != 2 {
 		t.Fatalf("queue-depth timeline = %v", qd)
 	}
-	// Second submit at t=50: first task (end 110) still pending → depth 2.
-	if pts := qd.Points(); pts[0].V != 1 || pts[1].V != 2 {
-		t.Errorf("queue depths = %v, want 1 then 2", pts)
+	if pts := qd.Points(); pts[0] != (Point{0, 1}) || pts[1] != (Point{50, 2}) {
+		t.Errorf("queue depths = %v, want insertion order", pts)
 	}
-	bl := c.Timeline(SeriesBacklog)
-	if bl == nil || bl.Len() != 3 {
-		t.Fatalf("backlog timeline = %v", bl)
-	}
-	if pts := bl.Points(); pts[2].V != 1 {
-		t.Errorf("backlog after two queued one done = %v, want 1", pts[2].V)
+	if c.Series(SeriesWindow) != c.Timeline(SeriesWindow) {
+		t.Error("Series must return the existing timeline")
 	}
 	if c.Timeline("no-such-series") != nil {
 		t.Error("missing timeline should be nil")
 	}
-	if _, ok := c.Quantile(FamTransferNS, "pcie.h2d", 0.5); !ok {
-		t.Error("transfer quantile missing")
+	if got, ok := c.Snapshot().Value(FamResourceTasks, `resource="pcie.h2d"`); !ok || got != 2 {
+		t.Errorf("resource tasks = %v, %v; want 2, true", got, ok)
+	}
+	if q, ok := c.Quantile(FamTransferNS, "nvme", 0.5); !ok || q != 1024 {
+		t.Errorf("nvme transfer p50 = %d, %v; want 1024, true", q, ok)
 	}
 	if _, ok := c.Quantile(FamResourceTaskNS, "pcie.h2d", 0.5); !ok {
 		t.Error("resource quantile missing")

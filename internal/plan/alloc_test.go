@@ -17,13 +17,14 @@ type fifoEnv struct {
 
 func (e *fifoEnv) Start(op *Op, run *Run) {
 	if op.Kind == BufAcquire || op.Kind == BufRelease {
-		run.Done(op.ID)
+		run.Done(op.ID, e.eng.Now())
 		return
 	}
+	run.Submitted(op.ID, 0)
 	e.res[op.ID&1].Submit(max(op.DurNS, 1), e, int32(op.ID))
 }
 
-func (e *fifoEnv) Complete(tag int32, _, _ sim.Time) { e.run.Done(ID(tag)) }
+func (e *fifoEnv) Complete(tag int32, start, _ sim.Time) { e.run.Done(ID(tag), start) }
 
 // rewind readies x for another walk of its plan, keeping its arrays,
 // and its State for a fresh run.
@@ -36,8 +37,8 @@ func (x *Run) rewind() {
 
 // TestZeroAllocHotPaths is the dynamic half of the HOTPATH.md contract:
 // on a warmed compiled plan that waits on no fact, issuing, starting,
-// releasing and completing every op — queue tails and exports included
-// — allocates nothing. The static half is stronghold-vet's hotalloc
+// releasing and completing every op — queue tails, exports and the
+// detailed per-op record included — allocates nothing. The static half is stronghold-vet's hotalloc
 // rule over the same functions.
 func TestZeroAllocHotPaths(t *testing.T) {
 	it := mustBuild(t, baseSpec())
@@ -48,7 +49,7 @@ func TestZeroAllocHotPaths(t *testing.T) {
 	}
 	eng := sim.NewEngine()
 	env := &fifoEnv{eng: eng, res: [2]*sim.Resource{sim.NewResource(eng, "a"), sim.NewResource(eng, "b")}}
-	x := Execute(Compile(ops), eng, &State{}, env)
+	x := Execute(Compile(ops), eng, &State{Detail: true}, env)
 	env.run = x
 	eng.Run() // warms the engine heap and the resources' rings
 	walk := func() {
@@ -64,7 +65,7 @@ func TestZeroAllocHotPaths(t *testing.T) {
 		t.Fatalf("executing a warmed in-plan schedule allocates %.1f times per walk, want 0", allocs)
 	}
 	for i, left := range x.left {
-		if left != done {
+		if left != done || x.rec.Seq[i] == 0 {
 			t.Fatalf("op %d never completed", i)
 		}
 	}

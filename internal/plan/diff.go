@@ -93,8 +93,10 @@ func Diff(a, b *Iteration) (*Patch, error) {
 }
 
 // Apply compiles the patch ops and walks them on eng against st,
-// exactly like Execute walks an iteration plan.
-func (p *Patch) Apply(eng *sim.Engine, st *State, env Env) { Execute(Compile(p.Ops), eng, st, env) }
+// exactly like Execute walks an iteration plan, and returns the run.
+func (p *Patch) Apply(eng *sim.Engine, st *State, env Env) *Run {
+	return Execute(Compile(p.Ops), eng, st, env)
+}
 
 func residentSet(layers []int) map[int]bool {
 	s := make(map[int]bool, len(layers))

@@ -12,9 +12,9 @@ import "stronghold/internal/sim"
 type Env interface {
 	// Start runs op's work. The executor calls it once, after every
 	// dependency of op has completed; the environment then calls
-	// run.Done(op.ID) exactly once, when op completes — typically from
-	// the sim.Completer it submitted the work with, tagged by op.ID.
-	// Join ops never reach Start.
+	// run.Done(op.ID, start) exactly once, when op completes — typically
+	// from the sim.Completer it submitted the work with, tagged by
+	// op.ID. Join ops never reach Start.
 	Start(op *Op, run *Run)
 }
 
@@ -26,13 +26,30 @@ type Env interface {
 // latest Export, as a prefetch waits on a CUDA event. The zero value is
 // a fresh run: every queue is idle and every fact already holds. A
 // completed op gates nothing, exactly as the zero ref does.
+// State also numbers the events of the runs sharing it, every op
+// completion and, with Detail set, every submit, so their Records can
+// be replayed in one order.
 type State struct {
+	// Detail makes every run record each submit the environment reports
+	// (Record.Submit). Set it before the first Execute call.
+	Detail bool
+	// seq is the number of the last event stamped.
+	seq uint32
 	// tails[q] is queue q's last op issued so far.
 	tails []ref
 	// facts[l*extKinds+k-1] is the op that publishes fact kind k about
 	// layer l; the zero ref while the fact holds from the start of the
 	// run.
 	facts []ref
+}
+
+// Events returns how many events the runs sharing st have numbered.
+func (st *State) Events() uint32 { return st.seq }
+
+// stamp numbers the next event.
+func (st *State) stamp() uint32 {
+	st.seq++
+	return st.seq
 }
 
 // ref names one op of one Execute call: the op another call waits on,
@@ -177,15 +194,22 @@ func Compile(ops []Op) *Compiled {
 // issues on have completed.
 func Execute(c *Compiled, eng *sim.Engine, st *State, env Env) *Run {
 	st.size(c)
+	n := len(c.ops)
 	x := &Run{
 		c:       c,
 		st:      st,
 		env:     env,
 		eng:     eng,
-		left:    make([]int32, len(c.ops)),
+		left:    make([]int32, n),
 		waiters: make([][]ref, c.bounds),
 		endLeft: c.endDeps,
 		endAt:   eng.Now(),
+		rec:     Record{Start: make([]sim.Time, n), End: make([]sim.Time, n), Seq: make([]uint32, n)},
+	}
+	if st.Detail {
+		x.rec.Submit = make([]sim.Time, n)
+		x.rec.SubmitSeq = make([]uint32, n)
+		x.rec.Worker = make([]int32, n)
 	}
 	for i := range c.ops {
 		x.issue(int32(i))
@@ -228,6 +252,25 @@ type Run struct {
 	endLeft int32
 	endAt   sim.Time
 	onEnd   []func()
+	rec     Record
+}
+
+// Record is what one Execute call measured of its ops, indexed by op
+// ID; an op that never completed keeps zeros.
+type Record struct {
+	// Start and End are each op's span: the start its environment
+	// reported to Done, and the virtual time of the Done call.
+	Start, End []sim.Time
+	// Seq numbers each completion among the events of the runs sharing
+	// the State, in the order the engine delivered them.
+	Seq []uint32
+	// Under State.Detail (nil otherwise), each Run.Submitted report:
+	// when the op's work went on its resource, after any retry backoff;
+	// that submit's number in the same sequence as Seq; and the pool
+	// worker that took it.
+	Submit    []sim.Time
+	SubmitSeq []uint32
+	Worker    []int32
 }
 
 // done marks a completed op in Run.left.
@@ -235,6 +278,20 @@ const done = -1
 
 // Op returns the op with the given ID.
 func (x *Run) Op(id ID) *Op { return &x.c.ops[id] }
+
+// Record returns the run's per-op record.
+func (x *Run) Record() *Record { return &x.rec }
+
+// Submitted reports that the environment put op id's work on a
+// resource now, on the given pool worker (0 for a lone resource). It
+// records nothing unless the State keeps detail.
+//
+//vet:hotpath
+func (x *Run) Submitted(id ID, worker int) {
+	if x.rec.Submit != nil {
+		x.rec.Submit[id], x.rec.SubmitSeq[id], x.rec.Worker[id] = x.eng.Now(), x.st.stamp(), int32(worker)
+	}
+}
 
 // EndAt returns the time the iteration ended; valid once it has.
 func (x *Run) EndAt() sim.Time { return x.endAt }
@@ -303,7 +360,7 @@ func (x *Run) wait(i int32, w ref) {
 func (x *Run) start(i int32) {
 	op := &x.c.ops[i]
 	if op.Kind == Join {
-		x.Done(op.ID)
+		x.Done(op.ID, x.eng.Now())
 		return
 	}
 	x.env.Start(op, x)
@@ -319,18 +376,20 @@ func (x *Run) release(i int32) {
 	}
 }
 
-// Done reports op id complete at the current virtual time: it releases
-// the op's in-plan successors, counts toward the iteration end, and
-// releases whatever waits on the op from outside the plan. Completing
-// an op twice panics.
+// Done reports op id, started at start, complete at the current
+// virtual time: it records the op's span, releases the op's in-plan
+// successors, counts toward the iteration end, and releases whatever
+// waits on the op from outside the plan. Completing an op twice
+// panics.
 //
 //vet:hotpath
-func (x *Run) Done(id ID) {
+func (x *Run) Done(id ID, start sim.Time) {
 	i := int32(id)
 	if x.left[i] == done {
 		panic("plan: op completed twice")
 	}
 	x.left[i] = done
+	x.rec.Start[i], x.rec.End[i], x.rec.Seq[i] = start, x.eng.Now(), x.st.stamp()
 	c := x.c
 	in := &c.info[i]
 	for _, j := range c.succ[c.succAt[i]:c.succAt[i+1]] {

@@ -186,6 +186,8 @@ type world struct {
 	// Export order; -1 until it is.
 	exported []sim.Time
 	compiled map[*Iteration]*Compiled
+	// runs holds the compiled executor's run of each logged call.
+	runs map[int]*Run
 }
 
 func newWorld(queues int, timed bool) *world {
@@ -194,7 +196,7 @@ func newWorld(queues int, timed bool) *world {
 	plat.CPU.Cores = 2
 	m := hw.NewMachine(eng, plat)
 	w := &world{eng: eng, m: m, timed: timed, tails: make([]*signal, queues),
-		facts: map[ExtDep]*signal{}, compiled: map[*Iteration]*Compiled{}}
+		facts: map[ExtDep]*signal{}, compiled: map[*Iteration]*Compiled{}, runs: map[int]*Run{}}
 	for q := 0; q < queues; q++ {
 		w.launch = append(w.launch, m.NewStream(fmt.Sprintf("w%d", q)))
 		w.fifo = append(w.fifo, sim.NewResource(eng, fmt.Sprintf("q%d", q)))
@@ -310,7 +312,7 @@ type watcher struct {
 
 func (c *watcher) Start(op *Op, run *Run) {
 	c.w.exported[c.base+int(op.ID)] = c.w.eng.Now()
-	run.Done(op.ID)
+	run.Done(op.ID, c.w.eng.Now())
 }
 
 // call is one compiled Execute call's environment and completer.
@@ -327,7 +329,7 @@ func (c *call) Start(op *Op, run *Run) {
 
 func (c *call) Complete(tag int32, start, end sim.Time) {
 	c.w.log = append(c.w.log, completion{call: c.id, op: ID(tag), start: start, end: end})
-	c.run.Done(ID(tag))
+	c.run.Done(ID(tag), start)
 }
 
 // oracleCall is one oracle walk's environment.
@@ -378,12 +380,13 @@ func (compiledExec) iterate(w *world, id int, it *Iteration) func(func()) {
 		w.compiled[it] = c
 	}
 	run := Execute(c, w.eng, &w.st, &call{w: w, id: id})
+	w.runs[id] = run
 	w.watchExports(it.Ops)
 	return run.OnEnd
 }
 
 func (compiledExec) patch(w *world, id int, p *Patch) {
-	p.Apply(w.eng, &w.st, &call{w: w, id: id})
+	w.runs[id] = p.Apply(w.eng, &w.st, &call{w: w, id: id})
 	w.watchExports(p.Ops)
 }
 
@@ -471,7 +474,31 @@ func (sc scenario) run(t testing.TB, ex executor) outcome {
 		schedule(0)
 	}
 	w.eng.Run()
+	w.checkRecords(t)
 	return outcome{log: w.log, exported: w.exported, steps: w.eng.Steps()}
+}
+
+// checkRecords requires the compiled runs' Records to replay the log:
+// every logged completion's span, with completion numbers rising in log
+// order. The oracle keeps no runs, so it passes trivially.
+func (w *world) checkRecords(t testing.TB) {
+	t.Helper()
+	var last uint32
+	for _, c := range w.log {
+		run := w.runs[c.call]
+		if run == nil || c.op < 0 {
+			continue
+		}
+		rec := run.Record()
+		if rec.Start[c.op] != c.start || rec.End[c.op] != c.end {
+			t.Fatalf("call %d op %d: record spans [%d, %d], completion logged [%d, %d]",
+				c.call, c.op, rec.Start[c.op], rec.End[c.op], c.start, c.end)
+		}
+		if rec.Seq[c.op] <= last {
+			t.Fatalf("call %d op %d: completion number %d does not follow %d", c.call, c.op, rec.Seq[c.op], last)
+		}
+		last = rec.Seq[c.op]
+	}
 }
 
 // checkAgainstOracle runs sc under both executors and compares.

@@ -56,7 +56,7 @@ func (e *recordEnv) Start(op *Op, run *Run) {
 
 func (e *recordEnv) Complete(tag int32, start, end sim.Time) {
 	e.spans[ID(tag)] = [2]sim.Time{start, end}
-	e.run.Done(ID(tag))
+	e.run.Done(ID(tag), start)
 }
 
 // factAt publishes d at virtual time at, from a call of its own.
@@ -75,7 +75,8 @@ func factOp(id int, d ExtDep, delay sim.Time) Op {
 type timerEnv struct{ eng *sim.Engine }
 
 func (e timerEnv) Start(op *Op, run *Run) {
-	e.eng.Schedule(op.DurNS, func() { run.Done(op.ID) })
+	start := e.eng.Now()
+	e.eng.Schedule(op.DurNS, func() { run.Done(op.ID, start) })
 }
 
 func TestExecuteWalksCanonicalOrder(t *testing.T) {
@@ -228,5 +229,5 @@ func TestExecuteDoneTwicePanics(t *testing.T) {
 			t.Fatal("completing an op twice must panic")
 		}
 	}()
-	run.Done(0)
+	run.Done(0, 0)
 }

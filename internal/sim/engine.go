@@ -92,8 +92,7 @@ type Engine struct {
 	seq     uint64
 	pending eventHeap
 	steps   uint64
-	cur     uint64   // seq of the event now running (0 outside Run)
-	obs     Observer // instrumentation tap; nil = observation off
+	cur     uint64 // seq of the event now running (0 outside Run)
 }
 
 // NewEngine returns an engine with the clock at zero.

@@ -13,7 +13,6 @@ type Resource struct {
 	name      string
 	busyUntil Time
 	busyTotal Time // accumulated busy time, for utilization reporting
-	tasks     uint64
 
 	// Deterministic jitter (optional): each task's duration is
 	// multiplied by a factor in [1, 1+2·jitterFrac] drawn from a seeded
@@ -94,8 +93,7 @@ func (r *Resource) Submit(duration Time, c Completer, tag int32) Time {
 		panic(fmt.Sprintf("sim: resource %s got negative duration %d", r.name, duration))
 	}
 	duration = r.jittered(duration)
-	submit := r.eng.Now()
-	start := max(submit, r.busyUntil)
+	start := max(r.eng.Now(), r.busyUntil)
 	end := start + duration
 	if r.stretch != nil {
 		if s := r.stretch(start, duration); s > end {
@@ -104,10 +102,6 @@ func (r *Resource) Submit(duration Time, c Completer, tag int32) Time {
 	}
 	r.busyUntil = end
 	r.busyTotal += end - start
-	r.tasks++
-	if o := r.eng.obs; o != nil {
-		o.ResourceTask(r.name, submit, start, end)
-	}
 	if c != nil {
 		r.pending.Push(completion{c: c, tag: tag, start: start, end: end})
 		r.eng.At(end, r.fire)
@@ -122,16 +116,6 @@ func (r *Resource) complete() {
 	p := r.pending.Pop()
 	p.c.Complete(p.tag, p.start, p.end)
 }
-
-// BusyUntil returns the time at which all currently queued work
-// completes.
-func (r *Resource) BusyUntil() Time { return r.busyUntil }
-
-// BusyTotal returns accumulated busy time.
-func (r *Resource) BusyTotal() Time { return r.busyTotal }
-
-// Tasks returns the number of tasks submitted.
-func (r *Resource) Tasks() uint64 { return r.tasks }
 
 // Utilization returns busy time divided by elapsed time (0 when no time
 // has passed).
@@ -191,26 +175,19 @@ func (p *Pool) Workers() []*Resource { return p.workers }
 //
 //vet:hotpath
 func (p *Pool) Submit(duration Time, c Completer, tag int32) Time {
-	return p.pick().Submit(duration, c, tag)
+	return p.workers[p.Pick()].Submit(duration, c, tag)
 }
 
-func (p *Pool) pick() *Resource {
-	best := p.workers[0]
-	for _, w := range p.workers[1:] {
-		if w.busyUntil < best.busyUntil {
-			best = w
+// Pick returns the index of the worker Submit would dispatch to now:
+// the least loaded, the lowest index among equals.
+func (p *Pool) Pick() int {
+	best := 0
+	for i, w := range p.workers {
+		if w.busyUntil < p.workers[best].busyUntil {
+			best = i
 		}
 	}
 	return best
-}
-
-// BusyUntil returns the latest completion time across workers.
-func (p *Pool) BusyUntil() Time {
-	var t Time
-	for _, w := range p.workers {
-		t = max(t, w.busyUntil)
-	}
-	return t
 }
 
 // Utilization returns the mean worker utilization.

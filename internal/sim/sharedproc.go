@@ -22,7 +22,6 @@ type SharedProcessor struct {
 	active     []*spTask
 	lastUpdate Time
 	usedInt    float64 // ∫ rate dt, for utilization accounting
-	tasks      uint64
 
 	// timer is the engine seq of the one live completion event (0 when
 	// none is scheduled). Every arrival or completion schedules a fresh
@@ -60,11 +59,8 @@ func NewSharedProcessor(eng *Engine, name string, capacity float64) *SharedProce
 	return sp
 }
 
-// Capacity returns the processor's total rate.
-func (sp *SharedProcessor) Capacity() float64 { return sp.capacity }
-
-// ActiveTasks returns the number of currently running tasks.
-func (sp *SharedProcessor) ActiveTasks() int { return len(sp.active) }
+// Name returns the processor's label.
+func (sp *SharedProcessor) Name() string { return sp.name }
 
 // Submit starts a task of the given amount of work now. The task's
 // consumption is capped at maxRate work/s (values above the processor
@@ -90,7 +86,6 @@ func (sp *SharedProcessor) Submit(work, maxRate float64, c Completer, tag int32)
 	}
 	*t = spTask{remaining: work, maxRate: maxRate, started: sp.eng.Now(), c: c, tag: tag}
 	sp.active = append(sp.active, t)
-	sp.tasks++
 	sp.reschedule()
 }
 
@@ -139,9 +134,6 @@ func (sp *SharedProcessor) reschedule() {
 	sp.active = kept
 	now := sp.eng.Now()
 	for _, t := range finished {
-		if o := sp.eng.obs; o != nil {
-			o.ProcTask(sp.name, t.started, now, len(sp.active))
-		}
 		c, tag, started := t.c, t.tag, t.started
 		t.c = nil
 		sp.free = append(sp.free, t)
@@ -219,6 +211,3 @@ func (sp *SharedProcessor) Utilization() float64 {
 	}
 	return sp.usedInt / (sp.capacity * float64(sp.eng.Now()) / 1e9)
 }
-
-// Tasks returns the number of tasks ever submitted.
-func (sp *SharedProcessor) Tasks() uint64 { return sp.tasks }

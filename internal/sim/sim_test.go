@@ -98,8 +98,8 @@ func TestResourceFIFO(t *testing.T) {
 	if spans[0] != [2]Time{0, 10} || spans[1] != [2]Time{10, 15} {
 		t.Fatalf("spans %v", spans)
 	}
-	if r.BusyTotal() != 15 || r.Tasks() != 2 {
-		t.Fatalf("busy=%d tasks=%d", r.BusyTotal(), r.Tasks())
+	if r.busyTotal != 15 || len(spans) != 2 {
+		t.Fatalf("busy=%d tasks=%d", r.busyTotal, len(spans))
 	}
 	if u := r.Utilization(); u != 1 {
 		t.Fatalf("utilization %v, want 1", u)
@@ -140,8 +140,8 @@ func TestPoolLeastLoaded(t *testing.T) {
 	}
 	e.Run()
 	// Two workers, four 10ns tasks → makespan 20, not 40.
-	if p.BusyUntil() != 20 {
-		t.Fatalf("BusyUntil %d, want 20", p.BusyUntil())
+	if ends[3] != 20 {
+		t.Fatalf("last task ended at %d, want 20", ends[3])
 	}
 	if e.Now() != 20 {
 		t.Fatalf("now %d", e.Now())
@@ -275,12 +275,13 @@ func TestSharedProcessorLateArrivalSharing(t *testing.T) {
 func TestSharedProcessorUtilization(t *testing.T) {
 	e := NewEngine()
 	sp := NewSharedProcessor(e, "gpu", 100)
-	sp.Submit(50, 50, nil, 0) // runs 1s at half rate
+	done := 0
+	sp.Submit(50, 50, doneFunc(func(_, _ Time) { done++ }), 0) // runs 1s at half rate
 	e.Run()
 	if u := sp.Utilization(); u < 0.49 || u > 0.51 {
 		t.Fatalf("utilization %v, want 0.5", u)
 	}
-	if sp.Tasks() != 1 || sp.ActiveTasks() != 0 {
+	if done != 1 || len(sp.active) != 0 {
 		t.Fatal("task accounting wrong")
 	}
 }
@@ -327,7 +328,7 @@ func TestPropertyResourceMakespan(t *testing.T) {
 			r.Submit(d, nil, 0)
 		}
 		e.Run()
-		return r.BusyUntil() == Time(tasks)*d
+		return r.busyUntil == Time(tasks)*d
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

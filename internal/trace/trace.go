@@ -5,9 +5,10 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"stronghold/internal/sim"
 )
@@ -75,46 +76,32 @@ func (t *Trace) ByKind(k Kind) []Span {
 // Busy returns the union-length of all spans of the given kinds —
 // wall-clock time during which at least one such span was active.
 func (t *Trace) Busy(kinds ...Kind) sim.Time {
-	want := map[Kind]bool{}
-	for _, k := range kinds {
-		want[k] = true
-	}
+	return length(normalize(t.intervals(kinds)))
+}
+
+// intervals returns the [Start, End] of every span of the given kinds.
+func (t *Trace) intervals(kinds []Kind) [][2]sim.Time {
 	var iv [][2]sim.Time
 	for _, s := range t.spans {
-		if want[s.Kind] {
+		if slices.Contains(kinds, s.Kind) {
 			iv = append(iv, [2]sim.Time{s.Start, s.End})
 		}
 	}
-	return unionLength(iv)
+	return iv
 }
 
-// OverlapFraction returns the fraction of communication time (kinds b)
-// hidden under computation time (kinds a): |A ∩ B| / |B|. This is the
-// quantity Figure 4 demonstrates and the P1/P2 models maximize.
-func (t *Trace) OverlapFraction(a []Kind, b []Kind) float64 {
-	busyB := t.Busy(b...)
+// Overlap returns the fraction of the time covered by intervals b that
+// intervals a also cover: |∪a ∩ ∪b| / |∪b|, and 1 when b covers no
+// time. It reorders neither slice. With communication as b and
+// computation as a, this is the quantity Figure 4 demonstrates and the
+// P1/P2 models maximize.
+func Overlap(a, b [][2]sim.Time) float64 {
+	b = normalize(b)
+	busyB := length(b)
 	if busyB == 0 {
 		return 1
 	}
-	wantA := map[Kind]bool{}
-	for _, k := range a {
-		wantA[k] = true
-	}
-	wantB := map[Kind]bool{}
-	for _, k := range b {
-		wantB[k] = true
-	}
-	var ivA, ivB [][2]sim.Time
-	for _, s := range t.spans {
-		if wantA[s.Kind] {
-			ivA = append(ivA, [2]sim.Time{s.Start, s.End})
-		}
-		if wantB[s.Kind] {
-			ivB = append(ivB, [2]sim.Time{s.Start, s.End})
-		}
-	}
-	inter := intersectionLength(ivA, ivB)
-	return float64(inter) / float64(busyB)
+	return float64(intersectionLength(normalize(a), b)) / float64(busyB)
 }
 
 // Makespan returns the end of the last span.
@@ -128,29 +115,17 @@ func (t *Trace) Makespan() sim.Time {
 	return end
 }
 
-// unionLength computes the total covered length of intervals.
-func unionLength(iv [][2]sim.Time) sim.Time {
-	if len(iv) == 0 {
-		return 0
-	}
-	sort.Slice(iv, func(i, j int) bool { return iv[i][0] < iv[j][0] })
+// length is the total length of normalized intervals.
+func length(iv [][2]sim.Time) sim.Time {
 	var total sim.Time
-	curStart, curEnd := iv[0][0], iv[0][1]
-	for _, x := range iv[1:] {
-		if x[0] > curEnd {
-			total += curEnd - curStart
-			curStart, curEnd = x[0], x[1]
-		} else if x[1] > curEnd {
-			curEnd = x[1]
-		}
+	for _, x := range iv {
+		total += x[1] - x[0]
 	}
-	return total + (curEnd - curStart)
+	return total
 }
 
-// intersectionLength computes |union(a) ∩ union(b)|.
+// intersectionLength computes |a ∩ b| for normalized a and b.
 func intersectionLength(a, b [][2]sim.Time) sim.Time {
-	a = normalize(a)
-	b = normalize(b)
 	var total sim.Time
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -168,14 +143,16 @@ func intersectionLength(a, b [][2]sim.Time) sim.Time {
 	return total
 }
 
-// normalize sorts and merges intervals.
+// normalize sorts and merges intervals into a new slice. How intervals
+// with equal starts are ordered does not change the result.
 func normalize(iv [][2]sim.Time) [][2]sim.Time {
 	if len(iv) == 0 {
 		return nil
 	}
 	sorted := append([][2]sim.Time(nil), iv...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i][0] < sorted[j][0] })
-	out := [][2]sim.Time{sorted[0]}
+	slices.SortFunc(sorted, func(x, y [2]sim.Time) int { return cmp.Compare(x[0], y[0]) })
+	// Merge in place: out never outruns the interval being read.
+	out := sorted[:1]
 	for _, x := range sorted[1:] {
 		last := &out[len(out)-1]
 		if x[0] <= last[1] {

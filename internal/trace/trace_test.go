@@ -56,7 +56,7 @@ func TestOverlapFractionFullyHidden(t *testing.T) {
 	tr.Add(span(KindCompute, 0, 100))
 	tr.Add(span(KindH2D, 10, 40))
 	tr.Add(span(KindD2H, 50, 70))
-	got := tr.OverlapFraction([]Kind{KindCompute}, []Kind{KindH2D, KindD2H})
+	got := overlapFraction(tr, []Kind{KindCompute}, []Kind{KindH2D, KindD2H})
 	if got != 1 {
 		t.Fatalf("overlap = %v, want 1", got)
 	}
@@ -67,7 +67,7 @@ func TestOverlapFractionExposed(t *testing.T) {
 	tr := New()
 	tr.Add(span(KindCompute, 0, 50))
 	tr.Add(span(KindH2D, 25, 75)) // 25 hidden, 25 exposed
-	got := tr.OverlapFraction([]Kind{KindCompute}, []Kind{KindH2D})
+	got := overlapFraction(tr, []Kind{KindCompute}, []Kind{KindH2D})
 	if got != 0.5 {
 		t.Fatalf("overlap = %v, want 0.5", got)
 	}
@@ -76,7 +76,7 @@ func TestOverlapFractionExposed(t *testing.T) {
 func TestOverlapFractionNoComm(t *testing.T) {
 	tr := New()
 	tr.Add(span(KindCompute, 0, 50))
-	if got := tr.OverlapFraction([]Kind{KindCompute}, []Kind{KindH2D}); got != 1 {
+	if got := overlapFraction(tr, []Kind{KindCompute}, []Kind{KindH2D}); got != 1 {
 		t.Fatalf("no communication should report full overlap, got %v", got)
 	}
 }
@@ -149,10 +149,16 @@ func TestPropertyOverlapInRange(t *testing.T) {
 			}
 			tr.Add(span(KindH2D, sim.Time(s), sim.Time(s)+sim.Time(s%17)+1))
 		}
-		got := tr.OverlapFraction([]Kind{KindCompute}, []Kind{KindH2D})
+		got := overlapFraction(tr, []Kind{KindCompute}, []Kind{KindH2D})
 		return got >= 0 && got <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// overlapFraction is the fraction of the time of tr's spans of kinds b
+// hidden under its spans of kinds a.
+func overlapFraction(tr *Trace, a, b []Kind) float64 {
+	return Overlap(tr.intervals(a), tr.intervals(b))
 }

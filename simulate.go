@@ -11,7 +11,6 @@ import (
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/perf"
 	"stronghold/internal/sim"
-	"stronghold/internal/trace"
 )
 
 // Method selects a training system in the simulation API.
@@ -124,8 +123,8 @@ type SimResult struct {
 	SamplesPerSec float64
 	TFLOPS        float64
 	GPUPeakGB     float64
-	// Overlap is the fraction of CPU-GPU transfer time hidden under
-	// compute (plan-driven methods only).
+	// Overlap is the fraction of PCIe and NVMe transfer time hidden
+	// under compute kernels (plan-driven methods only).
 	Overlap float64
 	// OptGPUFrac is the co-optimized GPU share of each offloaded
 	// layer's optimizer update (zero unless CoOpt engaged the split).
@@ -154,7 +153,6 @@ func Simulate(c SimConfig) (SimResult, error) {
 	}
 	m := perf.NewModel(cfg, plat)
 	var r perf.IterationResult
-	var tr *trace.Trace
 	switch info.Engine {
 	case modelcfg.EngineCore:
 		e := core.NewEngine(m)
@@ -174,8 +172,7 @@ func Simulate(c SimConfig) (SimResult, error) {
 			e.Faults = plan
 			e.DisableResolve = c.DisableAdapt
 		}
-		tr = trace.New()
-		r = e.Run(3, tr)
+		r = e.Run(3, nil)
 	case modelcfg.EngineCluster:
 		r = cluster.Run(cluster.Setup{Plat: plat, Cfg: cfg, Method: c.Method, HeteroCollectives: true})
 	default:
