@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"stronghold/internal/fault"
-	"stronghold/internal/maputil"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/plan"
 	"stronghold/internal/sim"
@@ -260,18 +259,17 @@ func emitFaultWindows(tr *trace.Trace, inj *fault.Injector, horizon sim.Time) {
 // destroys the window pool, so arena accounting balances (alloc ==
 // free) run after run — including runs with retried copies and resized
 // windows. It runs after result assembly and touches no engine state.
-// Releases walk the layers in sorted order: releaseLayer drives
-// allocator traffic whose op counters land in the iteration result, so
-// map iteration order here would leak into the byte-compared output.
+// Releases walk the layers in ascending order: releaseLayer drives
+// allocator traffic whose op counters land in the iteration result.
 func (r *iterRun) teardown() {
 	switch {
 	case r.pool != nil:
-		for _, layer := range maputil.SortedKeys(r.layerBuf) {
+		for layer := range r.layerBuf {
 			r.releaseLayer(layer)
 		}
 		r.pool.Destroy()
 	case r.cache != nil:
-		for _, layer := range maputil.SortedKeys(r.layerCache) {
+		for layer := range r.layerCache {
 			r.releaseLayer(layer)
 		}
 		r.cache.ReleaseAll()

@@ -487,12 +487,14 @@ type iterRun struct {
 
 	// Buffer management (§III-E3): the user-level round-robin pool
 	// (one-off (m+1)·k raw allocations) or the framework caching
-	// allocator (per-visit Get/Put traffic). layerBuf maps a layer to
-	// its pool buffers while resident; layerCache to its cached blocks.
+	// allocator (per-visit Get/Put traffic). layerBuf holds, per layer,
+	// its pool buffers while resident; layerCache its cached blocks. A
+	// release truncates the layer's list, so its capacity serves the
+	// layer's next visit.
 	pool         *mem.RoundRobinPool
 	cache        *mem.CachingAllocator
-	layerBuf     map[int][]int
-	layerCache   map[int][]*mem.Block
+	layerBuf     [][]int
+	layerCache   [][]*mem.Block
 	cacheFlushes uint64
 
 	// Degraded mode (all nil/zero on the clean path; see degrade.go).
@@ -535,14 +537,14 @@ func newIterRun(e *Engine, machine *hw.Machine, window, bufWindow, streams int) 
 		pool, err := mem.NewRoundRobinPool(machine.GPUMem, r.tensorBytes, (bufWindow+1)*tensorsPerLayer)
 		if err == nil {
 			r.pool = pool
-			r.layerBuf = make(map[int][]int)
+			r.layerBuf = make([][]int, r.n)
 		}
 		// A nil pool (arena contention in exotic configs) degrades to
 		// un-instrumented buffers; the Footprint check remains the
 		// capacity authority.
 	} else {
 		r.cache = mem.NewCachingAllocator(machine.GPUMem)
-		r.layerCache = make(map[int][]*mem.Block)
+		r.layerCache = make([][]*mem.Block, r.n)
 	}
 	// The first window's layers are resident before training starts
 	// (§III-E1), holding their buffers.
@@ -598,23 +600,26 @@ func (r *iterRun) planFor(window int) *plan.Iteration {
 func (r *iterRun) acquireLayer(layer int) error {
 	switch {
 	case r.pool != nil:
-		idxs := make([]int, 0, tensorsPerLayer)
+		// Append rather than assign: on a validated plan the layer holds
+		// nothing here, but a validation-bypassed double acquire must not
+		// orphan in-use buffers or teardown's accounting breaks. A failed
+		// acquire rolls back to what the layer held before.
+		held := r.layerBuf[layer]
+		base := len(held)
 		for t := 0; t < tensorsPerLayer; t++ {
 			idx, err := r.pool.Acquire()
 			if err != nil {
-				for _, held := range idxs {
-					r.pool.Release(held)
+				for _, idx := range held[base:] {
+					r.pool.Release(idx)
 				}
+				r.layerBuf[layer] = held[:base]
 				return fmt.Errorf("core: window buffer invariant violated at layer %d: %w", layer, err)
 			}
-			idxs = append(idxs, idx)
+			held = append(held, idx)
 		}
-		// Append rather than assign: on a validated plan the layer holds
-		// nothing here, but a validation-bypassed double acquire must not
-		// orphan in-use buffers or teardown's accounting breaks.
-		r.layerBuf[layer] = append(r.layerBuf[layer], idxs...)
+		r.layerBuf[layer] = held
 	case r.cache != nil:
-		var blocks []*mem.Block
+		blocks := r.layerCache[layer]
 		for t := 0; t < tensorsPerLayer; t++ {
 			b, err := r.cache.Get(r.tensorBytes)
 			if err != nil {
@@ -626,7 +631,7 @@ func (r *iterRun) acquireLayer(layer int) error {
 			}
 			blocks = append(blocks, b)
 		}
-		r.layerCache[layer] = append(r.layerCache[layer], blocks...)
+		r.layerCache[layer] = blocks
 	}
 	return nil
 }
@@ -638,12 +643,13 @@ func (r *iterRun) releaseLayer(layer int) {
 		for _, idx := range r.layerBuf[layer] {
 			r.pool.Release(idx)
 		}
-		delete(r.layerBuf, layer)
+		r.layerBuf[layer] = r.layerBuf[layer][:0]
 	case r.cache != nil:
 		for _, b := range r.layerCache[layer] {
 			r.cache.Put(b)
 		}
-		delete(r.layerCache, layer)
+		clear(r.layerCache[layer])
+		r.layerCache[layer] = r.layerCache[layer][:0]
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"stronghold/internal/metrics"
 	"stronghold/internal/plan"
 	"stronghold/internal/sim"
@@ -110,12 +108,24 @@ func (r *iterRun) addSpans(tr *trace.Trace, runs []*plan.Run) {
 
 // overlap is the fraction of runs' PCIe and NVMe transfer time hidden
 // under compute kernels. An op that never ran spans [0, 0], which
-// covers no time.
+// covers no time. A first pass counts the spans so each list is
+// allocated once at its exact size; overlap owns both, so they are
+// merged in place.
 func overlap(runs []*plan.Run) float64 {
-	var compute, copies [][2]sim.Time
+	var nCompute, nCopies int
+	for _, x := range runs {
+		for i := range x.Record().Start {
+			switch k := kindOf(x.Op(plan.ID(i))); {
+			case k == trace.KindCompute:
+				nCompute++
+			case transfer(k):
+				nCopies++
+			}
+		}
+	}
+	compute, copies := make([][2]sim.Time, 0, nCompute), make([][2]sim.Time, 0, nCopies)
 	for _, x := range runs {
 		rec := x.Record()
-		compute, copies = slices.Grow(compute, len(rec.Start)), slices.Grow(copies, len(rec.Start))
 		for i := range rec.Start {
 			span := [2]sim.Time{rec.Start[i], rec.End[i]}
 			switch k := kindOf(x.Op(plan.ID(i))); {
@@ -126,7 +136,7 @@ func overlap(runs []*plan.Run) float64 {
 			}
 		}
 	}
-	return trace.Overlap(compute, copies)
+	return trace.OverlapInPlace(compute, copies)
 }
 
 // resAcc accumulates the series of one FIFO resource, and of the

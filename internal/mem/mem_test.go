@@ -369,3 +369,41 @@ func TestPropertyRoundRobinExclusive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: Acquire probes from the slot after the last one handed out,
+// wrapping past the end — the order of a modulo walk — under any mix of
+// acquires and releases.
+func TestRoundRobinPoolProbeOrderMatchesModuloWalk(t *testing.T) {
+	f := func(countRaw uint8, script []byte) bool {
+		count := int(countRaw%7) + 1
+		p, err := NewRoundRobinPool(NewArena("gpu", 1<<20), 8, count)
+		if err != nil {
+			return false
+		}
+		inUse, next := make([]bool, count), 0
+		for _, b := range script {
+			if b%3 == 0 { // release the buffer b names, if held
+				if idx := int(b/3) % count; inUse[idx] {
+					inUse[idx] = false
+					p.Release(idx)
+				}
+				continue
+			}
+			want := -1
+			for i := 0; i < count; i++ {
+				if idx := (next + i) % count; !inUse[idx] {
+					want, inUse[idx], next = idx, true, (idx+1)%count
+					break
+				}
+			}
+			got, err := p.Acquire()
+			if got != want || (err != nil) != (want < 0) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

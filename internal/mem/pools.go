@@ -119,17 +119,27 @@ func (p *RoundRobinPool) Count() int { return len(p.bufs) }
 func (p *RoundRobinPool) Grows() uint64 { return p.grows }
 
 // Acquire hands out the next free buffer in round-robin order, or an
-// error when every buffer is in use (the window is full).
+// error when every buffer is in use (the window is full). The probe
+// wraps by comparison, not division: it runs on every layer visit.
 func (p *RoundRobinPool) Acquire() (int, error) {
-	for i := 0; i < len(p.bufs); i++ {
-		idx := (p.next + i) % len(p.bufs)
+	idx := p.next
+	for range p.bufs {
 		if !p.inUse[idx] {
 			p.inUse[idx] = true
-			p.next = (idx + 1) % len(p.bufs)
+			p.next = p.wrap(idx + 1)
 			return idx, nil
 		}
+		idx = p.wrap(idx + 1)
 	}
 	return -1, fmt.Errorf("mem: all %d window buffers in use", len(p.bufs))
+}
+
+// wrap maps i in [0, Count()] back into [0, Count()).
+func (p *RoundRobinPool) wrap(i int) int {
+	if i == len(p.bufs) {
+		return 0
+	}
+	return i
 }
 
 // Release returns buffer idx to the pool.

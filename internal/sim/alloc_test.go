@@ -34,6 +34,19 @@ func TestZeroAllocHotPaths(t *testing.T) {
 		t.Fatalf("schedule+run hot path allocates %.1f times per event batch, want 0", allocs)
 	}
 
+	// Re-arming and stopping a timer rewrite it in place.
+	tm := e.NewTimer(nop)
+	allocs = testing.AllocsPerRun(1000, func() {
+		e.Reset(tm, 3)
+		e.Reset(tm, 1)
+		tm.Stop()
+		e.Reset(tm, 2)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("timer reset+stop+run allocates %.1f times per batch, want 0", allocs)
+	}
+
 	// Submission and completion by tag: resources, pools and the shared
 	// processor reuse their rings, recycled tasks and scratch lists.
 	r := NewResource(e, "copy")

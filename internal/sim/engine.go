@@ -84,15 +84,28 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// Engine owns the virtual clock and the pending-event queue.
+// Engine owns the virtual clock, the pending-event queue and the
+// re-armable timers kept beside it.
 // It is not safe for concurrent use: the entire simulation runs on the
 // calling goroutine, which is what makes it deterministic.
 type Engine struct {
 	now     Time
 	seq     uint64
 	pending eventHeap
+	timers  []*Timer
 	steps   uint64
-	cur     uint64 // seq of the event now running (0 outside Run)
+}
+
+// Timer is one re-armable event kept outside the event heap: a model
+// whose next event moves on every change (the shared processor's next
+// completion) re-arms its timer in place instead of scheduling a fresh
+// event and leaving the old one to fire as a no-op. An engine holds a
+// handful of timers at most, one per machine, so Run finds the earliest
+// by a scan.
+type Timer struct {
+	at  Time
+	seq uint64 // 0 while disarmed
+	fn  func()
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -123,19 +136,63 @@ func (e *Engine) At(t Time, fn func()) {
 	e.pending.push(event{at: t, seq: e.seq, fn: fn})
 }
 
-// Run executes events in timestamp order until the queue drains,
-// returning the final virtual time.
+// NewTimer returns a disarmed timer that runs fn when it fires.
+func (e *Engine) NewTimer(fn func()) *Timer {
+	t := &Timer{fn: fn}
+	e.timers = append(e.timers, t)
+	return t
+}
+
+// Reset arms t to fire delay nanoseconds from now, replacing any
+// pending firing. It takes a fresh seq, so events run in exactly the
+// order they would if the old firing were cancelled and a new event
+// scheduled. A negative delay panics, as in Schedule.
+//
+//vet:hotpath
+func (e *Engine) Reset(t *Timer, delay Time) {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %d", delay))
+	}
+	e.seq++
+	t.at, t.seq = e.now+delay, e.seq
+}
+
+// Stop disarms t; a stopped timer does not fire until it is Reset.
+//
+//vet:hotpath
+func (t *Timer) Stop() { t.seq = 0 }
+
+// Run executes events in (timestamp, seq) order — heap events and armed
+// timers alike — until none is pending, returning the final virtual
+// time. A timer is disarmed before its callback runs, which may re-arm
+// it.
 //
 //vet:hotpath
 func (e *Engine) Run() Time {
-	for len(e.pending) > 0 {
-		ev := e.pending.pop()
-		e.now = ev.at
+	for {
+		var next *Timer
+		for _, t := range e.timers {
+			if t.seq != 0 && (next == nil || t.at < next.at || t.at == next.at && t.seq < next.seq) {
+				next = t
+			}
+		}
+		if len(e.pending) > 0 {
+			if top := &e.pending[0]; next == nil || top.at < next.at || top.at == next.at && top.seq < next.seq {
+				ev := e.pending.pop()
+				e.now = ev.at
+				e.steps++
+				ev.fn()
+				continue
+			}
+		}
+		if next == nil {
+			return e.now
+		}
+		e.now = next.at
 		e.steps++
-		e.cur = ev.seq
-		ev.fn()
+		next.seq = 0
+		next.fn()
 	}
-	return e.now
 }
 
 // Steps returns the number of events executed so far (a determinism and

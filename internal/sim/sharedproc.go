@@ -14,7 +14,8 @@ import (
 // sum past the machine's capacity.
 //
 // Rates are assigned by water-filling: spare capacity from capped tasks
-// is redistributed to the rest.
+// is redistributed to the rest. The one pending completion is an engine
+// Timer, re-armed in place on every arrival and completion.
 type SharedProcessor struct {
 	eng        *Engine
 	name       string
@@ -23,14 +24,11 @@ type SharedProcessor struct {
 	lastUpdate Time
 	usedInt    float64 // ∫ rate dt, for utilization accounting
 
-	// timer is the engine seq of the one live completion event (0 when
-	// none is scheduled). Every arrival or completion schedules a fresh
-	// event and supersedes the old one, which still fires — and counts
-	// in Engine.Steps — but finds its seq stale and returns. The check
-	// names the exact event, not its timestamp: a capped task's
-	// completion time often survives an arrival unchanged.
-	timer   uint64
-	onTimer func() // cached method value of tick
+	// timer fires tick at the earliest completion. Every arrival or
+	// completion re-arms it with a fresh seq even when a capped task's
+	// completion time survives unchanged, so the completion runs after
+	// the events scheduled before the change, as a new event would.
+	timer *Timer
 
 	// free recycles finished tasks; finished and uncapped are scratch
 	// for reschedule and waterFill.
@@ -55,7 +53,7 @@ func NewSharedProcessor(eng *Engine, name string, capacity float64) *SharedProce
 		panic(fmt.Sprintf("sim: shared processor %s needs positive capacity", name))
 	}
 	sp := &SharedProcessor{eng: eng, name: name, capacity: capacity}
-	sp.onTimer = sp.tick
+	sp.timer = eng.NewTimer(sp.tick)
 	return sp
 }
 
@@ -89,13 +87,10 @@ func (sp *SharedProcessor) Submit(work, maxRate float64, c Completer, tag int32)
 	sp.reschedule()
 }
 
-// tick is the completion event: a superseded one only counts as a step.
+// tick is the completion event.
 //
 //vet:hotpath
 func (sp *SharedProcessor) tick() {
-	if sp.eng.cur != sp.timer {
-		return // superseded by a later arrival/completion
-	}
 	sp.advance()
 	sp.reschedule()
 }
@@ -113,8 +108,8 @@ func (sp *SharedProcessor) advance() {
 	sp.lastUpdate = now
 }
 
-// reschedule recomputes rate allocation, completes finished tasks, and
-// schedules the next completion event.
+// reschedule completes finished tasks, recomputes rate allocation, and
+// re-arms the timer for the next completion.
 func (sp *SharedProcessor) reschedule() {
 	// Complete tasks whose work has drained (within a rate-relative
 	// epsilon to absorb float rounding).
@@ -143,14 +138,38 @@ func (sp *SharedProcessor) reschedule() {
 	}
 	clear(finished)
 	sp.finished = finished[:0]
-	sp.waterFill()
-	sp.timer = 0
-	next := sp.nextCompletion()
-	if next < 0 {
-		return
+	if next := sp.rates(); next >= 0 {
+		sp.eng.Reset(sp.timer, next)
+	} else {
+		sp.timer.Stop()
 	}
-	sp.eng.Schedule(next, sp.onTimer)
-	sp.timer = sp.eng.seq
+}
+
+// rates sets every active task's rate and returns the delay until the
+// earliest completion, or -1 when no task is active. While each cap fits
+// under an equal share of the capacity — the usual case: kernels cap at
+// a fraction of the SM array and few run at once — every task runs at
+// its cap, which is water-filling's first and only round, and one pass
+// sets the rates and finds the completion. Otherwise it falls back to
+// the full waterFill and nextCompletion.
+//
+//vet:hotpath
+func (sp *SharedProcessor) rates() Time {
+	share := sp.capacity / float64(len(sp.active))
+	best := Time(-1)
+	for _, t := range sp.active {
+		// The comparison waterFill makes, negated as written so a NaN
+		// cap also falls back.
+		if !(t.maxRate <= share) {
+			sp.waterFill()
+			return sp.nextCompletion()
+		}
+		t.rate = t.maxRate
+		if dt := t.completionDelay(); best < 0 || dt < best {
+			best = dt
+		}
+	}
+	return best
 }
 
 // waterFill distributes capacity across active tasks subject to their
@@ -193,15 +212,17 @@ func (sp *SharedProcessor) nextCompletion() Time {
 		if t.rate <= 0 {
 			continue
 		}
-		dt := Time(math.Ceil(t.remaining / t.rate * 1e9))
-		if dt < 1 {
-			dt = 1
-		}
-		if best < 0 || dt < best {
+		if dt := t.completionDelay(); best < 0 || dt < best {
 			best = dt
 		}
 	}
 	return best
+}
+
+// completionDelay is the time until t drains at its current rate, at
+// least 1ns.
+func (t *spTask) completionDelay() Time {
+	return max(Time(math.Ceil(t.remaining/t.rate*1e9)), 1)
 }
 
 // Utilization returns the time-averaged fraction of capacity consumed.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -448,10 +449,10 @@ func TestRingFIFOAcrossGrowth(t *testing.T) {
 	q.Pop()
 }
 
-// Every arrival supersedes the shared processor's pending completion
-// event; a superseded event still fires and counts as an engine step,
-// and stays stale even when the live event lands at the same time.
-func TestSharedProcessorSupersededEventsCountAsSteps(t *testing.T) {
+// Every arrival and completion re-arms the shared processor's one
+// completion timer instead of scheduling a fresh event, so the
+// completion it replaces never fires, even when its time is unchanged.
+func TestSharedProcessorRearmsOneCompletion(t *testing.T) {
 	e := NewEngine()
 	sp := NewSharedProcessor(e, "gpu", 100)
 	var a, b Time
@@ -461,10 +462,67 @@ func TestSharedProcessorSupersededEventsCountAsSteps(t *testing.T) {
 	if a != FromSeconds(2) || b != FromSeconds(1.4) {
 		t.Fatalf("ends %d and %d, want 2s and 1.4s", a, b)
 	}
-	// Events: the arrival, B's completion at 1.4s, A's first 2s
-	// completion — superseded by the arrival though its time survived —
-	// and A's live 2s completion scheduled when B finished.
-	if got := e.Steps(); got != 4 {
-		t.Fatalf("engine ran %d steps, want 4", got)
+	// Events: the arrival, B's completion at 1.4s and A's at 2s. The
+	// arrival and B's completion each re-arm the one timer in place, so
+	// no superseded completion fires.
+	if got := e.Steps(); got != 3 {
+		t.Fatalf("engine ran %d steps, want 3", got)
 	}
+}
+
+// A timer fires in (time, seq) order among heap events, taking the seq
+// of its latest Reset: re-arming it at an unchanged time moves it behind
+// the events scheduled in between, exactly as cancelling it and
+// scheduling a new event would.
+func TestTimerOrdersAsRescheduledEvent(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	tm := e.NewTimer(func() { order = append(order, "timer") })
+	e.Reset(tm, 10)
+	e.Schedule(10, func() { order = append(order, "a") })
+	e.Schedule(5, func() {
+		order = append(order, "reset")
+		e.Reset(tm, 5) // same instant, fresh seq: now after "a"
+	})
+	e.Schedule(10, func() { order = append(order, "b") })
+	if end := e.Run(); end != 10 {
+		t.Fatalf("end time %d, want 10", end)
+	}
+	if got := strings.Join(order, ","); got != "reset,a,b,timer" {
+		t.Fatalf("order %s, want reset,a,b,timer", got)
+	}
+	if e.Steps() != 4 {
+		t.Fatalf("Steps = %d, want 4", e.Steps())
+	}
+}
+
+// A stopped timer does not fire; one re-armed from its own callback
+// fires again.
+func TestTimerStopAndRearmFromCallback(t *testing.T) {
+	e := NewEngine()
+	stopped := e.NewTimer(func() { t.Fatal("stopped timer fired") })
+	e.Reset(stopped, 3)
+	stopped.Stop()
+	var fired []Time
+	var tm *Timer
+	tm = e.NewTimer(func() {
+		if fired = append(fired, e.Now()); len(fired) < 3 {
+			e.Reset(tm, 4)
+		}
+	})
+	e.Reset(tm, 2)
+	if end := e.Run(); end != 10 {
+		t.Fatalf("end time %d, want 10", end)
+	}
+	if len(fired) != 3 || fired[0] != 2 || fired[1] != 6 || fired[2] != 10 {
+		t.Fatalf("fired at %v, want [2 6 10]", fired)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected panic on negative delay")
+			}
+		}()
+		e.Reset(tm, -1)
+	}()
 }

@@ -96,12 +96,19 @@ func (t *Trace) intervals(kinds []Kind) [][2]sim.Time {
 // computation as a, this is the quantity Figure 4 demonstrates and the
 // P1/P2 models maximize.
 func Overlap(a, b [][2]sim.Time) float64 {
-	b = normalize(b)
+	return OverlapInPlace(slices.Clone(a), slices.Clone(b))
+}
+
+// OverlapInPlace is Overlap for a caller that owns both slices: it
+// sorts and merges them in place instead of copying them first, so it
+// leaves their contents in no particular order.
+func OverlapInPlace(a, b [][2]sim.Time) float64 {
+	b = normalizeInPlace(b)
 	busyB := length(b)
 	if busyB == 0 {
 		return 1
 	}
-	return float64(intersectionLength(normalize(a), b)) / float64(busyB)
+	return float64(intersectionLength(normalizeInPlace(a), b)) / float64(busyB)
 }
 
 // Makespan returns the end of the last span.
@@ -146,14 +153,19 @@ func intersectionLength(a, b [][2]sim.Time) sim.Time {
 // normalize sorts and merges intervals into a new slice. How intervals
 // with equal starts are ordered does not change the result.
 func normalize(iv [][2]sim.Time) [][2]sim.Time {
+	return normalizeInPlace(slices.Clone(iv))
+}
+
+// normalizeInPlace is normalize reusing iv's backing array: it sorts iv
+// and merges into its prefix.
+func normalizeInPlace(iv [][2]sim.Time) [][2]sim.Time {
 	if len(iv) == 0 {
 		return nil
 	}
-	sorted := append([][2]sim.Time(nil), iv...)
-	slices.SortFunc(sorted, func(x, y [2]sim.Time) int { return cmp.Compare(x[0], y[0]) })
+	slices.SortFunc(iv, func(x, y [2]sim.Time) int { return cmp.Compare(x[0], y[0]) })
 	// Merge in place: out never outruns the interval being read.
-	out := sorted[:1]
-	for _, x := range sorted[1:] {
+	out := iv[:1]
+	for _, x := range iv[1:] {
 		last := &out[len(out)-1]
 		if x[0] <= last[1] {
 			if x[1] > last[1] {

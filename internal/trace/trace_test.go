@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -161,4 +162,29 @@ func TestPropertyOverlapInRange(t *testing.T) {
 // hidden under its spans of kinds a.
 func overlapFraction(tr *Trace, a, b []Kind) float64 {
 	return Overlap(tr.intervals(a), tr.intervals(b))
+}
+
+// Property: Overlap copies before it merges, so its inputs keep their
+// order and contents, and OverlapInPlace — which merges the caller's
+// slices instead — returns the same fraction.
+func TestPropertyOverlapInPlaceMatches(t *testing.T) {
+	ivs := func(raw []uint16) [][2]sim.Time {
+		var iv [][2]sim.Time
+		for _, s := range raw {
+			iv = append(iv, [2]sim.Time{sim.Time(s), sim.Time(s) + sim.Time(s%29)})
+		}
+		return iv
+	}
+	f := func(ra, rb []uint16) bool {
+		a, b := ivs(ra), ivs(rb)
+		a0, b0 := slices.Clone(a), slices.Clone(b)
+		got := Overlap(a, b)
+		if !slices.Equal(a, a0) || !slices.Equal(b, b0) {
+			return false
+		}
+		return OverlapInPlace(a, b) == got
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
 }
