@@ -101,7 +101,7 @@ func main() {
 	}
 
 	eng := core.NewEngine(perf.NewModel(cfg, plat))
-	if d, err := eng.SolvedWindow(); err == nil {
+	if d, err := eng.SolvedDecision(); err == nil {
 		fmt.Printf("\nSTRONGHOLD window plan: m=%d (P1=%d, P2=%d, Eq3=%d, memory-bound=%v)\n",
 			d.M, d.MFP, d.MBP, d.MOpt, d.MemoryBound)
 	} else {

@@ -106,7 +106,7 @@ func runCore(m perf.Model, info *modelcfg.MethodInfo, cfg modelcfg.Config, windo
 		return
 	}
 
-	d, err := e.SolvedWindow()
+	d, err := e.SolvedDecision()
 	if err != nil {
 		fatalf("window solver: %v", err)
 	}

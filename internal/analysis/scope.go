@@ -118,7 +118,7 @@ func fileEngineOwning(pkg *Package, f *ast.File) bool {
 // engineTypeNames are the single-goroutine simulation types: sharing
 // one of these across goroutines breaks the determinism contract.
 var engineTypeNames = map[string]map[string]bool{
-	simPkgSuffix: {"Engine": true, "Resource": true, "Pool": true, "SharedProcessor": true},
+	simPkgSuffix: {"Engine": true, "Resource": true, "Pool": true, "SharedProcessor": true, "Timer": true},
 	hwPkgSuffix:  {"Machine": true, "Stream": true},
 }
 

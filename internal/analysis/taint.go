@@ -196,7 +196,7 @@ var sinkMethods = map[string]map[string]map[string]bool{
 		"Trace": {"Add": true},
 	},
 	simPkgSuffix: {
-		"Engine":          {"Schedule": true, "At": true},
+		"Engine":          {"Schedule": true, "At": true, "Reset": true},
 		"Resource":        {"Submit": true},
 		"Pool":            {"Submit": true},
 		"SharedProcessor": {"Submit": true},

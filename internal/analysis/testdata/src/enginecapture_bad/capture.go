@@ -42,3 +42,10 @@ func ViaBoundIdent(q *queue) string {
 	g := q.Drain
 	return enginecapture_helper.Tagged("label", g) // want "\"g\", a method value bound to sim.Resource, passed to enginecapture_helper.Tagged runs on a goroutine"
 }
+
+// ViaTimer launders a timer through a method value: a timer is armed
+// on its engine's event order like any other engine state.
+func ViaTimer(t *sim.Timer) {
+	stop := t.Stop
+	go stop() // want "goroutine runs \"stop\", a method value bound to sim.Timer: engine-owning values must stay on the simulation goroutine"
+}

@@ -39,6 +39,14 @@ func ScheduleAll(eng *sim.Engine, delays map[string]sim.Time) {
 	}
 }
 
+// RearmAll re-arms timers in map order: each Reset takes a fresh seq,
+// so map order becomes firing order among equal deadlines.
+func RearmAll(eng *sim.Engine, timers map[string]*sim.Timer) {
+	for _, t := range timers { // want "map iteration order reaches order-sensitive sink sim.Engine.Reset"
+		eng.Reset(t, 0)
+	}
+}
+
 // ReleaseAll frees buffers in map order; the allocator op counters
 // land in the iteration result.
 func ReleaseAll(pool *mem.RoundRobinPool, held map[int]int) {

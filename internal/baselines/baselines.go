@@ -26,7 +26,7 @@ import (
 	"stronghold/internal/trace"
 )
 
-// Options configures a baseline simulation beyond the defaults.
+// Options configures a single-GPU simulation beyond the defaults.
 type Options struct {
 	// Trace, when non-nil, receives the execution spans of the simulated
 	// iteration.
@@ -35,29 +35,39 @@ type Options struct {
 	// injected stall/slow/drop windows. A dropped PCIe copy is reissued
 	// with backoff, as in STRONGHOLD's degraded mode; the other
 	// resources have no reissue path, so their drops degrade to stalls.
-	// Baselines never re-solve a window: their schedules are fixed.
+	// Only STRONGHOLD re-solves its window: baseline schedules are
+	// fixed.
 	Faults *fault.Plan
 }
 
 // Run simulates one steady-state training iteration of the given method
 // and model, returning its timing or an OOM outcome. Supported methods
-// are the registry rows with Engine == EngineBaseline: Megatron, L2L,
-// ZeROOffload, ZeROInfinity, ZeROInfinityNVMe, InterleavedOpt.
-// (ZeRO-2/3 are distributed-only; see the cluster package.)
+// are the single-GPU registry rows: those with Engine == EngineCore
+// (STRONGHOLD, on its own or staging on NVMe) and with Engine ==
+// EngineBaseline (Megatron, L2L, ZeROOffload, ZeROInfinity,
+// ZeROInfinityNVMe, InterleavedOpt). ZeRO-2/3 are distributed-only;
+// see the cluster package.
 func Run(method modelcfg.Method, m perf.Model) perf.IterationResult {
 	return RunWith(method, m, Options{})
 }
 
-// RunWith is Run with tracing and fault injection: the method's
-// footprint is checked against the platform, then its plan runs on
-// core.RunPlan.
+// RunWith is Run with tracing and fault injection. An EngineCore row
+// runs core.Engine with default features for three iterations; for a
+// baseline the method's footprint is checked against the platform,
+// then its plan runs on core.RunPlan.
 func RunWith(method modelcfg.Method, m perf.Model, opts Options) perf.IterationResult {
+	info := modelcfg.Lookup(method)
+	if info != nil && info.Engine == modelcfg.EngineCore {
+		e := core.NewEngine(m)
+		e.Feat.UseNVMe = info.NVMe
+		e.Faults = opts.Faults
+		return e.Run(3, opts.Trace)
+	}
 	res := perf.IterationResult{Method: method}
 	if err := m.Cfg.Validate(); err != nil {
 		res.OOM, res.OOMDetail = true, err.Error()
 		return res
 	}
-	info := modelcfg.Lookup(method)
 	if info == nil || info.Engine != modelcfg.EngineBaseline {
 		res.OOM = true
 		res.OOMDetail = fmt.Sprintf("baselines: unsupported method %s", method)

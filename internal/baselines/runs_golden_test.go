@@ -11,6 +11,7 @@ import (
 	"stronghold/internal/expt"
 	"stronghold/internal/fault"
 	"stronghold/internal/modelcfg"
+	"stronghold/internal/sim"
 	"stronghold/internal/trace"
 )
 
@@ -21,9 +22,10 @@ const goldenDropPlan = "h2d:drop(at=0s,dur=20ms,every=100ms)"
 
 // TestGoldenBaselineRuns pins what the executor makes of every
 // single-node baseline: iteration time, event count, overlap, plan
-// length and retries at 1.7B and at the golden config, plus the full
-// span list at the golden config — each clean, under the PCIe
-// degradation plan and under an H2D drop plan. Regenerate with
+// length, retries and deadline misses at 1.7B and at the golden config,
+// plus the full span list (injected fault windows included) at the
+// golden config — each clean, under the PCIe degradation plan and
+// under an H2D drop plan. Regenerate with
 // `go test ./internal/baselines -run TestGoldenBaselineRuns -update`
 // and review the diff like any schedule change.
 func TestGoldenBaselineRuns(t *testing.T) {
@@ -61,8 +63,8 @@ func TestGoldenBaselineRuns(t *testing.T) {
 					fmt.Fprintf(&b, "oom %s\n", r.OOMDetail)
 					continue
 				}
-				fmt.Fprintf(&b, "iter_time_ns=%d steps=%d overlap=%v plan_ops=%d retries=%d\n",
-					r.IterTime, r.Steps, r.Overlap, r.PlanOps, r.Retries)
+				fmt.Fprintf(&b, "iter_time_ns=%d steps=%d overlap=%v plan_ops=%d retries=%d deadline_misses=%d\n",
+					r.IterTime, r.Steps, r.Overlap, r.PlanOps, r.Retries, r.DeadlineMisses)
 				if !size.spans {
 					continue
 				}
@@ -109,6 +111,68 @@ func TestResultsIgnoreTrace(t *testing.T) {
 			if bare != traced {
 				t.Errorf("%s under %q: result depends on the trace:\n  nil   %+v\n  trace %+v", info.Key, spec, bare, traced)
 			}
+		}
+	}
+}
+
+// TestFaultAccountingMatchesTrace runs every single-node plan-driven
+// registry row, STRONGHOLD and baselines alike, under a PCIe slow+drop
+// plan with a trace, and requires the result's degraded-mode counters
+// to agree with what the trace draws: one "deadline miss" span per
+// counted miss, one retry span per counted retry, and the injected
+// fault windows themselves up to the end of the run.
+func TestFaultAccountingMatchesTrace(t *testing.T) {
+	faults, err := fault.ParsePlan("seed=7;h2d:slow(at=0s,dur=10s,factor=0.2);d2h:drop(at=0s,dur=50ms,every=200ms)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.NewInjector(faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := modelcfg.Config1p7B()
+	cfg.BatchSize = 4
+	m := baselines.V100Model(cfg)
+	for _, info := range modelcfg.Methods() {
+		if !info.PlanDriven() || info.Distributed {
+			continue
+		}
+		tr := trace.New()
+		r := baselines.RunWith(info.M, m, baselines.Options{Trace: tr, Faults: faults})
+		if r.OOM {
+			t.Errorf("%s: %s", info.Key, r.OOMDetail)
+			continue
+		}
+		var misses, retries uint64
+		var windows []string
+		var horizon sim.Time
+		for _, s := range tr.Spans() {
+			switch {
+			case s.Track != "faults" || strings.HasPrefix(s.Name, "re-solve "):
+			case strings.HasPrefix(s.Name, "deadline miss "):
+				misses++
+			case strings.Contains(s.Name, " retry "):
+				retries++
+			default:
+				windows = append(windows, fmt.Sprintf("%s [%d, %d)", strings.Fields(s.Name)[0], s.Start, s.End))
+				horizon = max(horizon, s.End)
+			}
+		}
+		if r.DeadlineMisses != misses {
+			t.Errorf("%s: %d deadline misses reported, %d drawn", info.Key, r.DeadlineMisses, misses)
+		}
+		if r.Retries != retries {
+			t.Errorf("%s: %d retries reported, %d drawn", info.Key, r.Retries, retries)
+		}
+		// The last window drawn ends at the run's end or before it, and
+		// no later window starts before the run's end, so the injector's
+		// windows up to that horizon are exactly the ones the run saw.
+		var want []string
+		for _, w := range inj.Windows(horizon) {
+			want = append(want, fmt.Sprintf("%s [%d, %d)", w.Target, w.Start, w.End))
+		}
+		if len(want) == 0 || strings.Join(windows, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: trace draws fault windows\n%s\nwant\n%s", info.Key, strings.Join(windows, "\n"), strings.Join(want, "\n"))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package baselines
 import (
 	"testing"
 
+	"stronghold/internal/core"
 	"stronghold/internal/fault"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/sim"
@@ -35,8 +36,9 @@ func TestStrategyPlansValidate(t *testing.T) {
 }
 
 // PlanFor only serves baseline methods; the core-engine and cluster
-// registry rows are rejected, as is the baseline engine itself when
-// asked to run a core or cluster method.
+// registry rows are rejected, as is Run when asked to run a cluster
+// method. Run serves the core-engine rows by running core.Engine with
+// default features, exactly as a caller building the engine would.
 func TestStrategyDispatchRejectsNonBaseline(t *testing.T) {
 	m := v100Model(modelcfg.Config1p7B())
 	for _, meth := range []modelcfg.Method{modelcfg.Stronghold, modelcfg.ZeRO2} {
@@ -44,9 +46,21 @@ func TestStrategyDispatchRejectsNonBaseline(t *testing.T) {
 			t.Errorf("PlanFor(%s) must fail", meth)
 		}
 	}
-	for _, meth := range []modelcfg.Method{modelcfg.Stronghold, modelcfg.StrongholdNVMe, modelcfg.ZeRO3} {
+	for _, meth := range []modelcfg.Method{modelcfg.ZeRO2, modelcfg.ZeRO3} {
 		if r := Run(meth, m); !r.OOM {
 			t.Errorf("Run(%s) must report the method unsupported", meth)
+		}
+	}
+	faults, err := fault.ParsePlan("h2d:drop(at=0s,dur=20ms,every=100ms)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, meth := range []modelcfg.Method{modelcfg.Stronghold, modelcfg.StrongholdNVMe} {
+		e := core.NewEngine(m)
+		e.Feat.UseNVMe = meth == modelcfg.StrongholdNVMe
+		e.Faults = faults
+		if got, want := RunWith(meth, m, Options{Faults: faults}), e.Run(3, nil); got != want || got.OOM {
+			t.Errorf("RunWith(%s) = %+v, want core.Engine's %+v", meth, got, want)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"stronghold/internal/baselines"
 	"stronghold/internal/comm"
-	"stronghold/internal/core"
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/perf"
@@ -72,11 +71,7 @@ func runStrongholdDP(s Setup) perf.IterationResult {
 		return runStrongholdMP(s)
 	}
 	m := perf.NewModel(cfg, s.Plat)
-	eng := core.NewEngine(m)
-	if s.Method == modelcfg.StrongholdNVMe {
-		eng.Feat.UseNVMe = true
-	}
-	res := eng.Run(3, nil)
+	res := baselines.Run(s.Method, m)
 	if res.OOM {
 		return res
 	}
@@ -103,11 +98,7 @@ func runStrongholdDP(s Setup) perf.IterationResult {
 // layer adds the model-parallel activation all-reduces.
 func runStrongholdMP(s Setup) perf.IterationResult {
 	m := perf.NewModel(s.Cfg, s.Plat)
-	eng := core.NewEngine(m)
-	if s.Method == modelcfg.StrongholdNVMe {
-		eng.Feat.UseNVMe = true
-	}
-	res := eng.Run(3, nil)
+	res := baselines.Run(s.Method, m)
 	if res.OOM {
 		return res
 	}

@@ -54,25 +54,22 @@ func (e *Engine) maxFeasibleWindow(window, streams int) int {
 }
 
 // enableFaults switches the run into degraded mode: stretch hooks on
-// every injectable resource, drop-aware retrying transfers, and (unless
-// disabled) the adaptive window re-solve. tr, when non-nil, receives
-// fault/recovery events from the whole run, not just the traced final
-// iteration.
-func (r *iterRun) enableFaults(inj *fault.Injector, tr *trace.Trace, baseProfile Profile, maxWindow int) {
+// every injectable resource and drop-aware retrying transfers; a
+// STRONGHOLD run also re-solves its window (runAdaptive). tr, when
+// non-nil, receives fault/recovery events from the whole run, not just
+// the traced final iteration.
+func (r *iterRun) enableFaults(inj *fault.Injector, tr *trace.Trace) {
 	r.inj = inj
 	r.faultTr = tr
-	r.baseProfile = baseProfile
-	r.baseWindow = r.window
-	r.maxWindow = maxWindow
 
 	m := r.machine
 	m.H2D.SetStretch(inj.Stretch(fault.H2D))
 	m.D2H.SetStretch(inj.Stretch(fault.D2H))
 	// PCIe drops are handled by the engine's retry loop; the remaining
 	// resources have no reissue path, so their blackouts degrade to
-	// stalls inside the stretch.
+	// stalls inside the stretch. No op runs on a NIC, so nic rules slow
+	// nothing.
 	m.NVMeQ.SetStretch(inj.StretchAll(fault.NVMe))
-	m.NIC.SetStretch(inj.StretchAll(fault.NIC))
 	cpuStretch := inj.StretchAll(fault.CPU)
 	for _, w := range m.CPUPool.Workers() {
 		w.SetStretch(cpuStretch)
@@ -184,21 +181,21 @@ func (r *iterRun) adaptWindow() {
 	if !needGrow && !mayShrink {
 		return
 	}
-	prof := r.baseProfile
-	prof.Layers = append([]LayerProfile(nil), r.baseProfile.Layers...)
+	e := r.e
+	prof := UniformProfile(e.Model, e.availableWindowBytes(), e.optWorkers())
 	for i := range prof.Layers {
 		prof.Layers[i].TC2G = sim.Time(float64(prof.Layers[i].TC2G) * ratio)
 		prof.Layers[i].TG2C = sim.Time(float64(prof.Layers[i].TG2C) * ratio)
 	}
-	target := r.maxWindow // infeasible under degradation: take all the headroom
+	target := r.bufWindow // infeasible under degradation: take all the headroom
 	if d, err := SolveWindow(prof); err == nil && !d.MemoryBound {
 		target = d.M
 	}
 	if target < r.baseWindow {
 		target = r.baseWindow
 	}
-	if target > r.maxWindow {
-		target = r.maxWindow
+	if target > r.bufWindow {
+		target = r.bufWindow
 	}
 	if target == r.window {
 		return

@@ -150,18 +150,11 @@ func (e *Engine) PickStreams(window int) int {
 	return best
 }
 
-// SolvedWindow runs the warm-up profiling + analytical model and
-// returns the window decision.
-func (e *Engine) SolvedWindow() (WindowDecision, error) {
-	avail := e.availableWindowBytes()
-	prof := UniformProfile(e.Model, avail, e.optWorkers())
-	return SolveWindow(prof)
-}
-
-// SolvedDecision runs the warm-up profile through the co-optimizing
-// solver over the method's declared decision variables. With CoOpt off
-// the placement variable is pinned and the result reduces to
-// SolvedWindow with OptGPUFrac 0.
+// SolvedDecision runs the warm-up profiling + analytical model through
+// the co-optimizing solver over the method's declared decision
+// variables. Placement is co-optimized only with CoOpt on and no
+// faults (coOptimizes); pinned, the result is the window decision with
+// OptGPUFrac 0.
 func (e *Engine) SolvedDecision() (Decision, error) {
 	avail := e.availableWindowBytes()
 	prof := UniformProfile(e.Model, avail, e.optWorkers())
@@ -169,11 +162,18 @@ func (e *Engine) SolvedDecision() (Decision, error) {
 	if info := modelcfg.Lookup(e.method()); info != nil {
 		vars = info.Decisions
 	}
-	if !e.CoOpt {
+	if !e.coOptimizes() {
 		vars.OptPlacement = false
 	}
 	return Solve(prof, vars)
 }
+
+// coOptimizes reports whether the solver may move optimizer placement:
+// CoOpt is on and no fault plan is set. Degraded mode pins placement:
+// the adaptive re-solve reasons about window size only, and
+// split-update plans would complicate the mid-run patches for no
+// modeled benefit under faults.
+func (e *Engine) coOptimizes() bool { return e.CoOpt && e.Faults.Empty() }
 
 func (e *Engine) optWorkers() int {
 	if !e.Feat.ConcurrentOptimizers {
@@ -210,31 +210,24 @@ func (e *Engine) BuildPlan(window int) (*plan.Iteration, error) {
 
 // resolveWindow settles the window to plan at (0 = solve analytically)
 // and the co-optimized GPU share of each offloaded layer's optimizer
-// update. With CoOpt on and no faults one SolvedDecision answers both;
-// the share applies only when the plan runs at the solver's own window.
-// Degraded mode pins placement: the adaptive re-solve reasons about
-// window size only, and split-update plans would complicate the mid-run
-// patches for no modeled benefit under faults.
+// update, with at most one SolvedDecision; an explicit window with
+// placement pinned needs none. The share applies only when the plan
+// runs at the solver's own window.
 func (e *Engine) resolveWindow(window int) (int, float64, error) {
-	optFrac := 0.0
-	if e.CoOpt && e.Faults.Empty() {
-		if d, err := e.SolvedDecision(); err == nil {
-			if window == 0 {
-				window = d.M
-			}
-			if window == d.M {
-				optFrac = d.OptGPUFrac
-			}
-		}
+	if window != 0 && !e.coOptimizes() {
+		return window, 0, nil
 	}
+	d, err := e.SolvedDecision()
 	if window == 0 {
-		d, err := e.SolvedWindow()
 		if err != nil {
 			return 0, 0, err
 		}
 		window = d.M
 	}
-	return window, optFrac, nil
+	if window != d.M {
+		return window, 0, nil
+	}
+	return window, d.OptGPUFrac, nil
 }
 
 // tensorBytes is the size of each of a layer's tensorsPerLayer device
@@ -349,21 +342,12 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 		res.OOMDetail = fmt.Sprintf("LayerScale has %d entries for %d layers", len(e.LayerScale), cfg.Layers)
 		return res, nil
 	}
-	faulted := !e.Faults.Empty()
-	var inj *fault.Injector
-	if faulted {
-		var err error
-		if inj, err = fault.NewInjector(e.Faults); err != nil {
-			res.OOM, res.OOMDetail = true, err.Error()
-			return res, nil
-		}
+	run, err := e.setup(tr)
+	if err != nil {
+		res.OOM, res.OOMDetail = true, err.Error()
+		return res, nil
 	}
-	eng := sim.NewEngine()
-	machine := hw.NewMachine(eng, plat)
-	if e.TransferJitter > 0 {
-		machine.H2D.SetJitter(1, e.TransferJitter)
-		machine.D2H.SetJitter(2, e.TransferJitter)
-	}
+	faulted := run.inj != nil
 	// In degraded mode the buffer pool is sized for the largest window
 	// the adaptive re-solve may grow into; on the clean path this is
 	// exactly the solved window, preserving the pool's byte accounting.
@@ -371,9 +355,8 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 	if faulted && !e.DisableResolve {
 		bufWindow = e.maxFeasibleWindow(window, streams)
 	}
-	run := newIterRun(e, machine, window, bufWindow, streams)
+	run.initWindow(window, bufWindow, streams)
 	run.optFrac = optFrac
-	run.st.Detail = e.Metrics != nil
 	// Plan the initial window and validate it before simulating: a
 	// schedule that could violate the buffer invariants is rejected here
 	// as a diagnostic, not discovered mid-simulation.
@@ -388,8 +371,6 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 	res.PlanOps = uint64(len(run.plans[window].Ops))
 	var ends []*plan.Run
 	if faulted {
-		run.enableFaults(inj, tr,
-			UniformProfile(e.Model, e.availableWindowBytes(), e.optWorkers()), bufWindow)
 		ends = run.runAdaptive(iters)
 	} else {
 		// Schedule every iteration up front: cross-iteration dependencies
@@ -401,48 +382,95 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 			ends[it] = run.iteration()
 		}
 	}
-	eng.Run()
-	res.Steps = eng.Steps()
-	res.Util = utilization(machine, machine.Compute.Utilization())
+	run.machine.Eng.Run()
 	var lastStart sim.Time
 	if iters > 1 {
 		lastStart = ends[iters-2].EndAt()
 	}
 	res.IterTime = ends[iters-1].EndAt() - lastStart
-	res.AllocOps = machine.GPUMem.AllocOps()
-	res.CacheFlushes = run.cacheFlushes
-	if run.cache != nil {
-		res.CacheOps = run.cache.Hits() + run.cache.Misses()
-	}
-	res.Retries = run.retries
-	res.DeadlineMisses = run.deadlineMisses
-	res.WindowResolves = run.resolves
-	res.FinalWindow = run.window
-	if run.schedErr != nil {
-		// A runtime buffer-invariant violation (only reachable with
-		// validation bypassed) surfaces as a structured error, not a
-		// panic.
-		res.OOM = true
-		res.OOMDetail = run.schedErr.Error()
-	}
 	// A trace and Overlap cover the final iteration and every resize
 	// patch; the collector covers every run.
 	traced := []*plan.Run{ends[iters-1]}
 	for _, p := range run.patches {
 		traced = append(traced, p.run)
 	}
-	res.Overlap = overlap(traced)
-	if tr != nil {
-		run.addSpans(tr, traced)
-		if faulted {
-			emitFaultWindows(tr, inj, eng.Now())
+	run.finish(&res, tr, traced, ends[:iters-1])
+	return res, run
+}
+
+// setup starts a run of e for either driver (runSim, RunPlan): a fresh
+// engine and machine, transfer jitter, and under a non-empty fault plan
+// its injector installed in degraded mode (enableFaults), with tr as
+// the sink for the run's fault and recovery events.
+func (e *Engine) setup(tr *trace.Trace) (*iterRun, error) {
+	var inj *fault.Injector
+	if !e.Faults.Empty() {
+		var err error
+		if inj, err = fault.NewInjector(e.Faults); err != nil {
+			return nil, err
 		}
 	}
-	if e.Metrics != nil {
-		res.MetricSamples = run.collect(e.Metrics, append(traced, ends[:iters-1]...), window)
+	r := &iterRun{e: e, machine: hw.NewMachine(sim.NewEngine(), e.Model.Plat)}
+	r.st.Detail = e.Metrics != nil
+	if e.TransferJitter > 0 {
+		r.machine.H2D.SetJitter(1, e.TransferJitter)
+		r.machine.D2H.SetJitter(2, e.TransferJitter)
 	}
-	run.teardown()
-	return res, run
+	if inj != nil {
+		r.enableFaults(inj, tr)
+	}
+	return r, nil
+}
+
+// finish assembles a drained run's result into res for either driver,
+// which has already set IterTime and PlanOps: the engine's step count,
+// every resource's busy fraction (Compute is the SM array's, or a timed
+// run's queue 0), the allocator counters, the degraded-mode counters
+// and the schedErr → OOM rule. traced are the runs a trace and Overlap
+// cover, which under faults also gets the injected fault windows;
+// earlier are the runs only the collector, when Metrics is set, also
+// covers. Teardown follows.
+func (r *iterRun) finish(res *perf.IterationResult, tr *trace.Trace, traced, earlier []*plan.Run) {
+	m := r.machine
+	res.Steps = m.Eng.Steps()
+	compute := m.Compute.Utilization()
+	if r.timed && len(r.queues) > 0 {
+		compute = r.queues[0].Utilization()
+	}
+	res.Util = perf.ResourceUtil{
+		Compute: compute,
+		H2D:     m.H2D.Utilization(),
+		D2H:     m.D2H.Utilization(),
+		CPU:     m.CPUPool.Utilization(),
+		NVMe:    m.NVMeQ.Utilization(),
+	}
+	res.AllocOps = m.GPUMem.AllocOps()
+	res.CacheFlushes = r.cacheFlushes
+	if r.cache != nil {
+		res.CacheOps = r.cache.Hits() + r.cache.Misses()
+	}
+	res.Retries = r.retries
+	res.DeadlineMisses = r.deadlineMisses
+	res.WindowResolves = r.resolves
+	res.FinalWindow = r.window
+	if r.schedErr != nil {
+		// A runtime scheduling-invariant violation (only reachable with
+		// validation bypassed) surfaces as a structured error, not a
+		// panic.
+		res.OOM = true
+		res.OOMDetail = r.schedErr.Error()
+	}
+	res.Overlap = overlap(traced)
+	if tr != nil {
+		r.addSpans(tr, traced)
+		if r.inj != nil {
+			emitFaultWindows(tr, r.inj, m.Eng.Now())
+		}
+	}
+	if r.e.Metrics != nil {
+		res.MetricSamples = r.collect(r.e.Metrics, append(traced, earlier...))
+	}
+	r.teardown()
 }
 
 // iterRun holds the cross-iteration simulation state of one engine.
@@ -466,7 +494,8 @@ type iterRun struct {
 	queues []*sim.Resource
 
 	// bufWindow sizes the reserved pool (and the plans' slot budget);
-	// it exceeds window only in degraded mode.
+	// it exceeds window only in degraded mode, where it caps the
+	// re-solve's growth.
 	bufWindow int
 	// tensorBytes is the size of every device buffer a layer takes
 	// (Engine.tensorBytes), from the pool or the caching allocator.
@@ -497,12 +526,13 @@ type iterRun struct {
 	layerCache   [][]*mem.Block
 	cacheFlushes uint64
 
+	// baseWindow is the initial window: the clean solver decision, and
+	// in degraded mode the floor the re-solve may shrink back to.
+	baseWindow int
+
 	// Degraded mode (all nil/zero on the clean path; see degrade.go).
 	inj            *fault.Injector
 	faultTr        *trace.Trace // whole-run fault/recovery event sink
-	baseProfile    Profile      // clean warm-up profile the re-solve rescales
-	baseWindow     int          // clean solver decision (shrink floor)
-	maxWindow      int          // memory-feasible ceiling (grow limit)
 	obsNominal     sim.Time     // model-predicted transfer time, this iteration
 	obsActual      sim.Time     // observed transfer time incl. retry backoff
 	retries        uint64
@@ -510,31 +540,29 @@ type iterRun struct {
 	resolves       uint64
 }
 
-// newIterRun prepares run state. bufWindow ≥ window sizes the reserved
-// buffer pool; it exceeds window only in degraded mode, where the
-// adaptive re-solve may grow the window to it.
-func newIterRun(e *Engine, machine *hw.Machine, window, bufWindow, streams int) *iterRun {
+// initWindow prepares a STRONGHOLD run's window state on a fresh run
+// (setup): streams, plan caches, and the buffer pool or caching
+// allocator holding the first window. bufWindow ≥ window sizes the
+// reserved buffer pool; it exceeds window only in degraded mode, where
+// the adaptive re-solve may grow the window to it.
+func (r *iterRun) initWindow(window, bufWindow, streams int) {
+	e := r.e
 	cfg := e.Model.Cfg
 	perStream := e.Model
 	perStream.Cfg.BatchSize = cfg.BatchSize / streams
-	r := &iterRun{
-		e:           e,
-		machine:     machine,
-		window:      window,
-		bufWindow:   bufWindow,
-		tensorBytes: e.tensorBytes(),
-		lt:          perStream.Layer(),
-		util:        e.utilFor(streams),
-		n:           cfg.Layers,
-		plans:       make(map[int]*plan.Iteration),
-		progs:       make(map[int]*plan.Compiled),
-	}
+	r.window, r.baseWindow, r.bufWindow = window, window, bufWindow
+	r.tensorBytes = e.tensorBytes()
+	r.lt = perStream.Layer()
+	r.util = e.utilFor(streams)
+	r.n = cfg.Layers
+	r.plans = make(map[int]*plan.Iteration)
+	r.progs = make(map[int]*plan.Compiled)
 	for s := 0; s < streams; s++ {
-		r.streams = append(r.streams, machine.NewStream(fmt.Sprintf("worker%d", s)))
+		r.streams = append(r.streams, r.machine.NewStream(fmt.Sprintf("worker%d", s)))
 	}
 	// Window buffer management against the real device arena.
 	if e.Feat.UserLevelMemMgmt {
-		pool, err := mem.NewRoundRobinPool(machine.GPUMem, r.tensorBytes, (bufWindow+1)*tensorsPerLayer)
+		pool, err := mem.NewRoundRobinPool(r.machine.GPUMem, r.tensorBytes, (bufWindow+1)*tensorsPerLayer)
 		if err == nil {
 			r.pool = pool
 			r.layerBuf = make([][]int, r.n)
@@ -543,7 +571,7 @@ func newIterRun(e *Engine, machine *hw.Machine, window, bufWindow, streams int) 
 		// un-instrumented buffers; the Footprint check remains the
 		// capacity authority.
 	} else {
-		r.cache = mem.NewCachingAllocator(machine.GPUMem)
+		r.cache = mem.NewCachingAllocator(r.machine.GPUMem)
 		r.layerCache = make([][]*mem.Block, r.n)
 	}
 	// The first window's layers are resident before training starts
@@ -553,7 +581,6 @@ func newIterRun(e *Engine, machine *hw.Machine, window, bufWindow, streams int) 
 			r.schedErr = err
 		}
 	}
-	return r
 }
 
 // planFor returns the cached, validated schedule for a window size,

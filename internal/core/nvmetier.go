@@ -52,17 +52,10 @@ func (e *Engine) PlanNVMeTier() (NVMeTierReport, error) {
 	if res.OOM {
 		return NVMeTierReport{}, fmt.Errorf("core: NVMe tier cannot hold the model: %s", res.OOMDetail)
 	}
-	window := nvme.Window
-	if window == 0 {
-		if d, err := nvme.SolvedWindow(); err == nil {
-			window = d.M
-		} else {
-			window = 1
-		}
-	}
-	// Per iteration: every layer outside the resident window writes its
-	// updated weights to disk and is read back for the next iteration.
-	spilled := int64(cfg.Layers - window)
+	// Per iteration: every layer outside the resident window (the one
+	// the run settled on) writes its updated weights to disk and is read
+	// back for the next iteration.
+	spilled := int64(cfg.Layers - res.FinalWindow)
 	if spilled < 0 {
 		spilled = 0
 	}

@@ -38,7 +38,7 @@ func TestProfileWarmupMatchesAnalytic(t *testing.T) {
 
 func TestProfiledWindowAgreesWithAnalytic(t *testing.T) {
 	e := engineFor(modelcfg.Config1p7B())
-	analytic, err := e.SolvedWindow()
+	analytic, err := e.SolvedDecision()
 	if err != nil {
 		t.Fatal(err)
 	}

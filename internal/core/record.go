@@ -154,12 +154,12 @@ type resAcc struct {
 }
 
 // collect derives the run's metrics into mc from runs — every
-// iteration and patch, which must have kept detail — plus window, the
-// initial working window, and the degraded-mode counters. It returns
+// iteration and patch, which must have kept detail — plus the initial
+// working window and the degraded-mode counters. It returns
 // mc's timeline samples taken up to the end of the simulation; the
 // samples of the buffer teardown that follows it are recorded but not
 // counted.
-func (r *iterRun) collect(mc *metrics.Collector, runs []*plan.Run, window int) uint64 {
+func (r *iterRun) collect(mc *metrics.Collector, runs []*plan.Run) uint64 {
 	// sample appends to a timeline, creating it on its first sample.
 	sample := func(tl **metrics.Timeline, name string, t sim.Time, v float64) {
 		if *tl == nil {
@@ -170,6 +170,7 @@ func (r *iterRun) collect(mc *metrics.Collector, runs []*plan.Run, window int) u
 
 	// The working window m(t): the initial window, then every resize.
 	windowTL := mc.Series(metrics.SeriesWindow)
+	window := r.baseWindow
 	windowTL.Append(0, float64(window))
 	m := window
 	for _, p := range r.patches {

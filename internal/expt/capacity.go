@@ -81,3 +81,45 @@ func RenderSizeRows(title string, rows []SizeRow) string {
 	return fmt.Sprintf("%s\n%s", title,
 		renderTable([]string{"method", "min", "max", "paper"}, cells))
 }
+
+// largestFor searches the §V-B family for the biggest model method can
+// train on the platform capacities, returning (minAcrossSettings,
+// maxAcrossSettings) in billions — the paper's Fig. 6 min-max bars.
+func largestFor(method modelcfg.Method, mp int, gpuBytes, hostBytes, diskBytes int64) (minB, maxB float64) {
+	minB = -1
+	for _, h := range searchHidden {
+		for _, bs := range searchBatches {
+			b := modelcfg.LargestTrainable(method, h, mp, []int{bs}, 8, gpuBytes, hostBytes, diskBytes)
+			if b > maxB {
+				maxB = b
+			}
+			if b > 0 && (minB < 0 || b < minB) {
+				minB = b
+			}
+		}
+	}
+	if minB < 0 {
+		minB = 0
+	}
+	return minB, maxB
+}
+
+// largestConfigFor returns a concrete config achieving (approximately)
+// method's largest trainable size — what Figure 7 measures throughput
+// on.
+func largestConfigFor(method modelcfg.Method, mp int, gpuBytes, hostBytes, diskBytes int64) modelcfg.Config {
+	bestB := 0.0
+	var best modelcfg.Config
+	for _, h := range searchHidden {
+		for _, bs := range searchBatches {
+			b := modelcfg.LargestTrainable(method, h, mp, []int{bs}, 8, gpuBytes, hostBytes, diskBytes)
+			if b > bestB {
+				bestB = b
+				c := modelcfg.ConfigForSize(b, h, mp)
+				c.BatchSize = bs
+				best = c
+			}
+		}
+	}
+	return best
+}

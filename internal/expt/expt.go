@@ -10,6 +10,7 @@ import (
 	"math"
 	"strings"
 
+	"stronghold/internal/baselines"
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/perf"
@@ -96,7 +97,7 @@ func renderTable(header []string, rows [][]string) string {
 // samples/second and achieved TFLOPS.
 func throughputOf(method modelcfg.Method, cfg modelcfg.Config, plat hw.Platform) (samplesPerSec, tflops float64, res perf.IterationResult) {
 	m := perf.NewModel(cfg, plat)
-	res = runMethod(method, m)
+	res = baselines.Run(method, m)
 	if res.OOM {
 		return 0, 0, res
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"stronghold/internal/baselines"
-	"stronghold/internal/core"
 	"stronghold/internal/fault"
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
@@ -50,16 +49,8 @@ func FaultComparison() ([]FaultRow, error) {
 			continue
 		}
 		m := perf.NewModel(cfg, p)
-		var clean, hurt perf.IterationResult
-		if info.Engine == modelcfg.EngineCore {
-			clean = core.NewEngine(m).Run(3, nil)
-			e := core.NewEngine(m)
-			e.Faults = plan
-			hurt = e.Run(3, nil)
-		} else {
-			clean = baselines.Run(info.M, m)
-			hurt = baselines.RunWith(info.M, m, baselines.Options{Faults: plan})
-		}
+		clean := baselines.Run(info.M, m)
+		hurt := baselines.RunWith(info.M, m, baselines.Options{Faults: plan})
 		if clean.OOM || hurt.OOM {
 			return nil, fmt.Errorf("faultcmp: %s does not fit the 1.7B model", info.M)
 		}

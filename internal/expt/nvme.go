@@ -3,6 +3,7 @@ package expt
 import (
 	"fmt"
 
+	"stronghold/internal/baselines"
 	"stronghold/internal/core"
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
@@ -44,7 +45,7 @@ func Figure10() []NVMeRow {
 		e.Feat.UseNVMe = true
 		sh := e.Run(3, nil)
 
-		zi := runMethod(modelcfg.ZeROInfinityNVMe, m)
+		zi := baselines.Run(modelcfg.ZeROInfinityNVMe, m)
 
 		row := NVMeRow{SizeB: cfg.ParamsBillion()}
 		if !sh.OOM {

@@ -3,6 +3,7 @@ package expt
 import (
 	"fmt"
 
+	"stronghold/internal/baselines"
 	"stronghold/internal/core"
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
@@ -28,10 +29,10 @@ func Figure11() []StreamRow {
 	for _, bs := range []int{2, 4, 8, 16} {
 		cfg := modelcfg.NewConfig(16, 2560, 16) // 1.3B
 		cfg.BatchSize = bs
-		mega := runMethod(modelcfg.Megatron, perf.NewModel(cfg, p))
+		mega := baselines.Run(modelcfg.Megatron, perf.NewModel(cfg, p))
 
 		e := core.NewEngine(perf.NewModel(cfg, p))
-		d, err := e.SolvedWindow()
+		d, err := e.SolvedDecision()
 		streams := 0
 		if err == nil {
 			streams = e.PickStreams(d.M)

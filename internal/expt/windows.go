@@ -25,7 +25,7 @@ type Figure4Result struct {
 func Figure4() (Figure4Result, error) {
 	m := perf.NewModel(modelcfg.Config4B(), hw.V100Platform())
 	e := core.NewEngine(m)
-	d, err := e.SolvedWindow()
+	d, err := e.SolvedDecision()
 	if err != nil {
 		return Figure4Result{}, err
 	}
@@ -62,7 +62,7 @@ func Figure9() ([]WindowRow, int, error) {
 	large := modelcfg.Config39p5B()
 	solver := core.NewEngine(perf.NewModel(small, p))
 	solver.Feat.Streams = 1
-	d, err := solver.SolvedWindow()
+	d, err := solver.SolvedDecision()
 	if err != nil {
 		return nil, 0, err
 	}

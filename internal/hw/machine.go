@@ -9,8 +9,7 @@ import (
 
 // Machine instantiates one GPU server of a Platform on a simulation
 // engine: the GPU's shared SM array, two DMA copy engines, a CPU worker
-// pool, an NVMe queue, the NIC, and the byte-accounted device memory
-// arena.
+// pool, an NVMe queue, and the byte-accounted device memory arena.
 type Machine struct {
 	Eng  *sim.Engine
 	Spec Platform
@@ -20,7 +19,6 @@ type Machine struct {
 	D2H     *sim.Resource        // device→host DMA engine
 	CPUPool *sim.Pool            // CPU cores for optimizer workers
 	NVMeQ   *sim.Resource        // NVMe submission queue
-	NIC     *sim.Resource        // network link
 
 	GPUMem *mem.Arena // device memory
 }
@@ -35,7 +33,6 @@ func NewMachine(eng *sim.Engine, p Platform) *Machine {
 		D2H:     sim.NewResource(eng, "pcie.d2h"),
 		CPUPool: sim.NewPool(eng, "cpu", p.CPU.Cores),
 		NVMeQ:   sim.NewResource(eng, "nvme"),
-		NIC:     sim.NewResource(eng, "nic"),
 		GPUMem:  mem.NewArena("gpu", p.GPU.MemBytes),
 	}
 }

@@ -71,6 +71,9 @@ func TestSnapshotValidatesAndExports(t *testing.T) {
 	if err := reg.Validate(); err != nil {
 		t.Fatalf("snapshot invalid: %v", err)
 	}
+	if err := New().Snapshot().Validate(); err != nil {
+		t.Fatalf("empty snapshot invalid: %v", err)
+	}
 	var prom, js, csv bytes.Buffer
 	if err := c.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)

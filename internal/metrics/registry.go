@@ -34,8 +34,9 @@ func (k Kind) String() string {
 
 // Registry is the canonical, export-ready snapshot form of a metric
 // set: families sorted by name, series sorted by label string. It is
-// both what Collector.Snapshot produces and what ParseExposition
-// returns, so export→parse→export is a fixed point by construction.
+// both what Collector.Snapshot produces and what the tests' exposition
+// parser (ParseExposition, parse_test.go) returns, so
+// export→parse→export is a fixed point by construction.
 type Registry struct {
 	Families []*Family
 }
@@ -158,7 +159,8 @@ func bucketSeries(name, label string, le float64) string {
 // The output is canonical: families sorted by name (HELP line when
 // present, then TYPE, then series sorted by label), shortest
 // round-trip float formatting, histogram buckets cumulative and
-// ascending with a final +Inf. ParseExposition inverts it exactly.
+// ascending with a final +Inf. The tests' ParseExposition inverts it
+// exactly.
 func (r *Registry) WriteText(w io.Writer) error {
 	r.sort()
 	for _, f := range r.Families {
@@ -200,106 +202,4 @@ func writeHistSeries(w io.Writer, name string, s Series) error {
 	}
 	_, err := fmt.Fprintf(w, "%s %d\n", seriesName(name+"_count", s.Label), h.Count)
 	return err
-}
-
-// Validate checks the structural invariants the parser relies on:
-// non-empty sorted-unique families, well-formed names, histogram
-// buckets strictly ascending and cumulative with a final +Inf bound
-// whose count equals the series count, and no family name colliding
-// with another histogram family's _bucket/_sum/_count series names.
-func (r *Registry) Validate() error {
-	r.sort()
-	names := make(map[string]bool, len(r.Families))
-	for _, f := range r.Families {
-		if !validMetricName(f.Name) {
-			return fmt.Errorf("metrics: invalid family name %q", f.Name)
-		}
-		if names[f.Name] {
-			return fmt.Errorf("metrics: duplicate family %q", f.Name)
-		}
-		names[f.Name] = true
-		if strings.ContainsRune(f.Help, '\n') {
-			return fmt.Errorf("metrics: family %q help spans lines", f.Name)
-		}
-		seen := make(map[string]bool, len(f.Series))
-		for _, s := range f.Series {
-			if seen[s.Label] {
-				return fmt.Errorf("metrics: duplicate series %s", seriesName(f.Name, s.Label))
-			}
-			seen[s.Label] = true
-			if f.Kind != KindHistogram {
-				if s.Hist != nil {
-					return fmt.Errorf("metrics: %s %s carries histogram data", f.Kind, seriesName(f.Name, s.Label))
-				}
-				continue
-			}
-			if err := s.Hist.validate(seriesName(f.Name, s.Label)); err != nil {
-				return err
-			}
-		}
-	}
-	for _, f := range r.Families {
-		if f.Kind != KindHistogram {
-			continue
-		}
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			if names[f.Name+suffix] {
-				return fmt.Errorf("metrics: family %q collides with histogram %q series", f.Name+suffix, f.Name)
-			}
-		}
-	}
-	return nil
-}
-
-func (h *HistData) validate(series string) error {
-	if h == nil || len(h.Buckets) == 0 {
-		return fmt.Errorf("metrics: histogram %s has no buckets", series)
-	}
-	var prev float64 = math.Inf(-1)
-	var prevCum uint64
-	for _, b := range h.Buckets {
-		if math.IsNaN(b.LE) || b.LE <= prev {
-			return fmt.Errorf("metrics: histogram %s buckets not strictly ascending", series)
-		}
-		if b.Cum < prevCum {
-			return fmt.Errorf("metrics: histogram %s cumulative counts decrease", series)
-		}
-		prev, prevCum = b.LE, b.Cum
-	}
-	last := h.Buckets[len(h.Buckets)-1]
-	if !math.IsInf(last.LE, 1) {
-		return fmt.Errorf("metrics: histogram %s missing +Inf bucket", series)
-	}
-	if last.Cum != h.Count {
-		return fmt.Errorf("metrics: histogram %s count %d != +Inf bucket %d", series, h.Count, last.Cum)
-	}
-	return nil
-}
-
-// validMetricName reports whether s matches [a-zA-Z_:][a-zA-Z0-9_:]*.
-func validMetricName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		alpha := (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || r == '_' || r == ':'
-		if !alpha && (i == 0 || r < '0' || r > '9') {
-			return false
-		}
-	}
-	return true
-}
-
-// validLabelKey reports whether s matches [a-zA-Z_][a-zA-Z0-9_]*.
-func validLabelKey(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		alpha := (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || r == '_'
-		if !alpha && (i == 0 || r < '0' || r > '9') {
-			return false
-		}
-	}
-	return true
 }

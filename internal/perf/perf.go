@@ -157,7 +157,6 @@ type ResourceUtil struct {
 	D2H     float64
 	CPU     float64
 	NVMe    float64
-	NIC     float64
 }
 
 // Throughput returns training samples processed per second for the

@@ -87,8 +87,9 @@ type SimConfig struct {
 	// internal/fault for the plan grammar. STRONGHOLD methods enter
 	// degraded mode: transfers stretch through fault windows, blackouts
 	// retry with backoff, and the working window re-solves from observed
-	// transfer drift. Plan-driven baselines degrade their resources
-	// without a reissue path — the comparison point.
+	// transfer drift. Plan-driven baselines degrade, retry and count
+	// deadline misses the same way on their fixed schedules — the
+	// comparison point.
 	Faults string
 	// DisableAdapt freezes the working window at its initial size under
 	// faults — the ablation arm that isolates what the adaptive
@@ -151,6 +152,12 @@ func Simulate(c SimConfig) (SimResult, error) {
 	if c.Faults != "" && !info.PlanDriven() {
 		return SimResult{}, fmt.Errorf("stronghold: fault injection requires a plan-driven method, got %v", c.Method)
 	}
+	var faults *fault.Plan
+	if c.Faults != "" {
+		if faults, err = fault.ParsePlan(c.Faults); err != nil {
+			return SimResult{}, fmt.Errorf("stronghold: fault plan: %w", err)
+		}
+	}
 	m := perf.NewModel(cfg, plat)
 	var r perf.IterationResult
 	switch info.Engine {
@@ -164,27 +171,13 @@ func Simulate(c SimConfig) (SimResult, error) {
 		e.CoOpt = c.CoOpt
 		e.TransferJitter = c.TransferJitter
 		e.LayerScale = c.LayerScale
-		if c.Faults != "" {
-			plan, err := fault.ParsePlan(c.Faults)
-			if err != nil {
-				return SimResult{}, fmt.Errorf("stronghold: fault plan: %w", err)
-			}
-			e.Faults = plan
-			e.DisableResolve = c.DisableAdapt
-		}
+		e.Faults = faults
+		e.DisableResolve = c.DisableAdapt
 		r = e.Run(3, nil)
 	case modelcfg.EngineCluster:
 		r = cluster.Run(cluster.Setup{Plat: plat, Cfg: cfg, Method: c.Method, HeteroCollectives: true})
 	default:
-		var opts baselines.Options
-		if c.Faults != "" {
-			plan, err := fault.ParsePlan(c.Faults)
-			if err != nil {
-				return SimResult{}, fmt.Errorf("stronghold: fault plan: %w", err)
-			}
-			opts.Faults = plan
-		}
-		r = baselines.RunWith(c.Method, m, opts)
+		r = baselines.RunWith(c.Method, m, baselines.Options{Faults: faults})
 	}
 	out := SimResult{
 		Method:        c.Method,
