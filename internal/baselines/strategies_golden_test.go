@@ -20,8 +20,9 @@ func goldenConfig() modelcfg.Config {
 }
 
 // TestGoldenBaselinePlans pins the canonical text rendering of every
-// baseline schedule: emission order, op payloads and dependency
-// wiring. Any planner or calibration change shows up as a
+// baseline schedule, and the JSON rendering of the interleaved
+// optimizer's (fractions, GPU steps, joins): emission order, op
+// payloads and dependency wiring. Any planner or calibration change shows up as a
 // fixture diff. Regenerate with
 // `go test ./internal/baselines -run TestGoldenBaselinePlans -update`
 // and review the diff like any schedule change.
@@ -36,21 +37,35 @@ func TestGoldenBaselinePlans(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
-		got := plan.Text(it)
-		path := filepath.Join("testdata", modelcfg.MethodKey(method)+".golden")
-		if *update {
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
+		key := modelcfg.MethodKey(method)
+		checkGolden(t, key, plan.Text(it))
+		if method == modelcfg.InterleavedOpt {
+			js, err := plan.JSON(it)
+			if err != nil {
+				t.Fatalf("%s: %v", method, err)
 			}
-			continue
+			checkGolden(t, key+".json", string(js)+"\n")
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: missing fixture (run with -update): %v", method, err)
+	}
+}
+
+// checkGolden compares got with testdata/<name>.golden, or rewrites
+// the fixture under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if got != string(want) {
-			t.Errorf("%s: plan drifted from its golden fixture (run with -update and review)\nwant:\n%s\ngot:\n%s",
-				method, want, got)
-		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: missing fixture (run with -update): %v", name, err)
+	}
+	if got != string(want) {
+		t.Errorf("%s: plan drifted from its golden fixture (run with -update and review)\nwant:\n%s\ngot:\n%s",
+			name, want, got)
 	}
 }
