@@ -101,116 +101,106 @@ func zeroInfinityPlan(m perf.Model, pressure float64, nvme bool) *plan.Iteration
 		it.NVMe = true
 		it.RingSlots = 2
 	}
-	add := func(op plan.Op) plan.ID {
-		op.ID = plan.ID(len(it.Ops))
-		it.Ops = append(it.Ops, op)
-		return op.ID
-	}
-
 	// spills is the global page-out order; page-in k recycles the ring
 	// slot of page-out k-2 (the two-slot staging ring), which is also
 	// the explicit edge the validator's funding argument needs.
 	var spills []plan.ID
-	stage := func(name string, layer int, write bool, deps []plan.ID) plan.ID {
+	stage := func(label plan.Label, layer int32, write bool, deps ...plan.ID) plan.ID {
 		dur := readDur
 		if write {
 			dur = writeDur
 		}
-		id := add(plan.Op{Kind: plan.NVMeStage, Name: name, Layer: layer,
-			Queue: -1, Bytes: ioBytes, DurNS: dur, Write: write, Deps: deps})
+		id := it.Add(plan.Op{Kind: plan.NVMeStage, Label: label, Layer: layer,
+			Queue: -1, Bytes: ioBytes, DurNS: dur, Write: write}, deps...)
 		if write {
 			spills = append(spills, id)
 		}
 		return id
 	}
-	pageIn := func(name string, layer int, prev plan.ID) plan.ID {
-		deps := []plan.ID{prev}
+	pageIn := func(label plan.Label, layer int32, prev plan.ID) plan.ID {
 		if len(spills) >= 2 {
-			deps = append(deps, spills[len(spills)-2])
+			return stage(label, layer, false, prev, spills[len(spills)-2])
 		}
-		return stage(name, layer, false, deps)
+		return stage(label, layer, false, prev)
 	}
 
-	embedFP := add(plan.Op{Kind: plan.ComputeFP, Name: "fp embed",
-		Layer: -1, Queue: 0, DurNS: embed})
+	embedFP := it.Add(plan.Op{Kind: plan.ComputeFP, Label: plan.LabelFPEmbed, Layer: -1, Queue: 0, DurNS: embed})
 
 	fpRelease := make([]plan.ID, n)
 	prev := embedFP
+	var scratch [3]plan.ID // conditional dependency lists, copied by Add
 	for i := 0; i < n; i++ {
-		var acqDeps []plan.ID
+		l := int32(i)
+		var recycle []plan.ID
 		if i >= 2 {
-			acqDeps = []plan.ID{fpRelease[i-2]}
+			recycle = fpRelease[i-2 : i-1]
 		}
-		acq := add(plan.Op{Kind: plan.BufAcquire, Name: fmt.Sprintf("acquire L%d", i),
-			Layer: i, Queue: -1, Bytes: volBytes, Deps: acqDeps})
-		fetchDeps := []plan.ID{acq}
+		acq := it.Add(plan.Op{Kind: plan.BufAcquire, Label: plan.LabelAcquire, Layer: l, Queue: -1, Bytes: volBytes},
+			recycle...)
+		fetchDeps := append(scratch[:0], acq)
 		if nvme {
-			fetchDeps = append(fetchDeps, pageIn(fmt.Sprintf("page-in L%d", i), i, prev))
+			fetchDeps = append(fetchDeps, pageIn(plan.LabelPageIn, l, prev))
 		}
-		up := add(plan.Op{Kind: plan.Prefetch, Name: fmt.Sprintf("fetch L%d", i),
-			Layer: i, Queue: -1, Bytes: volBytes, DurNS: c2g, Deps: fetchDeps})
+		up := it.Add(plan.Op{Kind: plan.Prefetch, Label: plan.LabelFetch, Layer: l, Queue: -1, Bytes: volBytes,
+			DurNS: c2g}, fetchDeps...)
 		// The refactoring copy is synchronous in ZeRO's engine: it gates
 		// the kernel and waits for the previous one, so it lands on the
 		// critical path of every visit (perFP in the closed form).
-		ref := add(plan.Op{Kind: plan.ComputeFP, Name: fmt.Sprintf("refactor L%d", i),
-			Layer: i, Queue: 1, DurNS: zeroInfinityRefactorNS, Deps: []plan.ID{up, prev}})
-		k := add(plan.Op{Kind: plan.ComputeFP, Name: fmt.Sprintf("fp L%d", i),
-			Layer: i, Queue: 0, DurNS: lt.FP, Deps: []plan.ID{ref}})
-		relDeps := []plan.ID{k}
+		ref := it.Add(plan.Op{Kind: plan.ComputeFP, Label: plan.LabelRefactor, Layer: l, Queue: 1,
+			DurNS: zeroInfinityRefactorNS}, up, prev)
+		k := it.Add(plan.Op{Kind: plan.ComputeFP, Label: plan.LabelFP, Layer: l, Queue: 0, DurNS: lt.FP}, ref)
+		done := k
 		if nvme {
-			relDeps = []plan.ID{stage(fmt.Sprintf("page-out L%d", i), i, true, []plan.ID{k})}
+			done = stage(plan.LabelPageOut, l, true, k)
 		}
-		fpRelease[i] = add(plan.Op{Kind: plan.BufRelease, Name: fmt.Sprintf("release L%d", i),
-			Layer: i, Queue: -1, Deps: relDeps})
+		fpRelease[i] = it.Add(plan.Op{Kind: plan.BufRelease, Label: plan.LabelRelease, Layer: l, Queue: -1}, done)
 		prev = k
 	}
 
-	head := add(plan.Op{Kind: plan.ComputeFP, Name: "fp head+loss",
-		Layer: -1, Queue: 0, DurNS: embed, Deps: []plan.ID{prev}})
+	head := it.Add(plan.Op{Kind: plan.ComputeFP, Label: plan.LabelFPHead, Layer: -1, Queue: 0, DurNS: embed}, prev)
 
 	bpRelease := make([]plan.ID, n)
-	grads := make([]plan.ID, 0, n)
+	// The fused optimizer waits on every gradient offload, then the
+	// backward embedding.
+	optDeps := make([]plan.ID, 0, n+1)
 	prev = head
 	for i := n - 1; i >= 0; i-- {
+		l := int32(i)
 		// The first two backward acquires recycle the last two forward
 		// slots; the explicit edges make the budget funding provable even
 		// when those releases wait on NVMe page-outs. Later acquires
 		// recycle the backward slot released two visits earlier.
-		acqDeps := []plan.ID{fpRelease[i], prev}
+		acqDeps := append(scratch[:0], fpRelease[i], prev)
 		if i+2 <= n-1 {
 			acqDeps = append(acqDeps, bpRelease[i+2])
 		} else if i != n-2 && n >= 2 {
 			acqDeps = append(acqDeps, fpRelease[n-2])
 		}
-		acq := add(plan.Op{Kind: plan.BufAcquire, Name: fmt.Sprintf("bp acquire L%d", i),
-			Layer: i, Queue: -1, Bytes: volBytes, Deps: acqDeps})
-		fetchDeps := []plan.ID{acq}
+		acq := it.Add(plan.Op{Kind: plan.BufAcquire, Label: plan.LabelBPAcquire, Layer: l, Queue: -1, Bytes: volBytes},
+			acqDeps...)
+		fetchDeps := append(scratch[:0], acq)
 		if nvme {
-			fetchDeps = append(fetchDeps, pageIn(fmt.Sprintf("bp page-in L%d", i), i, prev))
+			fetchDeps = append(fetchDeps, pageIn(plan.LabelBPPageIn, l, prev))
 		}
-		up := add(plan.Op{Kind: plan.Prefetch, Name: fmt.Sprintf("bp fetch L%d", i),
-			Layer: i, Queue: -1, Bytes: volBytes, DurNS: c2g, Deps: fetchDeps})
-		ref := add(plan.Op{Kind: plan.ComputeBP, Name: fmt.Sprintf("bp refactor L%d", i),
-			Layer: i, Queue: 1, DurNS: zeroInfinityRefactorNS, Deps: []plan.ID{up, prev}})
-		k := add(plan.Op{Kind: plan.ComputeBP, Name: fmt.Sprintf("bp L%d", i),
-			Layer: i, Queue: 0, DurNS: lt.BP, Deps: []plan.ID{ref}})
-		grad := add(plan.Op{Kind: plan.Offload, Name: fmt.Sprintf("grad offload L%d", i),
-			Layer: i, Queue: -1, Bytes: volBytes, DurNS: g2c, Deps: []plan.ID{k}})
-		grads = append(grads, grad)
-		relDeps := []plan.ID{grad}
+		up := it.Add(plan.Op{Kind: plan.Prefetch, Label: plan.LabelBPFetch, Layer: l, Queue: -1, Bytes: volBytes,
+			DurNS: c2g}, fetchDeps...)
+		ref := it.Add(plan.Op{Kind: plan.ComputeBP, Label: plan.LabelBPRefactor, Layer: l, Queue: 1,
+			DurNS: zeroInfinityRefactorNS}, up, prev)
+		k := it.Add(plan.Op{Kind: plan.ComputeBP, Label: plan.LabelBP, Layer: l, Queue: 0, DurNS: lt.BP}, ref)
+		grad := it.Add(plan.Op{Kind: plan.Offload, Label: plan.LabelGradOffload, Layer: l, Queue: -1, Bytes: volBytes,
+			DurNS: g2c}, k)
+		optDeps = append(optDeps, grad)
+		done := grad
 		if nvme {
-			relDeps = []plan.ID{stage(fmt.Sprintf("bp page-out L%d", i), i, true, []plan.ID{grad})}
+			done = stage(plan.LabelBPPageOut, l, true, grad)
 		}
-		bpRelease[i] = add(plan.Op{Kind: plan.BufRelease, Name: fmt.Sprintf("bp release L%d", i),
-			Layer: i, Queue: -1, Deps: relDeps})
+		bpRelease[i] = it.Add(plan.Op{Kind: plan.BufRelease, Label: plan.LabelBPRelease, Layer: l, Queue: -1}, done)
 		prev = k
 	}
 
-	bpEmbed := add(plan.Op{Kind: plan.ComputeBP, Name: "bp embed",
-		Layer: -1, Queue: 0, DurNS: embed, Deps: []plan.ID{prev}})
-	add(plan.Op{Kind: plan.OptStep, Name: "cpu adam fused",
-		Layer: -1, Queue: -1, DurNS: optDur,
-		Deps: append(append([]plan.ID(nil), grads...), bpEmbed)})
+	optDeps = append(optDeps, it.Add(plan.Op{Kind: plan.ComputeBP, Label: plan.LabelBPEmbed, Layer: -1, Queue: 0,
+		DurNS: embed}, prev))
+	it.Add(plan.Op{Kind: plan.OptStep, Label: plan.LabelCPUAdamFused, Layer: -1, Queue: -1, DurNS: optDur}, optDeps...)
 	return it
 }
 
@@ -247,54 +237,44 @@ func interleavedOptPlan(m perf.Model, pressure float64) *plan.Iteration {
 		Layers: n, Window: n, Queues: 2, OptSlots: 2,
 		EntryResident: resident, ExitResident: resident,
 	}
-	add := func(op plan.Op) plan.ID {
-		op.ID = plan.ID(len(it.Ops))
-		it.Ops = append(it.Ops, op)
-		return op.ID
-	}
-
-	prev := add(plan.Op{Kind: plan.ComputeFP, Name: "fp embed",
-		Layer: -1, Queue: 0, DurNS: embed})
+	prev := it.Add(plan.Op{Kind: plan.ComputeFP, Label: plan.LabelFPEmbed, Layer: -1, Queue: 0, DurNS: embed})
 	for i := 0; i < n; i++ {
-		prev = add(plan.Op{Kind: plan.ComputeFP, Name: fmt.Sprintf("fp L%d", i),
-			Layer: i, Queue: 0, DurNS: lt.FP, Deps: []plan.ID{prev}})
+		prev = it.Add(plan.Op{Kind: plan.ComputeFP, Label: plan.LabelFP, Layer: int32(i), Queue: 0, DurNS: lt.FP}, prev)
 	}
-	prev = add(plan.Op{Kind: plan.ComputeFP, Name: "fp head+loss",
-		Layer: -1, Queue: 0, DurNS: embed, Deps: []plan.ID{prev}})
+	prev = it.Add(plan.Op{Kind: plan.ComputeFP, Label: plan.LabelFPHead, Layer: -1, Queue: 0, DurNS: embed}, prev)
 
 	momWB := make([]plan.ID, n)
 	for i := range momWB {
 		momWB[i] = -1
 	}
+	var scratch [2]plan.ID // conditional dependency lists, copied by Add
 	for i := n - 1; i >= 0; i-- {
-		k := add(plan.Op{Kind: plan.ComputeBP, Name: fmt.Sprintf("bp L%d", i),
-			Layer: i, Queue: 0, DurNS: lt.BP, Deps: []plan.ID{prev}})
-		grad := add(plan.Op{Kind: plan.Offload, Name: fmt.Sprintf("grad offload L%d", i),
-			Layer: i, Queue: -1, Bytes: gradBytes, DurNS: xfer(gradBytes), Deps: []plan.ID{k}})
-		cpuOp := add(plan.Op{Kind: plan.OptStep, Name: fmt.Sprintf("adam L%d cpu", i),
-			Layer: i, Queue: -1, Frac: 1 - share, DurNS: cpuDur, Deps: []plan.ID{grad}})
+		l := int32(i)
+		k := it.Add(plan.Op{Kind: plan.ComputeBP, Label: plan.LabelBP, Layer: l, Queue: 0, DurNS: lt.BP}, prev)
+		grad := it.Add(plan.Op{Kind: plan.Offload, Label: plan.LabelGradOffload, Layer: l, Queue: -1,
+			Bytes: gradBytes, DurNS: xfer(gradBytes)}, k)
+		cpuOp := it.Add(plan.Op{Kind: plan.OptStep, Label: plan.LabelAdamCPU, Layer: l, Queue: -1, Frac: 1 - share,
+			DurNS: cpuDur}, grad)
 		// The moment fetch recycles the staging slot written back two
 		// subgroups earlier (the validator's funding edge).
-		fetchDeps := []plan.ID{grad}
+		fetchDeps := append(scratch[:0], grad)
 		if i+2 < n && momWB[i+2] >= 0 {
 			fetchDeps = append(fetchDeps, momWB[i+2])
 		}
-		fetch := add(plan.Op{Kind: plan.Prefetch, Name: fmt.Sprintf("mom fetch L%d", i),
-			Layer: i, Queue: -1, Frac: share, Bytes: momBytes, DurNS: xfer(momBytes), Deps: fetchDeps})
-		gpuOp := add(plan.Op{Kind: plan.OptStep, Name: fmt.Sprintf("adam L%d gpu", i),
-			Layer: i, Queue: 1, GPU: true, Frac: share, DurNS: gpuDur, Deps: []plan.ID{fetch}})
-		momWB[i] = add(plan.Op{Kind: plan.Offload, Name: fmt.Sprintf("mom writeback L%d", i),
-			Layer: i, Queue: -1, Frac: share, Bytes: momBytes, DurNS: xfer(momBytes), Deps: []plan.ID{gpuOp}})
-		paramUp := add(plan.Op{Kind: plan.Prefetch, Name: fmt.Sprintf("param upload L%d", i),
-			Layer: i, Queue: -1, Bytes: upBytes, DurNS: xfer(upBytes), Deps: []plan.ID{cpuOp}})
-		add(plan.Op{Kind: plan.Join, Name: fmt.Sprintf("opt join L%d", i),
-			Layer: i, Queue: -1, Deps: []plan.ID{cpuOp, momWB[i], paramUp}})
+		fetch := it.Add(plan.Op{Kind: plan.Prefetch, Label: plan.LabelMomFetch, Layer: l, Queue: -1, Frac: share,
+			Bytes: momBytes, DurNS: xfer(momBytes)}, fetchDeps...)
+		gpuOp := it.Add(plan.Op{Kind: plan.OptStep, Label: plan.LabelAdamGPU, Layer: l, Queue: 1, GPU: true,
+			Frac: share, DurNS: gpuDur}, fetch)
+		momWB[i] = it.Add(plan.Op{Kind: plan.Offload, Label: plan.LabelMomWriteback, Layer: l, Queue: -1, Frac: share,
+			Bytes: momBytes, DurNS: xfer(momBytes)}, gpuOp)
+		paramUp := it.Add(plan.Op{Kind: plan.Prefetch, Label: plan.LabelParamUpload, Layer: l, Queue: -1,
+			Bytes: upBytes, DurNS: xfer(upBytes)}, cpuOp)
+		it.Add(plan.Op{Kind: plan.Join, Label: plan.LabelOptJoin, Layer: l, Queue: -1}, cpuOp, momWB[i], paramUp)
 		prev = k
 	}
 
-	bpEmbed := add(plan.Op{Kind: plan.ComputeBP, Name: "bp embed",
-		Layer: -1, Queue: 0, DurNS: embed, Deps: []plan.ID{prev}})
-	add(plan.Op{Kind: plan.OptStep, Name: "gpu adam embed", GPU: true,
-		Layer: -1, Queue: 0, DurNS: embedAdamGPU(m), Deps: []plan.ID{bpEmbed}})
+	bpEmbed := it.Add(plan.Op{Kind: plan.ComputeBP, Label: plan.LabelBPEmbed, Layer: -1, Queue: 0, DurNS: embed}, prev)
+	it.Add(plan.Op{Kind: plan.OptStep, Label: plan.LabelGPUAdamEmbed, GPU: true, Layer: -1, Queue: 0,
+		DurNS: embedAdamGPU(m)}, bpEmbed)
 	return it
 }

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 func findOp(t *testing.T, it *plan.Iteration, kind plan.Kind, name string) *plan.Op {
 	t.Helper()
 	for i := range it.Ops {
-		if it.Ops[i].Kind == kind && it.Ops[i].Name == name {
+		if it.Ops[i].Kind == kind && it.Ops[i].Name() == name {
 			return &it.Ops[i]
 		}
 	}
@@ -21,15 +22,14 @@ func findOp(t *testing.T, it *plan.Iteration, kind plan.Kind, name string) *plan
 }
 
 // dropDep removes target from op's dependency list.
-func dropDep(t *testing.T, op *plan.Op, target plan.ID) {
+func dropDep(t *testing.T, it *plan.Iteration, op *plan.Op, target plan.ID) {
 	t.Helper()
-	for i, d := range op.Deps {
-		if d == target {
-			op.Deps = append(op.Deps[:i], op.Deps[i+1:]...)
-			return
-		}
+	deps := it.Deps(op)
+	if i := slices.Index(deps, target); i >= 0 {
+		it.SetDeps(op.ID, slices.Delete(slices.Clone(deps), i, i+1)...)
+		return
 	}
-	t.Fatalf("op %q has no dependency on %d", op.Name, target)
+	t.Fatalf("op %q has no dependency on %d", op.Name(), target)
 }
 
 // TestValidatorRejectsCorruptedNVMePlans corrupts the ZeRO-Infinity
@@ -51,7 +51,7 @@ func TestValidatorRejectsCorruptedNVMePlans(t *testing.T) {
 			mutate: func(t *testing.T, it *plan.Iteration) {
 				fetch := findOp(t, it, plan.Prefetch, "fetch L2")
 				restage := findOp(t, it, plan.NVMeStage, "page-in L2")
-				dropDep(t, fetch, restage.ID)
+				dropDep(t, it, fetch, restage.ID)
 			},
 			wantMsg: "does not happen-after the restage",
 		},

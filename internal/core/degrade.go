@@ -102,14 +102,14 @@ func (r *iterRun) runAdaptive(iters int) []*plan.Run {
 // observeCopy accumulates one transfer's observed-vs-nominal time and
 // flags deadline misses — the live measurements the adaptive re-solve
 // feeds back into the solver.
-func (r *iterRun) observeCopy(name string, nominal, start, end, delayed sim.Time) {
+func (r *iterRun) observeCopy(op *plan.Op, nominal, start, end, delayed sim.Time) {
 	actual := (end - start) + delayed
 	r.obsNominal += nominal
 	r.obsActual += actual
 	if float64(actual) > deadlineFactor*float64(nominal) {
 		r.deadlineMisses++
 		if r.faultTr != nil {
-			r.faultTr.Add(trace.Span{Track: faultTrack, Name: "deadline miss " + name,
+			r.faultTr.Add(trace.Span{Track: faultTrack, Name: "deadline miss " + op.Name(),
 				Kind: trace.KindFault, Layer: -1, Start: start, End: end})
 		}
 	}
@@ -155,7 +155,7 @@ type observedCopy struct {
 }
 
 func (o *observedCopy) Complete(tag int32, start, end sim.Time) {
-	o.ev.r.observeCopy(o.ev.run.Op(plan.ID(tag)).Name, o.nominal, start, end, o.delayed)
+	o.ev.r.observeCopy(o.ev.run.Op(plan.ID(tag)), o.nominal, start, end, o.delayed)
 	o.ev.Complete(tag, start, end)
 }
 

@@ -354,6 +354,8 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 	bufWindow := window
 	if faulted && !e.DisableResolve {
 		bufWindow = e.maxFeasibleWindow(window, streams)
+		// The pool holds bufWindow's buffers from the start.
+		res.GPUPeak = modelcfg.Footprint(e.method(), cfg, bufWindow, streams).GPU
 	}
 	run.initWindow(window, bufWindow, streams)
 	run.optFrac = optFrac
@@ -613,7 +615,7 @@ func (r *iterRun) planFor(window int) *plan.Iteration {
 		}
 	}
 	r.plans[window] = p
-	r.progs[window] = plan.Compile(p.Ops)
+	r.progs[window] = plan.Compile(&p.Graph)
 	return p
 }
 
@@ -753,7 +755,7 @@ func (r *iterRun) iteration() *plan.Run {
 	eng, env := r.machine.Eng, &schedEnv{r: r}
 	if r.planFor(r.window) == nil {
 		// schedErr recorded: an empty plan ends at once.
-		return plan.Execute(plan.Compile(nil), eng, &r.st, env)
+		return plan.Execute(plan.Compile(&plan.Graph{}), eng, &r.st, env)
 	}
 	return plan.Execute(r.progs[r.window], eng, &r.st, env)
 }
@@ -797,12 +799,12 @@ func (ev *schedEnv) Start(op *plan.Op, run *plan.Run) {
 		run.Submitted(op.ID, 0)
 		r.machine.NVMeQ.Submit(dur, ev, tag)
 	case plan.BufAcquire:
-		if err := r.acquireLayer(op.Layer); err != nil && r.schedErr == nil {
+		if err := r.acquireLayer(int(op.Layer)); err != nil && r.schedErr == nil {
 			r.schedErr = err
 		}
 		run.Done(op.ID, r.machine.Eng.Now())
 	case plan.BufRelease:
-		r.releaseLayer(op.Layer)
+		r.releaseLayer(int(op.Layer))
 		run.Done(op.ID, r.machine.Eng.Now())
 	default:
 		if r.schedErr == nil {

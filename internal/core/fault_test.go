@@ -277,3 +277,39 @@ func TestDegradedModeFeatureMatrix(t *testing.T) {
 		})
 	}
 }
+
+// TestDegradedGPUPeakCoversPool checks that a degraded run reports the
+// device peak of the buffer pool it reserves for the re-solve to grow
+// into, not of its initial window: at least the footprint of a clean
+// run at the window the re-solve settles on. Without faults, and with
+// the re-solve disabled, the pool holds only the solved window and the
+// peak is the clean one.
+func TestDegradedGPUPeakCoversPool(t *testing.T) {
+	plan, err := fault.ParsePlan("seed=7;h2d:slow(at=0s,dur=10s,factor=0.2);d2h:drop(at=0s,dur=50ms,every=200ms)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := func() *Engine {
+		return NewEngine(perf.NewModel(modelcfg.NewConfig(20, 2560, 4), hw.V100Platform()))
+	}
+	clean := engine().Run(3, nil)
+	e := engine()
+	e.Faults = plan
+	degraded := e.Run(3, nil)
+	if degraded.OOM || clean.OOM {
+		t.Fatalf("1.7B must fit: %s%s", clean.OOMDetail, degraded.OOMDetail)
+	}
+	if degraded.FinalWindow <= clean.FinalWindow {
+		t.Fatalf("the re-solve did not grow the window (%d -> %d)", clean.FinalWindow, degraded.FinalWindow)
+	}
+	atFinal := engine()
+	atFinal.Window = degraded.FinalWindow
+	if want := atFinal.Run(3, nil).GPUPeak; degraded.GPUPeak < want {
+		t.Errorf("degraded peak %d below the clean peak %d at its final window %d", degraded.GPUPeak, want, degraded.FinalWindow)
+	}
+	frozen := engine()
+	frozen.Faults, frozen.DisableResolve = plan, true
+	if got := frozen.Run(3, nil).GPUPeak; got != clean.GPUPeak {
+		t.Errorf("with the re-solve off the peak is %d, want the clean %d", got, clean.GPUPeak)
+	}
+}

@@ -47,7 +47,7 @@ func RunPlan(m perf.Model, it *plan.Iteration, tr *trace.Trace, faults *fault.Pl
 		}
 		r.queues = append(r.queues, sim.NewResource(eng, name))
 	}
-	x := plan.Execute(plan.Compile(it.Ops), eng, &r.st, &schedEnv{r: r})
+	x := plan.Execute(plan.Compile(&it.Graph), eng, &r.st, &schedEnv{r: r})
 	eng.Run()
 	res.IterTime = eng.Now()
 	res.PlanOps = uint64(len(it.Ops))

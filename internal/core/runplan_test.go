@@ -13,13 +13,12 @@ import (
 // no dependency of its own, but it follows fp L0 on queue 0, so it
 // cannot start before fp L0, which waits for the layer's weights.
 func TestRunPlanOrdersEachQueue(t *testing.T) {
-	it := &plan.Iteration{Layers: 1, Queues: 1, Ops: []plan.Op{
-		{ID: 0, Kind: plan.BufAcquire, Name: "acquire L0", Layer: 0, Queue: -1},
-		{ID: 1, Kind: plan.Prefetch, Name: "prefetch L0", Layer: 0, Queue: -1, DurNS: 1000, Deps: []plan.ID{0}},
-		{ID: 2, Kind: plan.ComputeFP, Name: "fp L0", Layer: 0, Queue: 0, DurNS: 10, Deps: []plan.ID{1}},
-		{ID: 3, Kind: plan.ComputeBP, Name: "bp L0", Layer: 0, Queue: 0, DurNS: 10},
-		{ID: 4, Kind: plan.BufRelease, Name: "release L0", Layer: 0, Queue: -1, Deps: []plan.ID{3}},
-	}}
+	it := &plan.Iteration{Layers: 1, Queues: 1}
+	acq := it.Add(plan.Op{Kind: plan.BufAcquire, Label: plan.LabelAcquire, Layer: 0, Queue: -1})
+	pf := it.Add(plan.Op{Kind: plan.Prefetch, Label: plan.LabelPrefetch, Layer: 0, Queue: -1, DurNS: 1000}, acq)
+	it.Add(plan.Op{Kind: plan.ComputeFP, Label: plan.LabelFP, Layer: 0, Queue: 0, DurNS: 10}, pf)
+	bp := it.Add(plan.Op{Kind: plan.ComputeBP, Label: plan.LabelBP, Layer: 0, Queue: 0, DurNS: 10})
+	it.Add(plan.Op{Kind: plan.BufRelease, Label: plan.LabelRelease, Layer: 0, Queue: -1}, bp)
 	if err := plan.Validate(it); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"testing"
 
 	"stronghold/internal/sim"
@@ -41,15 +42,16 @@ func (x *Run) rewind() {
 // detailed per-op record included — allocates nothing. The static half is stronghold-vet's hotalloc
 // rule over the same functions.
 func TestZeroAllocHotPaths(t *testing.T) {
-	it := mustBuild(t, baseSpec())
-	ops := append([]Op(nil), it.Ops...)
+	g := mustBuild(t, baseSpec()).Graph
+	ops := slices.Clone(g.Ops)
 	for i := range ops {
 		// A pending Ext fact is a budgeted cross-call wait.
-		ops[i].Ext = nil
+		ops[i].Ext = Range{}
 	}
+	g.Ops = ops
 	eng := sim.NewEngine()
 	env := &fifoEnv{eng: eng, res: [2]*sim.Resource{sim.NewResource(eng, "a"), sim.NewResource(eng, "b")}}
-	x := Execute(Compile(ops), eng, &State{Detail: true}, env)
+	x := Execute(Compile(&g), eng, &State{Detail: true}, env)
 	env.run = x
 	eng.Run() // warms the engine heap and the resources' rings
 	walk := func() {

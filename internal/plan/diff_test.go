@@ -31,7 +31,7 @@ func TestDiffGrow(t *testing.T) {
 	for _, l := range p.Grow {
 		var acq, pf *Op
 		for i := range p.Ops {
-			if p.Ops[i].Layer != l {
+			if int(p.Ops[i].Layer) != l {
 				continue
 			}
 			switch p.Ops[i].Kind {
@@ -50,7 +50,7 @@ func TestDiffGrow(t *testing.T) {
 		if pf.Export != ExtResident {
 			t.Errorf("layer %d: grow prefetch must export residency", l)
 		}
-		if len(acq.Ext) == 0 || acq.Ext[0].Kind != ExtOptDone {
+		if ext := p.Ext(acq); len(ext) == 0 || ext[0].Kind != ExtOptDone {
 			t.Errorf("layer %d: grow acquire must wait on the layer's optimizer", l)
 		}
 	}

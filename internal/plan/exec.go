@@ -89,7 +89,7 @@ func (st *State) size(c *Compiled) {
 // index. Only what another Execute call can wait on keeps a waiter
 // list: the ops that export a fact and the last op of each queue.
 type Compiled struct {
-	ops    []Op
+	g      Graph
 	succAt []int32
 	succ   []int32
 	info   []opInfo
@@ -111,21 +111,22 @@ type opInfo struct {
 	tail     bool // last op on its queue: becomes the State's tail
 }
 
-// Compile lowers ops — an iteration's or a patch's, in canonical
+// Compile lowers g — an iteration's or a patch's ops, in canonical
 // order. Every op onQueue selects runs after the previous such op on
 // op.Queue, the FIFO order Validate proves the plan against. A
 // dependency that does not point at an earlier op is ignored; Validate
 // rejects such plans.
-func Compile(ops []Op) *Compiled {
+func Compile(g *Graph) *Compiled {
+	ops := g.Ops
 	n := len(ops)
-	c := &Compiled{ops: ops, succAt: make([]int32, n+1), info: make([]opInfo, n)}
+	c := &Compiled{g: *g, succAt: make([]int32, n+1), info: make([]opInfo, n)}
 	var last []int32 // last op seen per queue, -1 for none
 	for i := range ops {
 		op := &ops[i]
 		in := &c.info[i]
 		in.prev, in.bound = -1, -1
 		if onQueue(op) {
-			for len(last) <= op.Queue {
+			for len(last) <= int(op.Queue) {
 				last = append(last, -1)
 			}
 			in.prev = last[op.Queue]
@@ -134,16 +135,16 @@ func Compile(ops []Op) *Compiled {
 				c.succAt[in.prev]++
 			}
 		}
-		for _, d := range op.Deps {
+		for _, d := range g.Deps(op) {
 			if d >= 0 && int(d) < i {
 				c.succAt[d]++
 			}
 		}
-		for _, x := range op.Ext {
+		for _, x := range g.Ext(op) {
 			c.layers = max(c.layers, int32(x.Layer)+1)
 		}
 		if op.Export != 0 {
-			c.layers = max(c.layers, int32(op.Layer)+1)
+			c.layers = max(c.layers, op.Layer+1)
 		}
 	}
 	c.queues = int32(len(last))
@@ -169,8 +170,9 @@ func Compile(ops []Op) *Compiled {
 			c.succAt[in.prev]--
 			c.succ[c.succAt[in.prev]] = int32(i)
 		}
-		for k := len(op.Deps) - 1; k >= 0; k-- {
-			if d := op.Deps[k]; d >= 0 && int(d) < i {
+		deps := g.Deps(op)
+		for k := len(deps) - 1; k >= 0; k-- {
+			if d := deps[k]; d >= 0 && int(d) < i {
 				c.succAt[d]--
 				c.succ[c.succAt[d]] = int32(i)
 			}
@@ -194,7 +196,7 @@ func Compile(ops []Op) *Compiled {
 // issues on have completed.
 func Execute(c *Compiled, eng *sim.Engine, st *State, env Env) *Run {
 	st.size(c)
-	n := len(c.ops)
+	n := len(c.g.Ops)
 	x := &Run{
 		c:       c,
 		st:      st,
@@ -211,7 +213,7 @@ func Execute(c *Compiled, eng *sim.Engine, st *State, env Env) *Run {
 		x.rec.SubmitSeq = make([]uint32, n)
 		x.rec.Worker = make([]int32, n)
 	}
-	for i := range c.ops {
+	for i := range c.g.Ops {
 		x.issue(int32(i))
 	}
 	return x
@@ -277,7 +279,7 @@ type Record struct {
 const done = -1
 
 // Op returns the op with the given ID.
-func (x *Run) Op(id ID) *Op { return &x.c.ops[id] }
+func (x *Run) Op(id ID) *Op { return &x.c.g.Ops[id] }
 
 // Record returns the run's per-op record.
 func (x *Run) Record() *Record { return &x.rec }
@@ -311,15 +313,15 @@ func (x *Run) OnEnd(fn func()) {
 //vet:hotpath
 func (x *Run) issue(i int32) {
 	c, st := x.c, x.st
-	op := &c.ops[i]
+	op := &c.g.Ops[i]
 	in := &c.info[i]
 	var n int32
-	for _, d := range op.Deps {
+	for _, d := range c.g.Deps(op) {
 		if d >= 0 && int32(d) < i && x.left[d] != done {
 			n++
 		}
 	}
-	for _, e := range op.Ext {
+	for _, e := range c.g.Ext(op) {
 		if p := *st.fact(e.Kind, e.Layer); p.pending() {
 			n++
 			p.run.wait(p.op, ref{x, i})
@@ -344,7 +346,7 @@ func (x *Run) issue(i int32) {
 		st.tails[op.Queue] = ref{x, i}
 	}
 	if op.Export != 0 {
-		*st.fact(op.Export, op.Layer) = ref{x, i}
+		*st.fact(op.Export, int(op.Layer)) = ref{x, i}
 	}
 }
 
@@ -358,7 +360,7 @@ func (x *Run) wait(i int32, w ref) {
 //
 //vet:hotpath
 func (x *Run) start(i int32) {
-	op := &x.c.ops[i]
+	op := &x.c.g.Ops[i]
 	if op.Kind == Join {
 		x.Done(op.ID, x.eng.Now())
 		return

@@ -66,15 +66,15 @@ type oracleEnv interface {
 // executeOracle walks ops in canonical order, wiring every op's
 // dependencies on eng and handing it to env once they have fired. It
 // returns the per-op completion signals, indexed by op ID.
-func executeOracle(ops []Op, eng *sim.Engine, env oracleEnv) []*signal {
-	sigs := make([]*signal, len(ops))
-	for i := range ops {
-		op := &ops[i]
-		deps := make([]*signal, 0, len(op.Deps)+len(op.Ext)+1)
-		for _, d := range op.Deps {
+func executeOracle(g *Graph, eng *sim.Engine, env oracleEnv) []*signal {
+	sigs := make([]*signal, len(g.Ops))
+	for i := range g.Ops {
+		op := &g.Ops[i]
+		deps := make([]*signal, 0, op.Deps.Len()+op.Ext.Len()+1)
+		for _, d := range g.Deps(op) {
 			deps = append(deps, sigs[d])
 		}
-		for _, x := range op.Ext {
+		for _, x := range g.Ext(op) {
 			if s := env.Resolve(x); s != nil {
 				deps = append(deps, s)
 			}
@@ -278,7 +278,7 @@ func (w *world) tail(op *Op) **signal {
 
 // export publishes sig as op's fact and logs when it fires.
 func (w *world) export(op *Op, sig *signal) {
-	w.facts[ExtDep{Kind: op.Export, Layer: op.Layer}] = sig
+	w.facts[ExtDep{Kind: op.Export, Layer: int(op.Layer)}] = sig
 	k := len(w.exported)
 	w.exported = append(w.exported, -1)
 	sig.wait(func() { w.exported[k] = sig.at })
@@ -290,18 +290,17 @@ func (w *world) export(op *Op, sig *signal) {
 // plan here exports each (kind, layer) at most once, so the State
 // still names each exporting op.
 func (w *world) watchExports(ops []Op) {
-	var watch []Op
+	var watch Graph
 	for i := range ops {
 		if op := &ops[i]; op.Export != 0 {
-			d := ExtDep{Kind: op.Export, Layer: op.Layer}
-			watch = append(watch, Op{ID: ID(len(watch)), Kind: BufAcquire, Layer: op.Layer, Queue: -1, Ext: []ExtDep{d}})
+			watch.hand(Op{Kind: BufAcquire, Layer: op.Layer, Queue: -1}, nil, ExtDep{Kind: op.Export, Layer: int(op.Layer)})
 		}
 	}
 	wt := &watcher{w: w, base: len(w.exported)}
-	for range watch {
+	for range watch.Ops {
 		w.exported = append(w.exported, -1)
 	}
-	Execute(Compile(watch), w.eng, &w.st, wt)
+	Execute(Compile(&watch), w.eng, &w.st, wt)
 }
 
 // watcher logs the time each watch op starts and completes it.
@@ -370,13 +369,13 @@ type compiledExec struct{}
 
 // seed publishes the facts from a call of their own.
 func (compiledExec) seed(w *world, facts []Op) {
-	Execute(Compile(facts), w.eng, &w.st, timerEnv{w.eng})
+	Execute(Compile(&Graph{Ops: facts}), w.eng, &w.st, timerEnv{w.eng})
 }
 
 func (compiledExec) iterate(w *world, id int, it *Iteration) func(func()) {
 	c := w.compiled[it]
 	if c == nil {
-		c = Compile(it.Ops)
+		c = Compile(&it.Graph)
 		w.compiled[it] = c
 	}
 	run := Execute(c, w.eng, &w.st, &call{w: w, id: id})
@@ -398,14 +397,14 @@ func (oracleExec) seed(w *world, facts []Op) {
 		op := &facts[i]
 		s := newSignal(w.eng)
 		w.eng.Schedule(op.DurNS, s.fire)
-		w.facts[ExtDep{Kind: op.Export, Layer: op.Layer}] = s
+		w.facts[ExtDep{Kind: op.Export, Layer: int(op.Layer)}] = s
 	}
 }
 
 // iterate walks the plan and joins its final op with every queue's
 // last op into the iteration end.
 func (oracleExec) iterate(w *world, id int, it *Iteration) func(func()) {
-	sigs := executeOracle(it.Ops, w.eng, &oracleCall{w: w, id: id})
+	sigs := executeOracle(&it.Graph, w.eng, &oracleCall{w: w, id: id})
 	var deps []*signal
 	if len(sigs) > 0 {
 		deps = append(deps, sigs[len(sigs)-1])
@@ -417,7 +416,7 @@ func (oracleExec) iterate(w *world, id int, it *Iteration) func(func()) {
 }
 
 func (oracleExec) patch(w *world, id int, p *Patch) {
-	executeOracle(p.Ops, w.eng, &oracleCall{w: w, id: id})
+	executeOracle(&p.Graph, w.eng, &oracleCall{w: w, id: id})
 }
 
 // scenario is one differential run: plans[windows[k]] is iteration k's
@@ -601,45 +600,42 @@ func TestExecuteMatchesOracle(t *testing.T) {
 // fan-out with equal durations, facts exported for the next call, and
 // a kernel whose only wait is its queue predecessor.
 func handPlans() map[string]*Iteration {
-	fanout := &Iteration{Layers: 2, Queues: 2, Ops: []Op{
-		{ID: 0, Kind: ComputeFP, Layer: 0, Queue: 0, DurNS: 10, Ext: []ExtDep{{Kind: ExtOptDone, Layer: 0}}},
-		{ID: 1, Kind: ComputeFP, Layer: 1, Queue: 1, DurNS: 10, Ext: []ExtDep{{Kind: ExtOptDone, Layer: 1}}},
-		{ID: 2, Kind: BufAcquire, Layer: 0, Queue: -1, Ext: []ExtDep{{Kind: ExtNVMeStaged, Layer: 0}}},
-		{ID: 3, Kind: Prefetch, Layer: 0, Queue: -1, DurNS: 10, Deps: []ID{2}},
-		{ID: 4, Kind: ComputeFP, Layer: 0, Queue: 0, DurNS: 5, Deps: []ID{3, 0}},
-		{ID: 5, Kind: Join, Layer: 0, Queue: -1, Deps: []ID{1, 4}},
-		{ID: 6, Kind: OptStep, Layer: 0, Queue: -1, DurNS: 10, Deps: []ID{5}, Export: ExtOptDone},
-		{ID: 7, Kind: Offload, Layer: 1, Queue: -1, DurNS: 10, Deps: []ID{1}, Export: ExtNVMeStaged},
-		{ID: 8, Kind: BufRelease, Layer: 0, Queue: -1, Deps: []ID{3}},
-		{ID: 9, Kind: ComputeBP, Layer: 1, Queue: 1, DurNS: 10, Deps: []ID{6}},
-		{ID: 10, Kind: NVMeStage, Layer: 1, Queue: -1, DurNS: 10, Deps: []ID{7}},
-		{ID: 11, Kind: OptStep, Layer: -1, Queue: 0, GPU: true, DurNS: 10, Flops: 1e9, Deps: []ID{9, 10}},
-	}}
-	ties := &Iteration{Layers: 2, Queues: 2, Ops: []Op{
-		{ID: 0, Kind: BufAcquire, Layer: 0, Queue: -1, Ext: []ExtDep{{Kind: ExtNVMeStaged, Layer: 0}}},
-		{ID: 1, Kind: BufAcquire, Layer: 1, Queue: -1, Deps: []ID{0}},
-		{ID: 2, Kind: Prefetch, Layer: 0, Queue: -1, DurNS: 5, Deps: []ID{0, 1}},
-		{ID: 3, Kind: Prefetch, Layer: 1, Queue: -1, DurNS: 5, Deps: []ID{1, 1}},
-		{ID: 4, Kind: Offload, Layer: 0, Queue: -1, DurNS: 5, Deps: []ID{1}},
-		{ID: 5, Kind: ComputeFP, Layer: 0, Queue: 0, DurNS: 5, Deps: []ID{2, 3}},
-		{ID: 6, Kind: ComputeFP, Layer: 1, Queue: 1, DurNS: 5, Deps: []ID{2, 3}},
-		{ID: 7, Kind: Join, Layer: 0, Queue: -1, Deps: []ID{5, 6}, Export: ExtNVMeStaged},
-		{ID: 8, Kind: OptStep, Layer: 1, Queue: -1, DurNS: 5, Deps: []ID{4}, Ext: []ExtDep{{Kind: ExtOptDone, Layer: 1}}},
-		{ID: 9, Kind: OptStep, Layer: 0, Queue: -1, DurNS: 5, Deps: []ID{4}},
-		{ID: 10, Kind: ComputeBP, Layer: 0, Queue: 0, DurNS: 5, Deps: []ID{7, 8, 5}},
-		{ID: 11, Kind: ComputeBP, Layer: 1, Queue: 1, DurNS: 5, Deps: []ID{9}},
-		{ID: 12, Kind: BufRelease, Layer: 0, Queue: -1, Deps: []ID{10, 11}},
-		{ID: 13, Kind: BufRelease, Layer: 1, Queue: -1, Deps: []ID{12}},
-	}}
+	fanout := &Iteration{Layers: 2, Queues: 2}
+	fanout.hand(Op{Kind: ComputeFP, Layer: 0, Queue: 0, DurNS: 10}, nil, ExtDep{Kind: ExtOptDone, Layer: 0})
+	fanout.hand(Op{Kind: ComputeFP, Layer: 1, Queue: 1, DurNS: 10}, nil, ExtDep{Kind: ExtOptDone, Layer: 1})
+	fanout.hand(Op{Kind: BufAcquire, Layer: 0, Queue: -1}, nil, ExtDep{Kind: ExtNVMeStaged, Layer: 0})
+	fanout.hand(Op{Kind: Prefetch, Layer: 0, Queue: -1, DurNS: 10}, []ID{2})
+	fanout.hand(Op{Kind: ComputeFP, Layer: 0, Queue: 0, DurNS: 5}, []ID{3, 0})
+	fanout.hand(Op{Kind: Join, Layer: 0, Queue: -1}, []ID{1, 4})
+	fanout.hand(Op{Kind: OptStep, Layer: 0, Queue: -1, DurNS: 10, Export: ExtOptDone}, []ID{5})
+	fanout.hand(Op{Kind: Offload, Layer: 1, Queue: -1, DurNS: 10, Export: ExtNVMeStaged}, []ID{1})
+	fanout.hand(Op{Kind: BufRelease, Layer: 0, Queue: -1}, []ID{3})
+	fanout.hand(Op{Kind: ComputeBP, Layer: 1, Queue: 1, DurNS: 10}, []ID{6})
+	fanout.hand(Op{Kind: NVMeStage, Layer: 1, Queue: -1, DurNS: 10}, []ID{7})
+	fanout.hand(Op{Kind: OptStep, Layer: -1, Queue: 0, GPU: true, DurNS: 10, Flops: 1e9}, []ID{9, 10})
+	ties := &Iteration{Layers: 2, Queues: 2}
+	ties.hand(Op{Kind: BufAcquire, Layer: 0, Queue: -1}, nil, ExtDep{Kind: ExtNVMeStaged, Layer: 0})
+	ties.hand(Op{Kind: BufAcquire, Layer: 1, Queue: -1}, []ID{0})
+	ties.hand(Op{Kind: Prefetch, Layer: 0, Queue: -1, DurNS: 5}, []ID{0, 1})
+	ties.hand(Op{Kind: Prefetch, Layer: 1, Queue: -1, DurNS: 5}, []ID{1, 1})
+	ties.hand(Op{Kind: Offload, Layer: 0, Queue: -1, DurNS: 5}, []ID{1})
+	ties.hand(Op{Kind: ComputeFP, Layer: 0, Queue: 0, DurNS: 5}, []ID{2, 3})
+	ties.hand(Op{Kind: ComputeFP, Layer: 1, Queue: 1, DurNS: 5}, []ID{2, 3})
+	ties.hand(Op{Kind: Join, Layer: 0, Queue: -1, Export: ExtNVMeStaged}, []ID{5, 6})
+	ties.hand(Op{Kind: OptStep, Layer: 1, Queue: -1, DurNS: 5}, []ID{4}, ExtDep{Kind: ExtOptDone, Layer: 1})
+	ties.hand(Op{Kind: OptStep, Layer: 0, Queue: -1, DurNS: 5}, []ID{4})
+	ties.hand(Op{Kind: ComputeBP, Layer: 0, Queue: 0, DurNS: 5}, []ID{7, 8, 5})
+	ties.hand(Op{Kind: ComputeBP, Layer: 1, Queue: 1, DurNS: 5}, []ID{9})
+	ties.hand(Op{Kind: BufRelease, Layer: 0, Queue: -1}, []ID{10, 11})
+	ties.hand(Op{Kind: BufRelease, Layer: 1, Queue: -1}, []ID{12})
 	// fp L0 waits on a slow prefetch; bp L0 has no dependency but
 	// must still run after it on queue 0.
-	queueOrder := &Iteration{Layers: 1, Queues: 1, Ops: []Op{
-		{ID: 0, Kind: BufAcquire, Layer: 0, Queue: -1},
-		{ID: 1, Kind: Prefetch, Layer: 0, Queue: -1, DurNS: 1000, Deps: []ID{0}},
-		{ID: 2, Kind: ComputeFP, Layer: 0, Queue: 0, DurNS: 10, Deps: []ID{1}},
-		{ID: 3, Kind: ComputeBP, Layer: 0, Queue: 0, DurNS: 10},
-		{ID: 4, Kind: BufRelease, Layer: 0, Queue: -1, Deps: []ID{3}},
-	}}
+	queueOrder := &Iteration{Layers: 1, Queues: 1}
+	queueOrder.hand(Op{Kind: BufAcquire, Layer: 0, Queue: -1}, nil)
+	queueOrder.hand(Op{Kind: Prefetch, Layer: 0, Queue: -1, DurNS: 1000}, []ID{0})
+	queueOrder.hand(Op{Kind: ComputeFP, Layer: 0, Queue: 0, DurNS: 10}, []ID{1})
+	queueOrder.hand(Op{Kind: ComputeBP, Layer: 0, Queue: 0, DurNS: 10}, nil)
+	queueOrder.hand(Op{Kind: BufRelease, Layer: 0, Queue: -1}, []ID{3})
 	return map[string]*Iteration{"fanout": fanout, "ties": ties, "queue-order": queueOrder}
 }
 

@@ -34,7 +34,7 @@ func newRecordEnv(t *testing.T) *recordEnv {
 // execute compiles it and walks it against e's State, returning the
 // run.
 func (e *recordEnv) execute(it *Iteration) *Run {
-	return Execute(Compile(it.Ops), e.eng, &e.st, e)
+	return Execute(Compile(&it.Graph), e.eng, &e.st, e)
 }
 
 func (e *recordEnv) Start(op *Op, run *Run) {
@@ -61,13 +61,21 @@ func (e *recordEnv) Complete(tag int32, start, end sim.Time) {
 
 // factAt publishes d at virtual time at, from a call of its own.
 func (e *recordEnv) factAt(d ExtDep, at sim.Time) {
-	Execute(Compile([]Op{factOp(0, d, at)}), e.eng, &e.st, timerEnv{e.eng})
+	Execute(Compile(&Graph{Ops: []Op{factOp(0, d, at)}}), e.eng, &e.st, timerEnv{e.eng})
 }
 
 // factOp is an op that publishes fact d at delay after it starts, when
 // run by a timerEnv: what an earlier call's exporting op leaves behind.
 func factOp(id int, d ExtDep, delay sim.Time) Op {
-	return Op{ID: ID(id), Kind: Offload, Layer: d.Layer, Queue: -1, DurNS: delay, Export: d.Kind}
+	return Op{ID: ID(id), Kind: Offload, Layer: int32(d.Layer), Queue: -1, DurNS: delay, Export: d.Kind}
+}
+
+// hand appends a hand-written op to g with its in-plan and
+// cross-iteration dependencies, and returns its ID.
+func (g *Graph) hand(op Op, deps []ID, ext ...ExtDep) ID {
+	id := g.Add(op, deps...)
+	g.SetExt(id, ext...)
+	return id
 }
 
 // timerEnv completes every op DurNS after it starts, on an engine
@@ -99,7 +107,7 @@ func TestExecuteWalksCanonicalOrder(t *testing.T) {
 	if run.endLeft != 0 {
 		t.Fatal("iteration never ended")
 	}
-	lastOnQueue := map[int]ID{}
+	lastOnQueue := map[int16]ID{}
 	for i := range it.Ops {
 		op := &it.Ops[i]
 		if run.left[i] != done {
@@ -115,7 +123,7 @@ func TestExecuteWalksCanonicalOrder(t *testing.T) {
 		if !started {
 			t.Fatalf("op %d never started", op.ID)
 		}
-		for _, d := range op.Deps {
+		for _, d := range it.Deps(op) {
 			if dep, ok := env.spans[d]; ok && span[0] < dep[1] {
 				t.Errorf("op %d started at %d before dep %d completed at %d", op.ID, span[0], d, dep[1])
 			}
@@ -127,7 +135,7 @@ func TestExecuteWalksCanonicalOrder(t *testing.T) {
 			}
 			lastOnQueue[op.Queue] = op.ID
 		}
-		if op.Export != 0 && *env.st.fact(op.Export, op.Layer) != (ref{run, int32(i)}) {
+		if op.Export != 0 && *env.st.fact(op.Export, int(op.Layer)) != (ref{run, int32(i)}) {
 			t.Errorf("op %d: export %s:L%d not published", op.ID, op.Export, op.Layer)
 		}
 	}
@@ -150,16 +158,15 @@ func TestExecuteGatesOnEveryDependency(t *testing.T) {
 	staged := ExtDep{Kind: ExtNVMeStaged, Layer: 0}
 	env.factAt(optDone, 7)
 	env.factAt(staged, 30)
-	it := &Iteration{Queues: 2, Ops: []Op{
-		{ID: 0, Kind: ComputeFP, Queue: 0, DurNS: 10},
-		{ID: 1, Kind: ComputeFP, Queue: 0, DurNS: 10}, // queue predecessor only
-		{ID: 2, Kind: Prefetch, Queue: -1, DurNS: 3, Ext: []ExtDep{optDone}},
-		{ID: 3, Kind: OptStep, Queue: -1, DurNS: 10, Deps: []ID{2}, Ext: []ExtDep{staged}},
-		{ID: 4, Kind: Join, Queue: -1, Deps: []ID{0, 2}},
-		{ID: 5, Kind: Join, Queue: -1, Deps: []ID{1, 3}},
-		{ID: 6, Kind: ComputeBP, Queue: 1, DurNS: 1, Deps: []ID{5}},
-		{ID: 7, Kind: Offload, Queue: -1, DurNS: 1, Deps: []ID{4}},
-	}}
+	it := &Iteration{Queues: 2}
+	it.hand(Op{Kind: ComputeFP, Queue: 0, DurNS: 10}, nil)
+	it.hand(Op{Kind: ComputeFP, Queue: 0, DurNS: 10}, nil) // queue predecessor only
+	it.hand(Op{Kind: Prefetch, Queue: -1, DurNS: 3}, nil, optDone)
+	it.hand(Op{Kind: OptStep, Queue: -1, DurNS: 10}, []ID{2}, staged)
+	it.hand(Op{Kind: Join, Queue: -1}, []ID{0, 2})
+	it.hand(Op{Kind: Join, Queue: -1}, []ID{1, 3})
+	it.hand(Op{Kind: ComputeBP, Queue: 1, DurNS: 1}, []ID{5})
+	it.hand(Op{Kind: Offload, Queue: -1, DurNS: 1}, []ID{4})
 	env.execute(it)
 	env.eng.Run()
 	for id, want := range map[ID][2]sim.Time{
@@ -188,7 +195,8 @@ func TestExecutePicksPoolWorkerOnResolve(t *testing.T) {
 	env.eng.Schedule(2, func() { env.pool.Submit(50, nil, 0) })
 	dep := ExtDep{Kind: ExtOptDone, Layer: 0}
 	env.factAt(dep, 5)
-	it := &Iteration{Ops: []Op{{ID: 0, Kind: OptStep, Queue: -1, DurNS: 10, Ext: []ExtDep{dep}}}}
+	it := &Iteration{}
+	it.hand(Op{Kind: OptStep, Queue: -1, DurNS: 10}, nil, dep)
 	env.execute(it)
 	env.eng.Run()
 	if got, want := env.spans[0], [2]sim.Time{20, 30}; got != want {
@@ -201,11 +209,10 @@ func TestExecutePicksPoolWorkerOnResolve(t *testing.T) {
 // counts them as done instead of waiting on them.
 func TestExecuteCompletesSynchronousOpsDuringWalk(t *testing.T) {
 	env := newRecordEnv(t)
-	it := &Iteration{Queues: 1, Ops: []Op{
-		{ID: 0, Kind: Join, Queue: -1},
-		{ID: 1, Kind: Join, Queue: -1, Deps: []ID{0, 0}},
-		{ID: 2, Kind: ComputeFP, Queue: 0, DurNS: 5, Deps: []ID{1}},
-	}}
+	it := &Iteration{Queues: 1}
+	it.hand(Op{Kind: Join, Queue: -1}, nil)
+	it.hand(Op{Kind: Join, Queue: -1}, []ID{0, 0})
+	it.hand(Op{Kind: ComputeFP, Queue: 0, DurNS: 5}, []ID{1})
 	run := env.execute(it)
 	if run.left[0] != done || run.left[1] != done {
 		t.Fatal("joins with completed dependencies must complete during the walk")
@@ -221,7 +228,8 @@ func TestExecuteCompletesSynchronousOpsDuringWalk(t *testing.T) {
 
 func TestExecuteDoneTwicePanics(t *testing.T) {
 	env := newRecordEnv(t)
-	it := &Iteration{Ops: []Op{{ID: 0, Kind: Offload, Queue: -1, DurNS: 1}}}
+	it := &Iteration{}
+	it.Add(Op{Kind: Offload, Queue: -1, DurNS: 1})
 	run := env.execute(it)
 	env.eng.Run()
 	defer func() {

@@ -67,7 +67,7 @@ type validator struct {
 func (v *validator) failf(op *Op, format string, args ...any) {
 	prefix := ""
 	if op != nil {
-		prefix = fmt.Sprintf("op %d (%s %q): ", op.ID, op.Kind, op.Name)
+		prefix = fmt.Sprintf("op %d (%s %q): ", op.ID, op.Kind, op.Name())
 	}
 	v.errs = append(v.errs, prefix+fmt.Sprintf(format, args...))
 }
@@ -86,43 +86,48 @@ func (v *validator) checkStructure() {
 			v.failf(op, "ID out of sequence at position %d", i)
 			return // later checks index by ID
 		}
-		for _, d := range op.Deps {
+		for _, d := range it.Deps(op) {
 			if d < 0 || int(d) >= len(it.Ops) {
 				v.failf(op, "dependency %d outside the plan", d)
 			} else if d >= op.ID {
 				v.failf(op, "dependency %d does not precede it: dependency cycle or non-topological op order", d)
 			}
 		}
+		// Model-level work (embedding, head, the resident update, a
+		// join) may carry layer -1; what moves or holds a layer's state
+		// names one, and so does a published fact, which the executor
+		// keeps per layer.
+		minLayer := int32(-1)
 		switch op.Kind {
 		case ComputeFP, ComputeBP:
-			if op.Queue < 0 || op.Queue >= it.Queues {
+			if op.Queue < 0 || int(op.Queue) >= it.Queues {
 				v.failf(op, "queue %d outside [0,%d)", op.Queue, it.Queues)
 			}
 		case OptStep:
-			if op.GPU && (op.Queue < 0 || op.Queue >= it.Queues) {
+			if op.GPU && (op.Queue < 0 || int(op.Queue) >= it.Queues) {
 				v.failf(op, "GPU queue %d outside [0,%d)", op.Queue, it.Queues)
 			}
 		case Prefetch, Offload, NVMeStage, BufAcquire, BufRelease:
-			if op.Layer < 0 || op.Layer >= it.Layers {
-				v.failf(op, "layer %d outside [0,%d)", op.Layer, it.Layers)
-			}
+			minLayer = 0
 		case Join:
-			// A join carries no work of its own; layer -1 (model-level)
-			// is legal, as is a layer tag for per-layer joins. It merges
-			// in-plan branches: with one dependency it would only rename
-			// that op, and cross-iteration facts gate the ops that need
-			// them, not a join.
-			if op.Layer >= it.Layers {
-				v.failf(op, "layer %d outside [-1,%d)", op.Layer, it.Layers)
+			// A join carries no work of its own. It merges in-plan
+			// branches: with one dependency it would only rename that
+			// op, and cross-iteration facts gate the ops that need them,
+			// not a join.
+			if op.Deps.Len() < 2 {
+				v.failf(op, "join has %d dependencies, needs at least 2", op.Deps.Len())
 			}
-			if len(op.Deps) < 2 {
-				v.failf(op, "join has %d dependencies, needs at least 2", len(op.Deps))
-			}
-			if len(op.Ext) > 0 {
-				v.failf(op, "join carries %d external dependencies; only in-plan ones may join", len(op.Ext))
+			if op.Ext.Len() > 0 {
+				v.failf(op, "join carries %d external dependencies; only in-plan ones may join", op.Ext.Len())
 			}
 		default:
 			v.failf(op, "invalid kind %d", op.Kind)
+		}
+		if op.Export != 0 {
+			minLayer = 0
+		}
+		if op.Layer < minLayer || int(op.Layer) >= it.Layers {
+			v.failf(op, "layer %d outside [%d,%d)", op.Layer, minLayer, it.Layers)
 		}
 		if op.Frac != 0 {
 			if op.Frac < 0 || op.Frac > 1 {
@@ -134,7 +139,7 @@ func (v *validator) checkStructure() {
 				v.failf(op, "fraction on a %s op (only opt-step and moment-chunk transfers carry fractions)", op.Kind)
 			}
 		}
-		for _, x := range op.Ext {
+		for _, x := range it.Ext(op) {
 			if x.Layer < 0 || x.Layer >= it.Layers {
 				v.failf(op, "external dependency %s on layer %d outside [0,%d)", x.Kind, x.Layer, it.Layers)
 			}
@@ -201,7 +206,7 @@ search:
 			v.seen[q] = v.stamp
 			stack = append(stack, q)
 		}
-		for _, d := range v.it.Ops[x].Deps {
+		for _, d := range v.it.Deps(&v.it.Ops[x]) {
 			if d >= a && v.seen[d] != v.stamp {
 				if d == a {
 					found = true
@@ -229,10 +234,10 @@ func (v *validator) firedBefore(a, b ID) bool {
 	if op.Kind != BufRelease && op.Kind != BufAcquire && op.Kind != Join {
 		return false
 	}
-	if len(op.Deps) == 0 || len(op.Ext) > 0 {
+	if op.Deps.Len() == 0 || op.Ext.Len() > 0 {
 		return false
 	}
-	for _, d := range op.Deps {
+	for _, d := range v.it.Deps(op) {
 		if !v.happensBefore(d, b) {
 			return false
 		}
@@ -270,12 +275,12 @@ func (v *validator) checkBuffers() {
 		op := &it.Ops[i]
 		switch op.Kind {
 		case BufAcquire:
-			if opener, held := openedBy[op.Layer]; held {
+			if opener, held := openedBy[int(op.Layer)]; held {
 				v.failf(op, "layer %d acquired while already resident (epoch opened by op %d)", op.Layer, opener)
 			}
-			openedBy[op.Layer] = op.ID
+			openedBy[int(op.Layer)] = op.ID
 		case BufRelease:
-			opener, held := openedBy[op.Layer]
+			opener, held := openedBy[int(op.Layer)]
 			if !held {
 				v.failf(op, "release of layer %d, which holds no buffers here", op.Layer)
 				continue
@@ -283,7 +288,7 @@ func (v *validator) checkBuffers() {
 			if opener >= 0 && !v.happensBefore(opener, op.ID) {
 				v.failf(op, "does not happen-after the acquire (op %d) it releases", opener)
 			}
-			delete(openedBy, op.Layer)
+			delete(openedBy, int(op.Layer))
 		}
 	}
 	exit := make(map[int]bool, len(it.ExitResident))
@@ -321,14 +326,14 @@ func (v *validator) checkResidency() {
 		op := &it.Ops[i]
 		switch op.Kind {
 		case BufAcquire:
-			openedBy[op.Layer] = op.ID
+			openedBy[int(op.Layer)] = op.ID
 		case BufRelease:
-			delete(openedBy, op.Layer)
+			delete(openedBy, int(op.Layer))
 		case ComputeFP, ComputeBP:
 			if op.Layer < 0 {
 				continue
 			}
-			opener, held := openedBy[op.Layer]
+			opener, held := openedBy[int(op.Layer)]
 			if !held {
 				v.failf(op, "computes on layer %d while it holds no buffers", op.Layer)
 				continue
@@ -405,7 +410,7 @@ func (v *validator) checkNVMeRing() {
 		switch op.Kind {
 		case NVMeStage:
 			if op.Write {
-				opener, staged := stagedBy[op.Layer]
+				opener, staged := stagedBy[int(op.Layer)]
 				if !staged {
 					v.failf(op, "spill of layer %d, which is not in the staging ring here", op.Layer)
 					continue
@@ -413,13 +418,13 @@ func (v *validator) checkNVMeRing() {
 				if !v.happensBefore(opener, op.ID) {
 					v.failf(op, "does not happen-after the restage (op %d) it closes", opener)
 				}
-				delete(stagedBy, op.Layer)
+				delete(stagedBy, int(op.Layer))
 				spills = append(spills, op.ID)
 			} else {
-				if opener, staged := stagedBy[op.Layer]; staged {
+				if opener, staged := stagedBy[int(op.Layer)]; staged {
 					v.failf(op, "layer %d restaged while already in the ring (epoch opened by op %d)", op.Layer, opener)
 				}
-				stagedBy[op.Layer] = op.ID
+				stagedBy[int(op.Layer)] = op.ID
 				if !v.fund(&spills, op.ID) {
 					if spares > 0 {
 						spares--
@@ -434,15 +439,15 @@ func (v *validator) checkNVMeRing() {
 				continue // moment-chunk transfer, not a ring read
 			}
 			staged := false
-			for _, x := range op.Ext {
-				if x.Kind == ExtNVMeStaged && x.Layer == op.Layer {
+			for _, x := range it.Ext(op) {
+				if x.Kind == ExtNVMeStaged && x.Layer == int(op.Layer) {
 					staged = true
 				}
 			}
 			if staged {
 				continue
 			}
-			opener, open := stagedBy[op.Layer]
+			opener, open := stagedBy[int(op.Layer)]
 			if !open {
 				v.failf(op, "prefetches layer %d, which is not in the staging ring here", op.Layer)
 				continue
@@ -468,9 +473,9 @@ func (v *validator) checkFrac() {
 			continue
 		}
 		if op.Frac != 0 {
-			sums[op.Layer] += op.Frac
-		} else if _, seen := whole[op.Layer]; !seen {
-			whole[op.Layer] = op.ID
+			sums[int(op.Layer)] += op.Frac
+		} else if _, seen := whole[int(op.Layer)]; !seen {
+			whole[int(op.Layer)] = op.ID
 		}
 	}
 	for l := -1; l < it.Layers; l++ {

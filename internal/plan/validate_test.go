@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"stronghold/internal/sim"
 )
 
 func mustBuild(t *testing.T, s Spec) *Iteration {
@@ -22,7 +24,7 @@ func mustBuild(t *testing.T, s Spec) *Iteration {
 func findOp(t *testing.T, it *Iteration, kind Kind, name string) *Op {
 	t.Helper()
 	for i := range it.Ops {
-		if it.Ops[i].Kind == kind && it.Ops[i].Name == name {
+		if it.Ops[i].Kind == kind && it.Ops[i].Name() == name {
 			return &it.Ops[i]
 		}
 	}
@@ -47,7 +49,7 @@ func mutations() []mutation {
 			name: "dependency cycle",
 			mutate: func(t *testing.T, it *Iteration) {
 				op := findOp(t, it, Prefetch, "prefetch L2")
-				op.Deps = append(op.Deps, op.ID+1)
+				it.SetDeps(op.ID, append(it.Deps(op), op.ID+1)...)
 			},
 			wantMsg: "dependency cycle",
 		},
@@ -57,7 +59,7 @@ func mutations() []mutation {
 			name: "resident dep on windowed layer",
 			mutate: func(t *testing.T, it *Iteration) {
 				op := findOp(t, it, ComputeFP, "fp L4")
-				op.Ext = append(op.Ext, ExtDep{Kind: ExtResident, Layer: 5})
+				it.SetExt(op.ID, append(it.Ext(op), ExtDep{Kind: ExtResident, Layer: 5})...)
 			},
 			wantMsg: "not entry-resident",
 		},
@@ -108,7 +110,7 @@ func mutations() []mutation {
 			name: "reordered prefetch",
 			mutate: func(t *testing.T, it *Iteration) {
 				op := findOp(t, it, ComputeFP, "fp L3")
-				op.Deps = nil
+				op.Deps = Range{}
 			},
 			wantMsg: "does not happen-after",
 		},
@@ -119,7 +121,7 @@ func mutations() []mutation {
 			name: "dropped recycle dep",
 			mutate: func(t *testing.T, it *Iteration) {
 				op := findOp(t, it, BufAcquire, "acquire L5")
-				op.Deps = nil
+				op.Deps = Range{}
 			},
 			wantMsg: "window budget",
 		},
@@ -179,9 +181,32 @@ func TestValidateRejectsBadJoins(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			it := mustBuild(t, baseSpec())
-			last := ID(len(it.Ops) - 1)
-			it.Ops = append(it.Ops, Op{ID: last + 1, Kind: Join, Name: "bad join", Layer: -1, Queue: -1,
-				Deps: tc.deps(last), Ext: tc.ext})
+			it.hand(Op{Kind: Join, Layer: -1, Queue: -1}, tc.deps(ID(len(it.Ops)-1)), tc.ext...)
+			err := Validate(it)
+			if err == nil || !strings.Contains(err.Error(), tc.wantMsg) {
+				t.Fatalf("diagnostic %v does not mention %q", err, tc.wantMsg)
+			}
+		})
+	}
+}
+
+// The executor keeps facts per layer and the validator proves the
+// optimizer's fractions layer by layer, so every op's layer must lie
+// in the plan: in [0, Layers) for an op that exports a fact, in
+// [-1, Layers) for model-level work. Both plans here used to validate;
+// Execute then panicked on the first.
+func TestValidateRejectsOutOfRangeLayers(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mutate  func(op *Op)
+		wantMsg string
+	}{
+		{"export from a model-level op", func(op *Op) { op.Export = ExtOptDone }, "layer -1 outside [0,6)"},
+		{"fractional step past the last layer", func(op *Op) { op.Layer, op.Frac = 6+5, 0.3 }, "layer 11 outside [-1,6)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			it := mustBuild(t, baseSpec())
+			tc.mutate(findOp(t, it, OptStep, "gpu adam resident"))
 			err := Validate(it)
 			if err == nil || !strings.Contains(err.Error(), tc.wantMsg) {
 				t.Fatalf("diagnostic %v does not mention %q", err, tc.wantMsg)
@@ -193,7 +218,7 @@ func TestValidateRejectsBadJoins(t *testing.T) {
 // A broken plan reports every violation at once, not just the first.
 func TestValidateAggregatesViolations(t *testing.T) {
 	it := mustBuild(t, baseSpec())
-	findOp(t, it, ComputeFP, "fp L3").Deps = nil           // residency
+	findOp(t, it, ComputeFP, "fp L3").Deps = Range{}       // residency
 	it.ExitResident = append(it.ExitResident, it.Layers-1) // buffers
 	err := Validate(it)
 	if err == nil {
@@ -235,7 +260,7 @@ func oracleReach(it *Iteration) []bitset {
 			r.set(d)
 			r.or(reach[d])
 		}
-		for _, d := range op.Deps {
+		for _, d := range it.Deps(op) {
 			add(d)
 		}
 		if onQueue(op) {
@@ -323,10 +348,11 @@ func TestHappensBeforeMatchesOracleAfterMutation(t *testing.T) {
 }
 
 // FuzzValidate builds a fuzzed planner spec, applies at most one
-// mutation (drop a dependency, add a backward dependency, or move an
-// op to another queue), and requires the validator's happensBefore to
-// agree with the closure oracle on every pair. Unmutated planner
-// output must also validate. Run with
+// mutation (drop a dependency, add a backward dependency, move an op to
+// another queue or layer, or make it export a fact), and requires the
+// validator's happensBefore to agree with the closure oracle on every
+// pair. Unmutated planner output must also validate, and a plan the
+// validator accepts must compile and execute without a panic. Run with
 // `go test -run='^$' -fuzz=FuzzValidate ./internal/plan/`; the seed
 // corpus lives in testdata/fuzz/FuzzValidate.
 func FuzzValidate(f *testing.F) {
@@ -354,21 +380,30 @@ func FuzzValidate(f *testing.F) {
 			t.Fatalf("planner output rejected by its own validator: %v", err)
 		}
 		op := &it.Ops[int(target)%len(it.Ops)]
-		switch mutKind % 4 {
+		switch mutKind % 6 {
 		case 1: // drop a dependency
-			if len(op.Deps) > 0 {
-				k := int(arg) % len(op.Deps)
-				op.Deps = slices.Delete(slices.Clone(op.Deps), k, k+1)
+			if deps := it.Deps(op); len(deps) > 0 {
+				k := int(arg) % len(deps)
+				it.SetDeps(op.ID, slices.Delete(slices.Clone(deps), k, k+1)...)
 			}
 		case 2: // add a backward dependency
 			if op.ID > 0 {
-				op.Deps = append(slices.Clone(op.Deps), ID(int(arg)%int(op.ID)))
+				it.SetDeps(op.ID, append(it.Deps(op), ID(int(arg)%int(op.ID)))...)
 			}
 		case 3: // move the op to another queue
-			op.Queue = int(arg) % it.Queues
+			op.Queue = int16(int(arg) % it.Queues)
+		case 4: // move the op to another layer, possibly out of range
+			op.Layer = int32(int(arg)%(it.Layers+8) - 4)
+		case 5: // make the op publish a fact, or stop publishing one
+			op.Export = ExtKind(int(arg) % (extKinds + 1))
 		}
 		checkOracle(t, it)
-		_ = Validate(it) // must not panic on the mutated plan
+		if Validate(it) == nil {
+			eng := sim.NewEngine()
+			env := &fifoEnv{eng: eng, res: [2]*sim.Resource{sim.NewResource(eng, "a"), sim.NewResource(eng, "b")}}
+			env.run = Execute(Compile(&it.Graph), eng, &State{}, env)
+			eng.Run()
+		}
 	})
 }
 
