@@ -271,3 +271,36 @@ func BenchmarkHeteroWindow(b *testing.B) {
 	saving := float64(rows[0].GPUBytes) / float64(rows[1].GPUBytes)
 	b.ReportMetric(saving, "memory-saving-x")
 }
+
+// whatIfFaults are the fault plans of BenchmarkWhatIf, periodic
+// slowdowns like those of the serve-cold benchmark workload: one on
+// host→device copies, and one on device→host copies and the CPU
+// optimizers. Copies miss deadlines under both; no window re-solves.
+var whatIfFaults = []string{
+	"seed=3;h2d:slow(at=0s,dur=200ms,every=600ms,factor=0.3)",
+	"seed=7;d2h:slow(at=0s,dur=100ms,every=400ms,factor=0.5);cpu:slow(at=0s,dur=300ms,every=1s,factor=0.4)",
+}
+
+// BenchmarkWhatIf is the simulation work of a batch of /v1/whatif
+// requests: each of the six plan-driven single-node methods a what-if
+// covers, at four model sizes, clean and under each fault plan of
+// whatIfFaults. Its bytes/op are a CI gate
+// (testdata/whatif_bytes_baseline.txt).
+func BenchmarkWhatIf(b *testing.B) {
+	methods := []Method{Stronghold, StrongholdNVMe, L2L, ZeROOffload, ZeROInfinity, InterleavedOpt}
+	sizes := []float64{0.5, 1, 2, 4}
+	faults := append([]string{""}, whatIfFaults...)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, m := range methods {
+			for _, size := range sizes {
+				for _, f := range faults {
+					r, err := Simulate(SimConfig{SizeBillions: size, Method: m, Faults: f})
+					if err != nil || r.OOM {
+						b.Fatalf("%v at %gB, faults %q: err %v, OOM %q", m, size, f, err, r.Detail)
+					}
+				}
+			}
+		}
+	}
+}

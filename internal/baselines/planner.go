@@ -45,6 +45,7 @@ func megatronPlan(m perf.Model) *plan.Iteration {
 		Layers: n, Window: n, Queues: 1,
 		EntryResident: resident, ExitResident: resident,
 	}
+	it.Reserve(PlanSize(modelcfg.Megatron, n))
 	// Every op runs on queue 0 after the one before it, the only
 	// entry of prev once there is one.
 	var prev []plan.ID
@@ -87,6 +88,7 @@ func l2lPlan(m perf.Model, pressure float64) *plan.Iteration {
 	embed := m.EmbeddingTime()
 
 	it := &plan.Iteration{Layers: n, Window: 1, Queues: 2, BudgetSlots: 2}
+	it.Reserve(PlanSize(modelcfg.L2L, n))
 	embedFP := it.Add(plan.Op{Kind: plan.ComputeFP, Label: plan.LabelFPEmbed, Layer: -1, Queue: 0, DurNS: embed})
 
 	fpKernel := make([]plan.ID, n)
@@ -166,6 +168,7 @@ func zeroOffloadPlan(m perf.Model, pressure float64) *plan.Iteration {
 		Layers: n, Window: n, Queues: 1,
 		EntryResident: resident, ExitResident: resident,
 	}
+	it.Reserve(PlanSize(modelcfg.ZeROOffload, n))
 	prev := it.Add(plan.Op{Kind: plan.ComputeFP, Label: plan.LabelFPEmbed, Layer: -1, Queue: 0, DurNS: embed})
 	for i := 0; i < n; i++ {
 		prev = it.Add(plan.Op{Kind: plan.ComputeFP, Label: plan.LabelFP, Layer: int32(i), Queue: 0, DurNS: lt.FP}, prev)

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"reflect"
 	"testing"
 
 	"stronghold/internal/fault"
@@ -28,6 +29,36 @@ func TestBaselinePlansValidate(t *testing.T) {
 		} {
 			if err := plan.Validate(it); err != nil {
 				t.Errorf("%s plan (%d layers) invalid: %v", name, cfg.Layers, err)
+			}
+		}
+	}
+}
+
+// Every baseline planner reserves its plan's exact size from the closed
+// form PlanSize, as Build does for STRONGHOLD (TestBuildPresized): the op
+// list and the dependency arenas end with no spare capacity.
+func TestPlannersPresized(t *testing.T) {
+	methods := []modelcfg.Method{modelcfg.Megatron, modelcfg.L2L, modelcfg.ZeROOffload,
+		modelcfg.ZeROInfinity, modelcfg.ZeROInfinityNVMe, modelcfg.InterleavedOpt}
+	for n := 1; n <= 64; n++ {
+		m := v100Model(modelcfg.NewConfig(n, 1024, 16))
+		for _, method := range methods {
+			it, err := methodPlan(method, m, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := PlanSize(method, n)
+			var deps, exts int
+			for i := range it.Ops {
+				deps += it.Ops[i].Deps.Len()
+				exts += it.Ops[i].Ext.Len()
+			}
+			// The arenas are unexported; reflection reads their capacity.
+			arena := reflect.ValueOf(&it.Graph).Elem()
+			got := plan.Size{Ops: len(it.Ops), Deps: deps, Ext: exts}
+			caps := plan.Size{Ops: cap(it.Ops), Deps: arena.FieldByName("deps").Cap(), Ext: arena.FieldByName("ext").Cap()}
+			if got != want || caps != want {
+				t.Errorf("%s at %d layers: size %+v (capacity %+v), closed form says %+v", method, n, got, caps, want)
 			}
 		}
 	}

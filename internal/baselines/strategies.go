@@ -40,6 +40,63 @@ func methodPlan(method modelcfg.Method, m perf.Model, pressure float64) (*plan.I
 	return nil, fmt.Errorf("baselines: no planner for method %s", method)
 }
 
+// PlanSize is the exact size of method's plan at n ≥ 1 layers, in
+// closed form: the planner reserves exactly this much (Graph.Reserve),
+// and a cost model can read a run's work from it without planning. It
+// is zero for a method with no baseline planner. No baseline plan
+// carries cross-iteration dependencies.
+func PlanSize(method modelcfg.Method, n int) plan.Size {
+	// recycles is how many of a pass's n acquires (or subgroups) recycle
+	// the slot freed two layers earlier: all but the first two.
+	recycles := max(0, n-2)
+	switch method {
+	case modelcfg.Megatron:
+		// One chain on queue 0 — embedding, n forward kernels, head, n
+		// backward kernels, backward embedding, n layer updates and the
+		// embedding's — each op after the first waiting on the one
+		// before.
+		return plan.Size{Ops: 3*n + 4, Deps: 3*n + 3}
+	case modelcfg.L2L:
+		// The embedding; forward: acquire, visit, upload, kernel and
+		// release per layer (five edges, plus the recycles); the head;
+		// backward: acquire, visit, upload, kernel, gradient offload and
+		// release (eight edges); the backward embedding and the GPU
+		// sweep.
+		return plan.Size{Ops: 1 + 5*n + 1 + 6*n + 2, Deps: 5*n + recycles + 1 + 8*n + 2}
+	case modelcfg.ZeROOffload:
+		// The forward chain with its head; a kernel and a gradient
+		// offload per layer; the backward embedding; the fused optimizer
+		// after every offload and the backward embedding; an upload per
+		// layer after it.
+		return plan.Size{Ops: n + 2 + 2*n + 2 + n, Deps: n + 1 + 2*n + 1 + (n + 1) + n}
+	case modelcfg.ZeROInfinity, modelcfg.ZeROInfinityNVMe:
+		// The embedding; forward: acquire, fetch, refactor, kernel and
+		// release per layer (five edges, plus the recycles); the head;
+		// backward: acquire, fetch, refactor, kernel, gradient offload and
+		// release (eight edges, plus a recycle for every acquire but the
+		// last layer's, which takes a forward slot instead); the backward
+		// embedding and the fused optimizer after every offload and it.
+		s := plan.Size{Ops: 1 + 5*n + 1 + 6*n + 2, Deps: 5*n + recycles + 1 + 8*n + max(0, n-1) + 1 + (n + 1)}
+		if method == modelcfg.ZeROInfinityNVMe {
+			// A page-in and a page-out per visit, both passes: the fetch
+			// also waits on the page-in, which follows the previous kernel
+			// and recycles the ring slot of the page-out two earlier (all
+			// but the first two page-ins); the page-out follows the
+			// kernel or the gradient offload.
+			s.Ops += 4 * n
+			s.Deps += 2*n + 2*n + (2*n - 2) + 2*n
+		}
+		return s
+	case modelcfg.InterleavedOpt:
+		// The forward chain with its head; per layer the kernel, gradient
+		// offload, CPU share, moment fetch (plus the recycles), GPU share,
+		// moment write-back, parameter upload and a three-way join; the
+		// backward embedding and its GPU update.
+		return plan.Size{Ops: n + 2 + 8*n + 2, Deps: n + 1 + 10*n + recycles + 2}
+	}
+	return plan.Size{}
+}
+
 // PlanFor builds the validated iteration plan a baseline method would
 // execute for this model — what the trace and figure commands render.
 // It fails for methods the baseline engine does not plan (the
@@ -97,14 +154,20 @@ func zeroInfinityPlan(m perf.Model, pressure float64, nvme bool) *plan.Iteration
 	}
 
 	it := &plan.Iteration{Layers: n, Window: 1, Queues: 2, BudgetSlots: 2}
+	method := modelcfg.ZeROInfinity
 	if nvme {
+		method = modelcfg.ZeROInfinityNVMe
 		it.NVMe = true
 		it.RingSlots = 2
 	}
+	it.Reserve(PlanSize(method, n))
 	// spills is the global page-out order; page-in k recycles the ring
 	// slot of page-out k-2 (the two-slot staging ring), which is also
 	// the explicit edge the validator's funding argument needs.
 	var spills []plan.ID
+	if nvme {
+		spills = make([]plan.ID, 0, 2*n)
+	}
 	stage := func(label plan.Label, layer int32, write bool, deps ...plan.ID) plan.ID {
 		dur := readDur
 		if write {
@@ -237,6 +300,7 @@ func interleavedOptPlan(m perf.Model, pressure float64) *plan.Iteration {
 		Layers: n, Window: n, Queues: 2, OptSlots: 2,
 		EntryResident: resident, ExitResident: resident,
 	}
+	it.Reserve(PlanSize(modelcfg.InterleavedOpt, n))
 	prev := it.Add(plan.Op{Kind: plan.ComputeFP, Label: plan.LabelFPEmbed, Layer: -1, Queue: 0, DurNS: embed})
 	for i := 0; i < n; i++ {
 		prev = it.Add(plan.Op{Kind: plan.ComputeFP, Label: plan.LabelFP, Layer: int32(i), Queue: 0, DurNS: lt.FP}, prev)

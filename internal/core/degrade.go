@@ -70,10 +70,7 @@ func (r *iterRun) enableFaults(inj *fault.Injector, tr *trace.Trace) {
 	// stalls inside the stretch. No op runs on a NIC, so nic rules slow
 	// nothing.
 	m.NVMeQ.SetStretch(inj.StretchAll(fault.NVMe))
-	cpuStretch := inj.StretchAll(fault.CPU)
-	for _, w := range m.CPUPool.Workers() {
-		w.SetStretch(cpuStretch)
-	}
+	m.CPUPool.SetStretch(inj.StretchAll(fault.CPU))
 }
 
 // runAdaptive schedules iterations one at a time — each chained on the
@@ -92,7 +89,7 @@ func (r *iterRun) runAdaptive(iters int) []*plan.Run {
 		if it > 0 {
 			r.adaptWindow()
 		}
-		ends[it] = r.iteration()
+		ends[it] = r.iteration(it == iters-1)
 		ends[it].OnEnd(func() { schedule(it + 1) })
 	}
 	schedule(0)
@@ -115,48 +112,37 @@ func (r *iterRun) observeCopy(op *plan.Op, nominal, start, end, delayed sim.Time
 	}
 }
 
-// submitWithRetry issues op's transfer on res unless its fault target
-// is inside a blackout window; then it backs off exponentially in
-// virtual time and reissues. After maxRetries the transfer is forced
-// through. Its completion reports the observed time before completing
-// the op as usual.
-func (ev *schedEnv) submitWithRetry(res *sim.Resource, tg fault.Target, dur sim.Time, id plan.ID) {
+// submitWithRetry issues copy id's transfer on res, attempt try, unless
+// its fault target is inside a blackout window; then it retries. After
+// maxRetries the transfer is forced through.
+func (ev *schedEnv) submitWithRetry(res *sim.Resource, tg fault.Target, dur sim.Time, id plan.ID, try int) {
+	r := ev.r
+	if _, dropped := r.inj.DropUntil(tg, r.machine.Eng.Now()); dropped && try < maxRetries {
+		ev.retry(res, tg, dur, id, try)
+		return
+	}
+	ev.run.Submitted(id, 0)
+	res.Submit(dur, ev, int32(id))
+}
+
+// retry backs copy id off exponentially in virtual time after attempt
+// try hit a blackout window, adds the backoff to the copy's delay, and
+// then reissues it.
+func (ev *schedEnv) retry(res *sim.Resource, tg fault.Target, dur sim.Time, id plan.ID, try int) {
 	r := ev.r
 	eng := r.machine.Eng
-	var attempt func(try int, delayed sim.Time)
-	attempt = func(try int, delayed sim.Time) {
-		now := eng.Now()
-		if _, dropped := r.inj.DropUntil(tg, now); dropped && try < maxRetries {
-			r.retries++
-			shift := try
-			if shift > 16 {
-				shift = 16
-			}
-			backoff := retryBackoff << uint(shift)
-			if r.faultTr != nil {
-				r.faultTr.Add(trace.Span{Track: faultTrack, Name: fmt.Sprintf("%s retry %d", tg, try+1),
-					Kind: trace.KindFault, Layer: -1, Start: now, End: now + backoff})
-			}
-			eng.Schedule(backoff, func() { attempt(try+1, delayed+backoff) })
-			return
-		}
-		ev.run.Submitted(id, 0)
-		res.Submit(dur, &observedCopy{ev: ev, nominal: dur, delayed: delayed}, int32(id))
+	r.retries++
+	backoff := retryBackoff << uint(min(try, 16))
+	if ev.delayed == nil {
+		ev.delayed = make(map[plan.ID]sim.Time)
 	}
-	attempt(0, 0)
-}
-
-// observedCopy completes a degraded-mode copy: it feeds the transfer's
-// observed time to the adaptive re-solve, then completes the op as
-// usual.
-type observedCopy struct {
-	ev               *schedEnv
-	nominal, delayed sim.Time
-}
-
-func (o *observedCopy) Complete(tag int32, start, end sim.Time) {
-	o.ev.r.observeCopy(o.ev.run.Op(plan.ID(tag)), o.nominal, start, end, o.delayed)
-	o.ev.Complete(tag, start, end)
+	ev.delayed[id] += backoff
+	if r.faultTr != nil {
+		now := eng.Now()
+		r.faultTr.Add(trace.Span{Track: faultTrack, Name: fmt.Sprintf("%s retry %d", tg, try+1),
+			Kind: trace.KindFault, Layer: -1, Start: now, End: now + backoff})
+	}
+	eng.Schedule(backoff, func() { ev.submitWithRetry(res, tg, dur, id, try+1) })
 }
 
 // adaptWindow runs at each iteration boundary in degraded mode: if the

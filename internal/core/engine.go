@@ -107,6 +107,10 @@ type Engine struct {
 	// planSkipValidate bypasses pre-sim validation, letting tests drive
 	// a broken plan into the executor's runtime error path.
 	planSkipValidate bool
+	// recordWarmup keeps the per-op record of every iteration, as a
+	// collector run does — the oracle that skipping the warm-up
+	// iterations' records changes no result, trace or metric.
+	recordWarmup bool
 }
 
 // NewEngine builds a STRONGHOLD engine with default features.
@@ -381,7 +385,7 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 		// exactly as in the real runtime.
 		ends = make([]*plan.Run, iters)
 		for it := range ends {
-			ends[it] = run.iteration()
+			ends[it] = run.iteration(it == iters-1)
 		}
 	}
 	run.machine.Eng.Run()
@@ -702,12 +706,12 @@ func (ev *schedEnv) copyOp(op *plan.Op) {
 	}
 	// Degraded mode: the copy may hit a blackout window and retry with
 	// virtual-time backoff; its observed time feeds the adaptive
-	// re-solve.
+	// re-solve (Complete).
 	tg := fault.D2H
 	if h2d {
 		tg = fault.H2D
 	}
-	ev.submitWithRetry(res, tg, dur, op.ID)
+	ev.submitWithRetry(res, tg, dur, op.ID, 0)
 }
 
 // copyTime is a copy op's occupancy of its PCIe queue: the op's DurNS
@@ -750,14 +754,22 @@ func perWorkerCap(spec hw.CPUSpec) float64 {
 // iteration schedules one full training iteration by walking its plan
 // through the simulation environment, and returns the executor's run,
 // which ends with every stream's last kernel and the plan's final op
-// (the resident update).
-func (r *iterRun) iteration() *plan.Run {
-	eng, env := r.machine.Eng, &schedEnv{r: r}
+// (the resident update). Only the final iteration keeps a per-op record
+// (plan.Record), which spans and Overlap read, unless a collector,
+// which covers every run, is set.
+func (r *iterRun) iteration(final bool) *plan.Run {
+	var c *plan.Compiled
 	if r.planFor(r.window) == nil {
 		// schedErr recorded: an empty plan ends at once.
-		return plan.Execute(plan.Compile(&plan.Graph{}), eng, &r.st, env)
+		c = plan.Compile(&plan.Graph{})
+	} else {
+		c = r.progs[r.window]
 	}
-	return plan.Execute(r.progs[r.window], eng, &r.st, env)
+	eng, env := r.machine.Eng, &schedEnv{r: r}
+	if final || r.e.Metrics != nil || r.e.recordWarmup {
+		return plan.Execute(c, eng, &r.st, env)
+	}
+	return plan.ExecuteUnrecorded(c, eng, &r.st, env)
 }
 
 // schedEnv runs plan ops on the simulated machine: kernels on GPU
@@ -770,6 +782,10 @@ func (r *iterRun) iteration() *plan.Run {
 type schedEnv struct {
 	r   *iterRun
 	run *plan.Run
+	// delayed holds, in degraded mode, the retry backoff of each copy of
+	// this run that hit a blackout window, until the copy completes;
+	// nil until one does.
+	delayed map[plan.ID]sim.Time
 }
 
 func (ev *schedEnv) Start(op *plan.Op, run *plan.Run) {
@@ -839,15 +855,25 @@ func (ev *schedEnv) cpuOpt(op *plan.Op) {
 		w = pool.Pick()
 	}
 	ev.run.Submitted(op.ID, w)
-	pool.Workers()[w].Submit(op.DurNS, ev, int32(op.ID))
+	pool.Worker(w).Submit(op.DurNS, ev, int32(op.ID))
 }
 
 // Complete is every op's completion: it reports the op, with its start,
-// done to the executor, whose record keeps the span.
+// done to the executor, whose record keeps the span. In degraded mode a
+// copy first reports its observed time, including any retry backoff,
+// against its nominal time (copyTime) to the adaptive re-solve.
 //
 //vet:hotpath
-func (ev *schedEnv) Complete(tag int32, start, _ sim.Time) {
-	ev.run.Done(plan.ID(tag), start)
+func (ev *schedEnv) Complete(tag int32, start, end sim.Time) {
+	id := plan.ID(tag)
+	if r := ev.r; r.inj != nil {
+		if op := ev.run.Op(id); op.Kind == plan.Prefetch || op.Kind == plan.Offload {
+			delayed := ev.delayed[id]
+			delete(ev.delayed, id)
+			r.observeCopy(op, r.copyTime(op), start, end, delayed)
+		}
+	}
+	ev.run.Done(id, start)
 }
 
 // gpuOptFlops converts the HBM-bound resident-layer update into

@@ -49,7 +49,7 @@ func (r *iterRun) site(op *plan.Op, worker int32) (string, *sim.Resource) {
 	m := r.machine
 	switch {
 	case op.Kind == plan.OptStep && !op.GPU:
-		return "cpu-opt", m.CPUPool.Workers()[worker]
+		return "cpu-opt", m.CPUPool.Worker(int(worker))
 	case op.Kind == plan.Prefetch:
 		return "pcie-h2d", m.H2D
 	case op.Kind == plan.Offload:
@@ -94,9 +94,9 @@ func (r *iterRun) replay(runs []*plan.Run, fn func(x *plan.Run, i int, submit bo
 }
 
 // addSpans appends the span of every completed op of runs that has a
-// kind to tr, in completion order. The spans' names are rendered into
-// one buffer, sized for names of 16 bytes on average, and one string
-// backs them all.
+// kind to tr, in completion order, growing tr once for all of them. The
+// spans' names are rendered into one buffer, sized for names of 16
+// bytes on average, and one string backs them all.
 func (r *iterRun) addSpans(tr *trace.Trace, runs []*plan.Run) {
 	count := 0
 	for _, x := range runs {
@@ -106,6 +106,7 @@ func (r *iterRun) addSpans(tr *trace.Trace, runs []*plan.Run) {
 			}
 		}
 	}
+	tr.Grow(count)
 	first := tr.Len()
 	names, ends := make([]byte, 0, 16*count), make([]int, 0, count)
 	r.replay(runs, func(x *plan.Run, i int, submit bool) {

@@ -122,11 +122,7 @@ func Build(s Spec) (*Iteration, error) {
 	it.EntryResident = resident[:len(resident):len(resident)]
 	it.ExitResident = append(resident[len(resident):], resident...)
 
-	// The op list and its dependency arenas are presized exactly
-	// (opCount, depCount, extCount), so a plan of any depth costs a
-	// handful of allocations.
-	it.Ops = make([]Op, 0, s.opCount())
-	it.deps, it.ext = make([]ID, 0, s.depCount()), make([]ExtDep, 0, s.extCount())
+	it.Reserve(s.Size())
 	var scratch [4]ID // conditional dependency lists, copied by Add
 
 	// Per-layer op IDs, -1 where the layer has none. fpKernelOp and
@@ -325,35 +321,27 @@ func Build(s Spec) (*Iteration, error) {
 	return it, nil
 }
 
-// opCount is the exact number of ops Build emits for s: per queue the
-// embedding, head and every layer's forward and backward kernels, the
-// final resident update, an all-reduce per layer when enabled, and for
-// each of the n−m windowed layers its two acquire/prefetch pairs, two
-// offloads, two releases, its optimizer step (five ops when split
-// across CPU and GPU) and, with NVMe, a spill and a restage.
-func (s Spec) opCount() int {
-	n, k := s.Layers, s.Queues
-	w := max(0, n-s.Window)
-	perWindowed := 9
-	if s.OptGPUFrac > 0 {
-		perWindowed += 4
-	}
-	if s.NVMe {
-		perWindowed += 2
-	}
-	count := 2*k + 2*n*k + 1 + w*perWindowed
-	if s.GradSyncFlops > 0 {
-		count += n
-	}
-	return count
-}
-
-// depCount is the exact number of in-plan dependency edges Build emits
-// for s, summed over every op's Deps; it sizes the Deps arena.
-func (s Spec) depCount() int {
+// Size is the exact size of the plan Build emits for s; Build reserves
+// it up front (Graph.Reserve), so a plan of any depth costs a handful
+// of allocations.
+func (s Spec) Size() Size {
 	n, k := s.Layers, s.Queues
 	w := max(0, n-s.Window)
 	sync, single, gs, nvme := b2i(s.Sync), b2i(s.SingleOpt), b2i(s.GradSyncFlops > 0), b2i(s.NVMe)
+
+	// Ops: per queue the embedding, head and every layer's forward and
+	// backward kernels, the final resident update, an all-reduce per
+	// layer when enabled, and for each of the n−m windowed layers its
+	// two acquire/prefetch pairs, two offloads, two releases, its
+	// optimizer step (five ops when split across CPU and GPU) and, with
+	// NVMe, a spill and a restage.
+	perWindowed := 9 + 2*nvme
+	if s.OptGPUFrac > 0 {
+		perWindowed += 4
+	}
+	ops := 2*k + 2*n*k + 1 + w*perWindowed + gs*n
+
+	// In-plan dependency edges, summed over every op's Deps.
 	done := k // what a layer's gradient offload waits on
 	if gs == 1 {
 		done = 1
@@ -376,17 +364,13 @@ func (s Spec) depCount() int {
 		bwd += w
 	}
 	bwd += 2*w*nvme + w + done
-	return fwd + bwd
-}
 
-// extCount is the exact number of cross-iteration dependencies Build
-// emits for s: each forward acquire's update fact (and staging fact
-// with NVMe), the residency fact of every entry-resident layer's
-// forward kernels, and with NVMe each backward acquire's staging fact.
-func (s Spec) extCount() int {
-	w := max(0, s.Layers-s.Window)
-	nvme := b2i(s.NVMe)
-	return w*(1+nvme) + min(s.Window, s.Layers)*s.Queues + w*nvme
+	// Cross-iteration dependencies: each forward acquire's update fact
+	// (and staging fact with NVMe), the residency fact of every
+	// entry-resident layer's forward kernels, and with NVMe each
+	// backward acquire's staging fact.
+	ext := w*(1+nvme) + min(s.Window, n)*k + w*nvme
+	return Size{Ops: ops, Deps: fwd + bwd, Ext: ext}
 }
 
 func b2i(b bool) int {

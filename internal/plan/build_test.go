@@ -200,13 +200,14 @@ func TestBuildPresized(t *testing.T) {
 			deps += it.Ops[i].Deps.Len()
 			exts += it.Ops[i].Ext.Len()
 		}
-		if got, want := len(it.Ops), s.opCount(); got != want || cap(it.Ops) != want {
+		size := s.Size()
+		if got, want := len(it.Ops), size.Ops; got != want || cap(it.Ops) != want {
 			t.Errorf("%s: %d ops (cap %d), closed form says %d", name, got, cap(it.Ops), want)
 		}
-		if want := s.depCount(); deps != want || cap(it.deps) != want {
+		if want := size.Deps; deps != want || cap(it.deps) != want {
 			t.Errorf("%s: %d dependency edges (cap %d), closed form says %d", name, deps, cap(it.deps), want)
 		}
-		if want := s.extCount(); exts != want || cap(it.ext) != want {
+		if want := size.Ext; exts != want || cap(it.ext) != want {
 			t.Errorf("%s: %d external dependencies (cap %d), closed form says %d", name, exts, cap(it.ext), want)
 		}
 	}

@@ -26,12 +26,12 @@ type Env interface {
 // latest Export, as a prefetch waits on a CUDA event. The zero value is
 // a fresh run: every queue is idle and every fact already holds. A
 // completed op gates nothing, exactly as the zero ref does.
-// State also numbers the events of the runs sharing it, every op
-// completion and, with Detail set, every submit, so their Records can
-// be replayed in one order.
+// State also numbers the events of the recorded runs sharing it, every
+// op completion and, with Detail set, every submit, so their Records
+// can be replayed in one order.
 type State struct {
-	// Detail makes every run record each submit the environment reports
-	// (Record.Submit). Set it before the first Execute call.
+	// Detail makes every recorded run record each submit the environment
+	// reports (Record.Submit). Set it before the first Execute call.
 	Detail bool
 	// seq is the number of the last event stamped.
 	seq uint32
@@ -193,8 +193,21 @@ func Compile(g *Graph) *Compiled {
 // register the same waits in the same order. st carries queue tails
 // and facts from earlier calls in, and this call's out. The returned
 // Run ends once the plan's final op and the last op of every queue it
-// issues on have completed.
+// issues on have completed; it keeps a per-op Record.
 func Execute(c *Compiled, eng *sim.Engine, st *State, env Env) *Run {
+	return execute(c, eng, st, env, true)
+}
+
+// ExecuteUnrecorded is Execute for a run whose ops' spans nobody reads,
+// such as a warm-up iteration: it runs exactly as Execute does, but its
+// Record stays empty and its events take no number from st, whatever
+// st.Detail says. The runs sharing st that keep a record replay in the
+// same order either way.
+func ExecuteUnrecorded(c *Compiled, eng *sim.Engine, st *State, env Env) *Run {
+	return execute(c, eng, st, env, false)
+}
+
+func execute(c *Compiled, eng *sim.Engine, st *State, env Env, record bool) *Run {
 	st.size(c)
 	n := len(c.g.Ops)
 	x := &Run{
@@ -206,12 +219,14 @@ func Execute(c *Compiled, eng *sim.Engine, st *State, env Env) *Run {
 		waiters: make([][]ref, c.bounds),
 		endLeft: c.endDeps,
 		endAt:   eng.Now(),
-		rec:     Record{Start: make([]sim.Time, n), End: make([]sim.Time, n), Seq: make([]uint32, n)},
 	}
-	if st.Detail {
-		x.rec.Submit = make([]sim.Time, n)
-		x.rec.SubmitSeq = make([]uint32, n)
-		x.rec.Worker = make([]int32, n)
+	if record {
+		x.rec = Record{Start: make([]sim.Time, n), End: make([]sim.Time, n), Seq: make([]uint32, n)}
+		if st.Detail {
+			x.rec.Submit = make([]sim.Time, n)
+			x.rec.SubmitSeq = make([]uint32, n)
+			x.rec.Worker = make([]int32, n)
+		}
 	}
 	for i := range c.g.Ops {
 		x.issue(int32(i))
@@ -258,7 +273,8 @@ type Run struct {
 }
 
 // Record is what one Execute call measured of its ops, indexed by op
-// ID; an op that never completed keeps zeros.
+// ID; an op that never completed keeps zeros. An ExecuteUnrecorded
+// call's Record is empty.
 type Record struct {
 	// Start and End are each op's span: the start its environment
 	// reported to Done, and the virtual time of the Done call.
@@ -286,7 +302,7 @@ func (x *Run) Record() *Record { return &x.rec }
 
 // Submitted reports that the environment put op id's work on a
 // resource now, on the given pool worker (0 for a lone resource). It
-// records nothing unless the State keeps detail.
+// records nothing unless the run keeps a record and the State detail.
 //
 //vet:hotpath
 func (x *Run) Submitted(id ID, worker int) {
@@ -379,10 +395,10 @@ func (x *Run) release(i int32) {
 }
 
 // Done reports op id, started at start, complete at the current
-// virtual time: it records the op's span, releases the op's in-plan
-// successors, counts toward the iteration end, and releases whatever
-// waits on the op from outside the plan. Completing an op twice
-// panics.
+// virtual time: it records the op's span if the run keeps a record,
+// releases the op's in-plan successors, counts toward the iteration
+// end, and releases whatever waits on the op from outside the plan.
+// Completing an op twice panics.
 //
 //vet:hotpath
 func (x *Run) Done(id ID, start sim.Time) {
@@ -391,7 +407,9 @@ func (x *Run) Done(id ID, start sim.Time) {
 		panic("plan: op completed twice")
 	}
 	x.left[i] = done
-	x.rec.Start[i], x.rec.End[i], x.rec.Seq[i] = start, x.eng.Now(), x.st.stamp()
+	if x.rec.Seq != nil {
+		x.rec.Start[i], x.rec.End[i], x.rec.Seq[i] = start, x.eng.Now(), x.st.stamp()
+	}
 	c := x.c
 	in := &c.info[i]
 	for _, j := range c.succ[c.succAt[i]:c.succAt[i+1]] {

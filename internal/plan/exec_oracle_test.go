@@ -186,8 +186,12 @@ type world struct {
 	// Export order; -1 until it is.
 	exported []sim.Time
 	compiled map[*Iteration]*Compiled
-	// runs holds the compiled executor's run of each logged call.
-	runs map[int]*Run
+	// runs holds the compiled executor's run of each logged call, and
+	// unrecorded marks the calls it ran unrecorded; iterations counts
+	// the iterations it has walked.
+	runs       map[int]*Run
+	unrecorded map[int]bool
+	iterations int
 }
 
 func newWorld(queues int, timed bool) *world {
@@ -196,7 +200,8 @@ func newWorld(queues int, timed bool) *world {
 	plat.CPU.Cores = 2
 	m := hw.NewMachine(eng, plat)
 	w := &world{eng: eng, m: m, timed: timed, tails: make([]*signal, queues),
-		facts: map[ExtDep]*signal{}, compiled: map[*Iteration]*Compiled{}, runs: map[int]*Run{}}
+		facts: map[ExtDep]*signal{}, compiled: map[*Iteration]*Compiled{}, runs: map[int]*Run{},
+		unrecorded: map[int]bool{}}
 	for q := 0; q < queues; q++ {
 		w.launch = append(w.launch, m.NewStream(fmt.Sprintf("w%d", q)))
 		w.fifo = append(w.fifo, sim.NewResource(eng, fmt.Sprintf("q%d", q)))
@@ -365,20 +370,29 @@ type executor interface {
 	patch(w *world, id int, p *Patch)
 }
 
-type compiledExec struct{}
+// compiledExec is the compiled executor. Its first warmup iterations
+// run unrecorded (ExecuteUnrecorded), as an engine's warm-up iterations
+// do; every other call keeps its record.
+type compiledExec struct{ warmup int }
 
 // seed publishes the facts from a call of their own.
 func (compiledExec) seed(w *world, facts []Op) {
 	Execute(Compile(&Graph{Ops: facts}), w.eng, &w.st, timerEnv{w.eng})
 }
 
-func (compiledExec) iterate(w *world, id int, it *Iteration) func(func()) {
+func (ex compiledExec) iterate(w *world, id int, it *Iteration) func(func()) {
 	c := w.compiled[it]
 	if c == nil {
 		c = Compile(&it.Graph)
 		w.compiled[it] = c
 	}
-	run := Execute(c, w.eng, &w.st, &call{w: w, id: id})
+	execute := Execute
+	if w.iterations < ex.warmup {
+		execute = ExecuteUnrecorded
+		w.unrecorded[id] = true
+	}
+	w.iterations++
+	run := execute(c, w.eng, &w.st, &call{w: w, id: id})
 	w.runs[id] = run
 	w.watchExports(it.Ops)
 	return run.OnEnd
@@ -479,7 +493,8 @@ func (sc scenario) run(t testing.TB, ex executor) outcome {
 
 // checkRecords requires the compiled runs' Records to replay the log:
 // every logged completion's span, with completion numbers rising in log
-// order. The oracle keeps no runs, so it passes trivially.
+// order; an unrecorded run's Record stays empty. The oracle keeps no
+// runs, so it passes trivially.
 func (w *world) checkRecords(t testing.TB) {
 	t.Helper()
 	var last uint32
@@ -489,6 +504,12 @@ func (w *world) checkRecords(t testing.TB) {
 			continue
 		}
 		rec := run.Record()
+		if w.unrecorded[c.call] {
+			if rec.Start != nil || rec.End != nil || rec.Seq != nil {
+				t.Fatalf("call %d: unrecorded run kept a record", c.call)
+			}
+			continue
+		}
 		if rec.Start[c.op] != c.start || rec.End[c.op] != c.end {
 			t.Fatalf("call %d op %d: record spans [%d, %d], completion logged [%d, %d]",
 				c.call, c.op, rec.Start[c.op], rec.End[c.op], c.start, c.end)
@@ -500,27 +521,31 @@ func (w *world) checkRecords(t testing.TB) {
 	}
 }
 
-// checkAgainstOracle runs sc under both executors and compares.
+// checkAgainstOracle runs sc under the oracle and the compiled executor,
+// recording every call and with all but the last iteration unrecorded,
+// and compares.
 func checkAgainstOracle(t testing.TB, sc scenario) {
 	t.Helper()
 	want := sc.run(t, oracleExec{})
-	got := sc.run(t, compiledExec{})
 	if len(want.log) == 0 {
 		t.Fatal("oracle run completed nothing")
 	}
-	for i := 0; i < min(len(got.log), len(want.log)); i++ {
-		if got.log[i] != want.log[i] {
-			t.Fatalf("completion %d: compiled executor logged %+v, oracle %+v", i, got.log[i], want.log[i])
+	for _, ex := range []compiledExec{{}, {warmup: len(sc.windows) - 1}} {
+		got := sc.run(t, ex)
+		for i := 0; i < min(len(got.log), len(want.log)); i++ {
+			if got.log[i] != want.log[i] {
+				t.Fatalf("completion %d: compiled executor (%+v) logged %+v, oracle %+v", i, ex, got.log[i], want.log[i])
+			}
 		}
-	}
-	if len(got.log) != len(want.log) {
-		t.Fatalf("compiled executor logged %d completions, oracle %d", len(got.log), len(want.log))
-	}
-	if fmt.Sprint(got.exported) != fmt.Sprint(want.exported) {
-		t.Fatalf("exported facts fired at %v, oracle %v", got.exported, want.exported)
-	}
-	if got.steps != want.steps {
-		t.Fatalf("engine ran %d steps, oracle %d", got.steps, want.steps)
+		if len(got.log) != len(want.log) {
+			t.Fatalf("compiled executor (%+v) logged %d completions, oracle %d", ex, len(got.log), len(want.log))
+		}
+		if fmt.Sprint(got.exported) != fmt.Sprint(want.exported) {
+			t.Fatalf("compiled executor (%+v): exported facts fired at %v, oracle %v", ex, got.exported, want.exported)
+		}
+		if got.steps != want.steps {
+			t.Fatalf("compiled executor (%+v) ran %d steps, oracle %d", ex, got.steps, want.steps)
+		}
 	}
 }
 

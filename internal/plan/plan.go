@@ -200,6 +200,18 @@ type Graph struct {
 	ext  []ExtDep
 }
 
+// Size counts a plan's ops and the entries of its two dependency
+// arenas: in-plan Deps and cross-iteration Ext.
+type Size struct{ Ops, Deps, Ext int }
+
+// Reserve makes room in g for exactly s more ops and arena entries, so
+// a planner that knows its plan's size grows nothing as it appends.
+func (g *Graph) Reserve(s Size) {
+	g.Ops = append(make([]Op, 0, len(g.Ops)+s.Ops), g.Ops...)
+	g.deps = append(make([]ID, 0, len(g.deps)+s.Deps), g.deps...)
+	g.ext = append(make([]ExtDep, 0, len(g.ext)+s.Ext), g.ext...)
+}
+
 // Add appends op, numbered next, with in-plan dependencies deps, and
 // returns its ID.
 func (g *Graph) Add(op Op, deps ...ID) ID {

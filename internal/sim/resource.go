@@ -128,9 +128,18 @@ func (r *Resource) Utilization() float64 {
 
 // Pool is a set of identical Resources (e.g. CPU cores) with
 // least-loaded dispatch — the thread-pool structure STRONGHOLD uses for
-// its concurrent optimizer workers (§III-E).
+// its concurrent optimizer workers (§III-E). Workers are built on first
+// use: least-loaded dispatch takes the lowest-index worker never used,
+// idle since time zero, before any used one, so workers are built in
+// index order, and a run that dispatches to one worker builds one, not
+// every core of the machine.
 type Pool struct {
+	eng  *Engine
+	name string
+	size int
+	// workers are the workers built so far: a prefix of the pool.
 	workers []*Resource
+	stretch func(start, dur Time) Time
 }
 
 // NewPool builds a pool of n workers.
@@ -138,48 +147,46 @@ func NewPool(eng *Engine, name string, n int) *Pool {
 	if n <= 0 {
 		panic(fmt.Sprintf("sim: pool %s needs at least one worker, got %d", name, n))
 	}
-	// Each simulated machine builds a many-core pool per run, so the
-	// workers share one backing array and their names ("cpu[0]",
-	// "cpu[1]", ...) are substrings of one string.
-	var buf []byte
-	ends := make([]int, n)
-	for i := range ends {
-		buf = append(buf, name...)
-		buf = append(buf, '[')
-		buf = strconv.AppendInt(buf, int64(i), 10)
-		buf = append(buf, ']')
-		ends[i] = len(buf)
-	}
-	names := string(buf)
-	slab := make([]Resource, n)
-	p := &Pool{workers: make([]*Resource, n)}
-	start := 0
-	for i := range slab {
-		slab[i] = Resource{eng: eng, name: names[start:ends[i]]}
-		slab[i].fire = slab[i].complete
-		p.workers[i] = &slab[i]
-		start = ends[i]
-	}
-	return p
+	return &Pool{eng: eng, name: name, size: n}
 }
 
 // Size returns the number of workers.
-func (p *Pool) Size() int { return len(p.workers) }
+func (p *Pool) Size() int { return p.size }
 
-// Workers exposes the pool's resources, e.g. to install per-worker
-// degradation hooks.
-func (p *Pool) Workers() []*Resource { return p.workers }
+// Worker returns worker i ("name[i]"), building it, and every
+// lower-index worker not built yet, on first use.
+func (p *Pool) Worker(i int) *Resource {
+	for len(p.workers) <= i {
+		if p.workers == nil {
+			p.workers = make([]*Resource, 0, p.size)
+		}
+		w := NewResource(p.eng, p.name+"["+strconv.Itoa(len(p.workers))+"]")
+		w.stretch = p.stretch
+		p.workers = append(p.workers, w)
+	}
+	return p.workers[i]
+}
+
+// SetStretch installs a completion-time transform on every worker, as
+// Resource.SetStretch does, including those not built yet.
+func (p *Pool) SetStretch(fn func(start, dur Time) Time) {
+	p.stretch = fn
+	for _, w := range p.workers {
+		w.SetStretch(fn)
+	}
+}
 
 // Submit dispatches a task to the least-loaded worker and returns that
 // worker's completion time; c and tag are as for Resource.Submit.
 //
 //vet:hotpath
 func (p *Pool) Submit(duration Time, c Completer, tag int32) Time {
-	return p.workers[p.Pick()].Submit(duration, c, tag)
+	return p.Worker(p.Pick()).Submit(duration, c, tag)
 }
 
 // Pick returns the index of the worker Submit would dispatch to now:
-// the least loaded, the lowest index among equals.
+// the least loaded, the lowest index among equals. A worker not built
+// yet has been idle since time zero.
 func (p *Pool) Pick() int {
 	best := 0
 	for i, w := range p.workers {
@@ -187,14 +194,18 @@ func (p *Pool) Pick() int {
 			best = i
 		}
 	}
+	if n := len(p.workers); n < p.size && (n == 0 || p.workers[best].busyUntil > 0) {
+		return n
+	}
 	return best
 }
 
-// Utilization returns the mean worker utilization.
+// Utilization returns the mean worker utilization; a worker not built
+// yet was never busy.
 func (p *Pool) Utilization() float64 {
 	var u float64
 	for _, w := range p.workers {
 		u += w.Utilization()
 	}
-	return u / float64(len(p.workers))
+	return u / float64(p.size)
 }

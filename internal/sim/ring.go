@@ -44,7 +44,7 @@ func (q *Ring[T]) Pop() T {
 
 // grow doubles the backing array, unwrapping the queue to its start.
 func (q *Ring[T]) grow() {
-	buf := make([]T, max(8, 2*len(q.buf)))
+	buf := make([]T, max(2, 2*len(q.buf)))
 	for i := 0; i < q.n; i++ {
 		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 	}

@@ -155,6 +155,37 @@ func TestPoolLeastLoaded(t *testing.T) {
 	}
 }
 
+// A pool builds its workers on first use, in index order, and
+// dispatches and reports utilization exactly as a fully built pool: a
+// run that uses only worker 0 builds only it, the workers never used
+// count toward the mean utilization, and least-loaded dispatch takes a
+// never-used worker, idle since time zero, before any used one.
+func TestPoolBuildsWorkersOnFirstUse(t *testing.T) {
+	e := NewEngine()
+	p := NewPool(e, "cpu", 4)
+	p.SetStretch(func(start, dur Time) Time { return start + 2*dur })
+	var end Time
+	for i := 0; i < 3; i++ {
+		p.Worker(0).Submit(10, endAt(&end), 0)
+		e.Run()
+	}
+	if len(p.workers) != 1 || end != 60 {
+		t.Fatalf("worker 0's tasks built %d workers and ended at %d, want 1 and 60 (stretched)", len(p.workers), end)
+	}
+	if u := p.Utilization(); u != 0.25 {
+		t.Fatalf("pool utilization %v, want 0.25", u)
+	}
+	for want := 1; want < 4; want++ {
+		if w := p.Pick(); w != want {
+			t.Fatalf("dispatch picked worker %d, want never-used worker %d", w, want)
+		}
+		p.Submit(10, nil, 0)
+	}
+	if w := p.Pick(); w != 0 || len(p.workers) != 4 || p.Worker(3).Name() != "cpu[3]" {
+		t.Fatalf("picked %d of %d built workers, last %q", w, len(p.workers), p.Worker(3).Name())
+	}
+}
+
 func TestPoolZeroWorkersPanics(t *testing.T) {
 	e := NewEngine()
 	defer func() {

@@ -56,6 +56,10 @@ func (t *Trace) Add(s Span) {
 	t.spans = append(t.spans, s)
 }
 
+// Grow makes room for n more spans, so a caller that knows how many it
+// will add grows the trace once instead of by repeated doubling.
+func (t *Trace) Grow(n int) { t.spans = slices.Grow(t.spans, n) }
+
 // Spans returns all recorded spans in insertion order.
 func (t *Trace) Spans() []Span { return t.spans }
 
