@@ -61,19 +61,6 @@ func RingReduceScatter(bytes int64, w int, link LinkSpec) sim.Time {
 	return RingAllGather(bytes, w, link)
 }
 
-// Broadcast returns the time for a binomial-tree broadcast of the full
-// payload: ceil(log2 w) full-size hops.
-func Broadcast(bytes int64, w int, link LinkSpec) sim.Time {
-	if w <= 1 {
-		return 0
-	}
-	hops := 0
-	for n := 1; n < w; n *= 2 {
-		hops++
-	}
-	return sim.Time(hops) * link.transfer(float64(bytes))
-}
-
 // HeterogeneousAllReduce models STRONGHOLD's concurrent CPU+GPU
 // collectives: a GPU-tensor all-reduce (NCCL) and a CPU-tensor
 // all-reduce (Gloo) issued together. Native frameworks serialize the

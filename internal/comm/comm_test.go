@@ -34,8 +34,7 @@ func TestRingAllReduceFormula(t *testing.T) {
 
 func TestCollectivesSingleRankFree(t *testing.T) {
 	if RingAllReduce(1<<30, 1, link) != 0 ||
-		RingAllGather(1<<30, 1, link) != 0 ||
-		Broadcast(1<<30, 1, link) != 0 {
+		RingAllGather(1<<30, 1, link) != 0 {
 		t.Fatal("single-rank collectives must be free")
 	}
 }
@@ -50,20 +49,6 @@ func TestAllGatherHalfOfAllReduce(t *testing.T) {
 	}
 	if RingReduceScatter(1<<30, 8, big) != ag {
 		t.Fatal("reduce-scatter must equal all-gather cost")
-	}
-}
-
-func TestBroadcastLogSteps(t *testing.T) {
-	noLat := LinkSpec{BandwidthBytesPerSec: 1e9, LatencyNS: 0}
-	one := Broadcast(1e9, 2, noLat)
-	if one != 1e9 {
-		t.Fatalf("2-rank broadcast = %d, want 1s", one)
-	}
-	if got := Broadcast(1e9, 8, noLat); got != 3e9 {
-		t.Fatalf("8-rank broadcast = %d, want 3 hops", got)
-	}
-	if got := Broadcast(1e9, 5, noLat); got != 3e9 {
-		t.Fatalf("5-rank broadcast = %d, want ceil(log2 5)=3 hops", got)
 	}
 }
 
@@ -145,63 +130,6 @@ func TestPropertyCollectiveMonotone(t *testing.T) {
 		return RingAllReduce(bytes, w+1, link) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHalvingDoublingSteps(t *testing.T) {
-	noLat := LinkSpec{BandwidthBytesPerSec: 1e9, LatencyNS: 0}
-	// 8 ranks, 1 GB: RS moves 0.5+0.25+0.125 GB; doubled for AG = 1.75 GB
-	// total at 0.7x link efficiency -> 2.5 s at 1 GB/s.
-	got := HalvingDoublingAllReduce(1e9, 8, noLat)
-	if got < 2.49e9 || got > 2.51e9 {
-		t.Fatalf("halving-doubling = %d, want ~2.5s", got)
-	}
-	if HalvingDoublingAllReduce(1e9, 1, noLat) != 0 {
-		t.Fatal("single rank is free")
-	}
-}
-
-func TestBestAllReduceCrossover(t *testing.T) {
-	// High-latency link: trees win on small payloads, rings on large.
-	lat := LinkSpec{BandwidthBytesPerSec: 10e9, LatencyNS: 100_000}
-	small := int64(64 << 10)
-	large := int64(1 << 30)
-	if BestAllReduce(small, 16, lat) != HalvingDoublingAllReduce(small, 16, lat) {
-		t.Fatal("small payloads should pick halving-doubling")
-	}
-	if BestAllReduce(large, 16, lat) != RingAllReduce(large, 16, lat) {
-		t.Fatal("large payloads should pick the ring")
-	}
-}
-
-func TestHierarchicalAllReduce(t *testing.T) {
-	local := LinkSpec{BandwidthBytesPerSec: 100e9, LatencyNS: 1000}
-	fabric := LinkSpec{BandwidthBytesPerSec: 10e9, LatencyNS: 10_000}
-	flat := RingAllReduce(1<<30, 32, fabric)
-	hier := HierarchicalAllReduce(1<<30, 8, 4, local, fabric)
-	if hier >= flat {
-		t.Fatalf("hierarchical (%d) should beat a flat 32-rank fabric ring (%d)", hier, flat)
-	}
-	if HierarchicalAllReduce(1<<30, 1, 1, local, fabric) != 0 {
-		t.Fatal("single rank is free")
-	}
-	// Degenerate single-GPU nodes reduce to the fabric ring.
-	if HierarchicalAllReduce(1<<30, 8, 1, local, fabric) != RingAllReduce(1<<30, 8, fabric) {
-		t.Fatal("perNode=1 must equal the flat inter-node ring")
-	}
-}
-
-// Property: BestAllReduce never exceeds either algorithm.
-func TestPropertyBestAllReduce(t *testing.T) {
-	f := func(kb uint16, wRaw uint8) bool {
-		bytes := int64(kb)*512 + 256
-		w := int(wRaw%15) + 2
-		best := BestAllReduce(bytes, w, link)
-		return best <= RingAllReduce(bytes, w, link) &&
-			best <= HalvingDoublingAllReduce(bytes, w, link)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -67,8 +67,7 @@ func (r *iterRun) enableFaults(inj *fault.Injector, tr *trace.Trace) {
 	m.D2H.SetStretch(inj.Stretch(fault.D2H))
 	// PCIe drops are handled by the engine's retry loop; the remaining
 	// resources have no reissue path, so their blackouts degrade to
-	// stalls inside the stretch. No op runs on a NIC, so nic rules slow
-	// nothing.
+	// stalls inside the stretch.
 	m.NVMeQ.SetStretch(inj.StretchAll(fault.NVMe))
 	m.CPUPool.SetStretch(inj.StretchAll(fault.CPU))
 }

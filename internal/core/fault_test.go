@@ -313,3 +313,41 @@ func TestDegradedGPUPeakCoversPool(t *testing.T) {
 		t.Errorf("with the re-solve off the peak is %d, want the clean %d", got, clean.GPUPeak)
 	}
 }
+
+// TestEveryFaultTargetSlowsSomething applies a whole-run half-rate
+// slowdown to each injectable target in turn — on STRONGHOLD-NVMe for
+// the NVMe queue, on STRONGHOLD for the rest — and requires the
+// iteration to take longer than the clean run. A target that no op runs
+// on would accept rules and change no number.
+func TestEveryFaultTargetSlowsSomething(t *testing.T) {
+	for _, tg := range fault.Targets {
+		t.Run(string(tg), func(t *testing.T) {
+			feat := DefaultFeatures()
+			if tg == fault.NVMe {
+				feat = Features{ConcurrentOptimizers: true, UserLevelMemMgmt: true, Streams: 1, UseNVMe: true}
+			}
+			run := func(plan string) perf.IterationResult {
+				e := engine1p7B()
+				e.Feat = feat
+				if plan != "" {
+					p, err := fault.ParsePlan(plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					e.Faults = p
+				}
+				res := e.Run(3, nil)
+				if res.OOM {
+					t.Fatalf("1.7B must fit: %s", res.OOMDetail)
+				}
+				return res
+			}
+			clean := run("")
+			slowed := run(string(tg) + ":slow(at=0s,dur=1s,every=1s,factor=0.5)")
+			if slowed.IterTime <= clean.IterTime {
+				t.Errorf("%s at half rate: iteration %v, clean %v; the target slows nothing",
+					tg, slowed.IterTime, clean.IterTime)
+			}
+		})
+	}
+}

@@ -269,24 +269,3 @@ func (t *FunctionalTrainer) Fetches() int { return t.fetches }
 
 // Evictions returns the number of block evictions ("offloads").
 func (t *FunctionalTrainer) Evictions() int { return t.evictions }
-
-// ResidentTrainer is the reference execution: everything "on the GPU",
-// one synchronous optimizer — conventional training. It exists so tests
-// can demand bit-identical results from the offloaded path.
-type ResidentTrainer struct {
-	Model *nn.GPT
-	Opt   *optim.Adam
-}
-
-// NewResidentTrainer builds the reference trainer.
-func NewResidentTrainer(model *nn.GPT, cfg optim.AdamConfig) *ResidentTrainer {
-	return &ResidentTrainer{Model: model, Opt: optim.NewAdam(model.Parameters(), cfg)}
-}
-
-// Step runs one conventional training iteration.
-func (t *ResidentTrainer) Step(b data.Batch) float64 {
-	loss := t.Model.TrainStep(b.Inputs, b.Targets)
-	t.Opt.Step()
-	t.Model.ZeroGrad()
-	return loss
-}

@@ -37,7 +37,7 @@ func TestOffloadBitEqualToResident(t *testing.T) {
 	const layers, iters = 6, 4
 	for _, window := range []int{1, 2, 3, 5, 6} {
 		for _, workers := range []int{1, 4} {
-			ref := NewResidentTrainer(smallGPT(t, layers), optim.DefaultAdamConfig())
+			ref := newResidentTrainer(smallGPT(t, layers), optim.DefaultAdamConfig())
 			refLoader := loader(t)
 			var refLosses []float64
 			for i := 0; i < iters; i++ {
@@ -111,7 +111,7 @@ func TestOffloadTransferCounts(t *testing.T) {
 func TestOffloadSingleWorkerStillCorrect(t *testing.T) {
 	// Even one optimizer worker (the ZeRO-Offload configuration) must
 	// preserve semantics; it is only slower.
-	ref := NewResidentTrainer(smallGPT(t, 4), optim.DefaultAdamConfig())
+	ref := newResidentTrainer(smallGPT(t, 4), optim.DefaultAdamConfig())
 	off, err := NewFunctionalTrainer(smallGPT(t, 4), optim.DefaultAdamConfig(), 2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestOffloadCheckpointingCompatible(t *testing.T) {
 	// between two consecutive checkpoints."
 	refModel := smallGPT(t, 6)
 	refModel.Blocks.SetActivationCheckpointing(2)
-	ref := NewResidentTrainer(refModel, optim.DefaultAdamConfig())
+	ref := newResidentTrainer(refModel, optim.DefaultAdamConfig())
 
 	offModel := smallGPT(t, 6)
 	offModel.Blocks.SetActivationCheckpointing(2)
@@ -185,4 +185,25 @@ func TestOffloadCheckpointingCompatible(t *testing.T) {
 	}
 	off.Drain()
 	off.Close()
+}
+
+// residentTrainer is the reference execution: everything "on the GPU",
+// one synchronous optimizer — conventional training. It exists so tests
+// can demand bit-identical results from the offloaded path.
+type residentTrainer struct {
+	Model *nn.GPT
+	Opt   *optim.Adam
+}
+
+// newResidentTrainer builds the reference trainer.
+func newResidentTrainer(model *nn.GPT, cfg optim.AdamConfig) *residentTrainer {
+	return &residentTrainer{Model: model, Opt: optim.NewAdam(model.Parameters(), cfg)}
+}
+
+// Step runs one conventional training iteration.
+func (t *residentTrainer) Step(b data.Batch) float64 {
+	loss := t.Model.TrainStep(b.Inputs, b.Targets)
+	t.Opt.Step()
+	t.Model.ZeroGrad()
+	return loss
 }

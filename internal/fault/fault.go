@@ -24,6 +24,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -35,24 +36,29 @@ import (
 type Target string
 
 // The injectable resources: the two PCIe DMA engines, the NVMe queue,
-// the CPU optimizer pool, and the cluster NIC.
+// and the CPU optimizer pool. Each one is a resource some plan op runs
+// on, so a rule against any of them slows a simulated iteration.
 const (
 	H2D  Target = "h2d"
 	D2H  Target = "d2h"
 	NVMe Target = "nvme"
 	CPU  Target = "cpu"
-	NIC  Target = "nic"
 )
 
 // Targets lists every injectable resource in canonical order.
-var Targets = []Target{H2D, D2H, NVMe, CPU, NIC}
+var Targets = []Target{H2D, D2H, NVMe, CPU}
 
-func (t Target) valid() bool {
-	switch t {
-	case H2D, D2H, NVMe, CPU, NIC:
-		return true
+func (t Target) valid() bool { return slices.Contains(Targets, t) }
+
+// UnknownTargetError rejects a rule whose target is not in Targets.
+type UnknownTargetError struct{ Target Target }
+
+func (e *UnknownTargetError) Error() string {
+	want := make([]string, len(Targets))
+	for i, t := range Targets {
+		want[i] = string(t)
 	}
-	return false
+	return fmt.Sprintf("unknown target %q (want %s)", string(e.Target), strings.Join(want, ", "))
 }
 
 // Kind classifies what a rule does to its target.
@@ -145,7 +151,7 @@ func (p Plan) Validate() error {
 
 func (r Rule) validate() error {
 	if !r.Target.valid() {
-		return fmt.Errorf("unknown target %q", string(r.Target))
+		return &UnknownTargetError{Target: r.Target}
 	}
 	if !r.Kind.valid() {
 		return fmt.Errorf("unknown kind %q", string(r.Kind))

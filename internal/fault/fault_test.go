@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ func TestParseRoundTrip(t *testing.T) {
 		"nvme:drop(at=20ms,dur=8ms)",
 		"cpu:slow(at=0s,dur=1s,every=1s,factor=0.5)",
 		"seed=42;h2d:rand(n=6,span=2s,dur=4ms)",
-		"seed=7;h2d:rand(n=3,span=1s,dur=2ms,factor=0.1);nic:stall(at=5ms,dur=1ms,every=50ms,count=10)",
+		"seed=7;h2d:rand(n=3,span=1s,dur=2ms,factor=0.1);cpu:stall(at=5ms,dur=1ms,every=50ms,count=10)",
 		"h2d:slow(at=1ms,dur=2ms,factor=0.125);d2h:drop(at=0s,dur=3ms,every=9ms)",
 	}
 	for _, src := range cases {
@@ -79,6 +80,19 @@ func TestParseWhitespaceAndErrors(t *testing.T) {
 		if _, err := ParsePlan(src); err == nil {
 			t.Errorf("ParsePlan(%q) accepted an invalid plan", src)
 		}
+	}
+}
+
+// A target no plan op runs on is rejected with a typed error that
+// lists the valid targets, built from Targets.
+func TestUnknownTargetListsTargets(t *testing.T) {
+	_, err := ParsePlan("nic:stall(at=0s,dur=1ms)")
+	var ute *UnknownTargetError
+	if !errors.As(err, &ute) || ute.Target != "nic" {
+		t.Fatalf("ParsePlan(nic) = %v, want an UnknownTargetError", err)
+	}
+	if want := `unknown target "nic" (want h2d, d2h, nvme, cpu)`; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not contain %q", err, want)
 	}
 }
 
@@ -280,7 +294,7 @@ func TestStretchNeverEarly(t *testing.T) {
 }
 
 func TestWindowsDeterministicOrder(t *testing.T) {
-	in, err := NewInjector(mustParse(t, "nic:stall(at=5ms,dur=1ms);h2d:slow(at=0s,dur=2ms,every=10ms,count=3,factor=0.5);h2d:drop(at=1ms,dur=1ms)"))
+	in, err := NewInjector(mustParse(t, "cpu:stall(at=5ms,dur=1ms);h2d:slow(at=0s,dur=2ms,every=10ms,count=3,factor=0.5);h2d:drop(at=1ms,dur=1ms)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,14 +302,14 @@ func TestWindowsDeterministicOrder(t *testing.T) {
 	if len(ws) != 5 {
 		t.Fatalf("expected 5 windows, got %d: %+v", len(ws), ws)
 	}
-	// Canonical target order first (h2d before nic), then start order.
+	// Canonical target order first (h2d before cpu), then start order.
 	for i := 1; i < len(ws); i++ {
 		if ws[i-1].Target == ws[i].Target && ws[i-1].Start > ws[i].Start {
 			t.Fatalf("windows out of order at %d: %+v", i, ws)
 		}
 	}
-	if ws[len(ws)-1].Target != NIC {
-		t.Fatalf("nic window must sort last: %+v", ws)
+	if ws[len(ws)-1].Target != CPU {
+		t.Fatalf("cpu window must sort last: %+v", ws)
 	}
 	// Horizon clips cycle expansion.
 	if clipped := in.Windows(ms(1)); len(clipped) != 1 {

@@ -20,7 +20,7 @@ func FuzzFaultPlan(f *testing.F) {
 		"nvme:drop(at=20ms,dur=8ms)",
 		"cpu:slow(at=0s,dur=1s,every=1s,factor=0.5)",
 		"seed=42;h2d:rand(n=6,span=2s,dur=4ms)",
-		"seed=7;h2d:rand(n=3,span=1s,dur=2ms,factor=0.1);nic:stall(at=5ms,dur=1ms,every=50ms,count=10)",
+		"seed=7;h2d:rand(n=3,span=1s,dur=2ms,factor=0.1);cpu:stall(at=5ms,dur=1ms,every=50ms,count=10)",
 		"h2d:drop(at=0s,dur=3ms,every=9ms);h2d:slow(at=1ms,dur=2ms,factor=0.125)",
 		"seed=18446744073709551615;d2h:rand(n=256,span=59m,dur=1h)",
 		"h2d:stall(at=0s,dur=1ns,every=2ns)",

@@ -293,8 +293,8 @@ func (in *Injector) Stretch(tg Target) func(start, dur sim.Time) sim.Time {
 }
 
 // StretchAll is Stretch with drop windows folded in as stalls — for
-// resources whose clients have no retry path (NVMe queue, CPU workers,
-// NIC), so a drop rule still degrades them deterministically.
+// resources whose clients have no retry path (NVMe queue, CPU workers),
+// so a drop rule still degrades them deterministically.
 func (in *Injector) StretchAll(tg Target) func(start, dur sim.Time) sim.Time {
 	tl := in.lines[tg]
 	if tl == nil || (!tl.hasRate && !tl.hasDrop) {

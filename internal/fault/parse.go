@@ -15,7 +15,7 @@ import (
 //	rule  := target ":" kind "(" param *( "," param ) ")"
 //	param := key "=" value
 //
-// Targets: h2d d2h nvme cpu nic. Kinds: stall slow drop rand.
+// Targets: h2d d2h nvme cpu. Kinds: stall slow drop rand.
 // Durations use Go syntax ("250ms", "1.5s"). Whitespace around
 // separators is ignored; an empty string is the empty plan. The parsed
 // plan is validated; see Plan and Rule for the parameter semantics.

@@ -24,13 +24,3 @@ func ModelParallelVolume(c Config, w int) float64 {
 func VolumeRatio(c Config, w int) float64 {
 	return ModelParallelVolume(c, w) / DataParallelVolume(c, w)
 }
-
-// VolumeRatioSimplified evaluates the paper's closed form for
-// seq = 1024 and vs = 30k:
-//
-//	V_mp/V_dp = bs / (3·hd/256 + 30/n) = k·bs,  k = 1/(3·hd/256 + 30/n).
-func VolumeRatioSimplified(c Config) float64 {
-	hd, n, bs := float64(c.Hidden), float64(c.Layers), float64(c.BatchSize)
-	k := 1 / (3*hd/256 + 30/n)
-	return k * bs
-}

@@ -246,12 +246,22 @@ func TestLargestTrainableReproducesFig6aOrdering(t *testing.T) {
 	}
 }
 
+// volumeRatioSimplified evaluates the paper's closed form for
+// seq = 1024 and vs = 30k:
+//
+//	V_mp/V_dp = bs / (3·hd/256 + 30/n) = k·bs,  k = 1/(3·hd/256 + 30/n).
+func volumeRatioSimplified(c Config) float64 {
+	hd, n, bs := float64(c.Hidden), float64(c.Layers), float64(c.BatchSize)
+	k := 1 / (3*hd/256 + 30/n)
+	return k * bs
+}
+
 func TestCommVolumeSimplifiedMatchesFull(t *testing.T) {
 	// At seq=1024, vs=30k the closed form must match the full ratio.
 	c := NewConfig(50, 4096, 16)
 	c.BatchSize = 16
 	full := VolumeRatio(c, 8)
-	simp := VolumeRatioSimplified(c)
+	simp := volumeRatioSimplified(c)
 	if math.Abs(full-simp)/full > 0.01 {
 		t.Fatalf("closed form %v vs full %v", simp, full)
 	}
@@ -262,7 +272,7 @@ func TestCommVolumePaperExample(t *testing.T) {
 	// ("STRONGHOLD halfs the communication traffics").
 	c := NewConfig(50, 4096, 16)
 	c.BatchSize = 16
-	ratio := VolumeRatioSimplified(c)
+	ratio := volumeRatioSimplified(c)
 	// k = 1/(3·4096/256 + 30/50) = 1/48.6; ratio = 16/48.6 ≈ 0.33 …
 	// meaning V_mp ≈ 0.33·V_dp? No: the paper reports DP halving MP
 	// traffic, i.e. V_mp/V_dp ≈ 2 requires bs ≈ 2/k ≈ 97 … the paper's

@@ -74,10 +74,58 @@ func TestGenerateFastValidation(t *testing.T) {
 
 func TestGenerateFastRejectsNonBlockStacks(t *testing.T) {
 	g := kvModel(t)
-	moe := NewMoE("moe", 16, 2, tensor.NewRNG(2))
-	g.Blocks = autograd.NewSequential(append(g.Blocks.Layers(), moe)...)
+	lin := NewLinear("lin", 16, 16, tensor.NewRNG(2))
+	g.Blocks = autograd.NewSequential(append(g.Blocks.Layers(), lin)...)
 	if _, err := g.GenerateFast([]int{1, 2}, 3, 0, tensor.NewRNG(1)); err == nil {
-		t.Fatal("MoE stacks must be rejected by the cached path")
+		t.Fatal("stacks with a non-block layer must be rejected by the cached path")
+	}
+}
+
+func TestGenerateGreedyAndSampled(t *testing.T) {
+	g, err := NewGPT(GPTConfig{Vocab: 23, MaxSeq: 8, Hidden: 8, Heads: 2, Layers: 1, Seed: 66})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := tensor.NewRNG(1)
+	out, err := g.Generate([]int{1, 2, 3}, 5, 0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 5 {
+		t.Fatalf("generated %d tokens", len(out))
+	}
+	for _, id := range out {
+		if id < 0 || id >= 23 {
+			t.Fatalf("token %d out of vocab", id)
+		}
+	}
+	// Greedy generation is deterministic.
+	out2, _ := g.Generate([]int{1, 2, 3}, 5, 0, tensor.NewRNG(99))
+	for i := range out {
+		if out[i] != out2[i] {
+			t.Fatal("greedy decoding must be deterministic")
+		}
+	}
+	// Sampling with temperature produces valid tokens and respects the
+	// context window (prompt longer than MaxSeq).
+	long := make([]int, 20)
+	sampled, err := g.Generate(long, 4, 0.8, rng)
+	if err != nil || len(sampled) != 4 {
+		t.Fatalf("sampled generation failed: %v", err)
+	}
+}
+
+func TestGenerateValidation(t *testing.T) {
+	g, _ := NewGPT(GPTConfig{Vocab: 23, MaxSeq: 8, Hidden: 8, Heads: 2, Layers: 1, Seed: 67})
+	rng := tensor.NewRNG(1)
+	if _, err := g.Generate(nil, 3, 0, rng); err == nil {
+		t.Fatal("empty prompt must error")
+	}
+	if _, err := g.Generate([]int{50}, 3, 0, rng); err == nil {
+		t.Fatal("out-of-vocab prompt must error")
+	}
+	if _, err := g.Generate([]int{1}, -1, 0, rng); err == nil {
+		t.Fatal("negative length must error")
 	}
 }
 

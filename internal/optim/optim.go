@@ -1,88 +1,15 @@
-// Package optim implements the optimizers the paper trains with — Adam
-// (the memory-dominating case the offloading work targets), AdamW and
-// SGD — behind a per-parameter Step interface so the STRONGHOLD
-// concurrent CPU optimizer pool can update disjoint layers in parallel.
+// Package optim implements the optimizer the paper trains with — Adam,
+// or AdamW with decoupled weight decay (the memory-dominating case the
+// offloading work targets) — with a per-parameter step so the
+// STRONGHOLD concurrent CPU optimizer pool can update disjoint layers
+// in parallel, plus the learning-rate schedules that drive it.
 package optim
 
 import (
-	"fmt"
 	"math"
 
 	"stronghold/internal/autograd"
 )
-
-// Optimizer updates a fixed set of parameters from their accumulated
-// gradients. Implementations keep per-parameter state (e.g. Adam
-// moments); StateBytes reports that state's footprint, which is what
-// ZeRO-Offload/STRONGHOLD move off the GPU.
-type Optimizer interface {
-	// Step applies one update to every managed parameter.
-	Step()
-	// StepParam applies one update to the i-th managed parameter only.
-	// The STRONGHOLD optimizer pool uses this to update layers
-	// concurrently from different workers.
-	StepParam(i int)
-	// Params returns the managed parameters.
-	Params() []*autograd.Parameter
-	// StateBytes returns the optimizer-state footprint in bytes.
-	StateBytes() int64
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float32
-	Momentum float32
-	params   []*autograd.Parameter
-	velocity [][]float32
-}
-
-// NewSGD builds an SGD optimizer over params.
-func NewSGD(params []*autograd.Parameter, lr, momentum float32) *SGD {
-	s := &SGD{LR: lr, Momentum: momentum, params: params}
-	if momentum != 0 {
-		s.velocity = make([][]float32, len(params))
-		for i, p := range params {
-			s.velocity[i] = make([]float32, p.Value.Size())
-		}
-	}
-	return s
-}
-
-// Params implements Optimizer.
-func (s *SGD) Params() []*autograd.Parameter { return s.params }
-
-// StateBytes implements Optimizer.
-func (s *SGD) StateBytes() int64 {
-	var n int64
-	for _, v := range s.velocity {
-		n += int64(len(v)) * 4
-	}
-	return n
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step() {
-	for i := range s.params {
-		s.StepParam(i)
-	}
-}
-
-// StepParam implements Optimizer.
-func (s *SGD) StepParam(i int) {
-	p := s.params[i]
-	w, g := p.Value.Data(), p.Grad.Data()
-	if s.velocity == nil {
-		for j := range w {
-			w[j] -= s.LR * g[j]
-		}
-		return
-	}
-	v := s.velocity[i]
-	for j := range w {
-		v[j] = s.Momentum*v[j] + g[j]
-		w[j] -= s.LR * v[j]
-	}
-}
 
 // AdamConfig holds Adam/AdamW hyperparameters. Defaults (Zero values
 // replaced by DefaultAdamConfig) follow the paper's references [22],
@@ -124,10 +51,11 @@ func NewAdam(params []*autograd.Parameter, cfg AdamConfig) *Adam {
 	return a
 }
 
-// Params implements Optimizer.
+// Params returns the managed parameters.
 func (a *Adam) Params() []*autograd.Parameter { return a.params }
 
-// StateBytes implements Optimizer.
+// StateBytes returns the optimizer-state footprint in bytes, which is
+// what ZeRO-Offload/STRONGHOLD move off the GPU.
 func (a *Adam) StateBytes() int64 {
 	var n int64
 	for i := range a.m {
@@ -136,14 +64,16 @@ func (a *Adam) StateBytes() int64 {
 	return n
 }
 
-// Step implements Optimizer.
+// Step applies one update to every managed parameter.
 func (a *Adam) Step() {
 	for i := range a.params {
 		a.StepParam(i)
 	}
 }
 
-// StepParam implements Optimizer. It is safe to call concurrently for
+// StepParam applies one update to the i-th managed parameter only. The
+// STRONGHOLD optimizer pool uses it to update layers concurrently from
+// different workers. It is safe to call concurrently for
 // *different* i from different goroutines: all touched state is indexed
 // by i.
 func (a *Adam) StepParam(i int) {
@@ -178,27 +108,4 @@ func (a *Adam) stepParam(i int, c AdamConfig) {
 		}
 		w[j] -= upd
 	}
-}
-
-// CloneStateInto copies the i-th parameter's moment buffers into dst
-// slices (used by the NVMe tier to spill optimizer state). dst slices
-// must have the right length.
-func (a *Adam) CloneStateInto(i int, dstM, dstV []float32) error {
-	if len(dstM) != len(a.m[i]) || len(dstV) != len(a.v[i]) {
-		return fmt.Errorf("optim: state clone size mismatch for param %d", i)
-	}
-	copy(dstM, a.m[i])
-	copy(dstV, a.v[i])
-	return nil
-}
-
-// RestoreState loads moment buffers for the i-th parameter (inverse of
-// CloneStateInto).
-func (a *Adam) RestoreState(i int, srcM, srcV []float32) error {
-	if len(srcM) != len(a.m[i]) || len(srcV) != len(a.v[i]) {
-		return fmt.Errorf("optim: state restore size mismatch for param %d", i)
-	}
-	copy(a.m[i], srcM)
-	copy(a.v[i], srcV)
-	return nil
 }

@@ -20,36 +20,6 @@ func makeParams(n, size int, seed uint64) []*autograd.Parameter {
 	return ps
 }
 
-func TestSGDStepDirection(t *testing.T) {
-	p := autograd.NewParameter("w", tensor.Full(1, 3))
-	p.Grad.CopyFrom(tensor.FromSlice([]float32{1, -1, 0}, 3))
-	s := NewSGD([]*autograd.Parameter{p}, 0.1, 0)
-	s.Step()
-	want := []float32{0.9, 1.1, 1}
-	for i, w := range want {
-		if p.Value.Data()[i] != w {
-			t.Fatalf("SGD step got %v, want %v", p.Value.Data(), want)
-		}
-	}
-	if s.StateBytes() != 0 {
-		t.Fatal("momentum-free SGD must have no state")
-	}
-}
-
-func TestSGDMomentumAccumulates(t *testing.T) {
-	p := autograd.NewParameter("w", tensor.Full(0, 1))
-	p.Grad.CopyFrom(tensor.Full(1, 1))
-	s := NewSGD([]*autograd.Parameter{p}, 1, 0.9)
-	s.Step() // v=1, w=-1
-	s.Step() // v=1.9, w=-2.9
-	if got := p.Value.Data()[0]; math.Abs(float64(got)+2.9) > 1e-6 {
-		t.Fatalf("momentum step got %v, want -2.9", got)
-	}
-	if s.StateBytes() != 4 {
-		t.Fatalf("StateBytes = %d, want 4", s.StateBytes())
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)² elementwise; Adam should approach 3.
 	p := autograd.NewParameter("w", tensor.Zeros(4))
@@ -144,38 +114,6 @@ func TestStepParamConcurrentMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestCloneAndRestoreState(t *testing.T) {
-	ps := makeParams(1, 8, 4)
-	a := NewAdam(ps, DefaultAdamConfig())
-	a.Step()
-	m := make([]float32, 8)
-	v := make([]float32, 8)
-	if err := a.CloneStateInto(0, m, v); err != nil {
-		t.Fatal(err)
-	}
-	// Wipe and restore.
-	a2 := NewAdam(ps, DefaultAdamConfig())
-	if err := a2.RestoreState(0, m, v); err != nil {
-		t.Fatal(err)
-	}
-	m2 := make([]float32, 8)
-	v2 := make([]float32, 8)
-	if err := a2.CloneStateInto(0, m2, v2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range m {
-		if m[i] != m2[i] || v[i] != v2[i] {
-			t.Fatal("state restore mismatch")
-		}
-	}
-	if err := a.CloneStateInto(0, make([]float32, 3), v); err == nil {
-		t.Fatal("size mismatch must error")
-	}
-	if err := a.RestoreState(0, make([]float32, 3), v); err == nil {
-		t.Fatal("size mismatch must error")
-	}
-}
-
 // Property: one Adam step never moves a weight by more than
 // LR·(1+ε-margin) once bias-corrected — the bounded-update property.
 func TestPropertyAdamBoundedStep(t *testing.T) {
@@ -194,21 +132,6 @@ func TestPropertyAdamBoundedStep(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: SGD with lr=0 is the identity.
-func TestPropertySGDZeroLRIdentity(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := tensor.NewRNG(seed)
-		p := autograd.NewParameter("w", tensor.Randn(rng, 1, 8))
-		before := p.Value.Clone()
-		p.Grad.CopyFrom(tensor.Randn(rng, 1, 8))
-		NewSGD([]*autograd.Parameter{p}, 0, 0.9).Step()
-		return p.Value.Equal(before)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }

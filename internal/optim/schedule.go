@@ -83,6 +83,3 @@ func (w WarmupLinear) LR(step int) float64 {
 // SetLR changes the optimizer's learning rate (applied to subsequent
 // Step/StepParam calls) — how a schedule drives Adam.
 func (a *Adam) SetLR(lr float64) { a.Config.LR = float32(lr) }
-
-// SetLR changes SGD's learning rate.
-func (s *SGD) SetLR(lr float64) { s.LR = float32(lr) }

@@ -88,11 +88,6 @@ func TestSetLRDrivesAdam(t *testing.T) {
 	if got := float64(p.Value.Data()[0]); math.Abs(got+0.5) > 1e-3 {
 		t.Fatalf("step %v, want ≈ -0.5", got)
 	}
-	s := NewSGD([]*autograd.Parameter{p}, 1, 0)
-	s.SetLR(0.25)
-	if s.LR != 0.25 {
-		t.Fatal("SGD SetLR")
-	}
 }
 
 // Property: both schedules stay within [MinRate, Base] after warmup and

@@ -527,3 +527,24 @@ func TestWhatIfRejectsDeepModel(t *testing.T) {
 		t.Errorf("simulations = %v, want 0", got)
 	}
 }
+
+// A /v1/whatif rule against a target no op runs on is a 400 that lists
+// the valid targets, decided at canonicalization: the backend never
+// runs.
+func TestWhatIfRejectsUnknownTarget(t *testing.T) {
+	fb := &fakeBackend{}
+	s := New(fb, Options{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	resp, body := post(t, ts, "/v1/whatif", `{"faults":"nic:stall(at=0s,dur=1ms)"}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+	if want := `unknown target \"nic\" (want h2d, d2h, nvme, cpu)`; !bytes.Contains(body, []byte(want)) {
+		t.Errorf("rejection does not list the targets %q: %s", want, body)
+	}
+	if n := fb.whatifs.Load(); n != 0 {
+		t.Errorf("whatif backend ran %d times, want 0", n)
+	}
+}
