@@ -104,8 +104,9 @@ type Engine struct {
 	// output — the test hook for exercising the validator's pre-sim
 	// diagnostics and the executor's structured invariant errors.
 	planOverride *plan.Iteration
-	// planSkipValidate bypasses pre-sim validation, letting tests drive
-	// a broken plan into the executor's runtime error path.
+	// planSkipValidate lowers plans with plan.Compile instead of
+	// plan.Prepare, bypassing pre-sim validation, letting tests drive a
+	// broken plan into the executor's runtime error path.
 	planSkipValidate bool
 	// recordWarmup keeps the per-op record of every iteration, as a
 	// collector run does — the oracle that skipping the warm-up
@@ -590,43 +591,44 @@ func (r *iterRun) initWindow(window, bufWindow, streams int) {
 }
 
 // planFor returns the cached, validated schedule for a window size,
-// planning and compiling it on first use. Validation runs on every
-// plan, planner-built or injected through the test hooks, and costs
-// time linear in the plan size; a build or validation failure records
-// schedErr.
+// planning and preparing it (plan.Prepare: validation and lowering) on
+// first use. Validation runs on every plan, planner-built or injected
+// through the test hooks, and costs time linear in the plan size; a
+// build or validation failure records schedErr.
 func (r *iterRun) planFor(window int) *plan.Iteration {
 	if p, ok := r.plans[window]; ok {
 		return p
 	}
 	p := r.e.planOverride
+	var err error
 	if p == nil {
 		spec := r.e.planSpec(window, len(r.streams), r.optFrac)
 		spec.BudgetSlots = r.bufWindow + 1
-		var err error
-		if p, err = plan.Build(spec); err != nil {
-			if r.schedErr == nil {
-				r.schedErr = err
-			}
-			return nil
+		p, err = plan.Build(spec)
+	}
+	var c *plan.Compiled
+	if err == nil {
+		if r.e.planSkipValidate {
+			c = plan.Compile(&p.Graph)
+		} else {
+			c, err = plan.Prepare(p)
 		}
 	}
-	if !r.e.planSkipValidate {
-		if err := plan.Validate(p); err != nil {
-			if r.schedErr == nil {
-				r.schedErr = err
-			}
-			return nil
+	if err != nil {
+		if r.schedErr == nil {
+			r.schedErr = err
 		}
+		return nil
 	}
 	r.plans[window] = p
-	r.progs[window] = plan.Compile(&p.Graph)
+	r.progs[window] = c
 	return p
 }
 
 // acquireLayer claims device buffers for a layer entering the window.
 // In user-level mode exhaustion is a scheduling-invariant violation
 // (the buffer-recycling dependencies exist precisely to prevent it,
-// and plan.Validate proves planner-built schedules cannot hit it); it
+// and plan.Prepare proves planner-built schedules cannot hit it); it
 // is reported as a structured error, not a crash. In caching mode an
 // exhausted arena triggers a cache flush — the §III-E3 thrash — before
 // retrying.
@@ -756,16 +758,11 @@ func perWorkerCap(spec hw.CPUSpec) float64 {
 // which ends with every stream's last kernel and the plan's final op
 // (the resident update). Only the final iteration keeps a per-op record
 // (plan.Record), which spans and Overlap read, unless a collector,
-// which covers every run, is set.
+// which covers every run, is set. r.window always names a prepared
+// plan: Run prepares the first window before simulating, and resize
+// moves only to a window planFor has prepared.
 func (r *iterRun) iteration(final bool) *plan.Run {
-	var c *plan.Compiled
-	if r.planFor(r.window) == nil {
-		// schedErr recorded: an empty plan ends at once.
-		c = plan.Compile(&plan.Graph{})
-	} else {
-		c = r.progs[r.window]
-	}
-	eng, env := r.machine.Eng, &schedEnv{r: r}
+	c, eng, env := r.progs[r.window], r.machine.Eng, &schedEnv{r: r}
 	if final || r.e.Metrics != nil || r.e.recordWarmup {
 		return plan.Execute(c, eng, &r.st, env)
 	}

@@ -91,16 +91,6 @@ func (e *Engine) ProfileWarmup(iters int) (Profile, error) {
 	return base, nil
 }
 
-// ProfiledWindow runs warm-up profiling and solves the window from the
-// measurements — the full §III-B + §III-D pipeline.
-func (e *Engine) ProfiledWindow(iters int) (WindowDecision, error) {
-	p, err := e.ProfileWarmup(iters)
-	if err != nil {
-		return WindowDecision{}, err
-	}
-	return SolveWindow(p)
-}
-
 // WarmupOverheadFraction estimates the §V-D claim that warm-up
 // profiling costs under 0.5% of training: the warm-up iterations run at
 // the conservative window instead of the solved one, and their time

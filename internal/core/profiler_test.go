@@ -42,7 +42,13 @@ func TestProfiledWindowAgreesWithAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiled, err := e.ProfiledWindow(5)
+	// The full §III-B + §III-D pipeline: profile the warm-up, then
+	// solve the window from the measurements.
+	p, err := e.ProfileWarmup(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiled, err := SolveWindow(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,13 +10,13 @@ import (
 	"stronghold/internal/trace"
 )
 
-// RunPlan validates one explicit-duration plan — a baseline method's
-// iteration, every op carrying its DurNS — and runs it on a fresh
-// hw.Machine through the environment STRONGHOLD's own plans use, with
-// every §III-E optimization off: one CPU optimizer worker and no device
-// buffer pool. Compute and GPU optimizer ops run on one FIFO queue per
+// RunPlan validates and lowers (plan.Prepare) one explicit-duration
+// plan — a baseline method's iteration, every op carrying its DurNS —
+// and runs it on a fresh hw.Machine through the environment
+// STRONGHOLD's own plans use, with every §III-E optimization off: one
+// CPU optimizer worker and no device buffer pool. Compute and GPU optimizer ops run on one FIFO queue per
 // plan queue (traced as "gpu", "host", then "q2", ...), each op after
-// its queue's previous op in plan order, as plan.Validate assumes, and
+// its queue's previous op in plan order, as plan.Prepare proves, and
 // on a fresh plan.State; copies take the PCIe queues. Setup and result
 // assembly are Engine.Run's (setup, finish): under faults a dropped
 // copy is reissued with backoff, and retries and deadline misses are
@@ -26,7 +26,8 @@ import (
 // fault windows; the result is the same either way.
 func RunPlan(m perf.Model, it *plan.Iteration, tr *trace.Trace, faults *fault.Plan) perf.IterationResult {
 	var res perf.IterationResult
-	if err := plan.Validate(it); err != nil {
+	c, err := plan.Prepare(it)
+	if err != nil {
 		res.OOM, res.OOMDetail = true, err.Error()
 		return res
 	}
@@ -47,7 +48,7 @@ func RunPlan(m perf.Model, it *plan.Iteration, tr *trace.Trace, faults *fault.Pl
 		}
 		r.queues = append(r.queues, sim.NewResource(eng, name))
 	}
-	x := plan.Execute(plan.Compile(&it.Graph), eng, &r.st, &schedEnv{r: r})
+	x := plan.Execute(c, eng, &r.st, &schedEnv{r: r})
 	eng.Run()
 	res.IterTime = eng.Now()
 	res.PlanOps = uint64(len(it.Ops))

@@ -23,7 +23,8 @@ type LayerTimes struct {
 	G2C    sim.Time // t_g2c: GPU→CPU weight/grad offload
 	OptGPU sim.Time // t_opt_gpu: on-GPU Adam for one layer
 	// OptCPU is t_opt_cpu for a single CPU worker owning the whole
-	// socket; divide bandwidth by concurrent workers via CPUOptTime.
+	// socket's bandwidth; the engine's CPU optimizer pool
+	// (core's cpuOptDuration) also caps each worker's bandwidth.
 	OptCPU sim.Time
 	Async  sim.Time // t_async: one asynchronous call's overhead
 }
@@ -72,18 +73,6 @@ func (m Model) Layer() LayerTimes {
 		OptCPU: sim.Time(optBytes / m.Plat.CPU.MemBandwidth * 1e9),
 		Async:  sim.Time(m.Plat.AsyncCallNS),
 	}
-}
-
-// CPUOptTime returns one layer's CPU Adam duration when workers
-// concurrent optimizer actors share the socket's memory bandwidth.
-func (m Model) CPUOptTime(workers int) sim.Time {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > m.Plat.CPU.Cores {
-		workers = m.Plat.CPU.Cores
-	}
-	return m.Layer().OptCPU * sim.Time(workers)
 }
 
 // EmbeddingTime returns the forward (and, doubled, backward) time of the

@@ -67,21 +67,6 @@ func TestUtilizationOverride(t *testing.T) {
 	}
 }
 
-func TestCPUOptTimeScalesWithWorkers(t *testing.T) {
-	m := model1p7()
-	one := m.CPUOptTime(1)
-	four := m.CPUOptTime(4)
-	if four != 4*one {
-		t.Fatalf("4 workers sharing bandwidth: %d vs %d", four, one)
-	}
-	if m.CPUOptTime(0) != one {
-		t.Fatal("worker floor")
-	}
-	if m.CPUOptTime(10_000) != m.CPUOptTime(m.Plat.CPU.Cores) {
-		t.Fatal("workers capped at core count")
-	}
-}
-
 func TestGPUOptimizerFasterThanCPU(t *testing.T) {
 	lt := model1p7().Layer()
 	if lt.OptGPU >= lt.OptCPU {

@@ -112,10 +112,11 @@ type opInfo struct {
 }
 
 // Compile lowers g — an iteration's or a patch's ops, in canonical
-// order. Every op onQueue selects runs after the previous such op on
-// op.Queue, the FIFO order Validate proves the plan against. A
-// dependency that does not point at an earlier op is ignored; Validate
-// rejects such plans.
+// order — without checking it. Every op onQueue selects runs after the
+// previous such op on op.Queue; Prepare lowers an iteration the same
+// way and proves its invariants over those FIFO edges. A dependency
+// that does not point at an earlier op is ignored; Prepare rejects such
+// plans.
 func Compile(g *Graph) *Compiled {
 	ops := g.Ops
 	n := len(ops)

@@ -4,7 +4,8 @@
 // edges, layer tags and deterministic op IDs. The planner (build.go)
 // lowers a window decision and feature set into a plan; the validator
 // (validate.go) checks the scheduling invariants on the IR before any
-// simulation; the executor (exec.go) compiles a plan once into a CSR
+// simulation, and Prepare hands the executor the program it proved
+// them on; the executor (exec.go) compiles a plan once into a CSR
 // successor table, then walks it with dense per-op dependency counts,
 // starting each op's simulated work through an environment interface
 // once its dependencies have completed and releasing successors by op

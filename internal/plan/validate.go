@@ -31,31 +31,40 @@ import (
 //
 // A nil error means the executor cannot hit the engine's
 // buffer-invariant error on this plan. Violations are aggregated so a
-// broken plan reports every problem at once.
+// broken plan reports every problem at once. Validate is Prepare
+// without the program.
 func Validate(it *Iteration) error {
+	_, err := Prepare(it)
+	return err
+}
+
+// Prepare checks it as Validate does and returns the program Compile
+// lowers it to, or nil and the violations. It lowers the plan between
+// the structure check and the invariant checks, which read each op's
+// queue predecessor from the program: the FIFO edges the proof follows
+// are the ones the executor waits on.
+func Prepare(it *Iteration) (*Compiled, error) {
 	v := &validator{it: it}
 	v.checkStructure()
 	if len(v.errs) == 0 {
-		v.computeQueuePrev()
-		v.checkBuffers()
-		v.checkResidency()
-		v.checkBudget()
+		v.c, v.seen = Compile(&it.Graph), make([]uint32, len(it.Ops))
+		v.checkEpochs()
 		v.checkNVMeRing()
 		v.checkFrac()
-		v.checkOptSlots()
 	}
-	if len(v.errs) == 0 {
-		return nil
+	if len(v.errs) > 0 {
+		return nil, fmt.Errorf("plan: %d invariant violation(s):\n  %s", len(v.errs), strings.Join(v.errs, "\n  "))
 	}
-	return fmt.Errorf("plan: %d invariant violation(s):\n  %s", len(v.errs), strings.Join(v.errs, "\n  "))
+	return v.c, nil
 }
 
 type validator struct {
 	it   *Iteration
 	errs []string
-	// queuePrev[i] is op i's predecessor on its execution queue (-1
-	// for the first op on a queue and for ops off the queues).
-	queuePrev []ID
+	// c is the plan's program; c.info[i].prev is op i's predecessor on
+	// its execution queue (-1 for the first op on a queue and for ops
+	// off the queues).
+	c *Compiled
 	// seen marks the ops the current happensBefore search has pushed:
 	// seen[i] == stamp. Bumping stamp clears every mark at once, so
 	// queries share one array and one stack.
@@ -73,12 +82,23 @@ func (v *validator) failf(op *Op, format string, args ...any) {
 }
 
 // checkStructure validates IDs, edge direction (no cycles), queue and
-// layer ranges, and external-dependency sanity.
+// layer ranges, the resident sets, and external-dependency sanity. The
+// later checks index per-layer tables by the layers it bounds.
 func (v *validator) checkStructure() {
 	it := v.it
-	entry := make(map[int]bool, len(it.EntryResident))
-	for _, l := range it.EntryResident {
-		entry[l] = true
+	if it.Layers < 0 {
+		v.errs = append(v.errs, fmt.Sprintf("negative layer count %d", it.Layers))
+		return
+	}
+	entry := make([]bool, it.Layers)
+	for k, set := range [][]int{it.EntryResident, it.ExitResident} {
+		for _, l := range set {
+			if l < 0 || l >= it.Layers {
+				v.errs = append(v.errs, fmt.Sprintf("%s-resident layer %d outside [0,%d)", [...]string{"entry", "exit"}[k], l, it.Layers))
+			} else if k == 0 {
+				entry[l] = true
+			}
+		}
 	}
 	for i := range it.Ops {
 		op := &it.Ops[i]
@@ -130,7 +150,7 @@ func (v *validator) checkStructure() {
 			v.failf(op, "layer %d outside [%d,%d)", op.Layer, minLayer, it.Layers)
 		}
 		if op.Frac != 0 {
-			if op.Frac < 0 || op.Frac > 1 {
+			if !(op.Frac > 0 && op.Frac <= 1) {
 				v.failf(op, "fraction %g outside (0,1]", op.Frac)
 			}
 			switch op.Kind {
@@ -142,32 +162,9 @@ func (v *validator) checkStructure() {
 		for _, x := range it.Ext(op) {
 			if x.Layer < 0 || x.Layer >= it.Layers {
 				v.failf(op, "external dependency %s on layer %d outside [0,%d)", x.Kind, x.Layer, it.Layers)
-			}
-			if x.Kind == ExtResident && !entry[x.Layer] {
+			} else if x.Kind == ExtResident && !entry[x.Layer] {
 				v.failf(op, "resident dependency on layer %d, which is not entry-resident", x.Layer)
 			}
-		}
-	}
-}
-
-// computeQueuePrev records each op's predecessor on its FIFO execution
-// queue (streams launch in issue order), the one implicit edge the
-// happens-before relation adds to the explicit dependencies, and sizes
-// the search scratch space.
-func (v *validator) computeQueuePrev() {
-	it := v.it
-	v.queuePrev = make([]ID, len(it.Ops))
-	v.seen = make([]uint32, len(it.Ops))
-	queueTail := make([]ID, it.Queues)
-	for q := range queueTail {
-		queueTail[q] = -1
-	}
-	for i := range it.Ops {
-		op := &it.Ops[i]
-		v.queuePrev[i] = -1
-		if onQueue(op) {
-			v.queuePrev[i] = queueTail[op.Queue]
-			queueTail[op.Queue] = op.ID
 		}
 	}
 }
@@ -198,7 +195,7 @@ search:
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if q := v.queuePrev[x]; q >= a && v.seen[q] != v.stamp {
+		if q := ID(v.c.info[x].prev); q >= a && v.seen[q] != v.stamp {
 			if q == a {
 				found = true
 				break
@@ -245,29 +242,95 @@ func (v *validator) firedBefore(a, b ID) bool {
 	return true
 }
 
-// fund looks for a slot to fund op b among pending, the ascending IDs
-// of slot-returning ops (releases, spills, chunk offloads) that have
-// not funded anything yet. The lowest-ID one that provably fired before
-// b is the deterministic choice; it funds b and leaves pending, so
-// each scan walks only candidates that are still pending.
-func (v *validator) fund(pending *[]ID, b ID) bool {
-	for k, r := range *pending {
-		if v.firedBefore(r, b) {
-			*pending = slices.Delete(*pending, k, k+1)
+// slots is the funding argument that bounds the window budget, the
+// NVMe staging ring and the moment-chunk buffers under every event
+// timing. The pool starts with spare slots, and every take must be
+// funded by a spare or by a distinct returned slot whose op provably
+// fires before it; then takes ≤ returns + spares at every instant, so
+// no timing exceeds the bound. A nil pool is unbounded.
+type slots struct {
+	v     *validator
+	spare int
+	// returned holds, ascending, the slot-returning ops that have not
+	// funded a take yet.
+	returned []ID
+}
+
+// bounded returns a pool of n spare slots, or nil when n is 0.
+func (v *validator) bounded(n int) *slots {
+	if n == 0 {
+		return nil
+	}
+	return &slots{v: v, spare: n}
+}
+
+// put returns a slot at op r.
+func (p *slots) put(r ID) {
+	if p != nil {
+		p.returned = append(p.returned, r)
+	}
+}
+
+// take funds op b, and reports false if nothing can: then some timing
+// exceeds the bound at b. The lowest-ID returned slot that provably
+// fired before b is the deterministic choice, and it leaves the pool;
+// a spare is taken only when no returned slot qualifies.
+func (p *slots) take(b ID) bool {
+	if p == nil {
+		return true
+	}
+	for k, r := range p.returned {
+		if p.v.firedBefore(r, b) {
+			p.returned = slices.Delete(p.returned, k, k+1)
 			return true
 		}
+	}
+	if p.spare > 0 {
+		p.spare--
+		return true
 	}
 	return false
 }
 
-// checkBuffers walks the canonical order tracking each layer's
+// unheld marks a layer with no open epoch in a per-layer opener table,
+// where -1 marks an epoch opened by entry residency.
+const unheld ID = -2
+
+// openers returns a per-layer opener table with every layer unheld.
+func (v *validator) openers() []ID {
+	t := make([]ID, v.it.Layers)
+	for l := range t {
+		t[l] = unheld
+	}
+	return t
+}
+
+// checkEpochs walks the canonical order tracking each layer's
 // residency epochs: acquires open epochs, releases close them, and the
 // final held set must equal the declared exit set. Each release must
-// also causally follow the acquire whose epoch it closes — adjacency
-// in the linear order is not enough for an event-driven executor.
-func (v *validator) checkBuffers() {
+// causally follow the acquire whose epoch it closes, and each
+// layer-tagged compute the acquire that made its layer resident
+// (entry-resident layers are exempt) — adjacency in the linear order is
+// not enough for an event-driven executor: without the causal edge,
+// through explicit deps or queue FIFO order, an interleaving exists
+// where the kernel runs before its weights arrive. Missing releases are
+// reported in layer order. With BudgetSlots set, the walk also bounds
+// worst-case concurrent residency: the pool starts with
+// BudgetSlots − |entry| spares, releases return slots, and every
+// acquire takes one, funded through the §III-E3 recycling dependencies
+// once no spare is left.
+func (v *validator) checkEpochs() {
 	it := v.it
-	openedBy := make(map[int]ID) // layer → acquire that opened the current epoch (-1: entry)
+	budget := v.bounded(it.BudgetSlots)
+	if budget != nil {
+		budget.spare -= len(it.EntryResident)
+		if budget.spare < 0 {
+			v.errs = append(v.errs, fmt.Sprintf("entry-resident set (%d layers) exceeds the %d-slot budget",
+				len(it.EntryResident), it.BudgetSlots))
+			budget = nil
+		}
+	}
+	openedBy := v.openers() // layer → acquire that opened the current epoch
 	for _, l := range it.EntryResident {
 		openedBy[l] = -1
 	}
@@ -275,66 +338,31 @@ func (v *validator) checkBuffers() {
 		op := &it.Ops[i]
 		switch op.Kind {
 		case BufAcquire:
-			if opener, held := openedBy[int(op.Layer)]; held {
+			if opener := openedBy[op.Layer]; opener != unheld {
 				v.failf(op, "layer %d acquired while already resident (epoch opened by op %d)", op.Layer, opener)
 			}
-			openedBy[int(op.Layer)] = op.ID
+			openedBy[op.Layer] = op.ID
+			if !budget.take(op.ID) {
+				v.failf(op, "may exceed the %d-slot window budget: no spare slot left and no release provably completes before it",
+					it.BudgetSlots)
+			}
 		case BufRelease:
-			opener, held := openedBy[int(op.Layer)]
-			if !held {
+			budget.put(op.ID)
+			opener := openedBy[op.Layer]
+			if opener == unheld {
 				v.failf(op, "release of layer %d, which holds no buffers here", op.Layer)
 				continue
 			}
 			if opener >= 0 && !v.happensBefore(opener, op.ID) {
 				v.failf(op, "does not happen-after the acquire (op %d) it releases", opener)
 			}
-			delete(openedBy, int(op.Layer))
-		}
-	}
-	exit := make(map[int]bool, len(it.ExitResident))
-	for _, l := range it.ExitResident {
-		exit[l] = true
-	}
-	for l, opener := range openedBy {
-		if !exit[l] {
-			if opener >= 0 {
-				v.failf(&it.Ops[opener], "layer %d still holds buffers at iteration end (missing release)", l)
-			} else {
-				v.errs = append(v.errs, fmt.Sprintf("entry-resident layer %d still holds buffers at iteration end (missing release)", l))
-			}
-		}
-	}
-	for _, l := range it.ExitResident {
-		if _, held := openedBy[l]; !held {
-			v.errs = append(v.errs, fmt.Sprintf("layer %d must exit resident but its buffers are released", l))
-		}
-	}
-}
-
-// checkResidency verifies every layer-tagged compute op happens-after
-// the acquire that made its layer resident. The epoch is determined by
-// the canonical order; the causal edge must exist through explicit
-// deps or queue FIFO order, otherwise an execution interleaving exists
-// where the kernel runs before its weights arrive.
-func (v *validator) checkResidency() {
-	it := v.it
-	openedBy := make(map[int]ID)
-	for _, l := range it.EntryResident {
-		openedBy[l] = -1
-	}
-	for i := range it.Ops {
-		op := &it.Ops[i]
-		switch op.Kind {
-		case BufAcquire:
-			openedBy[int(op.Layer)] = op.ID
-		case BufRelease:
-			delete(openedBy, int(op.Layer))
+			openedBy[op.Layer] = unheld
 		case ComputeFP, ComputeBP:
 			if op.Layer < 0 {
 				continue
 			}
-			opener, held := openedBy[int(op.Layer)]
-			if !held {
+			opener := openedBy[op.Layer]
+			if opener == unheld {
 				v.failf(op, "computes on layer %d while it holds no buffers", op.Layer)
 				continue
 			}
@@ -343,46 +371,23 @@ func (v *validator) checkResidency() {
 			}
 		}
 	}
-}
-
-// checkBudget bounds worst-case concurrent residency with a funding
-// argument: the pool starts with BudgetSlots − |entry| spare slots,
-// and every acquire must either take a spare or be funded by a
-// distinct release that provably fires before the acquire can issue
-// (the §III-E3 recycling dependencies). If some acquire has neither, a
-// timing exists — transfers finishing in an adversarial order — where
-// the pool is exhausted at that acquire; with the funding matching in
-// hand, fired-acquires ≤ fired-releases + spares at every instant, so
-// no timing can exceed the budget.
-func (v *validator) checkBudget() {
-	it := v.it
-	if it.BudgetSlots == 0 {
-		return
+	exit := make([]bool, it.Layers)
+	for _, l := range it.ExitResident {
+		exit[l] = true
 	}
-	spares := it.BudgetSlots - len(it.EntryResident)
-	if spares < 0 {
-		v.errs = append(v.errs, fmt.Sprintf("entry-resident set (%d layers) exceeds the %d-slot budget",
-			len(it.EntryResident), it.BudgetSlots))
-		return
+	for l, opener := range openedBy {
+		switch {
+		case opener == unheld || exit[l]:
+		case opener >= 0:
+			v.failf(&it.Ops[opener], "layer %d still holds buffers at iteration end (missing release)", l)
+		default:
+			v.errs = append(v.errs, fmt.Sprintf("entry-resident layer %d still holds buffers at iteration end (missing release)", l))
+		}
 	}
-	var releases []ID // not yet funding an acquire, ascending
-	for i := range it.Ops {
-		op := &it.Ops[i]
-		if op.Kind != BufAcquire {
-			if op.Kind == BufRelease {
-				releases = append(releases, op.ID)
-			}
-			continue
+	for _, l := range it.ExitResident {
+		if openedBy[l] == unheld {
+			v.errs = append(v.errs, fmt.Sprintf("layer %d must exit resident but its buffers are released", l))
 		}
-		if v.fund(&releases, op.ID) {
-			continue
-		}
-		if spares > 0 {
-			spares--
-			continue
-		}
-		v.failf(op, "may exceed the %d-slot window budget: no spare slot left and no release provably completes before it",
-			it.BudgetSlots)
 	}
 }
 
@@ -394,45 +399,39 @@ func (v *validator) checkBudget() {
 // prefetch must read a staged layer — through an ExtNVMeStaged
 // dependency or a causal edge from the restage that opened the current
 // epoch. Ring occupancy is bounded by the same funding argument as the
-// window budget: the ring starts with RingSlots spare slots and every
-// restage is funded by a spare or by a spill that provably fires
-// before it.
+// window budget: the ring starts with RingSlots spare slots, spills
+// return them and restages take them.
 func (v *validator) checkNVMeRing() {
 	it := v.it
 	if it.RingSlots == 0 {
 		return
 	}
-	stagedBy := make(map[int]ID) // layer → restage that opened the current ring epoch
-	spares := it.RingSlots
-	var spills []ID // not yet funding a restage, ascending
+	stagedBy := v.openers() // layer → restage that opened the current ring epoch
+	ring := v.bounded(it.RingSlots)
 	for i := range it.Ops {
 		op := &it.Ops[i]
 		switch op.Kind {
 		case NVMeStage:
+			opener := stagedBy[op.Layer]
 			if op.Write {
-				opener, staged := stagedBy[int(op.Layer)]
-				if !staged {
+				if opener == unheld {
 					v.failf(op, "spill of layer %d, which is not in the staging ring here", op.Layer)
 					continue
 				}
 				if !v.happensBefore(opener, op.ID) {
 					v.failf(op, "does not happen-after the restage (op %d) it closes", opener)
 				}
-				delete(stagedBy, int(op.Layer))
-				spills = append(spills, op.ID)
-			} else {
-				if opener, staged := stagedBy[int(op.Layer)]; staged {
-					v.failf(op, "layer %d restaged while already in the ring (epoch opened by op %d)", op.Layer, opener)
-				}
-				stagedBy[int(op.Layer)] = op.ID
-				if !v.fund(&spills, op.ID) {
-					if spares > 0 {
-						spares--
-					} else {
-						v.failf(op, "may exceed the %d-slot staging ring: no spare slot left and no spill provably completes before it",
-							it.RingSlots)
-					}
-				}
+				stagedBy[op.Layer] = unheld
+				ring.put(op.ID)
+				continue
+			}
+			if opener != unheld {
+				v.failf(op, "layer %d restaged while already in the ring (epoch opened by op %d)", op.Layer, opener)
+			}
+			stagedBy[op.Layer] = op.ID
+			if !ring.take(op.ID) {
+				v.failf(op, "may exceed the %d-slot staging ring: no spare slot left and no spill provably completes before it",
+					it.RingSlots)
 			}
 		case Prefetch:
 			if op.Frac != 0 {
@@ -447,8 +446,8 @@ func (v *validator) checkNVMeRing() {
 			if staged {
 				continue
 			}
-			opener, open := stagedBy[int(op.Layer)]
-			if !open {
+			opener := stagedBy[op.Layer]
+			if opener == unheld {
 				v.failf(op, "prefetches layer %d, which is not in the staging ring here", op.Layer)
 				continue
 			}
@@ -459,69 +458,50 @@ func (v *validator) checkNVMeRing() {
 	}
 }
 
-// checkFrac proves fractional optimizer placement is a partition: for
-// every layer that splits its update, the fractional OptSteps sum to 1
-// (within 1e-6), and no layer mixes fractional steps with whole-layer
-// ones — a mixed layer would apply part of its update twice.
+// checkFrac proves fractional optimizer placement (Frac-tagged ops).
+// It is a partition: for every layer that splits its update, the
+// fractional OptSteps sum to 1 (within 1e-6), and no layer mixes
+// fractional steps with whole-layer ones — a mixed layer would apply
+// part of its update twice. Both tables are indexed by layer+1, since
+// the resident update carries layer -1. With OptSlots set, the moment
+// chunks also stay within the device staging buffers by the window
+// budget's funding argument: a chunk Offload returns a slot and a chunk
+// Prefetch takes one.
 func (v *validator) checkFrac() {
 	it := v.it
-	sums := make(map[int]float64)
-	whole := make(map[int]ID)
+	chunks := v.bounded(it.OptSlots)
+	sums := make([]float64, it.Layers+1) // 0: no fractional step (fractions are positive)
+	whole := make([]ID, it.Layers+1)     // first whole-layer step, -1 for none
+	for l := range whole {
+		whole[l] = -1
+	}
 	for i := range it.Ops {
 		op := &it.Ops[i]
-		if op.Kind != OptStep {
-			continue
-		}
-		if op.Frac != 0 {
-			sums[int(op.Layer)] += op.Frac
-		} else if _, seen := whole[int(op.Layer)]; !seen {
-			whole[int(op.Layer)] = op.ID
+		switch {
+		case op.Kind == OptStep:
+			if op.Frac != 0 {
+				sums[op.Layer+1] += op.Frac
+			} else if whole[op.Layer+1] < 0 {
+				whole[op.Layer+1] = op.ID
+			}
+		case op.Frac == 0: // not a moment chunk
+		case op.Kind == Offload:
+			chunks.put(op.ID)
+		case !chunks.take(op.ID): // a chunk Prefetch
+			v.failf(op, "may exceed the %d-slot moment staging budget: no spare slot left and no chunk offload provably completes before it",
+				it.OptSlots)
 		}
 	}
-	for l := -1; l < it.Layers; l++ {
-		sum, fractional := sums[l]
-		if !fractional {
+	for k, sum := range sums {
+		if sum == 0 {
 			continue
 		}
-		if w, mixed := whole[l]; mixed {
+		l := k - 1
+		if w := whole[k]; w >= 0 {
 			v.failf(&it.Ops[w], "whole-layer opt-step on layer %d, which also has fractional opt-steps", l)
 		}
 		if diff := sum - 1; diff > 1e-6 || diff < -1e-6 {
 			v.errs = append(v.errs, fmt.Sprintf("layer %d: fractional opt-steps sum to %g, want 1", l, sum))
-		}
-	}
-}
-
-// checkOptSlots bounds the device staging buffers for fractional
-// moment chunks (OptSlots > 0): a Frac-tagged Prefetch takes a slot, a
-// Frac-tagged Offload returns one, and every take must be funded by a
-// spare or by a return that provably fires before it — the same
-// funding argument as the window budget.
-func (v *validator) checkOptSlots() {
-	it := v.it
-	if it.OptSlots == 0 {
-		return
-	}
-	spares := it.OptSlots
-	var returns []ID // not yet funding a take, ascending
-	for i := range it.Ops {
-		op := &it.Ops[i]
-		if op.Frac == 0 {
-			continue
-		}
-		switch op.Kind {
-		case Offload:
-			returns = append(returns, op.ID)
-		case Prefetch:
-			if v.fund(&returns, op.ID) {
-				continue
-			}
-			if spares > 0 {
-				spares--
-				continue
-			}
-			v.failf(op, "may exceed the %d-slot moment staging budget: no spare slot left and no chunk offload provably completes before it",
-				it.OptSlots)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package plan
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -193,25 +195,58 @@ func TestValidateRejectsBadJoins(t *testing.T) {
 // The executor keeps facts per layer and the validator proves the
 // optimizer's fractions layer by layer, so every op's layer must lie
 // in the plan: in [0, Layers) for an op that exports a fact, in
-// [-1, Layers) for model-level work. Both plans here used to validate;
-// Execute then panicked on the first.
+// [-1, Layers) for model-level work. The per-layer tables also need a
+// depth of at least 0 and the resident sets in [0, Layers), and a
+// fraction must be a number in (0,1].
 func TestValidateRejectsOutOfRangeLayers(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		mutate  func(op *Op)
+		mutate  func(t *testing.T, it *Iteration)
 		wantMsg string
 	}{
-		{"export from a model-level op", func(op *Op) { op.Export = ExtOptDone }, "layer -1 outside [0,6)"},
-		{"fractional step past the last layer", func(op *Op) { op.Layer, op.Frac = 6+5, 0.3 }, "layer 11 outside [-1,6)"},
+		{"export from a model-level op", func(t *testing.T, it *Iteration) {
+			findOp(t, it, OptStep, "gpu adam resident").Export = ExtOptDone
+		}, "layer -1 outside [0,6)"},
+		{"fractional step past the last layer", func(t *testing.T, it *Iteration) {
+			op := findOp(t, it, OptStep, "gpu adam resident")
+			op.Layer, op.Frac = 6+5, 0.3
+		}, "layer 11 outside [-1,6)"},
+		{"resident past the last layer", func(t *testing.T, it *Iteration) {
+			it.EntryResident = append(slices.Clone(it.EntryResident), 9)
+			it.ExitResident = append(slices.Clone(it.ExitResident), 9)
+			it.BudgetSlots++ // room for the extra layer: only its range is wrong
+		}, "entry-resident layer 9 outside [0,6)"},
+		{"negative depth", func(t *testing.T, it *Iteration) {
+			it.Layers = -1
+		}, "negative layer count -1"},
+		{"NaN fraction", func(t *testing.T, it *Iteration) {
+			findOp(t, it, OptStep, "gpu adam resident").Frac = math.NaN()
+		}, "fraction NaN outside (0,1]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			it := mustBuild(t, baseSpec())
-			tc.mutate(findOp(t, it, OptStep, "gpu adam resident"))
+			tc.mutate(t, it)
 			err := Validate(it)
 			if err == nil || !strings.Contains(err.Error(), tc.wantMsg) {
 				t.Fatalf("diagnostic %v does not mention %q", err, tc.wantMsg)
 			}
 		})
+	}
+}
+
+// One broken plan gives one diagnostic text: the validator reports in
+// op and layer order, never in the order of a map.
+func TestValidateDiagnosticsDeterministic(t *testing.T) {
+	it := mustBuild(t, baseSpec())
+	it.ExitResident = nil // both window layers now miss a release
+	want := Validate(it)
+	if want == nil {
+		t.Fatal("validator accepted a plan that leaks its window")
+	}
+	for range 50 {
+		if got := Validate(it); got == nil || got.Error() != want.Error() {
+			t.Fatalf("diagnostic changed between calls:\n%v\nthen:\n%v", want, got)
+		}
 	}
 }
 
@@ -277,9 +312,9 @@ func oracleReach(it *Iteration) []bitset {
 // checkOracle compares the validator's happensBefore with the closure
 // oracle on every ordered pair of ops. Every check is a function of
 // happensBefore and the op list, so agreement here means the verdicts
-// agree too. A plan failing the structure check gets no happensBefore
-// queries (and has no well-defined closure), so it reports false and
-// compares nothing.
+// agree too. It builds its validator as Prepare does. A plan failing
+// the structure check gets no happensBefore queries (and has no
+// well-defined closure), so it reports false and compares nothing.
 func checkOracle(t testing.TB, it *Iteration) bool {
 	t.Helper()
 	v := &validator{it: it}
@@ -287,7 +322,7 @@ func checkOracle(t testing.TB, it *Iteration) bool {
 	if len(v.errs) > 0 {
 		return false
 	}
-	v.computeQueuePrev()
+	v.c, v.seen = Compile(&it.Graph), make([]uint32, len(it.Ops))
 	reach := oracleReach(it)
 	for b := range it.Ops {
 		for a := range it.Ops {
@@ -349,10 +384,12 @@ func TestHappensBeforeMatchesOracleAfterMutation(t *testing.T) {
 
 // FuzzValidate builds a fuzzed planner spec, applies at most one
 // mutation (drop a dependency, add a backward dependency, move an op to
-// another queue or layer, or make it export a fact), and requires the
-// validator's happensBefore to agree with the closure oracle on every
-// pair. Unmutated planner output must also validate, and a plan the
-// validator accepts must compile and execute without a panic. Run with
+// another queue or layer, make it export a fact, or move a resident
+// layer), and requires the validator's happensBefore to agree with the
+// closure oracle on every pair. Unmutated planner output must also
+// validate. Validate must give Prepare's verdict, and a plan Prepare
+// accepts must come with the program Compile lowers it to, which must
+// execute without a panic. Run with
 // `go test -run='^$' -fuzz=FuzzValidate ./internal/plan/`; the seed
 // corpus lives in testdata/fuzz/FuzzValidate.
 func FuzzValidate(f *testing.F) {
@@ -380,7 +417,7 @@ func FuzzValidate(f *testing.F) {
 			t.Fatalf("planner output rejected by its own validator: %v", err)
 		}
 		op := &it.Ops[int(target)%len(it.Ops)]
-		switch mutKind % 6 {
+		switch mutKind % 7 {
 		case 1: // drop a dependency
 			if deps := it.Deps(op); len(deps) > 0 {
 				k := int(arg) % len(deps)
@@ -396,12 +433,28 @@ func FuzzValidate(f *testing.F) {
 			op.Layer = int32(int(arg)%(it.Layers+8) - 4)
 		case 5: // make the op publish a fact, or stop publishing one
 			op.Export = ExtKind(int(arg) % (extKinds + 1))
+		case 6: // move an entry (even target) or exit resident layer, possibly out of range
+			set := &it.EntryResident
+			if target%2 == 1 {
+				set = &it.ExitResident
+			}
+			if len(*set) > 0 {
+				*set = slices.Clone(*set)
+				(*set)[int(target/2)%len(*set)] = int(arg)%(it.Layers+8) - 4
+			}
 		}
 		checkOracle(t, it)
-		if Validate(it) == nil {
+		c, err := Prepare(it)
+		if verr := Validate(it); fmt.Sprint(verr) != fmt.Sprint(err) {
+			t.Fatalf("Validate says %v, Prepare says %v", verr, err)
+		}
+		if err == nil {
+			if want := Compile(&it.Graph); !reflect.DeepEqual(c, want) {
+				t.Fatalf("Prepare's program differs from Compile's")
+			}
 			eng := sim.NewEngine()
 			env := &fifoEnv{eng: eng, res: [2]*sim.Resource{sim.NewResource(eng, "a"), sim.NewResource(eng, "b")}}
-			env.run = Execute(Compile(&it.Graph), eng, &State{}, env)
+			env.run = Execute(c, eng, &State{}, env)
 			eng.Run()
 		}
 	})
