@@ -69,8 +69,8 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// copyModule clones the fixture module into a temp dir so -fix and
-// -write-baseline scenarios never touch the checked-in fixture.
+// copyModule clones the fixture module into a temp dir so -fix
+// scenarios never touch the checked-in fixture.
 func copyModule(t *testing.T) string {
 	t.Helper()
 	src := filepath.Join("testdata", "module")
@@ -170,21 +170,6 @@ func TestCLIFix(t *testing.T) {
 	}
 	if stdout, _, exit := runVet(t, "-C", dir, "-rules", "anystyle", "./..."); exit != 0 || stdout != "" {
 		t.Errorf("anystyle not clean after -fix: exit %d\n%s", exit, stdout)
-	}
-}
-
-func TestCLIBaseline(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "vet-baseline.txt")
-	stdout, stderr, exit := runVet(t, "-C", filepath.Join("testdata", "module"), "-write-baseline", base, "./...")
-	if exit != 0 {
-		t.Fatalf("write-baseline exit = %d (stderr: %s)", exit, stderr)
-	}
-	if !strings.Contains(stdout, "wrote") {
-		t.Errorf("missing write confirmation:\n%s", stdout)
-	}
-	stdout, stderr, exit = runVet(t, "-C", filepath.Join("testdata", "module"), "-baseline", base, "./...")
-	if exit != 0 || stdout != "" {
-		t.Errorf("baselined run: exit %d, stdout:\n%s\nstderr:\n%s", exit, stdout, stderr)
 	}
 }
 

@@ -44,8 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fix := fs.Bool("fix", false, "apply suggested fixes in place; fixed findings do not fail the run")
 	diffOut := fs.Bool("diff", false, "print suggested fixes as a unified diff instead of applying them")
 	sarifOut := fs.String("sarif", "", "write findings as SARIF 2.1.0 to this file (- for stdout, replacing text output)")
-	baseline := fs.String("baseline", "", "suppress findings recorded in this baseline file")
-	writeBaseline := fs.String("write-baseline", "", "record current findings to this baseline file and exit 0")
 	unusedIgnores := fs.Bool("unused-ignores", false, "also report //vet:ignore markers that suppress nothing")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: stronghold-vet [flags] [packages]\n")
@@ -156,23 +154,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	runner := &analysis.Runner{Analyzers: selected}
 	res := runner.RunPackages(pkgs)
 	diags := res.Diags
-
-	if *writeBaseline != "" {
-		if err := analysis.WriteBaseline(*writeBaseline, diags, loader.ModuleRoot); err != nil {
-			fmt.Fprintln(stderr, "stronghold-vet:", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "stronghold-vet: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return exit
-	}
-	if *baseline != "" {
-		base, err := analysis.ReadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "stronghold-vet:", err)
-			return 2
-		}
-		diags = analysis.FilterBaseline(diags, base, loader.ModuleRoot)
-	}
 
 	if *diffOut {
 		out, err := analysis.Diff(diags, display)

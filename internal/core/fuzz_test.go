@@ -20,9 +20,11 @@ func fuzzRand(state *uint64) uint64 {
 }
 
 // FuzzSolver throws arbitrary model/platform shapes at the window
-// solver and the full engine: SolveWindow must return a feasible window
-// or a typed error — never panic — and a complete engine run must leave
-// every memory arena balanced (the "never OOMs the arena model"
+// solver and the full engine. On a heterogeneous profile, Solve and
+// SolveWindow must decide exactly as the loop oracle under every
+// decision-variable shape, and SolveWindow must return a feasible
+// window or a typed error — never panic. A complete engine run must
+// leave every memory arena balanced (the "never OOMs the arena model"
 // contract: capacity misses surface as OOM results, not accounting
 // corruption).
 func FuzzSolver(f *testing.F) {
@@ -34,7 +36,7 @@ func FuzzSolver(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, layers, hiddenMul, batch, workers int, avail int64) {
 		state := seed
 
-		// Part 1: synthetic warm-up profile straight into SolveWindow.
+		// Part 1: synthetic warm-up profile straight into the solver.
 		n := bound(layers, 0, 256)
 		prof := Profile{
 			TAsync:            sim.Time(fuzzRand(&state) % uint64(sim.Milliseconds(1))),
@@ -54,11 +56,19 @@ func FuzzSolver(f *testing.F) {
 				SBP:  int64(fuzzRand(&state)%(1<<31)) + 1,
 			})
 		}
+		// The moment payload draws from its own stream, so part 2's
+		// draws stay what they were.
+		mom := ^seed
+		prof.MomBytes = int64(fuzzRand(&mom) % (1 << 31))
+		prof.MomH2D = sim.Time(fuzzRand(&mom) % uint64(sim.Milliseconds(50)))
+		prof.MomD2H = sim.Time(fuzzRand(&mom) % uint64(sim.Milliseconds(50)))
+		checkSolverOracle(t, prof)
 		if d, err := SolveWindow(prof); err == nil {
 			if d.M < 1 || d.M > n {
 				t.Fatalf("solver returned window %d outside [1, %d]", d.M, n)
 			}
-			if got := prof.windowBytes(d.M); got > prof.AvailGPU {
+			s := newSolver(prof)
+			if got := s.windowBytes(d.M); got > prof.AvailGPU {
 				t.Fatalf("solver window %d needs %d bytes, only %d available", d.M, got, prof.AvailGPU)
 			}
 		}

@@ -108,6 +108,33 @@ type WindowDecision struct {
 	AsyncFeasible bool
 }
 
+// solver answers the §III-D window questions for one profile from
+// running totals: each column's entry i totals layers [0, i), so a
+// window's total over layers [i, j) is one subtraction.
+type solver struct {
+	Profile
+	fp, bp []sim.Time // forward and backward compute
+	// p1 is P1's window traffic: the prefetch plus the weights' share
+	// of the BP offload. p2 is P2's: the prefetch plus the whole offload.
+	p1, p2 []sim.Time
+	sbp    []int64 // BP-sized bytes (weights + gradients)
+}
+
+func newSolver(p Profile) solver {
+	n := len(p.Layers) + 1
+	cols := make([]sim.Time, 5*n)
+	s := solver{Profile: p, fp: cols[:n], bp: cols[n : 2*n], p1: cols[2*n : 3*n], p2: cols[3*n : 4*n], sbp: cols[4*n:]}
+	for i := range p.Layers {
+		l := &p.Layers[i]
+		s.fp[i+1] = s.fp[i] + l.TFP
+		s.bp[i+1] = s.bp[i] + l.TBP
+		s.p1[i+1] = s.p1[i] + l.TC2G + sim.Time(float64(l.SFP)/float64(l.SBP)*float64(l.TG2C))
+		s.p2[i+1] = s.p2[i] + l.TC2G + l.TG2C
+		s.sbp[i+1] = s.sbp[i] + l.SBP
+	}
+	return s
+}
+
 // SolveWindow finds the smallest working-window size m satisfying
 // formulation P1 (FP prefetch hiding, Eq. 1), P2 (BP offload hiding,
 // Eq. 2) and the CPU parameter-update constraint (Eq. 3), then verifies
@@ -115,143 +142,90 @@ type WindowDecision struct {
 // accommodate that m, the largest memory-feasible window is returned
 // with MemoryBound set.
 func SolveWindow(p Profile) (WindowDecision, error) {
-	n := len(p.Layers)
-	if n == 0 {
+	s := newSolver(p)
+	return s.window()
+}
+
+func (s *solver) window() (WindowDecision, error) {
+	if len(s.Layers) == 0 {
 		return WindowDecision{}, fmt.Errorf("core: empty profile")
 	}
-	if p.AvailGPU <= 0 {
+	if s.AvailGPU <= 0 {
 		return WindowDecision{}, fmt.Errorf("core: no GPU memory available for the window")
 	}
 
-	memOK := func(m int) bool { return p.windowBytes(m) <= p.AvailGPU }
+	memOK := func(m int) bool { return s.windowBytes(m) <= s.AvailGPU }
 	if !memOK(1) {
 		return WindowDecision{}, fmt.Errorf("core: even a single-layer window (%d bytes) exceeds available GPU memory (%d)",
-			p.windowBytes(1), p.AvailGPU)
+			s.windowBytes(1), s.AvailGPU)
 	}
 
-	mFP := p.minWindowFP()
-	mBP := p.minWindowBP()
-	mOpt := p.minWindowOpt()
-	want := max(mFP, max(mBP, mOpt))
-	if want > n {
-		want = n
+	d := WindowDecision{
+		MFP: s.minWindow(s.fpWindowOK),
+		MBP: s.minWindow(s.bpWindowOK),
+		// Eq. 3 with the whole update on the CPU pool.
+		MOpt: s.minWindow(func(m int) bool { return s.chainExcess(m, 0) == 0 }),
 	}
-
-	d := WindowDecision{MFP: mFP, MBP: mBP, MOpt: mOpt}
-	m := want
+	m := max(d.MFP, d.MBP, d.MOpt)
 	for m > 1 && !memOK(m) {
 		m--
 		d.MemoryBound = true
 	}
 	d.M = m
-	d.AsyncFeasible = 5*sim.Time(n)*p.TAsync <= sim.Time(n-m)*p.TOptGPU
+	d.AsyncFeasible = s.asyncFeasible(m)
 	return d, nil
 }
 
+// minWindow returns the smallest m in [1, n] satisfying ok, or n.
+func (s *solver) minWindow(ok func(m int) bool) int {
+	n := len(s.Layers)
+	for m := 1; m < n; m++ {
+		if ok(m) {
+			return m
+		}
+	}
+	return n
+}
+
+// asyncFeasible is the Eq. 5 check: 5·n·t_async ≤ (n−m)·t_opt_gpu.
+func (s *solver) asyncFeasible(m int) bool {
+	n := len(s.Layers)
+	return 5*sim.Time(n)*s.TAsync <= sim.Time(n-m)*s.TOptGPU
+}
+
 // windowBytes returns the GPU bytes an m-layer window needs, including
-// the (1c) prefetch buffer for the layer just outside the window.
-func (p Profile) windowBytes(m int) int64 {
-	var total int64
-	for i := 0; i < m && i < len(p.Layers); i++ {
-		total += p.Layers[i].SBP // BP sizing dominates (weights+grads)
-	}
-	// s_fp^j of the incoming layer (constraint 1c).
-	total += p.Layers[min(m, len(p.Layers)-1)].SFP
-	return total
+// the (1c) prefetch buffer for the layer just outside the window. BP
+// sizing (weights+grads) dominates inside the window.
+func (s *solver) windowBytes(m int) int64 {
+	n := len(s.Layers)
+	return s.sbp[min(m, n)] + s.Layers[min(m, n-1)].SFP
 }
 
-// minWindowFP solves P1: the smallest m such that, at every window
-// position, the window's forward compute covers both the incoming
-// prefetch (1b) and the window's own two-way traffic with buffer
-// recycling (1d).
-func (p Profile) minWindowFP() int {
-	n := len(p.Layers)
-	for m := 1; m <= n; m++ {
-		if p.fpWindowOK(m) {
-			return m
-		}
-	}
-	return n
-}
-
-func (p Profile) fpWindowOK(m int) bool {
-	n := len(p.Layers)
-	for start := 0; start+m < n; start++ {
-		var fpSum, c2gSum, g2cSum sim.Time
-		for i := start; i < start+m; i++ {
-			fpSum += p.Layers[i].TFP
-			c2gSum += p.Layers[i].TC2G
-			g2cSum += sim.Time(float64(p.Layers[i].SFP) / float64(p.Layers[i].SBP) * float64(p.Layers[i].TG2C))
-		}
-		j := start + m
-		// (1b): prefetch of layer j hides under the window's compute.
-		if fpSum < p.Layers[j].TC2G {
-			return false
-		}
-		// (1d): compute covers recycling the window's own buffers.
-		if fpSum < c2gSum+g2cSum {
+// fpWindowOK is P1 at window size m: at every window position, the
+// window's forward compute covers both the incoming prefetch of layer
+// j (1b) and the window's own two-way traffic with buffer recycling
+// (1d).
+func (s *solver) fpWindowOK(m int) bool {
+	for j := m; j < len(s.Layers); j++ {
+		fp := s.fp[j] - s.fp[j-m]
+		if fp < s.Layers[j].TC2G || fp < s.p1[j]-s.p1[j-m] {
 			return false
 		}
 	}
 	return true
 }
 
-// minWindowBP solves P2 analogously for the backward direction.
-func (p Profile) minWindowBP() int {
-	n := len(p.Layers)
-	for m := 1; m <= n; m++ {
-		if p.bpWindowOK(m) {
-			return m
-		}
-	}
-	return n
-}
-
-func (p Profile) bpWindowOK(m int) bool {
-	n := len(p.Layers)
-	for end := n - 1; end-m >= 0; end-- {
-		var bpSum, c2gSum, g2cSum sim.Time
-		for i := end; i > end-m; i-- {
-			bpSum += p.Layers[i].TBP
-			c2gSum += p.Layers[i].TC2G
-			g2cSum += p.Layers[i].TG2C
-		}
-		j := end - m
-		// (2b): offload of the leaving layer hides under BP compute.
-		if bpSum < p.Layers[j].TG2C {
-			return false
-		}
-		// (2d): compute covers the window's two-way traffic.
-		if bpSum < c2gSum+g2cSum {
+// bpWindowOK is P2 analogously for the backward direction: the window
+// above leaving layer j hides its offload (2b) and the window's
+// two-way traffic (2d) under BP compute.
+func (s *solver) bpWindowOK(m int) bool {
+	for j := 0; j+m < len(s.Layers); j++ {
+		bp := s.bp[j+m+1] - s.bp[j+1]
+		if bp < s.Layers[j].TG2C || bp < s.p2[j+m+1]-s.p2[j+1] {
 			return false
 		}
 	}
 	return true
-}
-
-// minWindowOpt solves Eq. 3: each offloaded layer's full update chain —
-// gradient offload, CPU Adam at the pool's per-worker bandwidth share,
-// re-prefetch, and the asynchronous call overheads along the way — must
-// complete within the compute the window buys before that layer is
-// needed again by the next iteration's forward pass.
-func (p Profile) minWindowOpt() int {
-	n := len(p.Layers)
-	// Per-worker update time stretches with bandwidth sharing and the
-	// per-thread bandwidth ceiling.
-	stretch := max(p.OptPerTaskStretch, max(p.OptWorkers, 1))
-	chain := p.TOptCPU*sim.Time(stretch) +
-		p.Layers[0].TG2C + p.Layers[0].TC2G + 5*p.TAsync
-	for m := 1; m <= n; m++ {
-		var cover sim.Time
-		for i := 0; i < m; i++ {
-			cover += p.Layers[i].TFP + p.Layers[i].TBP
-		}
-		cover += sim.Time(m) * p.TOptGPU
-		if chain <= cover {
-			return m
-		}
-	}
-	return n
 }
 
 // Decision is the co-optimizing solver's output: the §III-D window
@@ -281,7 +255,7 @@ const (
 const coOptMargin = 0.05
 
 // Solve co-optimizes the method's declared decision variables: always
-// the working-window size m (through SolveWindow), and — when
+// the working-window size m (as SolveWindow does), and — when
 // vars.OptPlacement is set — the GPU/CPU optimizer split g. The joint
 // search keeps the P1/P2 prefetch-hiding minima as a structural floor
 // on m, scores each memory-feasible (m, g) with a roofline of the
@@ -289,8 +263,10 @@ const coOptMargin = 0.05
 // window fails to cover, and keeps the paper's fixed-placement
 // decision unless a candidate scores strictly better; ties resolve to
 // the smaller g, then the smaller m, so the decision is deterministic.
+// Each of the 13·(n−m+1) candidates costs O(1) from the running totals.
 func Solve(p Profile, vars modelcfg.DecisionVars) (Decision, error) {
-	base, err := SolveWindow(p)
+	s := newSolver(p)
+	base, err := s.window()
 	if err != nil {
 		return Decision{}, err
 	}
@@ -298,13 +274,13 @@ func Solve(p Profile, vars modelcfg.DecisionVars) (Decision, error) {
 	if !vars.OptPlacement {
 		return d, nil
 	}
-	n := len(p.Layers)
+	n := len(s.Layers)
 	// The placement split never shrinks the window below the paper's
 	// fixed-placement decision: smaller windows re-expose the P1/P2
 	// hiding constraints the score only approximates. Co-optimization
 	// moves the split and, when that relaxes Eq. 3, grows m.
 	floor := base.M
-	bestT := sim.Time(float64(p.score(base.M, 0)) * (1 - coOptMargin))
+	bestT := sim.Time(float64(s.score(base.M, 0)) * (1 - coOptMargin))
 	engaged := false
 	for gi := 0; gi <= optFracMax; gi++ {
 		g := float64(gi) / optFracSteps
@@ -312,22 +288,28 @@ func Solve(p Profile, vars modelcfg.DecisionVars) (Decision, error) {
 			if !vars.Window && m != base.M {
 				continue
 			}
-			if p.windowBytes(m)+p.placementBytes(g) > p.AvailGPU {
+			if s.windowBytes(m)+s.placementBytes(g) > s.AvailGPU {
 				continue
 			}
-			if t := p.score(m, g); t < bestT {
+			if t := s.score(m, g); t < bestT {
 				bestT = t
 				engaged = true
 				d.M, d.OptGPUFrac = m, g
-				d.MemoryBound = p.windowBytes(m+1)+p.placementBytes(g) > p.AvailGPU &&
-					p.chainExcess(m, g) > 0
+				d.MemoryBound = s.windowBytes(m+1)+s.placementBytes(g) > s.AvailGPU &&
+					s.chainExcess(m, g) > 0
 			}
 		}
 	}
 	if engaged {
-		d.AsyncFeasible = 5*sim.Time(n)*p.TAsync <= sim.Time(n-d.M)*p.TOptGPU
+		d.AsyncFeasible = s.asyncFeasible(d.M)
 	}
 	return d, nil
+}
+
+// stretch is the per-worker update's slowdown with bandwidth sharing
+// and the per-thread bandwidth ceiling.
+func (s *solver) stretch() int {
+	return max(s.OptPerTaskStretch, s.OptWorkers, 1)
 }
 
 // score bounds one (m, g) candidate's iteration time below by its GPU
@@ -338,41 +320,33 @@ func Solve(p Profile, vars modelcfg.DecisionVars) (Decision, error) {
 // chain (Eq. 3 violated, the capacity-constrained regime), the
 // uncovered chain excess that stalls the next iteration's prefetch
 // front.
-func (p Profile) score(m int, g float64) sim.Time {
-	n := len(p.Layers)
+func (s *solver) score(m int, g float64) sim.Time {
+	n := len(s.Layers)
 	offloaded := n - m
-	var compute, traffic sim.Time
-	for i := 0; i < n; i++ {
-		compute += p.Layers[i].TFP + p.Layers[i].TBP
-	}
-	compute += sim.Time(m)*p.TOptGPU + sim.Time(g*float64(offloaded)*float64(p.TOptGPU))
-	for i := 0; i < offloaded; i++ {
-		traffic += 2*p.Layers[i].TC2G + 2*p.Layers[i].TG2C
-	}
-	traffic += sim.Time(g * float64(offloaded) * float64(p.MomH2D+p.MomD2H))
-	workers := max(p.OptWorkers, 1)
-	stretch := max(p.OptPerTaskStretch, workers)
-	cpu := sim.Time((1 - g) * float64(offloaded) * float64(p.TOptCPU) * float64(stretch) / float64(workers))
-	return max(compute, max(traffic, cpu)) + p.chainExcess(m, g)
+	compute := s.fp[n] + s.bp[n] + sim.Time(m)*s.TOptGPU + sim.Time(g*float64(offloaded)*float64(s.TOptGPU))
+	traffic := 2*s.p2[offloaded] + sim.Time(g*float64(offloaded)*float64(s.MomH2D+s.MomD2H))
+	workers := max(s.OptWorkers, 1)
+	cpu := sim.Time((1 - g) * float64(offloaded) * float64(s.TOptCPU) * float64(s.stretch()) / float64(workers))
+	return max(compute, traffic, cpu) + s.chainExcess(m, g)
 }
 
 // chainExcess is the part of one offloaded layer's update chain the
-// m-layer window cannot cover (Eq. 3 with the g-split chain): zero
-// when the chain hides under the window's compute, positive when every
-// re-prefetch of an updated layer stalls behind it.
-func (p Profile) chainExcess(m int, g float64) sim.Time {
-	if m >= len(p.Layers) {
+// m-layer window cannot cover (Eq. 3 with the g-split chain). The
+// chain — gradient offload, the update (the CPU pool's 1−g share at
+// its per-worker bandwidth, or the GPU's g share with its moment
+// round trip, whichever is longer), re-prefetch, and the asynchronous
+// call overheads along the way — must complete within the compute the
+// window buys before the layer is needed again by the next
+// iteration's forward pass. The excess is zero when it does, positive
+// when every re-prefetch of an updated layer stalls behind it.
+func (s *solver) chainExcess(m int, g float64) sim.Time {
+	if m >= len(s.Layers) {
 		return 0
 	}
-	stretch := max(p.OptPerTaskStretch, max(p.OptWorkers, 1))
-	cpuHalf := sim.Time((1 - g) * float64(p.TOptCPU) * float64(stretch))
-	gpuHalf := sim.Time(g * float64(p.MomH2D+p.MomD2H+p.TOptGPU))
-	chain := p.Layers[0].TG2C + p.Layers[0].TC2G + 5*p.TAsync + max(cpuHalf, gpuHalf)
-	var cover sim.Time
-	for i := 0; i < m && i < len(p.Layers); i++ {
-		cover += p.Layers[i].TFP + p.Layers[i].TBP
-	}
-	cover += sim.Time(m) * p.TOptGPU
+	cpuHalf := sim.Time((1 - g) * float64(s.TOptCPU) * float64(s.stretch()))
+	gpuHalf := sim.Time(g * float64(s.MomH2D+s.MomD2H+s.TOptGPU))
+	chain := s.Layers[0].TG2C + s.Layers[0].TC2G + 5*s.TAsync + max(cpuHalf, gpuHalf)
+	cover := s.fp[m] + s.bp[m] + sim.Time(m)*s.TOptGPU
 	if chain <= cover {
 		return 0
 	}
@@ -382,9 +356,9 @@ func (p Profile) chainExcess(m int, g float64) sim.Time {
 // placementBytes is the extra device memory a g-split needs: two
 // staging buffers (one updating, one in flight) of the g-share of a
 // layer's moment payload.
-func (p Profile) placementBytes(g float64) int64 {
+func (s *solver) placementBytes(g float64) int64 {
 	if g == 0 {
 		return 0
 	}
-	return 2 * int64(g*float64(p.MomBytes))
+	return 2 * int64(g*float64(s.MomBytes))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -69,10 +70,11 @@ func TestSolverConstraintsHoldAtChosenM(t *testing.T) {
 	if d.MemoryBound {
 		t.Fatal("unexpected memory bound")
 	}
-	if !p.fpWindowOK(d.M) {
+	s := newSolver(p)
+	if !s.fpWindowOK(d.M) {
 		t.Fatalf("P1 violated at returned m=%d", d.M)
 	}
-	if !p.bpWindowOK(d.M) {
+	if !s.bpWindowOK(d.M) {
 		t.Fatalf("P2 violated at returned m=%d", d.M)
 	}
 }
@@ -88,7 +90,7 @@ func TestSolverMemoryBoundClamps(t *testing.T) {
 	if !d.MemoryBound {
 		t.Fatal("solver must report the memory clamp")
 	}
-	if p.windowBytes(d.M) > p.AvailGPU {
+	if s := newSolver(p); s.windowBytes(d.M) > p.AvailGPU {
 		t.Fatalf("returned window %d does not fit memory", d.M)
 	}
 }
@@ -126,7 +128,8 @@ func TestSolverOptConstraint(t *testing.T) {
 func TestSolverWindowBytesIncludesPrefetchBuffer(t *testing.T) {
 	p := uniformTestProfile(10, 1, 1, 1<<30)
 	// m buffers of SBP plus one incoming SFP (constraint 1c).
-	if got := p.windowBytes(3); got != 3*200+100 {
+	s := newSolver(p)
+	if got := s.windowBytes(3); got != 3*200+100 {
 		t.Fatalf("windowBytes(3) = %d, want 700", got)
 	}
 }
@@ -170,7 +173,7 @@ func TestPropertySolverSound(t *testing.T) {
 		if err != nil {
 			return avail < 300 // only a too-small arena may error
 		}
-		if p.windowBytes(d.M) > p.AvailGPU {
+		if s := newSolver(p); s.windowBytes(d.M) > p.AvailGPU {
 			return false
 		}
 		if !d.MemoryBound && d.M < max(d.MFP, max(d.MBP, d.MOpt)) && d.M < n {
@@ -180,5 +183,78 @@ func TestPropertySolverSound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// engineProfile is the warm-up profile an engine solves over for a
+// layers × hidden model (16 heads) on plat.
+func engineProfile(layers, hidden int, plat hw.Platform) Profile {
+	e := NewEngine(perf.NewModel(modelcfg.NewConfig(layers, hidden, 16), plat))
+	return UniformProfile(e.Model, e.availableWindowBytes(), e.optWorkers())
+}
+
+// solverShapes are the decision-variable sets a method can declare.
+var solverShapes = []modelcfg.DecisionVars{
+	{Window: true},
+	{Window: true, OptPlacement: true},
+	{OptPlacement: true},
+}
+
+// checkSolverOracle requires SolveWindow, and Solve under every
+// decision-variable shape, to return exactly the loop oracle's decision
+// and error on p.
+func checkSolverOracle(t testing.TB, p Profile) {
+	t.Helper()
+	got, err := SolveWindow(p)
+	want, werr := oracleSolveWindow(p)
+	if got != want || fmt.Sprint(err) != fmt.Sprint(werr) {
+		t.Fatalf("SolveWindow = %+v, %v; oracle says %+v, %v", got, err, want, werr)
+	}
+	for _, vars := range solverShapes {
+		got, err := Solve(p, vars)
+		want, werr := oracleSolve(p, vars)
+		if got != want || fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("Solve(%+v) = %+v, %v; oracle says %+v, %v", vars, got, err, want, werr)
+		}
+	}
+}
+
+// The running-totals solver decides exactly as the loop oracle on the
+// engine's own profiles, on the paper's V100 and on the
+// capacity-constrained platform where the placement split engages.
+func TestSolverMatchesOracle(t *testing.T) {
+	for _, plat := range []struct {
+		name string
+		plat hw.Platform
+	}{{"v100", hw.V100Platform()}, {"constrained", constrainedPlatform()}} {
+		for _, layers := range []int{20, 500, 3000} {
+			for _, hidden := range []int{256, 1024, 2560} {
+				t.Run(fmt.Sprintf("%s/l%d/h%d", plat.name, layers, hidden), func(t *testing.T) {
+					checkSolverOracle(t, engineProfile(layers, hidden, plat.plat))
+				})
+			}
+		}
+	}
+	e := constrainedEngine(true) // coopt_test.go's scenario
+	checkSolverOracle(t, UniformProfile(e.Model, e.availableWindowBytes(), e.optWorkers()))
+}
+
+// BenchmarkSolve times the warm-up decision on the engine's profile of
+// a deep, narrow model, with and without the co-optimized placement
+// search.
+func BenchmarkSolve(b *testing.B) {
+	for _, layers := range []int{2000, 20000} {
+		p := engineProfile(layers, 256, hw.V100Platform())
+		for _, coopt := range []bool{false, true} {
+			vars := modelcfg.DecisionVars{Window: true, OptPlacement: coopt}
+			b.Run(fmt.Sprintf("layers=%d/coopt=%v", layers, coopt), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Solve(p, vars); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

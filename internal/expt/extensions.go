@@ -73,7 +73,6 @@ type HeteroRow struct {
 // bytes — the §III-D memory-utilization argument.
 func HeteroWindowStudy() ([]HeteroRow, error) {
 	m := perf.NewModel(modelcfg.Config1p7B(), hw.V100Platform())
-	e := core.NewEngine(m)
 	prof := core.UniformProfile(m, 16*hw.GB, 16)
 	for i := range prof.Layers {
 		if i%2 == 1 {
@@ -113,7 +112,6 @@ func HeteroWindowStudy() ([]HeteroRow, error) {
 	if cPlan, err := core.PlanFixedBudget(prof, fixedCount.GPUBytes); err == nil {
 		fixedCount.HidesXfers = cPlan.HidesTransfers(prof)
 	}
-	_ = e
 	return []HeteroRow{fixedCount, fixedBudget}, nil
 }
 

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"strings"
@@ -309,13 +310,24 @@ func oracleReach(it *Iteration) []bitset {
 	return reach
 }
 
+// The fuzzer's oracle check on a plan of more than oracleAllPairs ops
+// compares every pair of ops less than oracleNear IDs apart, plus
+// oracleFar seeded pairs farther apart for each op: asking about all
+// O(ops²) pairs would spend the fuzzer's time on a few deep plans.
+const (
+	oracleAllPairs = 256
+	oracleNear     = 64
+	oracleFar      = 16
+)
+
 // checkOracle compares the validator's happensBefore with the closure
-// oracle on every ordered pair of ops. Every check is a function of
+// oracle: on every ordered pair of ops when all is set or the plan is
+// small, else on the sample above. Every check is a function of
 // happensBefore and the op list, so agreement here means the verdicts
 // agree too. It builds its validator as Prepare does. A plan failing
 // the structure check gets no happensBefore queries (and has no
 // well-defined closure), so it reports false and compares nothing.
-func checkOracle(t testing.TB, it *Iteration) bool {
+func checkOracle(t testing.TB, it *Iteration, all bool) bool {
 	t.Helper()
 	v := &validator{it: it}
 	v.checkStructure()
@@ -324,11 +336,28 @@ func checkOracle(t testing.TB, it *Iteration) bool {
 	}
 	v.c, v.seen = Compile(&it.Graph), make([]uint32, len(it.Ops))
 	reach := oracleReach(it)
-	for b := range it.Ops {
-		for a := range it.Ops {
-			if got, want := v.happensBefore(ID(a), ID(b)), reach[b].has(ID(a)); got != want {
-				t.Fatalf("happensBefore(%d, %d) = %v, closure oracle says %v\nplan:\n%s", a, b, got, want, Text(it))
+	check := func(a, b int) {
+		if got, want := v.happensBefore(ID(a), ID(b)), reach[b].has(ID(a)); got != want {
+			t.Fatalf("happensBefore(%d, %d) = %v, closure oracle says %v\nplan:\n%s", a, b, got, want, Text(it))
+		}
+	}
+	n := len(it.Ops)
+	rng := rand.New(rand.NewPCG(uint64(n), 0))
+	for b := 0; b < n; b++ {
+		lo, hi := 0, n
+		if !all && n > oracleAllPairs {
+			lo, hi = max(b-oracleNear+1, 0), min(b+oracleNear, n)
+		}
+		for a := lo; a < hi; a++ {
+			check(a, b)
+		}
+		// The far IDs, [0, lo) and [hi, n), are drawn from as one range.
+		for far, k := n-(hi-lo), 0; far > 0 && k < oracleFar; k++ {
+			a := rng.IntN(far)
+			if a >= lo {
+				a += hi - lo
 			}
+			check(a, b)
 		}
 	}
 	return true
@@ -357,7 +386,7 @@ func TestHappensBeforeMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", name, size.layers, err)
 			}
-			if !checkOracle(t, it) {
+			if !checkOracle(t, it, true) {
 				t.Fatalf("%s/%d: planner output fails the structure check", name, size.layers)
 			}
 		}
@@ -371,7 +400,7 @@ func TestHappensBeforeMatchesOracleAfterMutation(t *testing.T) {
 	for _, tc := range mutations() {
 		it := mustBuild(t, baseSpec())
 		tc.mutate(t, it)
-		if checkOracle(t, it) {
+		if checkOracle(t, it, true) {
 			compared++
 		}
 	}
@@ -386,8 +415,9 @@ func TestHappensBeforeMatchesOracleAfterMutation(t *testing.T) {
 // mutation (drop a dependency, add a backward dependency, move an op to
 // another queue or layer, make it export a fact, or move a resident
 // layer), and requires the validator's happensBefore to agree with the
-// closure oracle on every pair. Unmutated planner output must also
-// validate. Validate must give Prepare's verdict, and a plan Prepare
+// closure oracle on every pair of a small plan and on checkOracle's
+// sample of a large one. Unmutated planner output must also validate.
+// Validate must give Prepare's verdict, and a plan Prepare
 // accepts must come with the program Compile lowers it to, which must
 // execute without a panic. Run with
 // `go test -run='^$' -fuzz=FuzzValidate ./internal/plan/`; the seed
@@ -443,7 +473,7 @@ func FuzzValidate(f *testing.F) {
 				(*set)[int(target/2)%len(*set)] = int(arg)%(it.Layers+8) - 4
 			}
 		}
-		checkOracle(t, it)
+		checkOracle(t, it, false)
 		c, err := Prepare(it)
 		if verr := Validate(it); fmt.Sprint(verr) != fmt.Sprint(err) {
 			t.Fatalf("Validate says %v, Prepare says %v", verr, err)
