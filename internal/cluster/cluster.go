@@ -172,13 +172,3 @@ func runModelParallelBaseline(s Setup) perf.IterationResult {
 	res.IterTime += sim.Time(s.Cfg.Layers) * perLayer
 	return res
 }
-
-// LargestTrainable sweeps model depth for a method on the cluster
-// platform, mirroring Figure 6b's methodology (8-way model parallelism
-// for the offloading baselines; STRONGHOLD additionally benefits from
-// partitioning its host footprint across nodes).
-func LargestTrainable(method modelcfg.Method, plat hw.Platform, hidden int, batchSizes []int) float64 {
-	mp := plat.Nodes
-	return modelcfg.LargestTrainable(method, hidden, mp, batchSizes, 8,
-		plat.GPU.MemBytes, plat.CPU.UsableMemBytes, plat.NVMe.Bytes)
-}

@@ -38,7 +38,9 @@ func TestFigure6bLargestTrainableOrdering(t *testing.T) {
 	best := func(method modelcfg.Method) float64 {
 		top := 0.0
 		for _, h := range []int{5120, 8192} {
-			if b := LargestTrainable(method, plat, h, batch); b > top {
+			b := modelcfg.LargestTrainable(method, h, plat.Nodes, batch, 8,
+				plat.GPU.MemBytes, plat.CPU.UsableMemBytes, plat.NVMe.Bytes)
+			if b > top {
 				top = b
 			}
 		}

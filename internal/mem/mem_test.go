@@ -234,43 +234,6 @@ func TestRoundRobinPoolExhaustedArena(t *testing.T) {
 	}
 }
 
-func TestRoundRobinPoolGrowOnly(t *testing.T) {
-	a := NewArena("gpu", 1000)
-	p, _ := NewRoundRobinPool(a, 100, 2)
-	if err := p.Grow(50); err != nil {
-		t.Fatal(err)
-	}
-	if p.BufSize() != 100 || p.Grows() != 0 {
-		t.Fatal("shrink must be a no-op")
-	}
-	if err := p.Grow(200); err != nil {
-		t.Fatal(err)
-	}
-	if p.BufSize() != 200 || a.Used() != 400 || p.Grows() != 1 {
-		t.Fatalf("grow failed: size=%d used=%d", p.BufSize(), a.Used())
-	}
-	idx, _ := p.Acquire()
-	if err := p.Grow(300); err == nil {
-		t.Fatal("grow with buffers in use must fail")
-	}
-	p.Release(idx)
-}
-
-func TestRoundRobinPoolGrowOOMKeepsConsistency(t *testing.T) {
-	a := NewArena("gpu", 250)
-	p, _ := NewRoundRobinPool(a, 100, 2)
-	if err := p.Grow(200); !errors.Is(err, ErrOOM) {
-		t.Fatalf("expected OOM, got %v", err)
-	}
-	// The pool must still own two usable buffers.
-	i0, err0 := p.Acquire()
-	_, err1 := p.Acquire()
-	if err0 != nil || err1 != nil {
-		t.Fatal("pool unusable after failed grow")
-	}
-	p.Release(i0)
-}
-
 func TestRoundRobinPoolDestroy(t *testing.T) {
 	a := NewArena("gpu", 1000)
 	p, _ := NewRoundRobinPool(a, 100, 3)

@@ -76,16 +76,13 @@ func (c *CachingAllocator) ReleaseAll() {
 // RoundRobinPool is STRONGHOLD's user-level GPU buffer manager
 // (§III-E3): a fixed set of reserved buffers sized for the working
 // window, allocated once at warm-up (m·k raw operations instead of n·k)
-// and recycled round-robin as layers move through the window. Buffers
-// may grow (reallocating) but never shrink, matching the paper's
-// "reserved buffer may grow but not shrink".
+// and recycled round-robin as layers move through the window.
 type RoundRobinPool struct {
 	arena   *Arena
 	bufSize int64
 	bufs    []*Block
 	inUse   []bool
 	next    int
-	grows   uint64
 }
 
 // NewRoundRobinPool reserves count buffers of bufSize bytes up front.
@@ -114,9 +111,6 @@ func (p *RoundRobinPool) BufSize() int64 { return p.bufSize }
 
 // Count returns the number of reserved buffers.
 func (p *RoundRobinPool) Count() int { return len(p.bufs) }
-
-// Grows returns how many grow operations have occurred.
-func (p *RoundRobinPool) Grows() uint64 { return p.grows }
 
 // Acquire hands out the next free buffer in round-robin order, or an
 // error when every buffer is in use (the window is full). The probe
@@ -162,36 +156,6 @@ func (p *RoundRobinPool) InUse() int {
 		}
 	}
 	return n
-}
-
-// Grow reallocates every buffer to newSize when newSize exceeds the
-// current size (no-op otherwise, preserving grow-only semantics). All
-// buffers must be free.
-func (p *RoundRobinPool) Grow(newSize int64) error {
-	if newSize <= p.bufSize {
-		return nil
-	}
-	if p.InUse() != 0 {
-		return fmt.Errorf("mem: cannot grow pool with %d buffers in use", p.InUse())
-	}
-	for i, b := range p.bufs {
-		p.arena.Release(b)
-		nb, err := p.arena.Alloc(newSize)
-		if err != nil {
-			// Restore the old size for the remaining buffers so the
-			// pool stays consistent.
-			restored, rerr := p.arena.Alloc(p.bufSize)
-			if rerr != nil {
-				panic(fmt.Sprintf("mem: pool grow rollback failed: %v", rerr))
-			}
-			p.bufs[i] = restored
-			return fmt.Errorf("mem: growing window buffer %d to %d bytes: %w", i, newSize, err)
-		}
-		p.bufs[i] = nb
-	}
-	p.bufSize = newSize
-	p.grows++
-	return nil
 }
 
 // Destroy releases every reserved buffer back to the arena.

@@ -1,5 +1,7 @@
 package serve
 
+import "stronghold/internal/modelcfg"
+
 // Backend computes answers for canonicalized requests. The production
 // implementation (internal/serve/backend) runs the deterministic
 // simulator through the root stronghold package; tests substitute
@@ -81,25 +83,18 @@ type WhatIfResponse struct {
 	RetentionPc float64 `json:"retention_pc"`
 }
 
-// MethodsResponse is /v1/methods's body: the offload-method registry.
+// MethodsResponse is /v1/methods's body: the offload-method registry
+// in its wire form, whose bytes the methods.json golden pins.
 type MethodsResponse struct {
-	Methods []MethodRow `json:"methods"`
+	Methods []modelcfg.MethodSummary `json:"methods"`
 }
 
-// MethodRow mirrors modelcfg.MethodSummary; it is re-declared here so
-// the wire schema is owned by the serve package and a registry
-// refactor cannot silently change the API.
-type MethodRow struct {
-	Key         string   `json:"key"`
-	Display     string   `json:"display"`
-	Aliases     []string `json:"aliases,omitempty"`
-	Engine      string   `json:"engine"`
-	PlanDriven  bool     `json:"plan_driven"`
-	SingleGPU   bool     `json:"single_gpu"`
-	Distributed bool     `json:"distributed"`
-	NVMe        bool     `json:"nvme"`
-	Decisions   struct {
-		Window       bool `json:"window"`
-		OptPlacement bool `json:"opt_placement"`
-	} `json:"decisions"`
+// response is a simulation endpoint's body, which carries the hash of
+// the canonical request it answers.
+type response interface {
+	withHash(hash string) any
 }
+
+func (r SolveResponse) withHash(hash string) any    { r.Hash = hash; return r }
+func (r CapacityResponse) withHash(hash string) any { r.Hash = hash; return r }
+func (r WhatIfResponse) withHash(hash string) any   { r.Hash = hash; return r }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -25,6 +26,7 @@ func FuzzRequestCanonical(f *testing.F) {
 		[]byte(`{}`),
 		[]byte(`{"model":{"size_billions":1e308}}`),
 		[]byte(`{"model":{"layers":-1}}`),
+		[]byte(`{"model":{"size_billions":4}}}`),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -46,14 +48,17 @@ func FuzzRequestCanonical(f *testing.F) {
 }
 
 // fuzzOne checks one endpoint's canonicalization pipeline on one
-// input: if the input is accepted, its canonical form must (a)
-// re-encode deterministically, (b) be accepted again, and (c) hash to
-// the same key — the fixed point.
+// input: if the input is accepted, it must be exactly one JSON value,
+// and its canonical form must (a) re-encode deterministically, (b) be
+// accepted again, and (c) hash to the same key — the fixed point.
 func fuzzOne(t *testing.T, data []byte, endpoint string, canonicalize func([]byte) (any, string, error)) {
 	t.Helper()
 	req, hash, err := canonicalize(data)
 	if err != nil {
 		return // rejected input: nothing to pin
+	}
+	if !json.Valid(data) {
+		t.Fatalf("%s: accepted a body that is not exactly one JSON value: %q", endpoint, data)
 	}
 	if len(hash) != 64 {
 		t.Fatalf("%s: hash %q is not hex SHA-256", endpoint, hash)

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"stronghold/internal/serve"
@@ -119,6 +120,74 @@ func TestGoldenStableAcrossPoolSizes(t *testing.T) {
 		}
 		if !bytes.Equal(one[i], many[i]) {
 			t.Errorf("%s differs between pool sizes:\n%s\nvs\n%s", req.file, one[i], many[i])
+		}
+	}
+}
+
+// TestRealBackendConcurrent sends distinct solve, capacity and what-if
+// queries from one goroutine each, all at once, to a server over the
+// real simulation backend. Every body must equal the answer a fresh
+// server gives that query alone, so simulations that overlap in time
+// share no state.
+func TestRealBackendConcurrent(t *testing.T) {
+	const whatif = `"faults":"h2d:slow(at=0s,dur=30s,every=60s,factor=0.6)"`
+	queries := []struct{ path, body string }{
+		{"/v1/solve", `{"model":{"size_billions":4},"coopt":true}`},
+		{"/v1/solve", `{"model":{"size_billions":10}}`},
+		{"/v1/solve", `{"model":{"layers":20,"hidden":2560},"platform":"a10"}`},
+		{"/v1/capacity", `{"platform":"v100"}`},
+		{"/v1/capacity", `{"platform":"a10","methods":["stronghold","zero-offload"]}`},
+		{"/v1/whatif", `{"model":{"size_billions":2},` + whatif + `}`},
+		{"/v1/whatif", `{"model":{"size_billions":1},"method":"zero-offload",` + whatif + `}`},
+		{"/v1/whatif", `{"model":{"size_billions":2},"window":2,"disable_adapt":true,` + whatif + `}`},
+	}
+	send := func(ts *httptest.Server, path, body string) (int, []byte, error) {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			return 0, nil, err
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, b, err
+	}
+
+	want := make([][]byte, len(queries))
+	for i, q := range queries {
+		ts := httptest.NewServer(serve.New(backend.Sim{}, serve.Options{}))
+		status, body, err := send(ts, q.path, q.body)
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", q.path, q.body, status, body)
+		}
+		want[i] = body
+	}
+
+	ts := httptest.NewServer(serve.New(backend.Sim{}, serve.Options{MaxConcurrent: len(queries)}))
+	defer ts.Close()
+	got := make([][]byte, len(queries))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func(i int, path, body string) {
+			defer wg.Done()
+			<-start
+			status, b, err := send(ts, path, body)
+			if err != nil || status != http.StatusOK {
+				t.Errorf("%s %s: status %d, error %v: %s", path, body, status, err, b)
+			}
+			got[i] = b
+		}(i, q.path, q.body)
+	}
+	close(start)
+	wg.Wait()
+	for i, q := range queries {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("%s %s: concurrent body differs from the sequential one:\n%s\nvs\n%s",
+				q.path, q.body, got[i], want[i])
 		}
 	}
 }

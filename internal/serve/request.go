@@ -219,24 +219,40 @@ func hashBody(canonical []byte) string {
 }
 
 // decodeStrict decodes one JSON document into dst, rejecting unknown
-// fields and trailing garbage. Unknown fields are rejected because a
+// fields and trailing data. Unknown fields are rejected because a
 // typo'd knob silently falling back to its default would return a
-// correct-looking answer to the wrong question.
+// correct-looking answer to the wrong question. The value must be
+// followed by end of input: Decoder.More reports false in front of a
+// stray `}` or `]`, so it would pass `{"model":{}}}`.
 func decodeStrict(r io.Reader, dst any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return err
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("trailing data after request body")
 	}
 	return nil
 }
 
-// CanonicalSolve decodes, canonicalizes and hashes one solve request.
-func CanonicalSolve(body []byte) (SolveRequest, string, error) {
-	var req SolveRequest
+// The simulation endpoints' paths. Each is also the prefix of its
+// requests' canonical encoding, so one query's hash cannot collide
+// with another endpoint's.
+const (
+	pathSolve    = "/v1/solve"
+	pathCapacity = "/v1/capacity"
+	pathWhatIf   = "/v1/whatif"
+)
+
+// request is a wire request type that canonicalizes to itself.
+type request[Q any] interface {
+	Canonicalize() (Q, error)
+}
+
+// canonical decodes, canonicalizes and hashes one request to endpoint.
+func canonical[Q request[Q]](endpoint string, body []byte) (Q, string, error) {
+	var req Q
 	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
 		return req, "", err
 	}
@@ -244,33 +260,22 @@ func CanonicalSolve(body []byte) (SolveRequest, string, error) {
 	if err != nil {
 		return req, "", err
 	}
-	return canon, hashBody(canonicalBody("/v1/solve", canon)), nil
+	return canon, hashBody(canonicalBody(endpoint, canon)), nil
+}
+
+// CanonicalSolve decodes, canonicalizes and hashes one solve request.
+func CanonicalSolve(body []byte) (SolveRequest, string, error) {
+	return canonical[SolveRequest](pathSolve, body)
 }
 
 // CanonicalCapacity decodes, canonicalizes and hashes one capacity
 // request.
 func CanonicalCapacity(body []byte) (CapacityRequest, string, error) {
-	var req CapacityRequest
-	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
-		return req, "", err
-	}
-	canon, err := req.Canonicalize()
-	if err != nil {
-		return req, "", err
-	}
-	return canon, hashBody(canonicalBody("/v1/capacity", canon)), nil
+	return canonical[CapacityRequest](pathCapacity, body)
 }
 
 // CanonicalWhatIf decodes, canonicalizes and hashes one what-if
 // request.
 func CanonicalWhatIf(body []byte) (WhatIfRequest, string, error) {
-	var req WhatIfRequest
-	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
-		return req, "", err
-	}
-	canon, err := req.Canonicalize()
-	if err != nil {
-		return req, "", err
-	}
-	return canon, hashBody(canonicalBody("/v1/whatif", canon)), nil
+	return canonical[WhatIfRequest](pathWhatIf, body)
 }

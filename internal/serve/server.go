@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,14 +21,10 @@ type Options struct {
 	// MaxConcurrent bounds the simulations running at once — the
 	// admission-control worker pool (default 4). Requests that miss
 	// the cache when the pool is saturated are rejected with 429 and
-	// a Retry-After hint rather than queued: a capacity-planning
-	// query is interactive, and an honest "try again in a second"
-	// beats an unbounded queue.
+	// a one-second Retry-After hint rather than queued: a
+	// capacity-planning query is interactive, and an honest "try
+	// again in a second" beats an unbounded queue.
 	MaxConcurrent int
-	// RetryAfterSeconds is the Retry-After hint on 429s (default 1).
-	RetryAfterSeconds int
-	// Stats receives the server-side counters (default: a fresh set).
-	Stats *metrics.ServeStats
 }
 
 func (o Options) withDefaults() Options {
@@ -36,12 +33,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxConcurrent == 0 {
 		o.MaxConcurrent = 4
-	}
-	if o.RetryAfterSeconds == 0 {
-		o.RetryAfterSeconds = 1
-	}
-	if o.Stats == nil {
-		o.Stats = metrics.NewServeStats()
 	}
 	return o
 }
@@ -53,7 +44,6 @@ func (o Options) withDefaults() Options {
 // response bodies are pure functions of the request and the backend.
 type Server struct {
 	backend Backend
-	opts    Options
 	stats   *metrics.ServeStats
 	cache   *resultCache
 	flights *flightGroup
@@ -63,7 +53,7 @@ type Server struct {
 	mu       sync.Mutex
 	closed   bool
 	inflight sync.WaitGroup
-	methods  []byte // /v1/methods body, rendered once
+	methods  []byte // /v1/methods body: the registry is immutable for the process lifetime
 }
 
 // New builds a Server over the backend.
@@ -71,17 +61,16 @@ func New(b Backend, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		backend: b,
-		opts:    opts,
-		stats:   opts.Stats,
+		stats:   metrics.NewServeStats(),
 		cache:   newResultCache(opts.CacheSize),
 		flights: newFlightGroup(),
 		pool:    make(chan struct{}, opts.MaxConcurrent),
 		mux:     http.NewServeMux(),
+		methods: marshalResponse(MethodsResponse{Methods: modelcfg.MethodSummaries()}),
 	}
-	s.methods = s.renderMethods()
-	s.mux.HandleFunc("/v1/solve", s.wrap(s.handleSolve))
-	s.mux.HandleFunc("/v1/capacity", s.wrap(s.handleCapacity))
-	s.mux.HandleFunc("/v1/whatif", s.wrap(s.handleWhatIf))
+	route(s, pathSolve, Backend.Solve)
+	route(s, pathCapacity, Backend.Capacity)
+	route(s, pathWhatIf, Backend.WhatIf)
 	s.mux.HandleFunc("/v1/methods", s.wrap(s.handleMethods))
 	s.mux.HandleFunc("/metrics", s.wrap(s.handleMetrics))
 	return s
@@ -165,153 +154,79 @@ func marshalResponse(v any) []byte {
 // are small, and the decoder should not be a memory amplifier.
 const maxRequestBytes = 1 << 20
 
-// readBody slurps a bounded request body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	defer func() { _ = r.Body.Close() }()
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-}
-
-// simulate is the shared query path for the three simulation
-// endpoints: cache lookup by canonical hash, single-flight dedup of
-// concurrent identical misses, admission control on the leader, and
-// cache fill on success.
-func (s *Server) simulate(w http.ResponseWriter, hash string, run func() (int, []byte)) int {
-	if body, ok := s.cache.Get(hash); ok {
-		s.stats.CacheHit()
-		w.Header().Set("X-Cache", "hit")
-		return writeJSON(w, http.StatusOK, body)
-	}
-	status, body, shared := s.flights.Do(hash, func() (int, []byte) {
-		select {
-		case s.pool <- struct{}{}:
-		default:
-			s.stats.Rejected()
-			return http.StatusTooManyRequests, errorBody(fmt.Sprintf(
-				"all %d simulation workers are busy; retry shortly", s.opts.MaxConcurrent))
-		}
-		defer func() { <-s.pool }()
-		s.stats.CacheMiss()
-		s.stats.SimulationRun()
-		st, b := run()
-		if st == http.StatusOK {
-			s.cache.Put(hash, b)
-			s.stats.SetCacheEntries(s.cache.Len())
-		}
-		return st, b
-	})
-	if shared {
-		s.stats.SingleFlightShared()
-		w.Header().Set("X-Cache", "shared")
-	} else {
-		w.Header().Set("X-Cache", "miss")
-	}
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(s.opts.RetryAfterSeconds))
-	}
-	return writeJSON(w, status, body)
-}
-
-// post guards the simulation endpoints' method and body handling.
-func (s *Server) post(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// readPost reads a simulation request's bounded POST body. On a wrong
+// verb or an unreadable body it writes the error response and returns
+// its status; otherwise the status is 0.
+func readPost(w http.ResponseWriter, r *http.Request) ([]byte, int) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody("use POST with a JSON body"))
-		return nil, false
+		return nil, writeJSON(w, http.StatusMethodNotAllowed, errorBody("use POST with a JSON body"))
 	}
-	body, err := readBody(w, r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
-		return nil, false
+	defer func() { _ = r.Body.Close() }()
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return nil, writeJSON(w, http.StatusRequestEntityTooLarge, errorBody(fmt.Sprintf(
+			"request body exceeds the %d MiB limit", maxRequestBytes>>20)))
+	case err != nil:
+		return nil, writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
 	}
-	return body, true
+	return body, 0
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) int {
-	body, ok := s.post(w, r)
-	if !ok {
-		return methodOrBodyStatus(r)
-	}
-	req, hash, err := CanonicalSolve(body)
-	if err != nil {
-		return writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
-	}
-	return s.simulate(w, hash, func() (int, []byte) {
-		resp, err := s.backend.Solve(req)
+// route registers path as a simulation endpoint answered by the
+// Backend method call. Every simulation request takes this one path:
+// read the bounded body, decode strictly, canonicalize and hash; then
+// the cache lookup by hash, single-flight dedup of concurrent
+// identical misses, admission control on the leader, the backend call,
+// and the cache fill on success.
+func route[Q request[Q], R response](s *Server, path string, call func(Backend, Q) (R, error)) {
+	s.mux.HandleFunc(path, s.wrap(func(w http.ResponseWriter, r *http.Request) int {
+		body, status := readPost(w, r)
+		if status != 0 {
+			return status
+		}
+		req, hash, err := canonical[Q](path, body)
 		if err != nil {
-			return http.StatusUnprocessableEntity, errorBody(err.Error())
+			return writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
 		}
-		resp.Hash = hash
-		return http.StatusOK, marshalResponse(resp)
-	})
-}
-
-func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) int {
-	body, ok := s.post(w, r)
-	if !ok {
-		return methodOrBodyStatus(r)
-	}
-	req, hash, err := CanonicalCapacity(body)
-	if err != nil {
-		return writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
-	}
-	return s.simulate(w, hash, func() (int, []byte) {
-		resp, err := s.backend.Capacity(req)
-		if err != nil {
-			return http.StatusUnprocessableEntity, errorBody(err.Error())
+		if out, ok := s.cache.Get(hash); ok {
+			s.stats.CacheHit()
+			w.Header().Set("X-Cache", "hit")
+			return writeJSON(w, http.StatusOK, out)
 		}
-		resp.Hash = hash
-		return http.StatusOK, marshalResponse(resp)
-	})
-}
-
-func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) int {
-	body, ok := s.post(w, r)
-	if !ok {
-		return methodOrBodyStatus(r)
-	}
-	req, hash, err := CanonicalWhatIf(body)
-	if err != nil {
-		return writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
-	}
-	return s.simulate(w, hash, func() (int, []byte) {
-		resp, err := s.backend.WhatIf(req)
-		if err != nil {
-			return http.StatusUnprocessableEntity, errorBody(err.Error())
+		status, out, shared := s.flights.Do(hash, func() (int, []byte) {
+			select {
+			case s.pool <- struct{}{}:
+			default:
+				s.stats.Rejected()
+				return http.StatusTooManyRequests, errorBody(fmt.Sprintf(
+					"all %d simulation workers are busy; retry shortly", cap(s.pool)))
+			}
+			defer func() { <-s.pool }()
+			s.stats.CacheMiss()
+			s.stats.SimulationRun()
+			resp, err := call(s.backend, req)
+			if err != nil {
+				return http.StatusUnprocessableEntity, errorBody(err.Error())
+			}
+			out := marshalResponse(resp.withHash(hash))
+			s.cache.Put(hash, out)
+			s.stats.SetCacheEntries(s.cache.Len())
+			return http.StatusOK, out
+		})
+		if shared {
+			s.stats.SingleFlightShared()
+			w.Header().Set("X-Cache", "shared")
+		} else {
+			w.Header().Set("X-Cache", "miss")
 		}
-		resp.Hash = hash
-		return http.StatusOK, marshalResponse(resp)
-	})
-}
-
-// methodOrBodyStatus recovers the status post() already wrote, for
-// the wrapper's response counter.
-func methodOrBodyStatus(r *http.Request) int {
-	if r.Method != http.MethodPost {
-		return http.StatusMethodNotAllowed
-	}
-	return http.StatusBadRequest
-}
-
-// renderMethods renders the /v1/methods body once: the registry is
-// immutable for the process lifetime.
-func (s *Server) renderMethods() []byte {
-	var resp MethodsResponse
-	for _, sum := range modelcfg.MethodSummaries() {
-		row := MethodRow{
-			Key:         sum.Key,
-			Display:     sum.Display,
-			Aliases:     sum.Aliases,
-			Engine:      sum.Engine,
-			PlanDriven:  sum.PlanDriven,
-			SingleGPU:   sum.SingleGPU,
-			Distributed: sum.Distributed,
-			NVMe:        sum.NVMe,
+		if status == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", "1")
 		}
-		row.Decisions.Window = sum.Decisions.Window
-		row.Decisions.OptPlacement = sum.Decisions.OptPlacement
-		resp.Methods = append(resp.Methods, row)
-	}
-	return marshalResponse(resp)
+		return writeJSON(w, status, out)
+	}))
 }
 
 func (s *Server) handleMethods(w http.ResponseWriter, r *http.Request) int {

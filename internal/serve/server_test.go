@@ -124,6 +124,8 @@ func TestRequestErrors(t *testing.T) {
 	}{
 		{"/v1/solve", `{"model":`, 400},
 		{"/v1/solve", `{"turbo":true}`, 400},
+		{"/v1/solve", `{"model":{"size_billions":4}}}`, 400},
+		{"/v1/solve", `{"model":{"size_billions":4}}]`, 400},
 		{"/v1/capacity", `{"methods":["warp-drive"]}`, 400},
 		{"/v1/whatif", `{"model":{"size_billions":5}}`, 400},
 	} {
@@ -157,6 +159,29 @@ func TestRequestErrors(t *testing.T) {
 	}
 }
 
+// A body one byte over the limit is a 413 that names the limit, and
+// the responses counter records the status the reader wrote.
+func TestOversizedBody(t *testing.T) {
+	fb := &fakeBackend{}
+	s := New(fb, Options{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	resp, body := post(t, ts, "/v1/solve", strings.Repeat(" ", maxRequestBytes+1))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", resp.StatusCode, body)
+	}
+	if !bytes.Contains(body, []byte("1 MiB limit")) {
+		t.Errorf("rejection does not name the 1 MiB limit: %s", body)
+	}
+	if v, _ := s.Stats().Snapshot().Value("stronghold_serve_responses_total", `code="413"`); v != 1 {
+		t.Errorf(`responses_total{code="413"} = %v, want 1`, v)
+	}
+	if n := fb.solves.Load(); n != 0 {
+		t.Errorf("backend ran %d times, want 0", n)
+	}
+}
+
 // TestBackendErrorNotCached pins that a 422 never poisons the cache:
 // after the backend recovers, the same request succeeds.
 func TestBackendErrorNotCached(t *testing.T) {
@@ -184,7 +209,7 @@ func TestBackendErrorNotCached(t *testing.T) {
 // and a Retry-After hint — and that a cached query still succeeds.
 func TestAdmissionControl(t *testing.T) {
 	fb := &fakeBackend{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
-	s := New(fb, Options{MaxConcurrent: 1, RetryAfterSeconds: 7})
+	s := New(fb, Options{MaxConcurrent: 1})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -207,8 +232,8 @@ func TestAdmissionControl(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Errorf("Retry-After = %q, want 7", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want 1", got)
 	}
 	// The cache bypasses admission control entirely.
 	if resp, _ := post(t, ts, "/v1/solve", `{"model":{"size_billions":1}}`); resp.StatusCode != 200 {

@@ -208,15 +208,12 @@ func MaxTrainableBillions(method Method, platform Platform) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	mp := plat.Nodes
 	best := 0.0
 	for _, h := range []int{2560, 4096, 5120} {
-		for _, bs := range []int{2, 4} {
-			b := modelcfg.LargestTrainable(method, h, mp, []int{bs}, 8,
-				plat.GPU.MemBytes, plat.CPU.UsableMemBytes, plat.NVMe.Bytes)
-			if b > best {
-				best = b
-			}
+		b := modelcfg.LargestTrainable(method, h, plat.Nodes, []int{2, 4}, 8,
+			plat.GPU.MemBytes, plat.CPU.UsableMemBytes, plat.NVMe.Bytes)
+		if b > best {
+			best = b
 		}
 	}
 	return best, nil
