@@ -64,16 +64,17 @@ func main() {
 	cfg.BatchSize = *batch
 	m := perf.NewModel(cfg, hw.V100Platform())
 
-	if info.Engine == modelcfg.EngineCore {
-		runCore(m, info, cfg, *window, *out, *planMode, *planJSON, *planDiff)
-		return
-	}
-
-	// Plan-driven baseline: fixed schedule, no window decision.
-	if *planDiff > 0 {
+	e := *core.NewEngine(m)
+	e.Window = *window
+	e.Feat.UseNVMe = info.NVMe
+	if *planDiff > 0 && info.Engine != modelcfg.EngineCore {
 		fatalf("-plan-diff varies the working window, which %s does not have", info.Key)
 	}
 	if *planMode {
+		if info.Engine == modelcfg.EngineCore {
+			printPlan(&e, *window, *planDiff, *planJSON)
+			return
+		}
 		it, err := baselines.PlanFor(mth, m)
 		if err != nil {
 			fatalf("plan: %v", err)
@@ -81,48 +82,29 @@ func main() {
 		renderPlan(it, *planJSON)
 		return
 	}
+
 	tr := trace.New()
-	r := baselines.RunWith(mth, m, baselines.Options{Trace: tr})
+	r := baselines.RunWith(mth, e, tr)
 	if r.OOM {
 		fatalf("configuration does not fit: %s", r.OOMDetail)
 	}
 	fmt.Printf("model: %.1fB parameters (%d layers, hidden %d, batch %d)\n",
 		cfg.ParamsBillion(), cfg.Layers, cfg.Hidden, cfg.BatchSize)
-	fmt.Printf("method: %s (explicit-duration plan)\n", info.Display)
+	if info.Engine == modelcfg.EngineCore {
+		// The run's window is the solver's unless -w pinned it; the
+		// solver's bounds say how the pin compares.
+		if d, err := e.SolvedDecision(); err != nil {
+			fmt.Printf("window: m=%d (window solver: %v)\n", r.FinalWindow, err)
+		} else {
+			fmt.Printf("window: m=%d (solver m=%d: P1=%d P2=%d Eq3=%d, memory-bound=%v, Eq5 feasible=%v)\n",
+				r.FinalWindow, d.M, d.MFP, d.MBP, d.MOpt, d.MemoryBound, d.AsyncFeasible)
+		}
+	} else {
+		fmt.Printf("method: %s (explicit-duration plan)\n", info.Display)
+	}
 	fmt.Printf("steady-state iteration: %.3fs, %.1f%% of transfer time hidden under compute\n",
 		sim.Seconds(r.IterTime), r.Overlap*100)
 	reportTrace(tr, *out)
-}
-
-// runCore is the STRONGHOLD path: solve the window, simulate on the
-// discrete-event engine, report the timeline.
-func runCore(m perf.Model, info *modelcfg.MethodInfo, cfg modelcfg.Config, window int, out string, planMode, planJSON bool, planDiff int) {
-	e := core.NewEngine(m)
-	e.Window = window
-	e.Feat.UseNVMe = info.NVMe
-
-	if planMode {
-		printPlan(e, window, planDiff, planJSON)
-		return
-	}
-
-	d, err := e.SolvedDecision()
-	if err != nil {
-		fatalf("window solver: %v", err)
-	}
-	tr := trace.New()
-	r := e.Run(3, tr)
-	if r.OOM {
-		fatalf("configuration does not fit: %s", r.OOMDetail)
-	}
-
-	fmt.Printf("model: %.1fB parameters (%d layers, hidden %d, batch %d)\n",
-		cfg.ParamsBillion(), cfg.Layers, cfg.Hidden, cfg.BatchSize)
-	fmt.Printf("window: m=%d (P1=%d P2=%d Eq3=%d, memory-bound=%v, Eq5 feasible=%v)\n",
-		d.M, d.MFP, d.MBP, d.MOpt, d.MemoryBound, d.AsyncFeasible)
-	fmt.Printf("steady-state iteration: %.3fs, %.1f%% of transfer time hidden under compute\n",
-		sim.Seconds(r.IterTime), r.Overlap*100)
-	reportTrace(tr, out)
 }
 
 // reportTrace prints the per-track busy stats and occupancy chart and

@@ -20,25 +20,10 @@ import (
 	"fmt"
 
 	"stronghold/internal/core"
-	"stronghold/internal/fault"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/perf"
 	"stronghold/internal/trace"
 )
-
-// Options configures a single-GPU simulation beyond the defaults.
-type Options struct {
-	// Trace, when non-nil, receives the execution spans of the simulated
-	// iteration.
-	Trace *trace.Trace
-	// Faults, when non-nil, degrades the method's resources with the
-	// injected stall/slow/drop windows. A dropped PCIe copy is reissued
-	// with backoff, as in STRONGHOLD's degraded mode; the other
-	// resources have no reissue path, so their drops degrade to stalls.
-	// Only STRONGHOLD re-solves its window: baseline schedules are
-	// fixed.
-	Faults *fault.Plan
-}
 
 // Run simulates one steady-state training iteration of the given method
 // and model, returning its timing or an OOM outcome. Supported methods
@@ -48,21 +33,29 @@ type Options struct {
 // ZeROInfinityNVMe, InterleavedOpt). ZeRO-2/3 are distributed-only;
 // see the cluster package.
 func Run(method modelcfg.Method, m perf.Model) perf.IterationResult {
-	return RunWith(method, m, Options{})
+	return RunWith(method, *core.NewEngine(m), nil)
 }
 
-// RunWith is Run with tracing and fault injection. An EngineCore row
-// runs core.Engine with default features for three iterations; for a
-// baseline the method's footprint is checked against the platform,
-// then its plan runs on core.RunPlan.
-func RunWith(method modelcfg.Method, m perf.Model, opts Options) perf.IterationResult {
+// RunWith is the one call that runs a single-GPU simulation: method on
+// the engine e describes, for core.SteadyIters iterations, with tr (when
+// non-nil) receiving the execution spans. An EngineCore row runs e
+// itself, staging on NVMe as the method says. For a baseline only
+// e.Model and e.Faults apply: the method's footprint is checked against
+// the platform, then its plan runs on core.RunPlan, degrading through
+// the fault plan's stall/slow/drop windows (a dropped PCIe copy is
+// reissued with backoff; the other resources have no reissue path, so
+// their drops degrade to stalls). Only STRONGHOLD re-solves its window:
+// baseline schedules are fixed.
+func RunWith(method modelcfg.Method, e core.Engine, tr *trace.Trace) perf.IterationResult {
 	info := modelcfg.Lookup(method)
 	if info != nil && info.Engine == modelcfg.EngineCore {
-		e := core.NewEngine(m)
-		e.Feat.UseNVMe = info.NVMe
-		e.Faults = opts.Faults
-		return e.Run(3, opts.Trace)
+		// Copying here, not on entry, keeps the engine off the heap on
+		// the baseline path.
+		ce := e
+		ce.Feat.UseNVMe = info.NVMe
+		return ce.Run(core.SteadyIters, tr)
 	}
+	m := e.Model
 	res := perf.IterationResult{Method: method}
 	if err := m.Cfg.Validate(); err != nil {
 		res.OOM, res.OOMDetail = true, err.Error()
@@ -87,7 +80,7 @@ func RunWith(method modelcfg.Method, m perf.Model, opts Options) perf.IterationR
 		res.OOM, res.OOMDetail = true, err.Error()
 		return res
 	}
-	res = core.RunPlan(m, it, opts.Trace, opts.Faults)
+	res = core.RunPlan(m, it, tr, e.Faults)
 	res.Method = method
 	res.GPUPeak = fp.GPU
 	return res

@@ -3,6 +3,8 @@ package baselines
 import (
 	"testing"
 
+	"stronghold/internal/core"
+	"stronghold/internal/fault"
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/perf"
@@ -10,6 +12,14 @@ import (
 
 func v100Model(cfg modelcfg.Config) perf.Model {
 	return perf.NewModel(cfg, hw.V100Platform())
+}
+
+// faultedEngine is the default-feature engine for m under faults (nil
+// runs clean), the engine RunWith takes.
+func faultedEngine(m perf.Model, faults *fault.Plan) core.Engine {
+	e := *core.NewEngine(m)
+	e.Faults = faults
+	return e
 }
 
 func TestAllBaselinesRunOn1p7B(t *testing.T) {

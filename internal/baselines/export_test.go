@@ -5,5 +5,6 @@ package baselines
 var (
 	GoldenConfig = goldenConfig
 	V100Model    = v100Model
+	Faulted      = faultedEngine
 	UpdateGolden = update
 )

@@ -166,7 +166,7 @@ func TestPlannedBaselineUnderFaults(t *testing.T) {
 	}
 	for _, meth := range []modelcfg.Method{modelcfg.L2L, modelcfg.ZeROOffload} {
 		clean := Run(meth, m)
-		hurt := RunWith(meth, m, Options{Faults: faults})
+		hurt := RunWith(meth, faultedEngine(m, faults), nil)
 		if hurt.OOM {
 			t.Fatalf("%s faulted run failed: %s", meth, hurt.OOMDetail)
 		}
@@ -174,7 +174,7 @@ func TestPlannedBaselineUnderFaults(t *testing.T) {
 			t.Errorf("%s: slow H2D did not lengthen the iteration (%d vs %d)",
 				meth, hurt.IterTime, clean.IterTime)
 		}
-		again := RunWith(meth, m, Options{Faults: faults})
+		again := RunWith(meth, faultedEngine(m, faults), nil)
 		if again.IterTime != hurt.IterTime {
 			t.Errorf("%s faulted run not deterministic", meth)
 		}
@@ -186,7 +186,7 @@ func TestPlannedBaselineUnderFaults(t *testing.T) {
 func TestPlannedBaselineTrace(t *testing.T) {
 	m := v100Model(modelcfg.Config1p7B())
 	tr := trace.New()
-	r := RunWith(modelcfg.L2L, m, Options{Trace: tr})
+	r := RunWith(modelcfg.L2L, faultedEngine(m, nil), tr)
 	if tr.Len() == 0 {
 		t.Fatal("no spans recorded")
 	}

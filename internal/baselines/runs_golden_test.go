@@ -57,7 +57,7 @@ func TestGoldenBaselineRuns(t *testing.T) {
 					t.Fatal(err)
 				}
 				tr := trace.New()
-				r := baselines.RunWith(info.M, m, baselines.Options{Trace: tr, Faults: plan})
+				r := baselines.RunWith(info.M, baselines.Faulted(m, plan), tr)
 				fmt.Fprintf(&b, "== %s %s %s\n", info.Key, size.name, f.name)
 				if r.OOM {
 					fmt.Fprintf(&b, "oom %s\n", r.OOMDetail)
@@ -106,8 +106,8 @@ func TestResultsIgnoreTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bare := baselines.RunWith(info.M, m, baselines.Options{Faults: plan})
-			traced := baselines.RunWith(info.M, m, baselines.Options{Trace: trace.New(), Faults: plan})
+			bare := baselines.RunWith(info.M, baselines.Faulted(m, plan), nil)
+			traced := baselines.RunWith(info.M, baselines.Faulted(m, plan), trace.New())
 			if bare != traced {
 				t.Errorf("%s under %q: result depends on the trace:\n  nil   %+v\n  trace %+v", info.Key, spec, bare, traced)
 			}
@@ -138,7 +138,7 @@ func TestFaultAccountingMatchesTrace(t *testing.T) {
 			continue
 		}
 		tr := trace.New()
-		r := baselines.RunWith(info.M, m, baselines.Options{Trace: tr, Faults: faults})
+		r := baselines.RunWith(info.M, baselines.Faulted(m, faults), tr)
 		if r.OOM {
 			t.Errorf("%s: %s", info.Key, r.OOMDetail)
 			continue

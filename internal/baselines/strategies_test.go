@@ -59,7 +59,7 @@ func TestStrategyDispatchRejectsNonBaseline(t *testing.T) {
 		e := core.NewEngine(m)
 		e.Feat.UseNVMe = meth == modelcfg.StrongholdNVMe
 		e.Faults = faults
-		if got, want := RunWith(meth, m, Options{Faults: faults}), e.Run(3, nil); got != want || got.OOM {
+		if got, want := RunWith(meth, faultedEngine(m, faults), nil), e.Run(3, nil); got != want || got.OOM {
 			t.Errorf("RunWith(%s) = %+v, want core.Engine's %+v", meth, got, want)
 		}
 	}
@@ -208,7 +208,7 @@ func TestStrategyUnderFaults(t *testing.T) {
 	} {
 		m := v100Model(tc.cfg)
 		clean := Run(tc.meth, m)
-		hurt := RunWith(tc.meth, m, Options{Faults: slow(tc.target)})
+		hurt := RunWith(tc.meth, faultedEngine(m, slow(tc.target)), nil)
 		if hurt.OOM {
 			t.Fatalf("%s faulted run failed: %s", tc.meth, hurt.OOMDetail)
 		}
@@ -216,7 +216,7 @@ func TestStrategyUnderFaults(t *testing.T) {
 			t.Errorf("%s: slow %s did not lengthen the iteration (%d vs %d)",
 				tc.meth, tc.target, hurt.IterTime, clean.IterTime)
 		}
-		again := RunWith(tc.meth, m, Options{Faults: slow(tc.target)})
+		again := RunWith(tc.meth, faultedEngine(m, slow(tc.target)), nil)
 		if again.IterTime != hurt.IterTime {
 			t.Errorf("%s faulted run not deterministic", tc.meth)
 		}
@@ -228,7 +228,7 @@ func TestStrategyUnderFaults(t *testing.T) {
 func TestStrategyTraces(t *testing.T) {
 	m := v100Model(modelcfg.Config39p5B())
 	tr := trace.New()
-	r := RunWith(modelcfg.ZeROInfinityNVMe, m, Options{Trace: tr})
+	r := RunWith(modelcfg.ZeROInfinityNVMe, faultedEngine(m, nil), tr)
 	if r.OOM {
 		t.Fatal(r.OOMDetail)
 	}
@@ -246,7 +246,7 @@ func TestStrategyTraces(t *testing.T) {
 	}
 
 	tr = trace.New()
-	r = RunWith(modelcfg.InterleavedOpt, v100Model(modelcfg.Config1p7B()), Options{Trace: tr})
+	r = RunWith(modelcfg.InterleavedOpt, faultedEngine(v100Model(modelcfg.Config1p7B()), nil), tr)
 	if r.OOM {
 		t.Fatal(r.OOMDetail)
 	}

@@ -48,19 +48,16 @@ type Case struct {
 	Run func(int) Scenario
 }
 
-// iters is the simulated iteration count per scenario: enough for the
-// steady state the final-iteration timing reads.
-const iters = 3
-
-// strongholdScenario runs the core engine with a metrics collector and
-// distills the scenario result.
-func strongholdScenario(cfg modelcfg.Config, feat core.Features) Scenario {
+// scenario runs method on cfg on the V100 server through
+// baselines.RunWith, with a metrics collector, and distills the
+// scenario result. feat configures the STRONGHOLD engine; only its runs
+// feed the collector, so the comparison methods' rows have no transfer
+// percentiles (they still report real overlap, utilization and step
+// counts).
+func scenario(method modelcfg.Method, cfg modelcfg.Config, feat core.Features) Scenario {
 	m := perf.NewModel(cfg, hw.V100Platform())
-	e := core.NewEngine(m)
-	e.Feat = feat
 	mc := metrics.New()
-	e.Metrics = mc
-	res := e.Run(iters, nil)
+	res := baselines.RunWith(method, core.Engine{Model: m, Feat: feat, Metrics: mc}, nil)
 	s := scenarioFrom(res, m)
 	if p50, ok := mc.Quantile(metrics.FamTransferNS, "pcie.h2d", 0.5); ok {
 		s.H2DP50NS = p50
@@ -69,14 +66,6 @@ func strongholdScenario(cfg modelcfg.Config, feat core.Features) Scenario {
 		s.H2DP99NS = p99
 	}
 	return s
-}
-
-// baselineScenario runs one of the comparison methods' plans (no
-// metrics collector, so no transfer percentiles; the rows still report
-// real overlap, utilization and step counts).
-func baselineScenario(method modelcfg.Method, cfg modelcfg.Config) Scenario {
-	m := perf.NewModel(cfg, hw.V100Platform())
-	return scenarioFrom(baselines.Run(method, m), m)
 }
 
 func scenarioFrom(res perf.IterationResult, m perf.Model) Scenario {
@@ -99,37 +88,21 @@ func scenarioFrom(res perf.IterationResult, m perf.Model) Scenario {
 func Suite() []Case {
 	cfg1p7 := modelcfg.Config1p7B()
 	cfg4b := modelcfg.ConfigForSize(4, 2560, 1)
+	def := core.DefaultFeatures()
+	multi := def
+	multi.Streams = 2
+	run := func(method modelcfg.Method, cfg modelcfg.Config, feat core.Features) func(int) Scenario {
+		return func(int) Scenario { return scenario(method, cfg, feat) }
+	}
 	return []Case{
-		{"stronghold-1p7b", func(int) Scenario {
-			return strongholdScenario(cfg1p7, core.DefaultFeatures())
-		}},
-		{"stronghold-1p7b-multistream", func(int) Scenario {
-			feat := core.DefaultFeatures()
-			feat.Streams = 2
-			return strongholdScenario(cfg1p7, feat)
-		}},
-		{"stronghold-4b", func(int) Scenario {
-			return strongholdScenario(cfg4b, core.DefaultFeatures())
-		}},
-		{"stronghold-4b-nvme", func(int) Scenario {
-			feat := core.DefaultFeatures()
-			feat.UseNVMe = true
-			return strongholdScenario(cfg4b, feat)
-		}},
-		{"baseline-no-opt-1p7b", func(int) Scenario {
-			return strongholdScenario(cfg1p7, core.Features{Streams: 1})
-		}},
-		{"l2l-1p7b", func(int) Scenario {
-			return baselineScenario(modelcfg.L2L, cfg1p7)
-		}},
-		{"zero-offload-1p7b", func(int) Scenario {
-			return baselineScenario(modelcfg.ZeROOffload, cfg1p7)
-		}},
-		{"zero-infinity-1p7b", func(int) Scenario {
-			return baselineScenario(modelcfg.ZeROInfinity, cfg1p7)
-		}},
-		{"interleaved-opt-1p7b", func(int) Scenario {
-			return baselineScenario(modelcfg.InterleavedOpt, cfg1p7)
-		}},
+		{"stronghold-1p7b", run(modelcfg.Stronghold, cfg1p7, def)},
+		{"stronghold-1p7b-multistream", run(modelcfg.Stronghold, cfg1p7, multi)},
+		{"stronghold-4b", run(modelcfg.Stronghold, cfg4b, def)},
+		{"stronghold-4b-nvme", run(modelcfg.StrongholdNVMe, cfg4b, def)},
+		{"baseline-no-opt-1p7b", run(modelcfg.Stronghold, cfg1p7, core.Features{Streams: 1})},
+		{"l2l-1p7b", run(modelcfg.L2L, cfg1p7, def)},
+		{"zero-offload-1p7b", run(modelcfg.ZeROOffload, cfg1p7, def)},
+		{"zero-infinity-1p7b", run(modelcfg.ZeROInfinity, cfg1p7, def)},
+		{"interleaved-opt-1p7b", run(modelcfg.InterleavedOpt, cfg1p7, def)},
 	}
 }

@@ -127,11 +127,45 @@ func (e *Engine) method() modelcfg.Method {
 	return modelcfg.Stronghold
 }
 
-// PickStreams returns the multi-stream worker count the warm-up phase
+// SteadyIters is the number of training iterations a single-GPU
+// simulation runs (baselines.RunWith): the result is the final
+// iteration's, the steady state past the warm-up iteration.
+const SteadyIters = 3
+
+// StreamsError rejects an explicit multi-stream worker count k that
+// cannot split the batch: each of k workers trains batch/k samples
+// (§IV-A), so k must divide the batch. Zero selects k automatically.
+type StreamsError struct {
+	Streams, BatchSize int
+}
+
+func (e *StreamsError) Error() string {
+	return fmt.Sprintf("%d streams cannot split a batch of %d", e.Streams, e.BatchSize)
+}
+
+// CheckStreams returns a *StreamsError unless streams is 0 (automatic)
+// or a positive divisor of batchSize.
+func CheckStreams(streams, batchSize int) error {
+	if streams < 0 || streams > 0 && batchSize%streams != 0 {
+		return &StreamsError{Streams: streams, BatchSize: batchSize}
+	}
+	return nil
+}
+
+// checkInputs rejects what no schedule can run: an invalid model
+// configuration or a stream count that does not split its batch.
+func (e *Engine) checkInputs() error {
+	if err := e.Model.Cfg.Validate(); err != nil {
+		return err
+	}
+	return CheckStreams(e.Feat.Streams, e.Model.Cfg.BatchSize)
+}
+
+// pickStreams returns the multi-stream worker count the warm-up phase
 // selects: the largest divisor k of the batch such that k workers fit
 // in GPU memory and add aggregate utilization (§IV-A: "the number of
 // concurrent streams used is determined during the warm-up phase").
-func (e *Engine) PickStreams(window int) int {
+func (e *Engine) pickStreams(window int) int {
 	if e.Feat.Streams > 0 {
 		return e.Feat.Streams
 	}
@@ -157,8 +191,9 @@ func (e *Engine) PickStreams(window int) int {
 
 // SolvedDecision runs the warm-up profiling + analytical model through
 // the co-optimizing solver over the method's declared decision
-// variables. Placement is co-optimized only with CoOpt on and no
-// faults (coOptimizes); pinned, the result is the window decision with
+// variables, and reports the stream count a run at the solved window
+// uses. Placement is co-optimized only with CoOpt on and no faults
+// (coOptimizes); pinned, the result is the window decision with
 // OptGPUFrac 0.
 func (e *Engine) SolvedDecision() (Decision, error) {
 	avail := e.availableWindowBytes()
@@ -170,7 +205,12 @@ func (e *Engine) SolvedDecision() (Decision, error) {
 	if !e.coOptimizes() {
 		vars.OptPlacement = false
 	}
-	return Solve(prof, vars)
+	d, err := Solve(prof, vars)
+	if err != nil {
+		return d, err
+	}
+	d.Streams = e.pickStreams(d.M)
+	return d, nil
 }
 
 // coOptimizes reports whether the solver may move optimizer placement:
@@ -200,7 +240,7 @@ func (e *Engine) availableWindowBytes() int64 {
 // anything — the reviewable artifact cmd/stronghold-trace -plan prints
 // and diffs.
 func (e *Engine) BuildPlan(window int) (*plan.Iteration, error) {
-	if err := e.Model.Cfg.Validate(); err != nil {
+	if err := e.checkInputs(); err != nil {
 		return nil, err
 	}
 	window, optFrac, err := e.resolveWindow(window)
@@ -210,7 +250,7 @@ func (e *Engine) BuildPlan(window int) (*plan.Iteration, error) {
 	if e.LayerScale != nil && len(e.LayerScale) != e.Model.Cfg.Layers {
 		return nil, fmt.Errorf("core: LayerScale has %d entries for %d layers", len(e.LayerScale), e.Model.Cfg.Layers)
 	}
-	return plan.Build(e.planSpec(window, e.PickStreams(window), optFrac))
+	return plan.Build(e.planSpec(window, e.pickStreams(window), optFrac))
 }
 
 // resolveWindow settles the window to plan at (0 = solve analytically)
@@ -320,7 +360,7 @@ func (e *Engine) Run(iters int, tr *trace.Trace) perf.IterationResult {
 func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iterRun) {
 	res := perf.IterationResult{Method: e.method()}
 	cfg := e.Model.Cfg
-	if err := cfg.Validate(); err != nil {
+	if err := e.checkInputs(); err != nil {
 		res.OOM, res.OOMDetail = true, err.Error()
 		return res, nil
 	}
@@ -329,7 +369,7 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 		res.OOM, res.OOMDetail = true, err.Error()
 		return res, nil
 	}
-	streams := e.PickStreams(window)
+	streams := e.pickStreams(window)
 	res.OptGPUFrac = optFrac
 
 	// Capacity check before simulating.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
@@ -165,13 +166,34 @@ func TestEnginePickStreamsAuto(t *testing.T) {
 	cfg := modelcfg.Config1p7B()
 	cfg.BatchSize = 8
 	e := engineFor(cfg)
-	if got := e.PickStreams(8); got < 2 {
+	if got := e.pickStreams(8); got < 2 {
 		t.Fatalf("auto stream selection picked %d, want ≥2 for bs=8", got)
 	}
 	// Explicit override wins.
 	e.Feat.Streams = 1
-	if e.PickStreams(8) != 1 {
+	if e.pickStreams(8) != 1 {
 		t.Fatal("explicit stream count must win")
+	}
+}
+
+// An explicit stream count must split the batch: each of k workers
+// trains batch/k samples. A hand-built engine with a negative or
+// non-dividing pin runs nothing and reports why, and BuildPlan returns
+// the typed error.
+func TestEngineRejectsStreamsThatDoNotSplitTheBatch(t *testing.T) {
+	cfg := modelcfg.NewConfig(20, 2560, 16)
+	cfg.BatchSize = 4
+	for _, k := range []int{3, 5, -1} {
+		e := engineFor(cfg)
+		e.Feat.Streams = k
+		want := (&StreamsError{Streams: k, BatchSize: 4}).Error()
+		if r := e.Run(SteadyIters, nil); !r.OOM || r.OOMDetail != want {
+			t.Errorf("streams=%d: OOM %v detail %q, want %q", k, r.OOM, r.OOMDetail, want)
+		}
+		var se *StreamsError
+		if _, err := e.BuildPlan(0); !errors.As(err, &se) || se.Streams != k {
+			t.Errorf("streams=%d: BuildPlan error %v, want a *StreamsError", k, err)
+		}
 	}
 }
 

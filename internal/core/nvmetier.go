@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"stronghold/internal/sim"
 )
@@ -48,7 +47,7 @@ func (e *Engine) PlanNVMeTier() (NVMeTierReport, error) {
 	}
 	nvme := *e
 	nvme.Feat.UseNVMe = true
-	res := nvme.Run(3, nil)
+	res := nvme.Run(SteadyIters, nil)
 	if res.OOM {
 		return NVMeTierReport{}, fmt.Errorf("core: NVMe tier cannot hold the model: %s", res.OOMDetail)
 	}
@@ -86,9 +85,4 @@ func (r NVMeTierReport) String() string {
 		"NVMe tier: %.1f GB written/iter, %.2f drive-writes/day, endurance %.0f days (%s)",
 		float64(r.WriteBytesPerIter)/1e9, r.DriveWritesPerDay,
 		r.EnduranceDays, rec)
-}
-
-// EnduranceHorizon converts the report into a wall-clock duration.
-func (r NVMeTierReport) EnduranceHorizon() time.Duration {
-	return time.Duration(r.EnduranceDays * 24 * float64(time.Hour))
 }

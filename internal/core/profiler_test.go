@@ -1,13 +1,88 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/perf"
 	"stronghold/internal/sim"
+	"stronghold/internal/trace"
 )
+
+// ProfileWarmup is the measured side of warm-up profiling (§III-B), the
+// oracle the analytic UniformProfile the solver uses is checked
+// against: it runs iters warm-up iterations (default 5, the paper's
+// §III-B default, when iters <= 0) at the conservative window and
+// returns a Profile built from the measured span durations, closing the
+// measure→model→decide loop of the production runtime.
+func (e *Engine) ProfileWarmup(iters int) (Profile, error) {
+	if iters <= 0 {
+		iters = 5
+	}
+	warm := *e
+	warm.Window = warmupWindow
+	warm.Feat.Streams = 1
+	tr := trace.New()
+	res := warm.Run(iters, tr)
+	if res.OOM {
+		return Profile{}, fmt.Errorf("core: warm-up failed: %s", res.OOMDetail)
+	}
+	n := e.Model.Cfg.Layers
+
+	type acc struct {
+		sum sim.Time
+		cnt int
+	}
+	fp := make([]acc, n)
+	bp := make([]acc, n)
+	c2g := make([]acc, n)
+	g2c := make([]acc, n)
+	for _, s := range tr.Spans() {
+		if s.Layer < 0 || s.Layer >= n {
+			continue
+		}
+		d := s.Duration()
+		switch {
+		case s.Kind == trace.KindCompute && strings.HasPrefix(s.Name, "fp L"):
+			fp[s.Layer].sum += d
+			fp[s.Layer].cnt++
+		case s.Kind == trace.KindCompute && strings.HasPrefix(s.Name, "bp L"):
+			bp[s.Layer].sum += d
+			bp[s.Layer].cnt++
+		case s.Kind == trace.KindH2D:
+			c2g[s.Layer].sum += d
+			c2g[s.Layer].cnt++
+		case s.Kind == trace.KindD2H && strings.HasPrefix(s.Name, "bp offload"):
+			g2c[s.Layer].sum += d
+			g2c[s.Layer].cnt++
+		}
+	}
+	mean := func(a acc, fallback sim.Time) sim.Time {
+		if a.cnt == 0 {
+			return fallback
+		}
+		return a.sum / sim.Time(a.cnt)
+	}
+	// Analytic profile supplies sizes, async constants, and fallbacks
+	// for layers that never transferred (the resident ones).
+	base := UniformProfile(e.Model, e.availableWindowBytes(), e.optWorkers())
+	layers := make([]LayerProfile, n)
+	for i := range layers {
+		layers[i] = LayerProfile{
+			TFP:  mean(fp[i], base.Layers[i].TFP),
+			TBP:  mean(bp[i], base.Layers[i].TBP),
+			TC2G: mean(c2g[i], base.Layers[i].TC2G),
+			TG2C: mean(g2c[i], base.Layers[i].TG2C),
+			SFP:  base.Layers[i].SFP,
+			SBP:  base.Layers[i].SBP,
+		}
+	}
+	base.Layers = layers
+	return base, nil
+}
 
 func TestProfileWarmupMatchesAnalytic(t *testing.T) {
 	e := engineFor(modelcfg.Config1p7B())

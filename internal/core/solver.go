@@ -236,6 +236,9 @@ type Decision struct {
 	// executed on the GPU (the remaining 1−g stays on the CPU pool).
 	// Zero reproduces the paper's fixed placement.
 	OptGPUFrac float64
+	// Streams is k, the multi-stream worker count a run at window M
+	// uses (§IV-A): Engine.SolvedDecision sets it, Solve leaves it 0.
+	Streams int
 }
 
 // optFracGrid is the placement search resolution: g is swept over

@@ -3,6 +3,7 @@ package expt
 import (
 	"fmt"
 
+	"stronghold/internal/baselines"
 	"stronghold/internal/core"
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
@@ -24,13 +25,11 @@ type AblationRow struct {
 func Figure14() []AblationRow {
 	cfg := modelcfg.Config4B()
 	run := func(f core.Features) sim.Time {
-		f.UseNVMe = true
 		if f.Streams == 0 {
 			f.Streams = 1
 		}
-		e := core.NewEngine(perf.NewModel(cfg, hw.V100Platform()))
-		e.Feat = f
-		r := e.Run(3, nil)
+		e := core.Engine{Model: perf.NewModel(cfg, hw.V100Platform()), Feat: f}
+		r := baselines.RunWith(modelcfg.StrongholdNVMe, e, nil)
 		if r.OOM {
 			return 0
 		}

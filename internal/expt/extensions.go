@@ -3,6 +3,7 @@ package expt
 import (
 	"fmt"
 
+	"stronghold/internal/baselines"
 	"stronghold/internal/core"
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
@@ -34,11 +35,11 @@ func JitterStudy(jitter float64) []JitterRow {
 	var rows []JitterRow
 	for _, w := range []int{1, 2, 4, 8} {
 		run := func(j float64) sim.Time {
-			e := core.NewEngine(perf.NewModel(modelcfg.Config1p7B(), hw.V100Platform()))
+			e := *core.NewEngine(perf.NewModel(modelcfg.Config1p7B(), hw.V100Platform()))
 			e.Window = w
 			e.Feat.Streams = 1
 			e.TransferJitter = j
-			return e.Run(3, nil).IterTime
+			return baselines.RunWith(modelcfg.Stronghold, e, nil).IterTime
 		}
 		base, jittered := run(0), run(jitter)
 		rows = append(rows, JitterRow{Window: w, Retention: float64(base) / float64(jittered)})

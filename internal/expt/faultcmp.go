@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"stronghold/internal/baselines"
+	"stronghold/internal/core"
 	"stronghold/internal/fault"
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
@@ -50,7 +51,9 @@ func FaultComparison() ([]FaultRow, error) {
 		}
 		m := perf.NewModel(cfg, p)
 		clean := baselines.Run(info.M, m)
-		hurt := baselines.RunWith(info.M, m, baselines.Options{Faults: plan})
+		e := *core.NewEngine(m)
+		e.Faults = plan
+		hurt := baselines.RunWith(info.M, e, nil)
 		if clean.OOM || hurt.OOM {
 			return nil, fmt.Errorf("faultcmp: %s does not fit the 1.7B model", info.M)
 		}

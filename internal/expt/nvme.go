@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"stronghold/internal/baselines"
-	"stronghold/internal/core"
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/perf"
@@ -41,9 +40,7 @@ func Figure10() []NVMeRow {
 		cfg.BatchSize = 2
 		m := perf.NewModel(cfg, p)
 
-		e := core.NewEngine(m)
-		e.Feat.UseNVMe = true
-		sh := e.Run(3, nil)
+		sh := baselines.Run(modelcfg.StrongholdNVMe, m)
 
 		zi := baselines.Run(modelcfg.ZeROInfinityNVMe, m)
 

@@ -29,17 +29,12 @@ func Figure11() []StreamRow {
 	for _, bs := range []int{2, 4, 8, 16} {
 		cfg := modelcfg.NewConfig(16, 2560, 16) // 1.3B
 		cfg.BatchSize = bs
-		mega := baselines.Run(modelcfg.Megatron, perf.NewModel(cfg, p))
+		m := perf.NewModel(cfg, p)
+		mega := baselines.Run(modelcfg.Megatron, m)
+		sh := baselines.Run(modelcfg.Stronghold, m)
+		d, _ := core.NewEngine(m).SolvedDecision() // a failed solve reports 0 streams; sh is then OOM
 
-		e := core.NewEngine(perf.NewModel(cfg, p))
-		d, err := e.SolvedDecision()
-		streams := 0
-		if err == nil {
-			streams = e.PickStreams(d.M)
-		}
-		sh := e.Run(3, nil)
-
-		row := StreamRow{BatchSize: bs, Streams: streams}
+		row := StreamRow{BatchSize: bs, Streams: d.Streams}
 		if !mega.OOM && !sh.OOM {
 			row.Speedup = float64(mega.IterTime) / float64(sh.IterTime)
 		}

@@ -3,8 +3,8 @@ package expt
 import (
 	"fmt"
 
+	"stronghold/internal/baselines"
 	"stronghold/internal/cluster"
-	"stronghold/internal/core"
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/perf"
@@ -109,8 +109,7 @@ func Figure8b() []ScalingRow {
 	var baseSec, baseB float64
 	for _, layers := range []int{20, 50, 83, 150, 260, 380, 500} {
 		cfg := modelcfg.NewConfig(layers, 2560, 16)
-		e := core.NewEngine(perf.NewModel(cfg, p))
-		r := e.Run(3, nil)
+		r := baselines.Run(modelcfg.Stronghold, perf.NewModel(cfg, p))
 		if r.OOM {
 			continue
 		}

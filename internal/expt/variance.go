@@ -1,7 +1,7 @@
 package expt
 
 import (
-	"stronghold/internal/core"
+	"stronghold/internal/baselines"
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/perf"
@@ -28,8 +28,7 @@ func Variance(runs int) VarianceReport {
 	cfg := modelcfg.Config1p7B()
 	var sps []float64
 	for i := 0; i < runs; i++ {
-		e := core.NewEngine(perf.NewModel(cfg, hw.V100Platform()))
-		r := e.Run(3, nil)
+		r := baselines.Run(modelcfg.Stronghold, perf.NewModel(cfg, hw.V100Platform()))
 		if r.OOM {
 			return VarianceReport{Runs: runs}
 		}

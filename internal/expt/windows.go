@@ -3,6 +3,7 @@ package expt
 import (
 	"fmt"
 
+	"stronghold/internal/baselines"
 	"stronghold/internal/core"
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
@@ -24,13 +25,8 @@ type Figure4Result struct {
 // the final iteration's timeline.
 func Figure4() (Figure4Result, error) {
 	m := perf.NewModel(modelcfg.Config4B(), hw.V100Platform())
-	e := core.NewEngine(m)
-	d, err := e.SolvedDecision()
-	if err != nil {
-		return Figure4Result{}, err
-	}
 	tr := trace.New()
-	r := e.Run(3, tr)
+	r := baselines.RunWith(modelcfg.Stronghold, *core.NewEngine(m), tr)
 	if r.OOM {
 		return Figure4Result{}, fmt.Errorf("expt: figure 4 run failed: %s", r.OOMDetail)
 	}
@@ -40,7 +36,7 @@ func Figure4() (Figure4Result, error) {
 	}
 	return Figure4Result{
 		Trace: tr, Overlap: r.Overlap,
-		IterSec: float64(r.IterTime) / 1e9, Window: d.M, ChromeJSON: js,
+		IterSec: float64(r.IterTime) / 1e9, Window: r.FinalWindow, ChromeJSON: js,
 	}, nil
 }
 
@@ -70,10 +66,10 @@ func Figure9() ([]WindowRow, int, error) {
 	for _, w := range []int{1, 2, 3, 4, 6, 8, 12, 16} {
 		row := WindowRow{Window: w, SolverChoice: w == d.M}
 		for _, cfg := range []modelcfg.Config{small, large} {
-			e := core.NewEngine(perf.NewModel(cfg, p))
+			e := *core.NewEngine(perf.NewModel(cfg, p))
 			e.Window = w
 			e.Feat.Streams = 1
-			r := e.Run(3, nil)
+			r := baselines.RunWith(modelcfg.Stronghold, e, nil)
 			if r.OOM {
 				row.OOMLargeWindow = true
 				continue

@@ -16,6 +16,10 @@ import (
 // Method selects a training system in the simulation API.
 type Method = modelcfg.Method
 
+// StreamsError is the error Simulate and PlanWindow return for a
+// SimConfig.Streams that is negative or does not divide the batch.
+type StreamsError = core.StreamsError
+
 // Re-exported method constants (§V-C's comparison set plus the ported
 // strategy-layer methods).
 const (
@@ -139,45 +143,59 @@ type SimResult struct {
 	FinalWindow    int    // working window after the last re-solve
 }
 
-// Simulate runs one steady-state iteration of the configured method.
-func Simulate(c SimConfig) (SimResult, error) {
+// engine lowers c onto the single-GPU engine it describes, the one
+// Simulate and PlanWindow share: the resolved model on the platform,
+// the window and stream pins, the STRONGHOLD knobs and the parsed fault
+// plan. Baselines read only the model and the fault plan; a cluster
+// method only the model.
+func (c SimConfig) engine() (core.Engine, error) {
 	cfg, plat, err := c.resolve()
 	if err != nil {
-		return SimResult{}, err
+		return core.Engine{}, err
 	}
 	info := modelcfg.Lookup(c.Method)
 	if info == nil {
-		return SimResult{}, fmt.Errorf("stronghold: unknown method %v", c.Method)
+		return core.Engine{}, fmt.Errorf("stronghold: unknown method %v", c.Method)
 	}
-	if c.Faults != "" && !info.PlanDriven() {
-		return SimResult{}, fmt.Errorf("stronghold: fault injection requires a plan-driven method, got %v", c.Method)
+	if err := core.CheckStreams(c.Streams, cfg.BatchSize); err != nil {
+		return core.Engine{}, fmt.Errorf("stronghold: %w", err)
 	}
 	var faults *fault.Plan
 	if c.Faults != "" {
+		if !info.PlanDriven() {
+			return core.Engine{}, fmt.Errorf("stronghold: fault injection requires a plan-driven method, got %v", c.Method)
+		}
 		if faults, err = fault.ParsePlan(c.Faults); err != nil {
-			return SimResult{}, fmt.Errorf("stronghold: fault plan: %w", err)
+			return core.Engine{}, fmt.Errorf("stronghold: fault plan: %w", err)
 		}
 	}
-	m := perf.NewModel(cfg, plat)
+	feat := core.DefaultFeatures()
+	feat.Streams = c.Streams
+	feat.UseNVMe = info.NVMe
+	return core.Engine{
+		Model:          perf.NewModel(cfg, plat),
+		Window:         c.Window,
+		Feat:           feat,
+		CoOpt:          c.CoOpt,
+		LayerScale:     c.LayerScale,
+		TransferJitter: c.TransferJitter,
+		Faults:         faults,
+		DisableResolve: c.DisableAdapt,
+	}, nil
+}
+
+// Simulate runs one steady-state iteration of the configured method.
+func Simulate(c SimConfig) (SimResult, error) {
+	e, err := c.engine()
+	if err != nil {
+		return SimResult{}, err
+	}
+	m, cfg := e.Model, e.Model.Cfg
 	var r perf.IterationResult
-	switch info.Engine {
-	case modelcfg.EngineCore:
-		e := core.NewEngine(m)
-		e.Window = c.Window
-		if c.Streams > 0 {
-			e.Feat.Streams = c.Streams
-		}
-		e.Feat.UseNVMe = info.NVMe
-		e.CoOpt = c.CoOpt
-		e.TransferJitter = c.TransferJitter
-		e.LayerScale = c.LayerScale
-		e.Faults = faults
-		e.DisableResolve = c.DisableAdapt
-		r = e.Run(3, nil)
-	case modelcfg.EngineCluster:
-		r = cluster.Run(cluster.Setup{Plat: plat, Cfg: cfg, Method: c.Method, HeteroCollectives: true})
-	default:
-		r = baselines.RunWith(c.Method, m, baselines.Options{Faults: faults})
+	if modelcfg.Lookup(c.Method).Engine == modelcfg.EngineCluster {
+		r = cluster.Run(cluster.Setup{Plat: m.Plat, Cfg: cfg, Method: c.Method, HeteroCollectives: true})
+	} else {
+		r = baselines.RunWith(c.Method, e, nil)
 	}
 	out := SimResult{
 		Method:        c.Method,
@@ -238,7 +256,7 @@ type WindowPlan struct {
 	MOptimizer    int  // Eq. 3 minimum
 	MemoryBound   bool // clamped by S_avail
 	AsyncFeasible bool // Eq. 5
-	Streams       int  // §IV-A worker count the warm-up would pick
+	Streams       int  // §IV-A worker count a run at Window uses (SimConfig.Streams when set)
 	// OptGPUFrac is the co-optimized GPU share of each offloaded
 	// layer's optimizer update (zero unless CoOpt engaged the split —
 	// see SimConfig.CoOpt).
@@ -249,17 +267,16 @@ type WindowPlan struct {
 // and returns the working-window decision without simulating training.
 // With CoOpt set, the solver additionally sweeps the method's declared
 // decision variables (window size × fractional optimizer placement)
-// and reports the chosen split in OptGPUFrac.
+// and reports the chosen split in OptGPUFrac. Only STRONGHOLD methods
+// have a working window; any other method is an error.
 func PlanWindow(c SimConfig) (WindowPlan, error) {
-	cfg, plat, err := c.resolve()
+	e, err := c.engine()
 	if err != nil {
 		return WindowPlan{}, err
 	}
-	e := core.NewEngine(perf.NewModel(cfg, plat))
-	if info := modelcfg.Lookup(c.Method); info != nil && info.Engine == modelcfg.EngineCore {
-		e.Feat.UseNVMe = info.NVMe
+	if modelcfg.Lookup(c.Method).Engine != modelcfg.EngineCore {
+		return WindowPlan{}, fmt.Errorf("stronghold: %v has no working window to plan", c.Method)
 	}
-	e.CoOpt = c.CoOpt
 	d, err := e.SolvedDecision()
 	if err != nil {
 		return WindowPlan{}, err
@@ -267,7 +284,7 @@ func PlanWindow(c SimConfig) (WindowPlan, error) {
 	return WindowPlan{
 		Window: d.M, MForward: d.MFP, MBackward: d.MBP, MOptimizer: d.MOpt,
 		MemoryBound: d.MemoryBound, AsyncFeasible: d.AsyncFeasible,
-		Streams:    e.PickStreams(d.M),
+		Streams:    d.Streams,
 		OptGPUFrac: d.OptGPUFrac,
 	}, nil
 }

@@ -2,6 +2,7 @@ package stronghold
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -218,6 +219,53 @@ func TestPlanWindow(t *testing.T) {
 	}
 	if p.Streams < 1 {
 		t.Fatal("streams")
+	}
+}
+
+// PlanWindow reports the decision Simulate runs: a stream pin is the
+// reported stream count, and the reported window is the clean run's.
+func TestPlanWindowMatchesRun(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		c := SimConfig{SizeBillions: 1.7, Platform: V100, Method: Stronghold, Streams: k}
+		p, err := PlanWindow(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Streams != k {
+			t.Errorf("pin %d: PlanWindow reports %d streams", k, p.Streams)
+		}
+		r, err := Simulate(c)
+		if err != nil || r.OOM {
+			t.Fatalf("pin %d: err %v, OOM %q", k, err, r.Detail)
+		}
+		if p.Window != r.FinalWindow {
+			t.Errorf("pin %d: PlanWindow reports m=%d, the run used m=%d", k, p.Window, r.FinalWindow)
+		}
+	}
+}
+
+// Only STRONGHOLD methods have a working window to plan.
+func TestPlanWindowRejectsMethodsWithoutWindow(t *testing.T) {
+	for _, m := range []Method{L2L, Method(99)} {
+		if p, err := PlanWindow(SimConfig{SizeBillions: 1.7, Platform: V100, Method: m}); err == nil {
+			t.Errorf("method %v: got plan %+v, want an error", m, p)
+		}
+	}
+}
+
+// An explicit stream count that is negative or does not divide the
+// batch is rejected with a *StreamsError before anything runs, instead
+// of simulating k·⌊b/k⌋ samples and reporting throughput for b.
+func TestSimulateRejectsStreamsThatDoNotSplitTheBatch(t *testing.T) {
+	for _, k := range []int{3, 5, -1} {
+		c := SimConfig{Layers: 20, BatchSize: 4, Platform: V100, Method: Stronghold, Streams: k}
+		var se *StreamsError
+		if r, err := Simulate(c); !errors.As(err, &se) || se.Streams != k || se.BatchSize != 4 {
+			t.Errorf("Simulate streams=%d: result %+v, err %v; want a *StreamsError", k, r, err)
+		}
+		if _, err := PlanWindow(c); !errors.As(err, &se) {
+			t.Errorf("PlanWindow streams=%d: err %v, want a *StreamsError", k, err)
+		}
 	}
 }
 
