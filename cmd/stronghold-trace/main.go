@@ -92,12 +92,14 @@ func main() {
 		cfg.ParamsBillion(), cfg.Layers, cfg.Hidden, cfg.BatchSize)
 	if info.Engine == modelcfg.EngineCore {
 		// The run's window is the solver's unless -w pinned it; the
-		// solver's bounds say how the pin compares.
-		if d, err := e.SolvedDecision(); err != nil {
-			fmt.Printf("window: m=%d (window solver: %v)\n", r.FinalWindow, err)
+		// unpinned solver's bounds say how the pin compares.
+		free := e
+		free.Window = 0
+		if d, err := free.SolvedDecision(); err != nil {
+			fmt.Printf("window: m=%d k=%d (window solver: %v)\n", r.FinalWindow, r.Streams, err)
 		} else {
-			fmt.Printf("window: m=%d (solver m=%d: P1=%d P2=%d Eq3=%d, memory-bound=%v, Eq5 feasible=%v)\n",
-				r.FinalWindow, d.M, d.MFP, d.MBP, d.MOpt, d.MemoryBound, d.AsyncFeasible)
+			fmt.Printf("window: m=%d k=%d (solver m=%d: P1=%d P2=%d Eq3=%d, memory-bound=%v, Eq5 feasible=%v)\n",
+				r.FinalWindow, r.Streams, d.M, d.MFP, d.MBP, d.MOpt, d.MemoryBound, d.AsyncFeasible)
 		}
 	} else {
 		fmt.Printf("method: %s (explicit-duration plan)\n", info.Display)

@@ -126,22 +126,6 @@ func TestCoOptDisabledUnderFaults(t *testing.T) {
 	}
 }
 
-func TestSolveWithoutPlacementMatchesSolveWindow(t *testing.T) {
-	e := constrainedEngine(false)
-	p := UniformProfile(e.Model, e.availableWindowBytes(), e.optWorkers())
-	base, err := SolveWindow(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Solve(p, modelcfg.DecisionVars{Window: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.M != base.M || d.OptGPUFrac != 0 {
-		t.Fatalf("placement-pinned Solve must reduce to SolveWindow: %+v vs %+v", d, base)
-	}
-}
-
 func TestCoOptDeterministic(t *testing.T) {
 	a := constrainedEngine(true).Run(3, nil)
 	b := constrainedEngine(true).Run(3, nil)

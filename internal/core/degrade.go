@@ -173,7 +173,7 @@ func (r *iterRun) adaptWindow() {
 		prof.Layers[i].TG2C = sim.Time(float64(prof.Layers[i].TG2C) * ratio)
 	}
 	target := r.bufWindow // infeasible under degradation: take all the headroom
-	if d, err := SolveWindow(prof); err == nil && !d.MemoryBound {
+	if d, err := Solve(prof, modelcfg.DecisionVars{Window: true}); err == nil && !d.MemoryBound {
 		target = d.M
 	}
 	if target < r.baseWindow {

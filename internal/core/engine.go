@@ -153,12 +153,17 @@ func CheckStreams(streams, batchSize int) error {
 }
 
 // checkInputs rejects what no schedule can run: an invalid model
-// configuration or a stream count that does not split its batch.
+// configuration, a stream count that does not split its batch, or a
+// LayerScale that does not cover every layer.
 func (e *Engine) checkInputs() error {
-	if err := e.Model.Cfg.Validate(); err != nil {
+	cfg := e.Model.Cfg
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	return CheckStreams(e.Feat.Streams, e.Model.Cfg.BatchSize)
+	if e.LayerScale != nil && len(e.LayerScale) != cfg.Layers {
+		return fmt.Errorf("core: LayerScale has %d entries for %d layers", len(e.LayerScale), cfg.Layers)
+	}
+	return CheckStreams(e.Feat.Streams, cfg.BatchSize)
 }
 
 // pickStreams returns the multi-stream worker count the warm-up phase
@@ -189,15 +194,19 @@ func (e *Engine) pickStreams(window int) int {
 	return best
 }
 
-// SolvedDecision runs the warm-up profiling + analytical model through
-// the co-optimizing solver over the method's declared decision
-// variables, and reports the stream count a run at the solved window
-// uses. Placement is co-optimized only with CoOpt on and no faults
-// (coOptimizes); pinned, the result is the window decision with
-// OptGPUFrac 0.
+// SolvedDecision is the warm-up phase's decision, the one a run of e
+// runs (runSim, BuildPlan): it checks the inputs, then solves the
+// analytical model over the method's declared decision variables, with
+// placement co-optimized only under coOptimizes. The window is
+// e.Window when set, otherwise the solver's m; the optimizer split
+// holds only at the solver's own window, and a failed solve under a
+// set window is no error (the bounds are then zero). Streams is the
+// worker count pickStreams chooses at that window.
 func (e *Engine) SolvedDecision() (Decision, error) {
-	avail := e.availableWindowBytes()
-	prof := UniformProfile(e.Model, avail, e.optWorkers())
+	if err := e.checkInputs(); err != nil {
+		return Decision{}, err
+	}
+	prof := UniformProfile(e.Model, e.availableWindowBytes(), e.optWorkers())
 	vars := modelcfg.DecisionVars{Window: true}
 	if info := modelcfg.Lookup(e.method()); info != nil {
 		vars = info.Decisions
@@ -206,8 +215,12 @@ func (e *Engine) SolvedDecision() (Decision, error) {
 		vars.OptPlacement = false
 	}
 	d, err := Solve(prof, vars)
-	if err != nil {
-		return d, err
+	if e.Window == 0 {
+		if err != nil {
+			return d, err
+		}
+	} else if d.M != e.Window {
+		d.M, d.OptGPUFrac = e.Window, 0
 	}
 	d.Streams = e.pickStreams(d.M)
 	return d, nil
@@ -238,41 +251,15 @@ func (e *Engine) availableWindowBytes() int64 {
 // BuildPlan runs the planner for one iteration's schedule at the given
 // window (0 = solve analytically, as Run does) without simulating
 // anything — the reviewable artifact cmd/stronghold-trace -plan prints
-// and diffs.
+// and diffs. The schedule is the one a run of e pinned to window runs.
 func (e *Engine) BuildPlan(window int) (*plan.Iteration, error) {
-	if err := e.checkInputs(); err != nil {
-		return nil, err
-	}
-	window, optFrac, err := e.resolveWindow(window)
+	pinned := *e
+	pinned.Window = window
+	d, err := pinned.SolvedDecision()
 	if err != nil {
 		return nil, err
 	}
-	if e.LayerScale != nil && len(e.LayerScale) != e.Model.Cfg.Layers {
-		return nil, fmt.Errorf("core: LayerScale has %d entries for %d layers", len(e.LayerScale), e.Model.Cfg.Layers)
-	}
-	return plan.Build(e.planSpec(window, e.pickStreams(window), optFrac))
-}
-
-// resolveWindow settles the window to plan at (0 = solve analytically)
-// and the co-optimized GPU share of each offloaded layer's optimizer
-// update, with at most one SolvedDecision; an explicit window with
-// placement pinned needs none. The share applies only when the plan
-// runs at the solver's own window.
-func (e *Engine) resolveWindow(window int) (int, float64, error) {
-	if window != 0 && !e.coOptimizes() {
-		return window, 0, nil
-	}
-	d, err := e.SolvedDecision()
-	if window == 0 {
-		if err != nil {
-			return 0, 0, err
-		}
-		window = d.M
-	}
-	if window != d.M {
-		return window, 0, nil
-	}
-	return window, d.OptGPUFrac, nil
+	return plan.Build(e.planSpec(d.M, d.Streams, d.OptGPUFrac))
 }
 
 // tensorBytes is the size of each of a layer's tensorsPerLayer device
@@ -360,17 +347,13 @@ func (e *Engine) Run(iters int, tr *trace.Trace) perf.IterationResult {
 func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iterRun) {
 	res := perf.IterationResult{Method: e.method()}
 	cfg := e.Model.Cfg
-	if err := e.checkInputs(); err != nil {
-		res.OOM, res.OOMDetail = true, err.Error()
-		return res, nil
-	}
-	window, optFrac, err := e.resolveWindow(e.Window)
+	d, err := e.SolvedDecision()
 	if err != nil {
 		res.OOM, res.OOMDetail = true, err.Error()
 		return res, nil
 	}
-	streams := e.pickStreams(window)
-	res.OptGPUFrac = optFrac
+	window, streams, optFrac := d.M, d.Streams, d.OptGPUFrac
+	res.OptGPUFrac, res.Streams = optFrac, streams
 
 	// Capacity check before simulating.
 	fp := modelcfg.Footprint(e.method(), cfg, window, streams)
@@ -382,11 +365,6 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 	}
 	res.GPUPeak = fp.GPU
 
-	if e.LayerScale != nil && len(e.LayerScale) != cfg.Layers {
-		res.OOM = true
-		res.OOMDetail = fmt.Sprintf("LayerScale has %d entries for %d layers", len(e.LayerScale), cfg.Layers)
-		return res, nil
-	}
 	run, err := e.setup(tr)
 	if err != nil {
 		res.OOM, res.OOMDetail = true, err.Error()

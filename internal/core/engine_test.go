@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"stronghold/internal/fault"
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/perf"
@@ -173,6 +174,41 @@ func TestEnginePickStreamsAuto(t *testing.T) {
 	e.Feat.Streams = 1
 	if e.pickStreams(8) != 1 {
 		t.Fatal("explicit stream count must win")
+	}
+}
+
+// A run reports the stream count it trained with, and it is the one
+// the plan of the same decision schedules: automatic and pinned
+// streams, on NVMe and under a fault plan.
+func TestRunStreamsMatchPlanQueues(t *testing.T) {
+	drop, err := fault.ParsePlan("h2d:drop(at=100ms,dur=40ms,every=500ms)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(*Engine)
+	}{
+		{"auto", func(*Engine) {}},
+		{"pin-1", func(e *Engine) { e.Feat.Streams = 1 }},
+		{"pin-2", func(e *Engine) { e.Feat.Streams = 2 }},
+		{"pin-4", func(e *Engine) { e.Feat.Streams = 4 }},
+		{"nvme", func(e *Engine) { e.Feat.UseNVMe = true }},
+		{"faulted", func(e *Engine) { e.Faults = drop }},
+	} {
+		e := engineFor(modelcfg.Config1p7B())
+		tc.setup(e)
+		r := e.Run(SteadyIters, nil)
+		if r.OOM {
+			t.Fatalf("%s: OOM %s", tc.name, r.OOMDetail)
+		}
+		it, err := e.BuildPlan(e.Window)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if r.Streams < 1 || r.Streams != it.Queues {
+			t.Errorf("%s: the run reports %d streams, its plan has %d queues", tc.name, r.Streams, it.Queues)
+		}
 	}
 }
 

@@ -20,10 +20,10 @@ func fuzzRand(state *uint64) uint64 {
 }
 
 // FuzzSolver throws arbitrary model/platform shapes at the window
-// solver and the full engine. On a heterogeneous profile, Solve and
-// SolveWindow must decide exactly as the loop oracle under every
-// decision-variable shape, and SolveWindow must return a feasible
-// window or a typed error — never panic. A complete engine run must
+// solver and the full engine. On a heterogeneous profile, Solve must
+// decide exactly as the loop oracle under every decision-variable
+// shape, and the window-only Solve must return a feasible window or a
+// typed error — never panic. A complete engine run must
 // leave every memory arena balanced (the "never OOMs the arena model"
 // contract: capacity misses surface as OOM results, not accounting
 // corruption).
@@ -63,7 +63,7 @@ func FuzzSolver(f *testing.F) {
 		prof.MomH2D = sim.Time(fuzzRand(&mom) % uint64(sim.Milliseconds(50)))
 		prof.MomD2H = sim.Time(fuzzRand(&mom) % uint64(sim.Milliseconds(50)))
 		checkSolverOracle(t, prof)
-		if d, err := SolveWindow(prof); err == nil {
+		if d, err := Solve(prof, modelcfg.DecisionVars{Window: true}); err == nil {
 			if d.M < 1 || d.M > n {
 				t.Fatalf("solver returned window %d outside [1, %d]", d.M, n)
 			}

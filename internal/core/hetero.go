@@ -92,7 +92,7 @@ func (plan FixedBudgetPlan) HidesTransfers(p Profile) bool {
 
 // MinBudgetToHide searches for the smallest fixed budget whose dynamic
 // window hides transfers everywhere — the fixed-buffer analogue of
-// SolveWindow's minimization objective.
+// the window solver's minimization objective.
 func MinBudgetToHide(p Profile, lo, hi int64) (int64, error) {
 	if lo <= 0 || hi < lo {
 		return 0, fmt.Errorf("core: bad budget range [%d, %d]", lo, hi)

@@ -75,8 +75,12 @@ func (e *Engine) PlanNVMeTier() (NVMeTierReport, error) {
 	return rep, nil
 }
 
-// String renders the report.
+// String renders the report. A tier that spills nothing — the window
+// holds every layer — wears no drive, so it has no endurance to state.
 func (r NVMeTierReport) String() string {
+	if r.WriteBytesPerIter == 0 {
+		return "NVMe tier: writes nothing (the GPU window holds every layer)"
+	}
 	rec := "suitable for from-scratch training"
 	if r.FineTuneOnly {
 		rec = "recommended for fine-tuning only (SIII-G)"

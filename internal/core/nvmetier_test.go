@@ -48,6 +48,23 @@ func TestPlanNVMeTierConsistentWithIteration(t *testing.T) {
 	}
 }
 
+// A model the window holds whole spills nothing: the report says the
+// tier writes nothing instead of an infinite endurance.
+func TestPlanNVMeTierWritesNothing(t *testing.T) {
+	cfg := modelcfg.NewConfig(2, 2560, 16)
+	cfg.BatchSize = 4
+	rep, err := engineFor(cfg).PlanNVMeTier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WriteBytesPerIter != 0 {
+		t.Fatalf("a 2-layer model spills %d bytes per iteration", rep.WriteBytesPerIter)
+	}
+	if s := rep.String(); !strings.Contains(s, "writes nothing") || strings.Contains(s, "Inf") {
+		t.Fatalf("report text: %s", s)
+	}
+}
+
 func TestPlanNVMeTierInvalidConfig(t *testing.T) {
 	cfg := modelcfg.Config1p7B()
 	cfg.Hidden = 0

@@ -123,7 +123,7 @@ func TestProfiledWindowAgreesWithAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiled, err := SolveWindow(p)
+	profiled, err := Solve(p, modelcfg.DecisionVars{Window: true})
 	if err != nil {
 		t.Fatal(err)
 	}

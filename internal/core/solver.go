@@ -135,17 +135,12 @@ func newSolver(p Profile) solver {
 	return s
 }
 
-// SolveWindow finds the smallest working-window size m satisfying
+// window finds the smallest working-window size m satisfying
 // formulation P1 (FP prefetch hiding, Eq. 1), P2 (BP offload hiding,
 // Eq. 2) and the CPU parameter-update constraint (Eq. 3), then verifies
 // the async-overhead feasibility condition (Eq. 5). When memory cannot
 // accommodate that m, the largest memory-feasible window is returned
 // with MemoryBound set.
-func SolveWindow(p Profile) (WindowDecision, error) {
-	s := newSolver(p)
-	return s.window()
-}
-
 func (s *solver) window() (WindowDecision, error) {
 	if len(s.Layers) == 0 {
 		return WindowDecision{}, fmt.Errorf("core: empty profile")
@@ -258,7 +253,7 @@ const (
 const coOptMargin = 0.05
 
 // Solve co-optimizes the method's declared decision variables: always
-// the working-window size m (as SolveWindow does), and — when
+// the working-window size m (solver.window), and — when
 // vars.OptPlacement is set — the GPU/CPU optimizer split g. The joint
 // search keeps the P1/P2 prefetch-hiding minima as a structural floor
 // on m, scores each memory-feasible (m, g) with a roofline of the

@@ -10,9 +10,9 @@ import (
 // The loop solver: the window solver as it stood before the running
 // totals, every window sum re-added from its layers and Eq. 3's chain
 // stated on its own in minWindowOpt. It is the slow, obviously correct
-// oracle that Solve and SolveWindow must match decision for decision
-// and error for error (TestSolverMatchesOracle, FuzzSolver). Only the
-// two entry points are renamed; the helpers hang off Profile, so they
+// oracle that Solve must match decision for decision and error for
+// error (TestSolverMatchesOracle, FuzzSolver). Only the two entry
+// points are renamed; the helpers hang off Profile, so they
 // never collide with the solver's own.
 
 // oracleSolveWindow finds the smallest working-window size m satisfying

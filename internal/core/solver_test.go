@@ -28,7 +28,7 @@ func uniformTestProfile(n int, tFP, tC2G sim.Time, availGPU int64) Profile {
 func TestSolverComputeBoundPicksSmallWindow(t *testing.T) {
 	// Compute far exceeds transfer: the minimal window suffices.
 	p := uniformTestProfile(20, sim.Milliseconds(100), sim.Milliseconds(1), 1<<20)
-	d, err := SolveWindow(p)
+	d, err := Solve(p, modelcfg.DecisionVars{Window: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSolverTransferBoundGrowsWindow(t *testing.T) {
 	// Transfers 4x compute: P1's (1d) needs enough layers to cover
 	// two-way traffic.
 	p := uniformTestProfile(20, sim.Milliseconds(10), sim.Milliseconds(40), 1<<20)
-	d, err := SolveWindow(p)
+	d, err := Solve(p, modelcfg.DecisionVars{Window: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSolverConstraintsHoldAtChosenM(t *testing.T) {
 	// Whatever m the solver returns (absent a memory bound), the P1/P2
 	// window checks must pass at that m.
 	p := uniformTestProfile(30, sim.Milliseconds(20), sim.Milliseconds(25), 1<<30)
-	d, err := SolveWindow(p)
+	d, err := Solve(p, modelcfg.DecisionVars{Window: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestSolverMemoryBoundClamps(t *testing.T) {
 	// Only 3 layers' worth of window memory available although the
 	// constraints want more.
 	p := uniformTestProfile(20, sim.Milliseconds(10), sim.Milliseconds(100), 700)
-	d, err := SolveWindow(p)
+	d, err := Solve(p, modelcfg.DecisionVars{Window: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +97,13 @@ func TestSolverMemoryBoundClamps(t *testing.T) {
 
 func TestSolverSingleLayerDoesNotFit(t *testing.T) {
 	p := uniformTestProfile(20, 1, 1, 100) // windowBytes(1) = 200+100
-	if _, err := SolveWindow(p); err == nil {
+	if _, err := Solve(p, modelcfg.DecisionVars{Window: true}); err == nil {
 		t.Fatal("must error when even one layer cannot fit")
 	}
 }
 
 func TestSolverEmptyProfile(t *testing.T) {
-	if _, err := SolveWindow(Profile{AvailGPU: 1}); err == nil {
+	if _, err := Solve(Profile{AvailGPU: 1}, modelcfg.DecisionVars{Window: true}); err == nil {
 		t.Fatal("empty profile must error")
 	}
 }
@@ -113,7 +113,7 @@ func TestSolverOptConstraint(t *testing.T) {
 	// so the per-layer update hides under the window's compute.
 	p := uniformTestProfile(40, sim.Milliseconds(10), sim.Milliseconds(1), 1<<30)
 	p.TOptCPU = sim.Milliseconds(20) // ×16 workers = 320ms per layer
-	d, err := SolveWindow(p)
+	d, err := Solve(p, modelcfg.DecisionVars{Window: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestUniformProfileFromModel(t *testing.T) {
 	if l.SBP != 2*l.SFP {
 		t.Fatalf("BP state (w+g) must be twice FP state: %d vs %d", l.SBP, l.SFP)
 	}
-	d, err := SolveWindow(p)
+	d, err := Solve(p, modelcfg.DecisionVars{Window: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestPropertySolverSound(t *testing.T) {
 		tC2G := sim.Milliseconds(float64(c2gRaw%50) + 1)
 		avail := int64(memRaw%2000)*10 + 400
 		p := uniformTestProfile(n, tFP, tC2G, avail)
-		d, err := SolveWindow(p)
+		d, err := Solve(p, modelcfg.DecisionVars{Window: true})
 		if err != nil {
 			return avail < 300 // only a too-small arena may error
 		}
@@ -200,16 +200,10 @@ var solverShapes = []modelcfg.DecisionVars{
 	{OptPlacement: true},
 }
 
-// checkSolverOracle requires SolveWindow, and Solve under every
-// decision-variable shape, to return exactly the loop oracle's decision
-// and error on p.
+// checkSolverOracle requires Solve under every decision-variable
+// shape to return exactly the loop oracle's decision and error on p.
 func checkSolverOracle(t testing.TB, p Profile) {
 	t.Helper()
-	got, err := SolveWindow(p)
-	want, werr := oracleSolveWindow(p)
-	if got != want || fmt.Sprint(err) != fmt.Sprint(werr) {
-		t.Fatalf("SolveWindow = %+v, %v; oracle says %+v, %v", got, err, want, werr)
-	}
 	for _, vars := range solverShapes {
 		got, err := Solve(p, vars)
 		want, werr := oracleSolve(p, vars)

@@ -85,7 +85,7 @@ func HeteroWindowStudy() ([]HeteroRow, error) {
 			prof.Layers[i].TG2C *= 3
 		}
 	}
-	d, err := core.SolveWindow(prof)
+	d, err := core.Solve(prof, modelcfg.DecisionVars{Window: true})
 	if err != nil {
 		return nil, err
 	}

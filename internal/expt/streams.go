@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"stronghold/internal/baselines"
-	"stronghold/internal/core"
 	"stronghold/internal/hw"
 	"stronghold/internal/modelcfg"
 	"stronghold/internal/perf"
@@ -32,9 +31,8 @@ func Figure11() []StreamRow {
 		m := perf.NewModel(cfg, p)
 		mega := baselines.Run(modelcfg.Megatron, m)
 		sh := baselines.Run(modelcfg.Stronghold, m)
-		d, _ := core.NewEngine(m).SolvedDecision() // a failed solve reports 0 streams; sh is then OOM
 
-		row := StreamRow{BatchSize: bs, Streams: d.Streams}
+		row := StreamRow{BatchSize: bs, Streams: sh.Streams}
 		if !mega.OOM && !sh.OOM {
 			row.Speedup = float64(mega.IterTime) / float64(sh.IterTime)
 		}

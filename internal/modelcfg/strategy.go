@@ -246,13 +246,6 @@ func MethodList() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-20s %-22s %-9s %s\n", "name", "method", "engine", "notes")
 	for _, info := range methods {
-		engine := "baseline"
-		switch info.Engine {
-		case EngineCore:
-			engine = "core"
-		case EngineCluster:
-			engine = "cluster"
-		}
 		var notes []string
 		if info.PlanDriven() {
 			notes = append(notes, "plan-driven")
@@ -273,7 +266,7 @@ func MethodList() string {
 			sort.Strings(aliases)
 			notes = append(notes, "aliases: "+strings.Join(aliases, ","))
 		}
-		fmt.Fprintf(&b, "%-20s %-22s %-9s %s\n", info.Key, info.Display, engine, strings.Join(notes, "; "))
+		fmt.Fprintf(&b, "%-20s %-22s %-9s %s\n", info.Key, info.Display, engineName(info.Engine), strings.Join(notes, "; "))
 	}
 	return b.String()
 }

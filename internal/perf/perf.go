@@ -119,6 +119,9 @@ type IterationResult struct {
 	// (equal to the initial window unless an adaptive re-solve moved it;
 	// zero for engines without a window).
 	FinalWindow int
+	// Streams is the multi-stream worker count k the run trained with
+	// (§IV-A; zero for engines without the optimization).
+	Streams int
 	// PlanOps is the length of the validated schedule IR one iteration
 	// executes (zero for engines that do not run on plans yet).
 	PlanOps uint64

@@ -141,6 +141,9 @@ type SimResult struct {
 	DeadlineMisses uint64 // transfers past DeadlineFactor× their nominal time
 	WindowResolves uint64 // adaptive window re-solves triggered mid-run
 	FinalWindow    int    // working window after the last re-solve
+	// Streams is the multi-stream worker count the run trained with
+	// (§IV-A; STRONGHOLD methods only).
+	Streams int
 }
 
 // engine lowers c onto the single-GPU engine it describes, the one
@@ -214,6 +217,7 @@ func Simulate(c SimConfig) (SimResult, error) {
 		out.DeadlineMisses = r.DeadlineMisses
 		out.WindowResolves = r.WindowResolves
 		out.FinalWindow = r.FinalWindow
+		out.Streams = r.Streams
 	}
 	return out, nil
 }
@@ -264,11 +268,13 @@ type WindowPlan struct {
 }
 
 // PlanWindow runs warm-up profiling plus the §III-D analytical model
-// and returns the working-window decision without simulating training.
-// With CoOpt set, the solver additionally sweeps the method's declared
-// decision variables (window size × fractional optimizer placement)
-// and reports the chosen split in OptGPUFrac. Only STRONGHOLD methods
-// have a working window; any other method is an error.
+// and returns the working-window decision Simulate would run, without
+// simulating training: Window and Streams are SimConfig's pins where
+// set, the bounds are the solver's. With CoOpt set, the solver
+// additionally sweeps the method's declared decision variables (window
+// size × fractional optimizer placement) and reports the chosen split
+// in OptGPUFrac. Only STRONGHOLD methods have a working window; any
+// other method is an error.
 func PlanWindow(c SimConfig) (WindowPlan, error) {
 	e, err := c.engine()
 	if err != nil {

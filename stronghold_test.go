@@ -3,6 +3,7 @@ package stronghold
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -222,24 +223,39 @@ func TestPlanWindow(t *testing.T) {
 	}
 }
 
-// PlanWindow reports the decision Simulate runs: a stream pin is the
-// reported stream count, and the reported window is the clean run's.
+// PlanWindow reports the decision Simulate runs: a window or stream
+// pin is the reported window or stream count, and the reported window,
+// streams and optimizer split are the clean run's.
 func TestPlanWindowMatchesRun(t *testing.T) {
+	var cases []SimConfig
 	for _, k := range []int{1, 2} {
-		c := SimConfig{SizeBillions: 1.7, Platform: V100, Method: Stronghold, Streams: k}
+		cases = append(cases, SimConfig{Streams: k})
+	}
+	for _, m := range []int{1, 5} {
+		for _, coopt := range []bool{false, true} {
+			cases = append(cases, SimConfig{Window: m, CoOpt: coopt})
+		}
+	}
+	for _, c := range cases {
+		c.SizeBillions, c.Platform, c.Method = 1.7, V100, Stronghold
+		name := fmt.Sprintf("streams=%d window=%d coopt=%v", c.Streams, c.Window, c.CoOpt)
 		p, err := PlanWindow(c)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if p.Streams != k {
-			t.Errorf("pin %d: PlanWindow reports %d streams", k, p.Streams)
+		if c.Streams != 0 && p.Streams != c.Streams {
+			t.Errorf("%s: PlanWindow reports %d streams", name, p.Streams)
+		}
+		if c.Window != 0 && p.Window != c.Window {
+			t.Errorf("%s: PlanWindow reports m=%d", name, p.Window)
 		}
 		r, err := Simulate(c)
 		if err != nil || r.OOM {
-			t.Fatalf("pin %d: err %v, OOM %q", k, err, r.Detail)
+			t.Fatalf("%s: err %v, OOM %q", name, err, r.Detail)
 		}
-		if p.Window != r.FinalWindow {
-			t.Errorf("pin %d: PlanWindow reports m=%d, the run used m=%d", k, p.Window, r.FinalWindow)
+		if p.Window != r.FinalWindow || p.Streams != r.Streams || p.OptGPUFrac != r.OptGPUFrac {
+			t.Errorf("%s: PlanWindow reports m=%d k=%d g=%v, the run used m=%d k=%d g=%v",
+				name, p.Window, p.Streams, p.OptGPUFrac, r.FinalWindow, r.Streams, r.OptGPUFrac)
 		}
 	}
 }
