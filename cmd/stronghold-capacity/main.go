@@ -46,17 +46,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	var cfg modelcfg.Config
-	if *layers > 0 {
-		cfg = modelcfg.NewConfig(*layers, *hidden, 16)
-	} else {
-		cfg = modelcfg.ConfigForSize(*sizeB, *hidden, 1)
-	}
-	cfg.BatchSize = *batch
-	if plat.Nodes > 1 {
-		cfg.ModelParallel = plat.Nodes
-	}
-	if err := cfg.Validate(); err != nil {
+	// The cluster platform shards every layer across its nodes.
+	cfg, err := modelcfg.ConfigSpec{
+		SizeBillions: *sizeB, Layers: *layers, Hidden: *hidden,
+		BatchSize: *batch, ModelParallel: plat.Nodes,
+	}.Resolve()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "stronghold-capacity: %v\n", err)
 		os.Exit(1)
 	}
@@ -76,7 +71,6 @@ func main() {
 			}
 		}
 	} else {
-		var err error
 		if methods, err = modelcfg.ParseMethods(*methodSpec); err != nil {
 			fmt.Fprintf(os.Stderr, "stronghold-capacity: %v\n", err)
 			os.Exit(1)

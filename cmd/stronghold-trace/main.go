@@ -60,8 +60,10 @@ func main() {
 		fatalf("method %s is not plan-driven: it has no schedule IR or event timeline to record", info.Key)
 	}
 
-	cfg := modelcfg.NewConfig(*layers, *hidden, 16)
-	cfg.BatchSize = *batch
+	cfg, err := modelcfg.ConfigSpec{Layers: *layers, Hidden: *hidden, BatchSize: *batch}.Resolve()
+	if err != nil {
+		fatalf("%v", err)
+	}
 	m := perf.NewModel(cfg, hw.V100Platform())
 
 	e := *core.NewEngine(m)
@@ -104,8 +106,15 @@ func main() {
 	} else {
 		fmt.Printf("method: %s (explicit-duration plan)\n", info.Display)
 	}
-	fmt.Printf("steady-state iteration: %.3fs, %.1f%% of transfer time hidden under compute\n",
-		sim.Seconds(r.IterTime), r.Overlap*100)
+	// The overlap of a run that moves nothing reads 1 (no transfer time
+	// left exposed), which would claim every transfer was hidden.
+	if tr.Busy(trace.KindH2D, trace.KindD2H, trace.KindNVMe) == 0 {
+		fmt.Printf("steady-state iteration: %.3fs, no transfers: the run moves no bytes over H2D, D2H or NVMe\n",
+			sim.Seconds(r.IterTime))
+	} else {
+		fmt.Printf("steady-state iteration: %.3fs, %.1f%% of transfer time hidden under compute\n",
+			sim.Seconds(r.IterTime), r.Overlap*100)
+	}
 	reportTrace(tr, *out)
 }
 

@@ -179,7 +179,7 @@ func TestCLIList(t *testing.T) {
 		t.Errorf("exit = %d, want 0", exit)
 	}
 	lines := strings.Split(strings.TrimSpace(stdout), "\n")
-	if len(lines) != 11 {
-		t.Errorf("want 11 rules, got %d:\n%s", len(lines), stdout)
+	if len(lines) != 12 {
+		t.Errorf("want 12 rules, got %d:\n%s", len(lines), stdout)
 	}
 }

@@ -3,7 +3,8 @@
 // offload-schedule contracts into machine-checked invariants. All
 // requested packages are analyzed as one module, so the
 // interprocedural rules (maporder, wallclock, seedflow) see
-// cross-package call chains.
+// cross-package call chains; testonly counts references from every
+// package of the tree, whatever packages are requested.
 //
 // Usage:
 //

@@ -136,9 +136,6 @@ type Runner struct {
 	Analyzers []*Analyzer
 }
 
-// NewRunner returns a runner over the default rule set.
-func NewRunner() *Runner { return &Runner{Analyzers: DefaultAnalyzers()} }
-
 // UnusedIgnore reports a //vet:ignore marker whose rule matched no
 // diagnostic in the run — a stale suppression hiding nothing.
 type UnusedIgnore struct {
@@ -158,14 +155,6 @@ type Result struct {
 	// analyzer set (only those: a -rules subset must not declare other
 	// rules' markers stale).
 	UnusedIgnores []UnusedIgnore
-}
-
-// Run applies every analyzer to pkg and returns the surviving
-// (non-suppressed) diagnostics sorted by position. Module-wide
-// analyzers see a single-package module; cross-package reachability
-// needs RunPackages.
-func (r *Runner) Run(pkg *Package) []Diagnostic {
-	return r.RunPackages([]*Package{pkg}).Diags
 }
 
 // RunPackages applies per-package analyzers to every package and
@@ -359,5 +348,6 @@ func DefaultAnalyzers() []*Analyzer {
 		HotAlloc,
 		Boxing,
 		DeferLoop,
+		TestOnly,
 	}
 }

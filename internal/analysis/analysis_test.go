@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -97,13 +98,25 @@ func runFixtureSet(t *testing.T, loader *Loader, a *Analyzer, names ...string) {
 	}
 }
 
+// NewRunner returns a runner over the default rule set.
+func NewRunner() *Runner { return &Runner{Analyzers: DefaultAnalyzers()} }
+
+// sharedLoader is the one loader the tests use: it memoizes every
+// package it type-checks, so the tests whose rules load the whole tree
+// (testonly, TestRealTreeIsClean) pay for it once.
+var sharedLoader struct {
+	once   sync.Once
+	loader *Loader
+	err    error
+}
+
 func newTestLoader(t *testing.T) *Loader {
 	t.Helper()
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
+	sharedLoader.once.Do(func() { sharedLoader.loader, sharedLoader.err = NewLoader(".") })
+	if sharedLoader.err != nil {
+		t.Fatalf("NewLoader: %v", sharedLoader.err)
 	}
-	return loader
+	return sharedLoader.loader
 }
 
 func TestSimTime(t *testing.T) {
@@ -174,6 +187,25 @@ func TestErrDrop(t *testing.T) {
 	runFixture(t, loader, ErrDrop, "errdrop_clean")
 }
 
+// TestTestOnly: test-only functions, methods and types are reported,
+// a used method of the same name does not hide one, and methods called
+// through an interface or a generic constraint count as used. A
+// testonly marker on a symbol with a production caller is stale.
+func TestTestOnly(t *testing.T) {
+	loader := newTestLoader(t)
+	runFixture(t, loader, TestOnly, "testonly_bad")
+	runFixture(t, loader, TestOnly, "testonly_clean")
+
+	pkg := loadFixture(t, loader, "testonly_clean")
+	res := (&Runner{Analyzers: []*Analyzer{TestOnly}}).RunPackages([]*Package{pkg})
+	if len(res.UnusedIgnores) != 1 {
+		t.Fatalf("want exactly 1 unused ignore, got %v", res.UnusedIgnores)
+	}
+	if u := res.UnusedIgnores[0]; u.Rule != "testonly" || !strings.Contains(u.String(), "testonly_clean.go:29:") {
+		t.Errorf("unused ignore = %s, want the testonly marker above Check", u)
+	}
+}
+
 // TestMapOrderChain asserts the interprocedural finding carries its
 // call chain as related locations down to the sink site.
 func TestMapOrderChain(t *testing.T) {
@@ -181,7 +213,7 @@ func TestMapOrderChain(t *testing.T) {
 	pkg := loadFixture(t, loader, "maporder_bad")
 	runner := &Runner{Analyzers: []*Analyzer{MapOrder}}
 	var viaHelper *Diagnostic
-	diags := runner.Run(pkg)
+	diags := runner.RunPackages([]*Package{pkg}).Diags
 	for i, d := range diags {
 		if strings.Contains(d.Message, "via maporder_bad.emit") {
 			viaHelper = &diags[i]
@@ -271,7 +303,7 @@ func TestDefaultAnalyzers(t *testing.T) {
 	want := []string{
 		"simtime", "enginepure", "bufdiscipline", "anystyle",
 		"maporder", "wallclock", "seedflow", "errdrop",
-		"hotalloc", "boxing", "deferloop",
+		"hotalloc", "boxing", "deferloop", "testonly",
 	}
 	got := DefaultAnalyzers()
 	if len(got) != len(want) {

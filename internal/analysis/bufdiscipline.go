@@ -8,7 +8,7 @@ import (
 
 // BufDiscipline enforces the user-level buffer-management discipline of
 // §III-E: a *mem.Block obtained from CachingAllocator.Get or
-// Arena.Alloc/MustAlloc reserves arena bytes that nothing reclaims
+// Arena.Alloc reserves arena bytes that nothing reclaims
 // automatically — the simulator has no garbage collector standing in
 // for cudaFree. On any function-local path the block must be returned
 // to its allocator (Put/Release), escape the function (returned,
@@ -42,8 +42,8 @@ func isAllocCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	switch {
 	case namedIn(named, memPkgSuffix, "CachingAllocator") && method == "Get":
 		return "CachingAllocator.Get", true
-	case namedIn(named, memPkgSuffix, "Arena") && (method == "Alloc" || method == "MustAlloc"):
-		return "Arena." + method, true
+	case namedIn(named, memPkgSuffix, "Arena") && method == "Alloc":
+		return "Arena.Alloc", true
 	}
 	return "", false
 }
@@ -101,8 +101,7 @@ func checkBufFunc(pass *Pass, fn *ast.FuncDecl, parents map[ast.Node]ast.Node) {
 // result of call within assign (nil when it cannot be determined).
 func blockLHS(assign *ast.AssignStmt, call *ast.CallExpr) ast.Expr {
 	if len(assign.Rhs) == 1 {
-		// b, err := a.Alloc(n)  or  b := a.MustAlloc(n): the block is
-		// always the first result.
+		// b, err := a.Alloc(n): the block is always the first result.
 		if assign.Rhs[0] == ast.Expr(call) && len(assign.Lhs) >= 1 {
 			return assign.Lhs[0]
 		}

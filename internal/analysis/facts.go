@@ -1,70 +1,17 @@
 package analysis
 
-import (
-	"go/types"
-	"sort"
-)
+import "go/types"
 
-// Fact is a unit of analyzer knowledge attached to a program object —
-// "this function transitively reaches time.Now", "this function
-// performs an order-sensitive sink operation". Facts are how the
-// module-wide rules share the results of expensive whole-program
-// computations: the first rule to need a reachability closure exports
-// it; later rules import it instead of recomputing.
-type Fact interface {
-	// FactKind discriminates fact families within one object's fact
-	// list (one object may carry a wall-clock fact and a sink fact).
-	FactKind() string
-}
-
-// FactStore maps program objects to their exported facts.
+// FactStore holds whole-closure results keyed by computation name, so
+// a reachability pass over thousands of functions is computed once per
+// run and shared by the module-wide rules that need it.
 type FactStore struct {
-	byObj map[types.Object][]Fact
-	// sets holds whole-closure results keyed by computation name, so a
-	// reachability pass over thousands of functions is stored (and
-	// retrieved) as one unit.
 	sets map[string]map[*types.Func]Witness
 }
 
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore {
-	return &FactStore{
-		byObj: make(map[types.Object][]Fact),
-		sets:  make(map[string]map[*types.Func]Witness),
-	}
-}
-
-// Export attaches a fact to obj.
-func (s *FactStore) Export(obj types.Object, f Fact) {
-	s.byObj[obj] = append(s.byObj[obj], f)
-}
-
-// Facts returns every fact of the given kind attached to obj.
-func (s *FactStore) Facts(obj types.Object, kind string) []Fact {
-	var out []Fact
-	for _, f := range s.byObj[obj] {
-		if f.FactKind() == kind {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Objects returns every object carrying at least one fact of kind, in
-// deterministic (position) order — map iteration never escapes the
-// store.
-func (s *FactStore) Objects(kind string) []types.Object {
-	var out []types.Object
-	for obj, facts := range s.byObj {
-		for _, f := range facts {
-			if f.FactKind() == kind {
-				out = append(out, obj)
-				break
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
-	return out
+	return &FactStore{sets: make(map[string]map[*types.Func]Witness)}
 }
 
 // ReachSet memoizes a reachability closure under the given name: the

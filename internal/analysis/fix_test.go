@@ -88,7 +88,7 @@ func TestFixRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		runner := &Runner{Analyzers: []*Analyzer{AnyStyle}}
-		return runner.Run(pkg)
+		return runner.RunPackages([]*Package{pkg}).Diags
 	}
 	diags := load()
 	if len(diags) != 2 {

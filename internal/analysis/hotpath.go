@@ -97,9 +97,6 @@ type HotRegistry struct {
 	Files  []string // registry files parsed, sorted
 }
 
-// Empty reports whether no hot path is registered anywhere.
-func (r *HotRegistry) Empty() bool { return len(r.Paths) == 0 }
-
 // parseHotFile parses one HOTPATH.md into r.
 func (r *HotRegistry) parseHotFile(path string, src []byte) {
 	errf := func(line int, format string, args ...any) {
@@ -183,12 +180,6 @@ func (r *HotRegistry) parseHotFile(path string, src []byte) {
 	if inBlock {
 		errf(strings.Count(string(src), "\n")+1, "unterminated %s block", hotRegistryFence)
 	}
-}
-
-// hotMarker is one parsed //vet:hotpath annotation.
-type hotMarker struct {
-	pos token.Position
-	tok token.Pos
 }
 
 // HotSet resolves the hot-path contract for the loaded module: the

@@ -25,6 +25,8 @@ type Package struct {
 	// best-effort basis, but the runner surfaces these so a broken tree
 	// is not mistaken for a clean one.
 	TypeErrors []error
+
+	loader *Loader // the loader that type-checked it, for whole-tree rules
 }
 
 // Loader resolves and type-checks packages of the enclosing module
@@ -186,7 +188,7 @@ func (l *Loader) loadDir(path, dir string) (*Package, error) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Info: info}
+	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Info: info, loader: l}
 	conf := types.Config{
 		Importer: l,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },

@@ -20,7 +20,6 @@ const (
 
 func isSimPkgPath(path string) bool { return strings.HasSuffix(path, simPkgSuffix) }
 func isHwPkgPath(path string) bool  { return strings.HasSuffix(path, hwPkgSuffix) }
-func isMemPkgPath(path string) bool { return strings.HasSuffix(path, memPkgSuffix) }
 
 // isSimulationPkg reports whether the pass's package is part of the
 // deterministic simulation: the engine itself, the hardware models, or

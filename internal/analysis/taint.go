@@ -37,16 +37,6 @@ type Witness struct {
 	Via  *types.Func // next hop on the path, nil at the end
 }
 
-// ReachFact is the exported per-function form of a closure membership,
-// queryable through the FactStore by later rules.
-type ReachFact struct {
-	Kind string // closure name: "wallclock", "globalrand", "sinkops"
-	W    Witness
-}
-
-// FactKind implements Fact.
-func (f ReachFact) FactKind() string { return "reach:" + f.Kind }
-
 // Reachable computes the closure of functions that reach a seed
 // through static calls: a function is in the result if it is a seed or
 // if any function it calls is. Each member carries a deterministic
@@ -202,9 +192,9 @@ var sinkMethods = map[string]map[string]map[string]bool{
 		"SharedProcessor": {"Submit": true},
 	},
 	memPkgSuffix: {
-		"Arena":            {"Alloc": true, "MustAlloc": true, "Release": true},
+		"Arena":            {"Alloc": true, "Release": true},
 		"CachingAllocator": {"Get": true, "Put": true, "ReleaseAll": true},
-		"RoundRobinPool":   {"Acquire": true, "Release": true, "Grow": true, "Destroy": true},
+		"RoundRobinPool":   {"Acquire": true, "Release": true, "Destroy": true},
 	},
 }
 
@@ -273,8 +263,7 @@ const (
 )
 
 // reachClosure computes (once per module, via the fact store) the set
-// of functions that transitively reach an operation found by scan, and
-// exports a ReachFact for each member.
+// of functions that transitively reach an operation found by scan.
 func reachClosure(m *Module, name string, scan func(info *types.Info, root ast.Node, report siteFn)) map[*types.Func]Witness {
 	return m.Facts().ReachSet(name, func() map[*types.Func]Witness {
 		g := m.Graph()
@@ -288,12 +277,6 @@ func reachClosure(m *Module, name string, scan func(info *types.Info, root ast.N
 				}
 			})
 		}
-		reach := g.Reachable(seeds)
-		for _, node := range g.Sorted {
-			if w, ok := reach[node.Func]; ok {
-				m.Facts().Export(node.Func, ReachFact{Kind: name, W: w})
-			}
-		}
-		return reach
+		return g.Reachable(seeds)
 	})
 }

@@ -33,6 +33,7 @@ func Handoff(a *mem.Arena) (*mem.Block, error) {
 // Stash stores the block in a struct field: it escapes.
 type Stash struct{ buf *mem.Block }
 
-func (s *Stash) Fill(a *mem.Arena) {
-	s.buf = a.MustAlloc(32)
+func (s *Stash) Fill(a *mem.Arena) (err error) {
+	s.buf, err = a.Alloc(32)
+	return err
 }

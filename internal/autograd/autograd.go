@@ -39,9 +39,6 @@ func (p *Parameter) AccumulateGrad(g *tensor.Tensor) {
 // NumParams returns the number of scalar elements in the parameter.
 func (p *Parameter) NumParams() int { return p.Value.Size() }
 
-// Bytes returns the storage footprint of value+grad in bytes.
-func (p *Parameter) Bytes() int64 { return p.Value.Bytes() + p.Grad.Bytes() }
-
 // Module is the unit the STRONGHOLD runtime offloads: a layer with
 // parameters, a forward pass, and a backward pass. Backward receives the
 // gradient of the loss w.r.t. the module output and must return the
@@ -148,10 +145,6 @@ func (s *Sequential) SetActivationCheckpointing(every int) {
 	s.checkpointEvery = every
 }
 
-// CheckpointInterval returns the current checkpoint interval (0 when
-// checkpointing is disabled).
-func (s *Sequential) CheckpointInterval() int { return s.checkpointEvery }
-
 func (s *Sequential) fire(kind HookKind, idx int, m Module) {
 	for _, h := range s.hooks {
 		h(kind, idx, m)
@@ -224,20 +217,4 @@ func (s *Sequential) recompute(i int) {
 		x = s.layers[j].Forward(x)
 		s.inputs[j+1] = x
 	}
-}
-
-// ZeroGrad clears gradients of every parameter in the container.
-func (s *Sequential) ZeroGrad() {
-	for _, p := range s.Parameters() {
-		p.ZeroGrad()
-	}
-}
-
-// NumParams returns the total scalar parameter count.
-func (s *Sequential) NumParams() int64 {
-	var n int64
-	for _, p := range s.Parameters() {
-		n += int64(p.NumParams())
-	}
-	return n
 }

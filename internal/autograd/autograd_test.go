@@ -29,7 +29,7 @@ func (m *scaleModule) Parameters() []*Parameter { return []*Parameter{m.a} }
 func (m *scaleModule) Forward(x *tensor.Tensor) *tensor.Tensor {
 	m.forwardCount++
 	m.cache = x
-	return tensor.Scale(m.a.Value.Data()[0], x)
+	return scaled(m.a.Value.Data()[0], x)
 }
 
 func (m *scaleModule) Backward(dout *tensor.Tensor) *tensor.Tensor {
@@ -39,7 +39,14 @@ func (m *scaleModule) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	}
 	g := tensor.Full(float32(da), 1)
 	m.a.AccumulateGrad(g)
-	return tensor.Scale(m.a.Value.Data()[0], dout)
+	return scaled(m.a.Value.Data()[0], dout)
+}
+
+// scaled returns a*x as a new tensor.
+func scaled(a float32, x *tensor.Tensor) *tensor.Tensor {
+	y := x.Clone()
+	y.ScaleInPlace(a)
+	return y
 }
 
 func TestParameterAccumulateAndZero(t *testing.T) {
@@ -243,8 +250,11 @@ func TestSequentialNumericGradient(t *testing.T) {
 	s := NewSequential(newScale("l0", 1.3), newScale("l1", -0.7), newScale("l2", 2.1))
 	x := tensor.FromSlice([]float32{0.5, -1.5}, 2)
 	loss := func() float64 {
-		y := s.Forward(x.Clone())
-		return y.Sum()
+		var sum float64
+		for _, v := range s.Forward(x.Clone()).Data() {
+			sum += float64(v)
+		}
+		return sum
 	}
 	s.Forward(x.Clone())
 	s.ZeroGrad()

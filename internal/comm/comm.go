@@ -20,17 +20,6 @@ type LinkSpec struct {
 	LatencyNS            int64
 }
 
-// Validate reports spec errors.
-func (l LinkSpec) Validate() error {
-	if l.BandwidthBytesPerSec <= 0 {
-		return fmt.Errorf("comm: non-positive bandwidth %v", l.BandwidthBytesPerSec)
-	}
-	if l.LatencyNS < 0 {
-		return fmt.Errorf("comm: negative latency %d", l.LatencyNS)
-	}
-	return nil
-}
-
 func (l LinkSpec) transfer(bytes float64) sim.Time {
 	return l.LatencyNS + sim.Time(bytes/l.BandwidthBytesPerSec*1e9)
 }

@@ -111,7 +111,8 @@ func TestPropertyAllReduceScaling(t *testing.T) {
 		if err := AllReduceTensors(workers); err != nil {
 			return false
 		}
-		want := tensor.Scale(float32(w), base)
+		want := base.Clone()
+		want.ScaleInPlace(float32(w))
 		return workers[w-1][0].AllClose(want, 1e-5, 1e-5)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -25,20 +25,6 @@ func (t *FunctionalTrainer) EnableCompressedOffload() error {
 	return nil
 }
 
-// CompressedBytes returns the current host bytes held by the fp16
-// store (2 bytes per parameter of every evicted layer).
-func (t *FunctionalTrainer) CompressedBytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var n int64
-	for _, bufs := range t.halfStore {
-		for _, b := range bufs {
-			n += int64(len(b)) * 2
-		}
-	}
-	return n
-}
-
 // compressLayer quantizes a block's parameters into the half store
 // (called by the optimizer worker after the update lands).
 func (t *FunctionalTrainer) compressLayer(layer int) {

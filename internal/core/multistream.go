@@ -48,9 +48,6 @@ func NewMultiStreamTrainer(cfg nn.GPTConfig, adam optim.AdamConfig, workers int)
 // Workers returns the stream worker count.
 func (t *MultiStreamTrainer) Workers() int { return t.workers }
 
-// Model returns worker 0's replica (all replicas are identical).
-func (t *MultiStreamTrainer) Model() *nn.GPT { return t.replicas[0] }
-
 // Step splits the batch across workers, runs forward+backward
 // concurrently, all-reduces gradients, and applies the optimizer on
 // every replica. It returns the batch-mean loss. The batch size must be

@@ -58,6 +58,3 @@ func (l *Loader) Next() Batch {
 	}
 	return Batch{Inputs: in, Targets: tgt}
 }
-
-// Step returns how many batches have been produced.
-func (l *Loader) Step() int { return l.step }

@@ -46,28 +46,30 @@ type Block struct {
 // Size returns the block's size in bytes.
 func (b *Block) Size() int64 { return b.size }
 
-// Arena returns the owning memory space.
-func (b *Block) Arena() *Arena { return b.arena }
-
 // Name returns the arena's label.
 func (a *Arena) Name() string { return a.name }
 
 // Capacity returns the arena's total bytes.
+//
+//vet:ignore testonly the hw tests check each device arena's size with it
 func (a *Arena) Capacity() int64 { return a.capacity }
 
 // Used returns currently allocated bytes.
+//
+//vet:ignore testonly the arena-balance oracles of the core tests read it after every run
 func (a *Arena) Used() int64 { return a.used }
 
-// Free returns remaining bytes.
-func (a *Arena) Free() int64 { return a.capacity - a.used }
-
 // Peak returns the allocation high-water mark.
+//
+//vet:ignore testonly the core tests check a degraded run's GPU peak with it
 func (a *Arena) Peak() int64 { return a.peak }
 
 // AllocOps returns the count of raw allocation operations performed.
 func (a *Arena) AllocOps() uint64 { return a.allocOps }
 
 // FreeOps returns the count of raw free operations performed.
+//
+//vet:ignore testonly the arena-balance oracles of the core tests pair it with AllocOps
 func (a *Arena) FreeOps() uint64 { return a.freeOps }
 
 // Alloc reserves size bytes, or returns an error wrapping ErrOOM.
@@ -85,16 +87,6 @@ func (a *Arena) Alloc(size int64) (*Block, error) {
 	}
 	a.allocOps++
 	return &Block{arena: a, size: size}, nil
-}
-
-// MustAlloc is Alloc for callers that have already sized their request;
-// it panics on failure.
-func (a *Arena) MustAlloc(size int64) *Block {
-	b, err := a.Alloc(size)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
 
 // Release frees a block. Double-free panics (it is a simulator bug, not

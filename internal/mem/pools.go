@@ -49,9 +49,6 @@ func (c *CachingAllocator) Put(b *Block) {
 	c.cached += b.size
 }
 
-// CachedBytes returns bytes held in free lists.
-func (c *CachingAllocator) CachedBytes() int64 { return c.cached }
-
 // Hits returns cache-hit count; Misses returns raw allocations.
 func (c *CachingAllocator) Hits() uint64   { return c.hits }
 func (c *CachingAllocator) Misses() uint64 { return c.misses }
@@ -106,12 +103,6 @@ func NewRoundRobinPool(arena *Arena, bufSize int64, count int) (*RoundRobinPool,
 	return p, nil
 }
 
-// BufSize returns the current per-buffer size.
-func (p *RoundRobinPool) BufSize() int64 { return p.bufSize }
-
-// Count returns the number of reserved buffers.
-func (p *RoundRobinPool) Count() int { return len(p.bufs) }
-
 // Acquire hands out the next free buffer in round-robin order, or an
 // error when every buffer is in use (the window is full). The probe
 // wraps by comparison, not division: it runs on every layer visit.
@@ -145,17 +136,6 @@ func (p *RoundRobinPool) Release(idx int) {
 		panic(fmt.Sprintf("mem: buffer %d released while free", idx))
 	}
 	p.inUse[idx] = false
-}
-
-// InUse returns the number of buffers currently held.
-func (p *RoundRobinPool) InUse() int {
-	n := 0
-	for _, u := range p.inUse {
-		if u {
-			n++
-		}
-	}
-	return n
 }
 
 // Destroy releases every reserved buffer back to the arena.

@@ -150,9 +150,6 @@ func (c *Collector) Quantile(family, labelValue string, q float64) (int64, bool)
 	return h.Quantile(q), true
 }
 
-// Timeline returns the named series (nil when absent).
-func (c *Collector) Timeline(series string) *Timeline { return c.timelines[series] }
-
 // Snapshot renders the collector into its canonical Registry form
 // (counters, gauges, histograms; timelines export via JSON/CSV only).
 func (c *Collector) Snapshot() *Registry {

@@ -10,6 +10,8 @@ import (
 // WritePrometheus writes the collector's canonical Prometheus text
 // exposition (timelines are not representable there; they export via
 // JSON and CSV).
+//
+//vet:ignore testonly golden-pinned export that no command serves yet
 func (c *Collector) WritePrometheus(w io.Writer) error {
 	return c.Snapshot().WriteText(w)
 }
@@ -46,6 +48,8 @@ type jsonExport struct {
 // WriteJSON writes every metric — counters, gauges, histograms and
 // timelines — as one indented JSON document with deterministic key
 // order.
+//
+//vet:ignore testonly golden-pinned export that no command serves yet
 func (c *Collector) WriteJSON(w io.Writer) error {
 	doc := jsonExport{
 		Counters:  make(map[string]float64, len(c.counters)),
@@ -82,6 +86,8 @@ func (c *Collector) WriteJSON(w io.Writer) error {
 // WriteCSV writes every timeline as rows of `series,t_ns,value`, series
 // in sorted order, points in recording order — the form the
 // EXPERIMENTS.md timeline figures are cut from.
+//
+//vet:ignore testonly golden-pinned export that no command serves yet
 func (c *Collector) WriteCSV(w io.Writer) error {
 	if _, err := io.WriteString(w, "series,t_ns,value\n"); err != nil {
 		return err

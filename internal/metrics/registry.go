@@ -113,6 +113,8 @@ func CanonicalLabel(key, value string) string {
 // label string ("" for unlabeled). It is the assertion surface for
 // server-side counters: tests and clients read a scraped or
 // snapshotted Registry without re-parsing exposition text by hand.
+//
+//vet:ignore testonly the counter assertions of the metrics and serve tests read it
 func (r *Registry) Value(family, label string) (float64, bool) {
 	for _, f := range r.Families {
 		if f.Name != family {

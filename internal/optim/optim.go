@@ -54,16 +54,6 @@ func NewAdam(params []*autograd.Parameter, cfg AdamConfig) *Adam {
 // Params returns the managed parameters.
 func (a *Adam) Params() []*autograd.Parameter { return a.params }
 
-// StateBytes returns the optimizer-state footprint in bytes, which is
-// what ZeRO-Offload/STRONGHOLD move off the GPU.
-func (a *Adam) StateBytes() int64 {
-	var n int64
-	for i := range a.m {
-		n += int64(len(a.m[i])+len(a.v[i])) * 4
-	}
-	return n
-}
-
 // Step applies one update to every managed parameter.
 func (a *Adam) Step() {
 	for i := range a.params {

@@ -28,7 +28,8 @@ type WarmupCosine struct {
 	TotalSteps  int
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors: a non-positive base rate, a
+// minimum outside [0, base], or a decay that ends before it starts.
 func (w WarmupCosine) Validate() error {
 	switch {
 	case w.Base <= 0:
@@ -65,6 +66,10 @@ type WarmupLinear struct {
 	TotalSteps  int
 }
 
+// Validate reports the configuration errors WarmupCosine.Validate
+// does: the two schedules share their fields.
+func (w WarmupLinear) Validate() error { return WarmupCosine(w).Validate() }
+
 // LR implements Schedule.
 func (w WarmupLinear) LR(step int) float64 {
 	if step < 0 {
@@ -79,7 +84,3 @@ func (w WarmupLinear) LR(step int) float64 {
 	progress := float64(step-w.WarmupSteps) / float64(w.TotalSteps-w.WarmupSteps)
 	return w.Base + (w.MinRate-w.Base)*progress
 }
-
-// SetLR changes the optimizer's learning rate (applied to subsequent
-// Step/StepParam calls) — how a schedule drives Adam.
-func (a *Adam) SetLR(lr float64) { a.Config.LR = float32(lr) }

@@ -4,9 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"stronghold/internal/autograd"
-	"stronghold/internal/tensor"
 )
 
 func TestConstantSchedule(t *testing.T) {
@@ -75,18 +72,6 @@ func TestWarmupLinearShape(t *testing.T) {
 	}
 	if s.LR(105) != 0 || s.LR(-1) != s.LR(0) {
 		t.Fatal("clamping wrong")
-	}
-}
-
-func TestSetLRDrivesAdam(t *testing.T) {
-	p := autograd.NewParameter("w", tensor.Zeros(1))
-	p.Grad.CopyFrom(tensor.Full(1, 1))
-	a := NewAdam([]*autograd.Parameter{p}, DefaultAdamConfig())
-	a.SetLR(0.5)
-	a.Step()
-	// First bias-corrected Adam step ≈ LR.
-	if got := float64(p.Value.Data()[0]); math.Abs(got+0.5) > 1e-3 {
-		t.Fatalf("step %v, want ≈ -0.5", got)
 	}
 }
 

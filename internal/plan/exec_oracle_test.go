@@ -240,7 +240,7 @@ func (w *world) start(op *Op, c sim.Completer) {
 		if op.GPU {
 			w.kernel(op, c)
 		} else {
-			w.m.CPUPool.Submit(max(op.DurNS, 1), c, tag)
+			w.m.CPUPool.Worker(w.m.CPUPool.Pick()).Submit(max(op.DurNS, 1), c, tag)
 		}
 	case Prefetch, Offload:
 		res := w.m.D2H

@@ -47,7 +47,7 @@ func (e *recordEnv) Start(op *Op, run *Run) {
 	}
 	dur := max(op.DurNS, 1)
 	if op.Kind == OptStep && !op.GPU {
-		e.pool.Submit(dur, e, int32(op.ID))
+		e.pool.Worker(e.pool.Pick()).Submit(dur, e, int32(op.ID))
 		return
 	}
 	start := e.eng.Now()
@@ -188,11 +188,11 @@ func TestExecuteGatesOnEveryDependency(t *testing.T) {
 // it is issued.
 func TestExecutePicksPoolWorkerOnResolve(t *testing.T) {
 	env := newRecordEnv(t)
-	env.pool.Submit(10, nil, 0) // worker 0 busy until 10
-	env.pool.Submit(20, nil, 0) // worker 1 busy until 20
+	env.pool.Worker(env.pool.Pick()).Submit(10, nil, 0) // worker 0 busy until 10
+	env.pool.Worker(env.pool.Pick()).Submit(20, nil, 0) // worker 1 busy until 20
 	// At t=2 a 50ns task lands on worker 0 (free first), keeping it
 	// busy until 60: an issue-time pick would have chosen worker 0.
-	env.eng.Schedule(2, func() { env.pool.Submit(50, nil, 0) })
+	env.eng.Schedule(2, func() { env.pool.Worker(env.pool.Pick()).Submit(50, nil, 0) })
 	dep := ExtDep{Kind: ExtOptDone, Layer: 0}
 	env.factAt(dep, 5)
 	it := &Iteration{}

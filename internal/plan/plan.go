@@ -223,6 +223,8 @@ func (g *Graph) Add(op Op, deps ...ID) ID {
 }
 
 // SetDeps replaces op id's in-plan dependencies.
+//
+//vet:ignore testonly the plan and baselines mutation tests rewire dependencies with it
 func (g *Graph) SetDeps(id ID, deps ...ID) { g.Ops[id].Deps = g.addDeps(deps) }
 
 // SetExt replaces op id's cross-iteration dependencies.

@@ -76,9 +76,6 @@ func New(b Backend, opts Options) *Server {
 	return s
 }
 
-// Stats exposes the server-side counter set (for tests and embedders).
-func (s *Server) Stats() *metrics.ServeStats { return s.stats }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)

@@ -56,7 +56,7 @@ func TestZeroAllocHotPaths(t *testing.T) {
 	submit := func() {
 		for i := int32(0); i < 4; i++ {
 			r.Submit(10, c, i)
-			p.Submit(7, c, i)
+			p.Worker(p.Pick()).Submit(7, c, i)
 			sp.Submit(1e3*float64(i+1), 4e8, c, i)
 		}
 		e.Run()

@@ -203,10 +203,11 @@ func (e *Engine) Steps() uint64 { return e.steps }
 func Seconds(d Time) float64 { return float64(d) / float64(time.Second) }
 
 // FromSeconds converts float seconds to a virtual duration.
+//
+//vet:ignore testonly the tests of sim, baselines and perf write durations with it
 func FromSeconds(s float64) Time { return Time(s * float64(time.Second)) }
 
-// Microseconds converts float microseconds to a virtual duration.
-func Microseconds(us float64) Time { return Time(us * 1e3) }
-
 // Milliseconds converts float milliseconds to a virtual duration.
+//
+//vet:ignore testonly the tests of sim, hw, plan and core write durations with it
 func Milliseconds(ms float64) Time { return Time(ms * 1e6) }

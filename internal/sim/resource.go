@@ -176,16 +176,8 @@ func (p *Pool) SetStretch(fn func(start, dur Time) Time) {
 	}
 }
 
-// Submit dispatches a task to the least-loaded worker and returns that
-// worker's completion time; c and tag are as for Resource.Submit.
-//
-//vet:hotpath
-func (p *Pool) Submit(duration Time, c Completer, tag int32) Time {
-	return p.Worker(p.Pick()).Submit(duration, c, tag)
-}
-
-// Pick returns the index of the worker Submit would dispatch to now:
-// the least loaded, the lowest index among equals. A worker not built
+// Pick returns the index of the worker to dispatch to now: the least
+// loaded, the lowest index among equals. A worker not built
 // yet has been idle since time zero.
 func (p *Pool) Pick() int {
 	best := 0

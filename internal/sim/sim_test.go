@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// Microseconds converts float microseconds to a virtual duration.
+func Microseconds(us float64) Time { return Time(us * 1e3) }
+
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
@@ -137,7 +140,7 @@ func TestPoolLeastLoaded(t *testing.T) {
 	p := NewPool(e, "cpu", 2)
 	var ends []Time
 	for i := 0; i < 4; i++ {
-		p.Submit(10, doneFunc(func(s, d Time) { ends = append(ends, d) }), 0)
+		p.Worker(p.Pick()).Submit(10, doneFunc(func(s, d Time) { ends = append(ends, d) }), 0)
 	}
 	e.Run()
 	// Two workers, four 10ns tasks → makespan 20, not 40.
@@ -179,7 +182,7 @@ func TestPoolBuildsWorkersOnFirstUse(t *testing.T) {
 		if w := p.Pick(); w != want {
 			t.Fatalf("dispatch picked worker %d, want never-used worker %d", w, want)
 		}
-		p.Submit(10, nil, 0)
+		p.Worker(p.Pick()).Submit(10, nil, 0)
 	}
 	if w := p.Pick(); w != 0 || len(p.workers) != 4 || p.Worker(3).Name() != "cpu[3]" {
 		t.Fatalf("picked %d of %d built workers, last %q", w, len(p.workers), p.Worker(3).Name())

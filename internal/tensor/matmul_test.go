@@ -214,16 +214,6 @@ func TestRNGNormalMoments(t *testing.T) {
 	}
 }
 
-func TestUniformRange(t *testing.T) {
-	r := NewRNG(2)
-	u := Uniform(r, -2, 3, 1000)
-	for _, v := range u.Data() {
-		if v < -2 || v >= 3 {
-			t.Fatalf("uniform value %v out of range", v)
-		}
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	r := NewRNG(3)
 	for i := 0; i < 1000; i++ {

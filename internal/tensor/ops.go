@@ -11,21 +11,6 @@ func Add(a, b *Tensor) *Tensor {
 	return broadcastBinary(a, b, func(x, y float32) float32 { return x + y })
 }
 
-// Sub returns a - b elementwise (with row-vector broadcasting as Add).
-func Sub(a, b *Tensor) *Tensor {
-	return broadcastBinary(a, b, func(x, y float32) float32 { return x - y })
-}
-
-// Mul returns a * b elementwise (with row-vector broadcasting as Add).
-func Mul(a, b *Tensor) *Tensor {
-	return broadcastBinary(a, b, func(x, y float32) float32 { return x * y })
-}
-
-// Div returns a / b elementwise (with row-vector broadcasting as Add).
-func Div(a, b *Tensor) *Tensor {
-	return broadcastBinary(a, b, func(x, y float32) float32 { return x / y })
-}
-
 // broadcastBinary applies f elementwise. Supported broadcast forms:
 // identical shapes, or b a 1-D tensor equal to a's last dimension, or b
 // a scalar (size 1).
@@ -62,15 +47,6 @@ func (t *Tensor) AddScaled(alpha float32, o *Tensor) {
 	}
 }
 
-// Scale returns alpha*t as a new tensor.
-func Scale(alpha float32, t *Tensor) *Tensor {
-	out := New(t.shape...)
-	for i, v := range t.data {
-		out.data[i] = alpha * v
-	}
-	return out
-}
-
 // ScaleInPlace multiplies every element of t by alpha.
 func (t *Tensor) ScaleInPlace(alpha float32) {
 	for i := range t.data {
@@ -87,44 +63,6 @@ func Apply(t *Tensor, f func(float32) float32) *Tensor {
 	return out
 }
 
-// Sum returns the sum of all elements (accumulated in float64 for
-// stability).
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.data))
-}
-
-// MaxAbs returns the maximum absolute element value.
-func (t *Tensor) MaxAbs() float64 {
-	var m float64
-	for _, v := range t.data {
-		if a := math.Abs(float64(v)); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// L2Norm returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) L2Norm() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
 // SumRows reduces a [rows, cols] view of t (flattening all leading
 // dimensions into rows, keeping the last dimension as cols) into a
 // 1-D tensor of length cols. This is the bias-gradient reduction.
@@ -136,22 +74,6 @@ func SumRows(t *Tensor) *Tensor {
 		base := r * cols
 		for c := 0; c < cols; c++ {
 			out.data[c] += t.data[base+c]
-		}
-	}
-	return out
-}
-
-// Transpose2D returns the transpose of a rank-2 tensor.
-func Transpose2D(t *Tensor) *Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose2D on rank-%d tensor", t.Rank()))
-	}
-	r, c := t.shape[0], t.shape[1]
-	out := New(c, r)
-	for i := 0; i < r; i++ {
-		row := t.data[i*c : (i+1)*c]
-		for j, v := range row {
-			out.data[j*r+i] = v
 		}
 	}
 	return out
@@ -237,21 +159,6 @@ func GELUBackward(x, dy *Tensor) *Tensor {
 		out.data[i] = dy.data[i] * float32(d)
 	}
 	return out
-}
-
-// ReLU applies max(0, x).
-func ReLU(t *Tensor) *Tensor {
-	return Apply(t, func(x float32) float32 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
-}
-
-// Tanh applies the hyperbolic tangent.
-func Tanh(t *Tensor) *Tensor {
-	return Apply(t, func(x float32) float32 { return float32(math.Tanh(float64(x))) })
 }
 
 // LayerNorm normalizes the last dimension of x to zero mean / unit

@@ -50,12 +50,3 @@ func Randn(r *RNG, std float64, shape ...int) *Tensor {
 	}
 	return t
 }
-
-// Uniform returns a tensor with entries uniform in [lo, hi).
-func Uniform(r *RNG, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = float32(lo + (hi-lo)*r.Float64())
-	}
-	return t
-}

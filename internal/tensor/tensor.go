@@ -62,6 +62,8 @@ func Ones(shape ...int) *Tensor { return Full(1, shape...) }
 
 // FromSlice wraps data (not copied) into a tensor of the given shape.
 // len(data) must equal the product of the shape.
+//
+//vet:ignore testonly the constructor the tests of tensor, autograd, comm and nn build literal tensors with
 func FromSlice(data []float32, shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
@@ -107,9 +109,6 @@ func (t *Tensor) Rank() int { return len(t.shape) }
 // Size returns the total number of elements.
 func (t *Tensor) Size() int { return len(t.data) }
 
-// Bytes returns the storage footprint in bytes (4 bytes per element).
-func (t *Tensor) Bytes() int64 { return int64(len(t.data)) * 4 }
-
 // Data returns the backing slice. Mutations are visible to the tensor.
 func (t *Tensor) Data() []float32 { return t.data }
 
@@ -153,41 +152,6 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 	copy(t.data, src.data)
 }
 
-// Reshape returns a view with a new shape sharing the same storage.
-// One dimension may be -1 to be inferred.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	shape = append([]int(nil), shape...)
-	n, infer := 1, -1
-	for i, d := range shape {
-		if d == -1 {
-			if infer >= 0 {
-				panic("tensor: Reshape with more than one -1 dimension")
-			}
-			infer = i
-			continue
-		}
-		n *= d
-	}
-	if infer >= 0 {
-		if n == 0 || len(t.data)%n != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, shape))
-		}
-		shape[infer] = len(t.data) / n
-		n *= shape[infer]
-	}
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, shape))
-	}
-	return &Tensor{shape: shape, strides: computeStrides(shape), data: t.data}
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
 	clear(t.data)
@@ -225,6 +189,8 @@ func (t *Tensor) Equal(o *Tensor) bool {
 
 // AllClose reports whether every element of t is within atol+rtol*|o| of
 // the corresponding element of o.
+//
+//vet:ignore testonly the tolerance oracle the tests of tensor, comm and core compare results with
 func (t *Tensor) AllClose(o *Tensor, rtol, atol float64) bool {
 	if !t.SameShape(o) {
 		return false

@@ -338,16 +338,6 @@ func TestGELUBackwardNumeric(t *testing.T) {
 	}
 }
 
-func TestReLUAndTanh(t *testing.T) {
-	x := FromSlice([]float32{-1, 2}, 2)
-	if got := ReLU(x).Data(); got[0] != 0 || got[1] != 2 {
-		t.Fatalf("ReLU got %v", got)
-	}
-	if got := Tanh(x).Data(); math.Abs(float64(got[1])-math.Tanh(2)) > 1e-6 {
-		t.Fatalf("Tanh got %v", got)
-	}
-}
-
 func TestLayerNormStatistics(t *testing.T) {
 	r := NewRNG(3)
 	x := Randn(r, 1, 8, 16)

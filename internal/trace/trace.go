@@ -94,17 +94,11 @@ func (t *Trace) intervals(kinds []Kind) [][2]sim.Time {
 	return iv
 }
 
-// Overlap returns the fraction of the time covered by intervals b that
-// intervals a also cover: |∪a ∩ ∪b| / |∪b|, and 1 when b covers no
-// time. It reorders neither slice. With communication as b and
-// computation as a, this is the quantity Figure 4 demonstrates and the
-// P1/P2 models maximize.
-func Overlap(a, b [][2]sim.Time) float64 {
-	return OverlapInPlace(slices.Clone(a), slices.Clone(b))
-}
-
-// OverlapInPlace is Overlap for a caller that owns both slices: it
-// sorts and merges them in place instead of copying them first, so it
+// OverlapInPlace returns the fraction of the time covered by intervals
+// b that intervals a also cover: |∪a ∩ ∪b| / |∪b|, and 1 when b covers
+// no time. With communication as b and computation as a, this is the
+// quantity Figure 4 demonstrates and the P1/P2 models maximize. It
+// sorts and merges both slices in place instead of copying them, so it
 // leaves their contents in no particular order.
 func OverlapInPlace(a, b [][2]sim.Time) float64 {
 	b = normalizeInPlace(b)

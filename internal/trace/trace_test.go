@@ -158,6 +158,11 @@ func TestPropertyOverlapInRange(t *testing.T) {
 	}
 }
 
+// Overlap is OverlapInPlace on copies: it reorders neither slice.
+func Overlap(a, b [][2]sim.Time) float64 {
+	return OverlapInPlace(slices.Clone(a), slices.Clone(b))
+}
+
 // overlapFraction is the fraction of the time of tr's spans of kinds b
 // hidden under its spans of kinds a.
 func overlapFraction(tr *Trace, a, b []Kind) float64 {

@@ -111,9 +111,16 @@ type Trainer struct {
 	steps  int
 }
 
-// NewTrainer builds a model and its offloading runtime.
+// NewTrainer builds a model and its offloading runtime. It rejects a
+// schedule whose Validate method (WarmupCosine's, WarmupLinear's)
+// reports an error.
 func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	cfg = cfg.withDefaults()
+	if s, ok := cfg.Schedule.(interface{ Validate() error }); ok {
+		if err := s.Validate(); err != nil {
+			return nil, fmt.Errorf("stronghold: schedule: %w", err)
+		}
+	}
 	model, err := nn.NewGPT(cfg.gpt())
 	if err != nil {
 		return nil, err

@@ -408,6 +408,25 @@ func TestTrainerSchedule(t *testing.T) {
 	}
 }
 
+// TestTrainerRejectsInvalidSchedule: a negative base rate would train
+// by gradient ascent, and a decay that ends before it starts divides
+// by zero; NewTrainer reports both schedules' validation errors.
+func TestTrainerRejectsInvalidSchedule(t *testing.T) {
+	for _, s := range []Schedule{
+		WarmupCosine{Base: -1e-3, TotalSteps: 100},
+		WarmupLinear{Base: -1e-3, TotalSteps: 100},
+		WarmupLinear{Base: 1e-3, WarmupSteps: 10, TotalSteps: 10},
+	} {
+		cfg := smallCfg()
+		cfg.Schedule = s
+		tr, err := NewTrainer(cfg)
+		if err == nil {
+			tr.Close()
+			t.Errorf("NewTrainer accepted schedule %+v", s)
+		}
+	}
+}
+
 func TestTextTrainerAndGenerate(t *testing.T) {
 	corpus := "abababababababababababababababababababababababababab"
 	cfg := TrainerConfig{
